@@ -4,16 +4,19 @@ Groups are represented as subquotients K/L of a fixed ambient lattice Z^n,
 with K and L given by integer basis matrices (columns).  All structure
 passes through a deterministic Smith normal form: pivots are chosen by
 (|value|, row, column), so every derived basis, invariant-factor list and
-report is reproducible bit for bit.
+report is reproducible bit for bit.  It is also the only elimination that
+yields bases and inverses: U @ M @ V = S gives the image basis as columns
+of M @ V, and a unimodular M has inverse V @ U.  Determinants use
+fraction-free Bareiss elimination, so all arithmetic stays in Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence
 
+from .arith import is_prime
 from .errors import IncompatibleAction, NotAutomorphism, NotFinite
 
 
@@ -103,49 +106,37 @@ class IntMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def det(self) -> int:
+        """Bareiss fraction-free elimination; every division is exact."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         n = self.rows
-        a = [[Fraction(x) for x in row] for row in self.entries]
-        d = Fraction(1)
+        a = [list(row) for row in self.entries]
+        sign, prev = 1, 1
         for k in range(n):
             piv = next((i for i in range(k, n) if a[i][k]), None)
             if piv is None:
                 return 0
             if piv != k:
                 a[k], a[piv] = a[piv], a[k]
-                d = -d
-            d *= a[k][k]
-            inv = 1 / a[k][k]
+                sign = -sign
+            p = a[k][k]
             for i in range(k + 1, n):
-                f = a[i][k] * inv
-                if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        assert d.denominator == 1
-        return int(d)
+                f = a[i][k]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[k])]
+            prev = p
+        return sign * prev
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; requires det = ±1."""
+        """Exact inverse; requires det = ±1.  U @ M @ V = I gives V @ U."""
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
-        n = self.rows
-        a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-             for j in range(n)] for i, row in enumerate(self.entries)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-        if any(x.denominator != 1 for row in out for x in row):
+        U, S, V = smith_normal_form(self)
+        diag = _snf_diagonal(S)
+        if len(diag) < self.rows:
+            raise ValueError("matrix is singular")
+        if any(d != 1 for d in diag):
             raise ValueError("matrix is not unimodular")
-        return IntMatrix([[int(x) for x in row] for row in out])
+        return V @ U
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -236,12 +227,9 @@ def _snf_diagonal(S: IntMatrix) -> list:
 
 def lattice_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of the lattice generated by the columns of M."""
-    U, S, _V = smith_normal_form(M)
-    diag = _snf_diagonal(S)
-    uinv = U.inverse_unimodular()
-    cols = [tuple(uinv.entries[i][k] * diag[k] for i in range(M.rows))
-            for k in range(len(diag))]
-    return IntMatrix.from_columns(cols, M.rows)
+    _U, S, V = smith_normal_form(M)
+    image = (M @ V).columns()[:len(_snf_diagonal(S))]
+    return IntMatrix.from_columns(image, M.rows)
 
 
 def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
@@ -299,10 +287,11 @@ class FGAbelianGroup:
         coords = solve_in_lattice(self.sub, self.rel)
         if coords is None:
             raise ValueError("relation lattice is not contained in the subgroup")
-        self._coords = coords  # rel in sub-coordinates
-        _U, S, _V = smith_normal_form(coords)
+        _U, S, V = smith_normal_form(coords)
         diag = _snf_diagonal(S)
-        self._coord_snf = (_U, S, _V)
+        # column i of coords @ V is d_i times column i of U^-1: the i-th
+        # cyclic factor's generator, scaled to a relation
+        self._scaled_gens = list(zip((coords @ V).columns(), diag))
         self.free_rank = self.sub.cols - len(diag)
         self.invariant_factors = tuple(d for d in diag if d > 1)
 
@@ -353,27 +342,21 @@ class FGAbelianGroup:
 
     def torsion(self) -> "FGAbelianGroup":
         """Subgroup of elements with m·x ∈ L for some m ≥ 1 (mod L)."""
-        U, S, _V = self._coord_snf
-        rank = len(_snf_diagonal(S))
-        uinv = U.inverse_unimodular()
-        cols = [uinv.column(i) for i in range(rank)]
+        cols = [tuple(x // d for x in col) for col, d in self._scaled_gens]
         sat = IntMatrix.from_columns(cols, self.sub.cols)
         return FGAbelianGroup(self.ambient_dim, self.sub @ sat, self.rel)
 
     def p_torsion(self, p: int) -> "FGAbelianGroup":
         """Subgroup of elements of p-power order (mod L)."""
-        if p < 2 or any(p % k == 0 for k in range(2, p)):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        U, S, _V = self._coord_snf
-        diag = _snf_diagonal(S)
-        uinv = U.inverse_unimodular()
         cols = []
-        for i, d in enumerate(diag):
+        for col, d in self._scaled_gens:
             v = d
             while v % p == 0:
                 v //= p
-            # v = prime-to-p part; (v·e_i) has exact order p^{v_p(d)}
-            cols.append(tuple(x * v for x in uinv.column(i)))
+            # col / p-part = v·e_i, of exact order p^{v_p(d)} (v prime to p)
+            cols.append(tuple(x // (d // v) for x in col))
         gens = IntMatrix.from_columns(cols, self.sub.cols)
         return FGAbelianGroup(self.ambient_dim, self.sub @ gens, self.rel)
 

@@ -101,15 +101,9 @@ class GoodnessFilter:
 
     group_type: Optional[GroupTypeTag] = None
     odd_only: bool = False
-    min_ell: Optional[int] = None
-    exclude_triality_3: bool = False
 
     def passes(self, ell: int) -> bool:
         if self.odd_only and ell == 2:
-            return False
-        if self.min_ell is not None and ell < self.min_ell:
-            return False
-        if self.exclude_triality_3 and ell == 3:
             return False
         if self.group_type is not None and not is_good(ell, self.group_type):
             return False

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from . import __version__
-from .arith import GoodnessFilter, GroupTypeTag, PrimePower, is_prime, primitive_prime
+from .arith import GoodnessFilter, GroupTypeTag, PrimePower, primitive_prime
 from .errors import BlockatlasError, InvariantViolation, ParseError
 from .exceptional import ExceptionalPlugin
 from .fusion import (
@@ -132,12 +132,6 @@ def _int_tokens(tokens) -> list[int]:
     return out
 
 
-def _check_p(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return p
-
-
 # ------------------------------------------------------- command payloads
 # Shared by the single commands and by grid jobs so that a grid cell is
 # byte-identical to the standalone run.
@@ -155,7 +149,6 @@ def _zsygmondy_payload(q: int, d: int) -> dict:
 
 def _datum_payload(command: str, ref: str, p: int) -> dict:
     datum, quasi = _resolve_datum(ref)
-    _check_p(p)
     if command == "bijection":
         body = bijection_check(datum, p, quasi_split=quasi).as_dict()
     elif command == "cornqs":
@@ -228,7 +221,6 @@ def _cmd_pi1(args) -> dict:
         "p": args.p,
     }
     if args.p is not None:
-        _check_p(args.p)
         result["pi1_p_torsion"] = _group_json(group.p_torsion(args.p))
         result["kottwitz_p_torsion"] = _group_json(target.p_torsion(args.p))
     return result

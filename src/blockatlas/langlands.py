@@ -38,6 +38,7 @@ from .abelian import (
     h1_cyclic,
     lattice_contains,
 )
+from .arith import is_prime
 from .errors import InvariantViolation
 from .rootdata import (
     RootDatumWithAction,
@@ -53,7 +54,7 @@ REGIME_CONJECTURAL = "conjectural"
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 

@@ -199,10 +199,6 @@ class RootDatumWithAction:
     def frobenius_matrix(self) -> IntMatrix:
         return self.matrix(self.frobenius)
 
-    def cochar_group(self) -> FGAbelianGroup:
-        """The full cocharacter lattice as a group in its own ambient."""
-        return FGAbelianGroup.free(self.rank)
-
     def coroot_matrix(self) -> IntMatrix:
         return IntMatrix.from_columns(self.coroots, self.rank)
 

@@ -117,9 +117,19 @@ def test_det_and_inverse():
 def test_det_matches_permutation_oracle():
     rng = random.Random(11)
     for _ in range(40):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
         m = random_matrix(rng, n, n, -5, 5)
         assert m.det() == det_perm([list(r) for r in m.entries])
+    # sparse matrices hit zero pivots, which force a row swap
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        density = rng.choice((0.25, 0.4, 0.6))
+        m = IntMatrix([[rng.randint(-5, 5) if rng.random() < density else 0
+                        for _ in range(n)] for _ in range(n)])
+        assert m.det() == det_perm([list(r) for r in m.entries])
+    for rows in ([[0, 1], [1, 0]], [[0, 2, 0], [0, 0, 3], [5, 0, 0]],
+                 [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]):
+        assert IntMatrix(rows).det() == det_perm(rows) != 0
 
 
 # ------------------------------------------------------------------- SNF

@@ -166,10 +166,6 @@ def test_goodness_filter():
     f = GoodnessFilter(group_type=GroupTypeTag("B", 2), odd_only=True)
     assert not f.passes(2)
     assert f.passes(3)
-    assert GoodnessFilter(min_ell=7).passes(7)
-    assert not GoodnessFilter(min_ell=7).passes(5)
-    assert not GoodnessFilter(exclude_triality_3=True).passes(3)
-    assert GoodnessFilter(exclude_triality_3=True).passes(5)
 
 
 def test_group_type_tag_validation():

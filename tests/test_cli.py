@@ -3,6 +3,7 @@
 Every emitted document is validated against the shipped report_v1 schema.
 """
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -63,6 +64,10 @@ def test_pretty_and_compact_agree(capsys):
       "--pretty"]),
     ("bijection_norm_one_ramified_p2.json",
      ["bijection", "--datum", "catalog:norm_one_ramified", "--p", "2"]),
+    ("components_wild_plus_tame_rank2_p2.json",
+     ["components", "--datum", "catalog:wild_plus_tame_rank2", "--p", "2"]),
+    ("cornqs_wild_induced_rank2_p2.json",
+     ["cornqs", "--datum", "catalog:wild_induced_rank2", "--p", "2"]),
 ])
 def test_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -100,6 +105,29 @@ def test_precondition_failures_exit_2(capsys):
         assert code == 2, argv
         assert doc["status"] == "error"
         assert doc["error"]["code"] == code_name
+
+
+@pytest.mark.parametrize("command", ["bijection", "pi1"])
+def test_large_prime_p_finishes_quickly(capsys, command):
+    start = time.perf_counter()
+    code, out = run(capsys, command, "--datum", "catalog:pgl2_split",
+                    "--p", "1000000007")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert check(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["bijection", "pi1", "cornqs", "components"])
+def test_composite_p_report_is_frozen(capsys, command):
+    code, out = run(capsys, command, "--datum", "catalog:pgl2_split",
+                    "--p", "4")
+    assert code == 2
+    check(out)
+    assert out == (
+        '{"command":"%s","engine":{"name":"blockatlas","version":"0.1.0"},'
+        '"error":{"code":"ValueError","message":"p = 4 is not prime"},'
+        '"inputs":{"datum":"catalog:pgl2_split","p":4},"schema":"report_v1",'
+        '"seed":null,"status":"error"}\n' % command)
 
 
 def test_usage_error_is_structured(capsys):
