@@ -10,16 +10,16 @@ deterministic.
 
 Root data are addressed either as ``catalog:NAME`` (built-in examples,
 which carry their own quasi-splitness metadata) or as a path to a JSON
-datum file (treated as quasi-split).  ``grid`` fans a parameter grid out
-across worker threads; all shared inputs are immutable and the merged
-report lists jobs in expansion order, never completion order.
+datum file (treated as quasi-split).  ``grid`` runs the cells of a parameter
+grid in expansion order on one thread and lists them in that order; the
+``workers`` config key is accepted and echoed for compatibility but does not
+change the output.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from . import __version__
@@ -343,21 +343,14 @@ def _grid_jobs(cfg: dict) -> list:
 def _cmd_grid(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as handle:
         cfg = parse_grid_config(handle.read())
-    jobs = _grid_jobs(cfg)
-    workers = cfg.get("workers", min(8, len(jobs)) or 1)
-
-    def run_one(index: int) -> dict:
-        key, thunk = jobs[index]
+    entries = []
+    for key, thunk in _grid_jobs(cfg):
         try:
-            payload = thunk()
+            entries.append({"key": key, "status": "ok", "result": thunk()})
         except (BlockatlasError, ValueError, OSError) as exc:
-            return {"key": key, "status": "error",
-                    "error": {"code": type(exc).__name__,
-                              "message": str(exc)}}
-        return {"key": key, "status": "ok", "result": payload}
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        entries = list(pool.map(run_one, range(len(jobs))))
+            entries.append({"key": key, "status": "error",
+                            "error": {"code": type(exc).__name__,
+                                      "message": str(exc)}})
     counts = {
         "ok": sum(1 for e in entries if e["status"] == "ok"),
         "error": sum(1 for e in entries if e["status"] == "error"),
@@ -484,7 +477,7 @@ def build_parser() -> _Parser:
     datum("cornqs", "triviality criterion for the p-part of pi1")
 
     p = sub.add_parser("grid", parents=[pretty],
-                       help="fan a parameter grid out across worker threads")
+                       help="run grid cells in expansion order on one thread")
     p.add_argument("--config", required=True, metavar="FILE",
                    help="flat key = value grid description")
 

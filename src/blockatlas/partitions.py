@@ -14,8 +14,8 @@ every removal order.
 
 from __future__ import annotations
 
-from .errors import BoundExceeded, LengthTooShort
-from .limits import partition_size_bound
+from .errors import LengthTooShort
+from .limits import check_partition_size
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 BetaSet = tuple    # strictly increasing tuple of non-negative ints
@@ -38,9 +38,7 @@ def partitions_of(m: int) -> list[Partition]:
     """All partitions of m, largest-part-first lexicographic order."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    bound = partition_size_bound()
-    if m > bound:
-        raise BoundExceeded(f"partitions of {m} exceed the configured bound {bound}")
+    check_partition_size(m)
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:

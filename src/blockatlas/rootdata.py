@@ -20,6 +20,7 @@ tests and the command-line tools.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -390,10 +391,18 @@ _A2_ROOTS = ((2, -1), (-1, 2), (1, 1), (-2, 1), (1, -2), (-1, -1))
 
 
 def catalog() -> dict:
-    """Named example data; keys are stable identifiers used by the CLI."""
+    """Named example data; keys are stable identifiers used by the CLI.
+
+    Each call returns a new dict over the same frozen entries, which are
+    built and validated on the first call only."""
+    return {entry.name: entry for entry in _catalog_entries()}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_entries() -> tuple:
     eye1 = IntMatrix.identity(1)
     eye2 = IntMatrix.identity(2)
-    entries = [
+    return (
         CatalogEntry(
             "split_torus_rank1", _split(1), tame_witness=eye1,
             summary="split one-dimensional torus; everything trivial"),
@@ -488,8 +497,7 @@ def catalog() -> dict:
             _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1))),
             quasi_split=False, tame_witness=eye2,
             summary="inner twist sharing the gl2 datum; comparison is conjectural"),
-    ]
-    return {entry.name: entry for entry in entries}
+    )
 
 
 # ------------------------------------------------------------------- JSON

@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import BoundExceeded
-from .limits import symbol_rank_bound
+from .limits import check_symbol_rank
 from .partitions import partitions_of, to_beta_set
 
 DEFECT_ODD = frozenset({1, 3})      # types B and C
@@ -67,13 +66,17 @@ class Symbol:
         return self.row_s == self.row_t
 
     def swap(self) -> "Symbol":
-        return Symbol(self.row_t, self.row_s)
+        # both rows are already clean and reduced: skip __post_init__
+        sym = object.__new__(Symbol)
+        object.__setattr__(sym, "row_s", self.row_t)
+        object.__setattr__(sym, "row_t", self.row_s)
+        return sym
 
     def canonical(self) -> "Symbol":
         a, b = self.row_s, self.row_t
         if (len(b), a) > (len(a), b):  # larger row first; tie -> lex smaller
-            a, b = b, a
-        return Symbol(a, b)
+            return self.swap()
+        return self
 
     def class_key(self) -> tuple:
         c = self.canonical()
@@ -170,9 +173,7 @@ def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
     (defect, rows)."""
     if n < 0:
         raise ValueError("rank must be >= 0")
-    bound = symbol_rank_bound()
-    if n > bound:
-        raise BoundExceeded(f"rank {n} exceeds the configured bound {bound}")
+    check_symbol_rank(n)
     residues = {r % 4 for r in defect_filter}
     seen = {}
     defect = 0

@@ -12,15 +12,21 @@ the symbol families by d-hook-core for odd d or (d/2)-cohook-core for even d.
 Each grouping drops the payload's measure by one removal step at a time, so
 members differ from their core by a multiple of the step size (d, the ennola
 image, or d/2 respectively) — validated on every constructed partition.
+
+Each type's labels and each (type, d) series are built once per process,
+the series validated before they are kept; every call still checks the
+configured rank bound first and gets its own list or SeriesPartition.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .arith import GroupTypeTag, PrimePower, is_good, is_prime, mult_order
 from .errors import BadPrimeHypothesis, InvariantViolation, NotSupported
+from .limits import check_partition_size, check_symbol_rank
 from .partitions import d_core, ennola_dual, partitions_of
 from .symbols import (
     DEFECT_MOD4_0,
@@ -50,6 +56,11 @@ class UnipotentLabel:
         return not isinstance(self.payload, Symbol)
 
     def render(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        # labels live as long as the per-type cache, so each renders once
         if self.is_partition:
             return "(" + ",".join(str(x) for x in self.payload) + ")"
         return self.payload.render() + self.marker
@@ -74,30 +85,29 @@ def series_step(family: str, d: int) -> int:
     return d if d % 2 == 1 else d // 2
 
 
+def _series_core(label: UnipotentLabel, d: int):
+    """The label's core under the family's d-rule: a partition or a Symbol."""
+    family, payload = label.group_type.family, label.payload
+    if family == "A":
+        return d_core(payload, d)
+    if family == "2A":
+        return d_core(payload, ennola_dual(d))
+    return hook_core(payload, d) if d % 2 == 1 else cohook_core(payload, d // 2)
+
+
+def _render_core(core) -> str:
+    if isinstance(core, Symbol):
+        return core.canonical().render()
+    return "(" + ",".join(str(x) for x in core) + ")"
+
+
+def _measure(payload) -> int:
+    return payload.rank if isinstance(payload, Symbol) else sum(payload)
+
+
 def series_core_render(label: UnipotentLabel, d: int) -> str:
     """Canonical rendering of the label's d-series invariant."""
-    family = label.group_type.family
-    if family == "A":
-        core = d_core(label.payload, d)
-        return "(" + ",".join(str(x) for x in core) + ")"
-    if family == "2A":
-        core = d_core(label.payload, ennola_dual(d))
-        return "(" + ",".join(str(x) for x in core) + ")"
-    sym = label.payload
-    core = hook_core(sym, d) if d % 2 == 1 else cohook_core(sym, d // 2)
-    return core.canonical().render()
-
-
-def _core_measure(label: UnipotentLabel, d: int) -> tuple[int, int]:
-    """(payload measure, core measure) under the family's d-rule."""
-    family = label.group_type.family
-    if family == "A":
-        return sum(label.payload), sum(d_core(label.payload, d))
-    if family == "2A":
-        return sum(label.payload), sum(d_core(label.payload, ennola_dual(d)))
-    sym = label.payload
-    core = hook_core(sym, d) if d % 2 == 1 else cohook_core(sym, d // 2)
-    return sym.rank, core.rank
+    return _render_core(_series_core(label, d))
 
 
 @dataclass
@@ -133,11 +143,11 @@ class SeriesPartition:
                 if lab in seen:
                     raise InvariantViolation(f"label {lab} in two blocks")
                 seen.add(lab)
-                if series_core_render(lab, self.d) != key:
+                core = _series_core(lab, self.d)
+                if _render_core(core) != key:
                     raise InvariantViolation(
                         f"label {lab} keyed {key!r} but core differs")
-                size, core_size = _core_measure(lab, self.d)
-                drop = size - core_size
+                drop = _measure(lab.payload) - _measure(core)
                 if drop < 0 or drop % step != 0:
                     raise InvariantViolation(
                         f"label {lab}: drop {drop} not a multiple of {step}")
@@ -146,11 +156,20 @@ class SeriesPartition:
             raise InvariantViolation("blocks do not cover the label set")
 
 
-def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
-    """Complete, duplicate-free, deterministically ordered label list."""
+def _check_bound(group_type: GroupTypeTag) -> None:
+    """Raise BoundExceeded if the configured bound excludes the type's labels;
+    read on every call, ahead of the caches below."""
+    if group_type.family in ("A", "2A"):
+        check_partition_size(group_type.rank + 1)
+    elif group_type.family in _SYMBOL_DEFECTS:
+        check_symbol_rank(group_type.rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _labels(group_type: GroupTypeTag) -> tuple:
     family, n = group_type.family, group_type.rank
     if family in ("A", "2A"):
-        return [UnipotentLabel(group_type, lam) for lam in partitions_of(n + 1)]
+        return tuple(UnipotentLabel(group_type, lam) for lam in partitions_of(n + 1))
     if family in _SYMBOL_DEFECTS:
         out = []
         for sym in enumerate_symbols(n, _SYMBOL_DEFECTS[family]):
@@ -159,25 +178,36 @@ def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
                 out.append(UnipotentLabel(group_type, sym, DOUBLE_PRIME_MARK))
             else:
                 out.append(UnipotentLabel(group_type, sym))
-        return out
+        return tuple(out)
     raise NotSupported(
         f"family {family} has no built-in label table; supply plugin data")
+
+
+def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
+    """Complete, duplicate-free, deterministically ordered label list."""
+    _check_bound(group_type)
+    return list(_labels(group_type))
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
+    groups: dict[str, list[UnipotentLabel]] = {}
+    for lab in _labels(group_type):
+        groups.setdefault(series_core_render(lab, d), []).append(lab)
+    blocks = tuple(
+        (key, tuple(sorted(groups[key], key=UnipotentLabel.sort_key)))
+        for key in sorted(groups))
+    SeriesPartition(group_type, d, blocks).validate()
+    return blocks
 
 
 def d_series(group_type: GroupTypeTag, d: int,
              context: Optional[dict] = None) -> SeriesPartition:
     if d < 1:
         raise ValueError("d must be >= 1")
-    groups: dict[str, list[UnipotentLabel]] = {}
-    for lab in enumerate_labels(group_type):
-        groups.setdefault(series_core_render(lab, d), []).append(lab)
-    blocks = tuple(
-        (key, tuple(sorted(groups[key], key=UnipotentLabel.sort_key)))
-        for key in sorted(groups))
+    _check_bound(group_type)
     ctx = context if context is not None else {"kind": "d_series", "d": d}
-    part = SeriesPartition(group_type, d, blocks, ctx)
-    part.validate()
-    return part
+    return SeriesPartition(group_type, d, _blocks(group_type, d), ctx)
 
 
 def ell_blocks(group_type: GroupTypeTag, q: PrimePower, ell: int) -> SeriesPartition:

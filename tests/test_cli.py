@@ -321,6 +321,39 @@ def test_grid_rerun_byte_identical(capsys, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("body", [
+    "command = fusion\nfamilies = B, D\nranks = 2-4\nqs = 2, 3\n",
+    "command = bijection\ndata = catalog:sl2_split, catalog:norm_one_wild, "
+    "catalog:bogus\nprimes = 2, 3\n",
+], ids=["fusion", "bijection"])
+def test_grid_workers_do_not_change_results(capsys, tmp_path, body):
+    outputs = []
+    for workers in ("workers = 1\n", "workers = 8\n", ""):
+        code, out = run(capsys, "grid", "--config",
+                        write_cfg(tmp_path, body + workers))
+        assert code == 0
+        result = check(out)["result"]
+        if workers:
+            assert result["config"]["workers"] == int(workers.split()[-1])
+        outputs.append(json.dumps([result["jobs"], result["counts"]],
+                                  sort_keys=True))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_grid_fusion_ranks_9_10_single_class(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "command = fusion\n"
+                              "families = A, 2A, B, C, D, 2D\n"
+                              "ranks = 9-10\nqs = 2, 4\n")
+    start = time.monotonic()
+    code, out = run(capsys, "grid", "--config", cfg)
+    elapsed = time.monotonic() - start
+    jobs = check(out)["result"]["jobs"]
+    assert code == 0 and len(jobs) == 24
+    assert all(j["status"] == "ok" and j["result"]["verdict"] == "single_class"
+               for j in jobs), [j["key"] for j in jobs]
+    assert elapsed < 30.0, f"{elapsed:.1f}s"
+
+
 def test_grid_captures_job_errors(capsys, tmp_path):
     cfg = write_cfg(tmp_path, "command = bijection\n"
                               "data = catalog:sl2_split, catalog:bogus\n"

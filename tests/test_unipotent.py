@@ -77,6 +77,23 @@ def test_enumerate_bound():
         enumerate_labels(GroupTypeTag("A", 30))
 
 
+def test_cached_labels_and_series_respect_rank_bound(monkeypatch):
+    b8 = GroupTypeTag("B", 8)
+    labels = enumerate_labels(b8)
+    expected = list(labels)
+    labels.clear()
+    labels.append(UnipotentLabel(b8, "tampered"))
+    assert enumerate_labels(b8) == expected
+    part = d_series(b8, 3)
+    part.context["tampered"] = True
+    assert d_series(b8, 3).context == {"kind": "d_series", "d": 3}
+    monkeypatch.setenv("BLOCKATLAS_MAX_RANK", "3")
+    with pytest.raises(BoundExceeded):
+        enumerate_labels(b8)
+    with pytest.raises(BoundExceeded):
+        d_series(b8, 3)
+
+
 # --------------------------------------------------------------- d-series
 
 def test_a2_series_frozen():
