@@ -76,17 +76,7 @@ class PrimePower:
     def from_q(cls, q: int) -> "PrimePower":
         if q < 2:
             raise ValueError("q must be >= 2")
-        n = q
-        p = None
-        for c in _candidate_divisors():
-            if c * c > n:
-                break
-            if n % c == 0:
-                p = c
-                break
-        if p is None:
-            return cls(q, q, 1)
-        r = 0
+        n, p, r = q, next(prime_factors(q)), 0
         while n % p == 0:
             n //= p
             r += 1
@@ -121,13 +111,7 @@ def _candidate_divisors() -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for c in _candidate_divisors():
-        if c * c > n:
-            return True
-        if n % c == 0:
-            return n == c
+    return n >= 2 and next(prime_factors(n)) == n
 
 
 def prime_factors(n: int) -> Iterator[int]:
@@ -166,11 +150,8 @@ def mult_order(q: int, ell: int) -> int:
         raise ValueError(f"{ell} is not prime")
     if q % ell == 0:
         raise DividesModulus(f"{ell} divides {q}")
-    x, d = q % ell, 1
-    while x != 1:
-        x = x * q % ell
-        d += 1
-    return d
+    # the order divides ell - 1 (Fermat); the first divisor that works is it
+    return next(e for e in divisors(ell - 1) if pow(q, e, ell) == 1)
 
 
 def _order_equals(q: int, ell: int, d: int) -> bool:

@@ -2,7 +2,9 @@
 
 The closure engine merges the d-series partitions for every admissible d
 (those witnessed by an odd good prime not dividing q) with a union-find,
-recording one certificate event per effective merge.  Processing order is
+recording one certificate event per effective merge.  The closure and the
+D-series join share one merge loop; the defect bounds read the validated
+1-series.  Processing order is
 fixed — d ascending, blocks by key, members in label order — so certificates
 are byte-reproducible.  A result with more than one class is reported as
 "inconclusive": the witnessed mechanism alone does not decide it, and the
@@ -16,9 +18,8 @@ from typing import Optional
 
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
 from .errors import InvariantViolation, NotSupported
-from .partitions import d_core, staircase_parameter
-from .symbols import hook_core
-from .unipotent import UnipotentLabel, d_series, enumerate_labels, series_core_render
+from .partitions import staircase_parameter
+from .unipotent import d_series, enumerate_labels, series_core
 
 
 class _UnionFind:
@@ -89,19 +90,39 @@ class FusionResult:
             raise InvariantViolation("certificate replay does not reproduce classes")
 
 
-def _series_blocks(group_type: GroupTypeTag, d: int, plugin) -> list[tuple]:
-    """[(key, [label renders...]), ...] sorted, for classical or plugin data."""
-    if plugin is not None and not group_type.is_classical:
-        return plugin.series_blocks(group_type.family, d)
-    part = d_series(group_type, d)
-    return [(key, [lab.render() for lab in members]) for key, members in part.blocks]
+class _SeriesJoin:
+    """A type's label renders and the union of its d-series.  Built before
+    the caller computes its d values, so label-set errors come first."""
 
+    def __init__(self, group_type: GroupTypeTag, plugin, needs: str):
+        if group_type.is_classical:
+            labels = enumerate_labels(group_type)
+            self.names = [lab.render() for lab in labels]
+            self.degenerate = any(lab.marker for lab in labels)
+        elif plugin is None:
+            raise NotSupported(
+                f"family {group_type.family} needs plugin data for {needs}")
+        else:
+            self.names, self.degenerate = plugin.labels(group_type.family), False
+        self.group_type, self.plugin = group_type, plugin
+        self.uf = _UnionFind(self.names)
 
-def _label_renders(group_type: GroupTypeTag, plugin) -> tuple[list[str], bool]:
-    if plugin is not None and not group_type.is_classical:
-        return plugin.labels(group_type.family), False
-    labs = enumerate_labels(group_type)
-    return [lab.render() for lab in labs], any(lab.marker for lab in labs)
+    def merge(self, ds) -> list[tuple]:
+        """Union each d-series, d ascending, blocks by key, every member onto
+        its block's first; returns the effective merges (a, b, d)."""
+        gt, merges = self.group_type, []
+        for d in sorted(ds):
+            if gt.is_classical:
+                blocks = [[lab.render() for lab in members]
+                          for _key, members in d_series(gt, d).blocks]
+            else:
+                blocks = [members for _key, members
+                          in self.plugin.series_blocks(gt.family, d)]
+            for anchor, *others in blocks:
+                for other in others:
+                    if self.uf.union(anchor, other):
+                        merges.append((anchor, other, d))
+        return merges
 
 
 def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
@@ -111,25 +132,16 @@ def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
         d_max = 2 * (group_type.rank + 1)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    if not group_type.is_classical and plugin is None:
-        raise NotSupported(
-            f"family {group_type.family} needs plugin data for fusion")
-    names, degenerate = _label_renders(group_type, plugin)
+    join = _SeriesJoin(group_type, plugin, "fusion")
     witnesses = admissible_d(group_type, q, d_max)
-    uf = _UnionFind(names)
-    events = []
-    for d in sorted(witnesses):
-        ell = witnesses[d]
-        for _key, members in _series_blocks(group_type, d, plugin):
-            anchor = members[0]
-            for other in members[1:]:
-                if uf.union(anchor, other):
-                    events.append(MergeEvent(anchor, other, d, ell))
+    events = tuple(MergeEvent(a, b, d, witnesses[d])
+                   for a, b, d in join.merge(witnesses))
+    classes = join.uf.classes(join.names)
     result = FusionResult(
         group_type=group_type, q=q, d_max=d_max, admissible=witnesses,
-        classes=uf.classes(names), certificate=tuple(events),
-        verdict="single_class" if len(uf.classes(names)) == 1 else "inconclusive",
-        touches_degenerate=degenerate,
+        classes=classes, certificate=events,
+        verdict="single_class" if len(classes) == 1 else "inconclusive",
+        touches_degenerate=join.degenerate,
         plugin_type=None if group_type.is_classical else group_type.family)
     result.validate()
     return result
@@ -151,16 +163,9 @@ def is_single_D_series(group_type: GroupTypeTag, D, plugin=None) -> DSeriesJoin:
     ds = tuple(sorted(set(int(d) for d in D)))
     if not ds or any(d < 1 for d in ds):
         raise ValueError("D must be a non-empty set of positive integers")
-    if not group_type.is_classical and plugin is None:
-        raise NotSupported(
-            f"family {group_type.family} needs plugin data for D-series checks")
-    names, _ = _label_renders(group_type, plugin)
-    uf = _UnionFind(names)
-    for d in ds:
-        for _key, members in _series_blocks(group_type, d, plugin):
-            for other in members[1:]:
-                uf.union(members[0], other)
-    classes = uf.classes(names)
+    join = _SeriesJoin(group_type, plugin, "D-series checks")
+    join.merge(ds)
+    classes = join.uf.classes(join.names)
     return DSeriesJoin(group_type, ds, len(classes) == 1, classes)
 
 
@@ -191,19 +196,17 @@ class DefectBoundReport:
 
 
 def _occurring_1series(group_type: GroupTypeTag) -> dict[str, int]:
-    """core render -> defect parameter k, over the type's label set."""
-    family = group_type.family
+    """core render -> defect parameter k, over the type's 1-series."""
     out: dict[str, int] = {}
-    for lab in enumerate_labels(group_type):
-        if family in ("A", "2A"):
-            core = d_core(lab.payload, 2 if family == "2A" else 1)
+    for key, members in d_series(group_type, 1).blocks:
+        core = series_core(members[0], 1)
+        if members[0].is_partition:
             k = staircase_parameter(core)
             if k is None:
                 raise InvariantViolation(f"non-staircase core {core} at d=1")
-            out["(" + ",".join(str(x) for x in core) + ")"] = k
         else:
-            core = hook_core(lab.payload, 1)
-            out[core.canonical().render()] = core.defect
+            k = core.defect
+        out[key] = k
     return out
 
 

@@ -44,7 +44,6 @@ from .rootdata import (
     RootDatumWithAction,
     derived_and_abelianized,
     is_induced,
-    kottwitz_target,
     pi1,
     tame_quotient_order,
 )
@@ -63,20 +62,22 @@ def _inertia_descent(datum: RootDatumWithAction) -> FGAbelianGroup:
                         datum.inertia_matrices)
 
 
-def group_side_torsor(datum: RootDatumWithAction, p: int) -> FGAbelianGroup:
+def group_side_torsor(datum: RootDatumWithAction, p: int,
+                      descent: Optional[FGAbelianGroup] = None) -> FGAbelianGroup:
     """p-torsion of the Frobenius fixed points of the inertia coinvariants
-    of the cocharacter lattice."""
+    of the cocharacter lattice (``descent``, computed when omitted)."""
     _check_prime(p)
-    arithmetic = fixed_points(_inertia_descent(datum), datum.frobenius_matrix)
-    return arithmetic.p_torsion(p)
+    descent = descent if descent is not None else _inertia_descent(datum)
+    return fixed_points(descent, datum.frobenius_matrix).p_torsion(p)
 
 
-def dual_side_torsor(datum: RootDatumWithAction, p: int) -> FGAbelianGroup:
+def dual_side_torsor(datum: RootDatumWithAction, p: int,
+                     descent: Optional[FGAbelianGroup] = None) -> FGAbelianGroup:
     """Frobenius coinvariants of the p-torsion of the inertia coinvariants
-    of the cocharacter lattice."""
+    of the cocharacter lattice (``descent``, computed when omitted)."""
     _check_prime(p)
-    components = _inertia_descent(datum).p_torsion(p)
-    return coinvariants(components, [datum.frobenius_matrix])
+    descent = descent if descent is not None else _inertia_descent(datum)
+    return coinvariants(descent.p_torsion(p), [datum.frobenius_matrix])
 
 
 def _group_dict(group: FGAbelianGroup) -> dict:
@@ -120,8 +121,9 @@ def bijection_check(datum: RootDatumWithAction, p: int,
     quasi-split, where the simply transitive actions on both sides are
     established, or an inner twist, where the comparison is conjectural.
     """
-    group = group_side_torsor(datum, p)
-    dual = dual_side_torsor(datum, p)
+    descent = _inertia_descent(datum)
+    group = group_side_torsor(datum, p, descent)
+    dual = dual_side_torsor(datum, p, descent)
     if group.order() != dual.order():
         raise InvariantViolation(
             f"torsor cardinalities disagree at p={p}: "
@@ -210,25 +212,26 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
 
     inert = datum.inertia_matrices
     ab_descent = coinvariants(da.cochar_ab, inert)
-    ab_p_free = ab_descent.p_torsion(p).is_trivial
+    ab_torsion = ab_descent.p_torsion(p)
 
     pi1_descent = coinvariants(pi1(datum), inert)
+    pi1_torsion = pi1_descent.p_torsion(p)
     der_descent = coinvariants(da.pi1_der, inert)
-    left = SubquotientMap(der_descent.p_torsion(p), pi1_descent.p_torsion(p))
-    right = SubquotientMap(pi1_descent.p_torsion(p), ab_descent.p_torsion(p))
+    left = SubquotientMap(der_descent.p_torsion(p), pi1_torsion)
+    right = SubquotientMap(pi1_torsion, ab_torsion)
     sequence_exact = (left.well_defined() and right.well_defined()
                       and right.surjective()
                       and _subgroups_equal(left.image(), right.kernel()))
 
-    pi1_p_free = pi1_descent.p_torsion(p).is_trivial
-    conclusion = kottwitz_target(datum).p_torsion(p).is_trivial
+    kottwitz = fixed_points(pi1_descent, datum.frobenius_matrix)
+    conclusion = kottwitz.p_torsion(p).is_trivial
     regime = REGIME_PROVED if quasi_split else REGIME_CONJECTURAL
     return CriterionReport(
         p=p, regime=regime, derived_pi1_order=der_order,
         hypothesis_a=hypothesis_a, wild_ab_induced=wild_ab_induced,
-        ab_coinvariants_p_free=ab_p_free,
+        ab_coinvariants_p_free=ab_torsion.is_trivial,
         sequence_exact_on_p_part=sequence_exact,
-        pi1_coinvariants_p_free=pi1_p_free, conclusion=conclusion)
+        pi1_coinvariants_p_free=pi1_torsion.is_trivial, conclusion=conclusion)
 
 
 # --------------------------------------------------------- component lemma
@@ -296,19 +299,16 @@ def component_lemma_checks(datum: RootDatumWithAction,
     wild_torsion = coinvariants(lattice, wild).torsion()
     p_local = all(_is_p_power(d, p) for d in wild_torsion.invariant_factors)
 
-    def straight(module: FGAbelianGroup) -> tuple:
-        return h1_cyclic(coinvariants(module, inert).p_torsion(p),
-                         frob).invariant_factors
+    torus_part = coinvariants(lattice, inert).p_torsion(p)
+    pi1_part = coinvariants(fundamental, inert).p_torsion(p)
 
     def through_wild(module: FGAbelianGroup) -> tuple:
         staged = coinvariants(module, wild).p_torsion(p)
         return h1_cyclic(coinvariants(staged, inert), frob).invariant_factors
 
-    h1_cochar = straight(lattice) == through_wild(lattice)
-    h1_pi1 = straight(fundamental) == through_wild(fundamental)
+    h1_cochar = h1_cyclic(torus_part, frob).invariant_factors == through_wild(lattice)
+    h1_pi1 = h1_cyclic(pi1_part, frob).invariant_factors == through_wild(fundamental)
 
-    torus_part = coinvariants(lattice, inert).p_torsion(p)
-    pi1_part = coinvariants(fundamental, inert).p_torsion(p)
     plain = SubquotientMap(torus_part, pi1_part)
     injects = plain.well_defined() and plain.injective()
     fixed = SubquotientMap(fixed_points(torus_part, frob),

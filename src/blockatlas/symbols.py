@@ -66,11 +66,7 @@ class Symbol:
         return self.row_s == self.row_t
 
     def swap(self) -> "Symbol":
-        # both rows are already clean and reduced: skip __post_init__
-        sym = object.__new__(Symbol)
-        object.__setattr__(sym, "row_s", self.row_t)
-        object.__setattr__(sym, "row_t", self.row_s)
-        return sym
+        return _built(self.row_t, self.row_s)
 
     def canonical(self) -> "Symbol":
         a, b = self.row_s, self.row_t
@@ -94,13 +90,21 @@ class Symbol:
         return self.render()
 
 
+def _built(row_s: tuple, row_t: tuple) -> Symbol:
+    """A Symbol from rows already clean and reduced: skips __post_init__."""
+    sym = object.__new__(Symbol)
+    object.__setattr__(sym, "row_s", row_s)
+    object.__setattr__(sym, "row_t", row_t)
+    return sym
+
+
 def make_symbol(row_s, row_t) -> Symbol:
     """Construct with shift reduction applied."""
     s, t = _clean_row(row_s), _clean_row(row_t)
     while s and t and s[0] == 0 and t[0] == 0:
         s = tuple(x - 1 for x in s[1:])
         t = tuple(x - 1 for x in t[1:])
-    return Symbol(s, t)
+    return _built(s, t)
 
 
 def phi(sym: Symbol) -> Symbol:

@@ -15,7 +15,11 @@ image, or d/2 respectively) — validated on every constructed partition.
 
 Each type's labels and each (type, d) series are built once per process,
 the series validated before they are kept; every call still checks the
-configured rank bound first and gets its own list or SeriesPartition.
+configured rank bound first and gets its own list or SeriesPartition.  A
+series groups its labels by the value of their canonical core and renders
+each distinct core once; validation recomputes every label's core itself
+and renders each distinct core once more.  The 1-series also feeds the
+defect bounds in :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -61,9 +65,7 @@ class UnipotentLabel:
     @functools.cached_property
     def _text(self) -> str:
         # labels live as long as the per-type cache, so each renders once
-        if self.is_partition:
-            return "(" + ",".join(str(x) for x in self.payload) + ")"
-        return self.payload.render() + self.marker
+        return _render(self.payload) + self.marker
 
     def sort_key(self):
         if self.is_partition:
@@ -85,20 +87,23 @@ def series_step(family: str, d: int) -> int:
     return d if d % 2 == 1 else d // 2
 
 
-def _series_core(label: UnipotentLabel, d: int):
-    """The label's core under the family's d-rule: a partition or a Symbol."""
+def series_core(label: UnipotentLabel, d: int):
+    """The label's core under the family's d-rule: a partition, or the
+    canonical Symbol of the core's swap class."""
     family, payload = label.group_type.family, label.payload
     if family == "A":
         return d_core(payload, d)
     if family == "2A":
         return d_core(payload, ennola_dual(d))
-    return hook_core(payload, d) if d % 2 == 1 else cohook_core(payload, d // 2)
+    core = hook_core(payload, d) if d % 2 == 1 else cohook_core(payload, d // 2)
+    return core.canonical()
 
 
-def _render_core(core) -> str:
-    if isinstance(core, Symbol):
-        return core.canonical().render()
-    return "(" + ",".join(str(x) for x in core) + ")"
+def _render(value) -> str:
+    """Text of a partition or a Symbol; the one home of the partition text."""
+    if isinstance(value, Symbol):
+        return value.render()
+    return "(" + ",".join(str(x) for x in value) + ")"
 
 
 def _measure(payload) -> int:
@@ -107,7 +112,7 @@ def _measure(payload) -> int:
 
 def series_core_render(label: UnipotentLabel, d: int) -> str:
     """Canonical rendering of the label's d-series invariant."""
-    return _render_core(_series_core(label, d))
+    return _render(series_core(label, d))
 
 
 @dataclass
@@ -135,6 +140,7 @@ class SeriesPartition:
     def validate(self) -> None:
         """Recompute every invariant; raise InvariantViolation on failure."""
         seen = set()
+        texts: dict = {}  # recomputed core -> its text, rendered once per call
         step = series_step(self.group_type.family, self.d)
         for key, members in self.blocks:
             if not members:
@@ -143,8 +149,10 @@ class SeriesPartition:
                 if lab in seen:
                     raise InvariantViolation(f"label {lab} in two blocks")
                 seen.add(lab)
-                core = _series_core(lab, self.d)
-                if _render_core(core) != key:
+                core = series_core(lab, self.d)
+                if core not in texts:
+                    texts[core] = _render(core)
+                if texts[core] != key:
                     raise InvariantViolation(
                         f"label {lab} keyed {key!r} but core differs")
                 drop = _measure(lab.payload) - _measure(core)
@@ -191,12 +199,14 @@ def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
 
 @functools.lru_cache(maxsize=None)
 def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
-    groups: dict[str, list[UnipotentLabel]] = {}
+    groups: dict = {}  # core value -> labels
     for lab in _labels(group_type):
-        groups.setdefault(series_core_render(lab, d), []).append(lab)
-    blocks = tuple(
-        (key, tuple(sorted(groups[key], key=UnipotentLabel.sort_key)))
-        for key in sorted(groups))
+        groups.setdefault(series_core(lab, d), []).append(lab)
+    # sorted by core text, which is the order reports list the blocks in
+    blocks = tuple(sorted(
+        ((_render(core), tuple(sorted(members, key=UnipotentLabel.sort_key)))
+         for core, members in groups.items()),
+        key=lambda block: block[0]))
     SeriesPartition(group_type, d, blocks).validate()
     return blocks
 

@@ -68,6 +68,11 @@ def test_pretty_and_compact_agree(capsys):
      ["components", "--datum", "catalog:wild_plus_tame_rank2", "--p", "2"]),
     ("cornqs_wild_induced_rank2_p2.json",
      ["cornqs", "--datum", "catalog:wild_induced_rank2", "--p", "2"]),
+    ("series_D4_d2.json", ["series", "--type", "D", "--rank", "4", "--d", "2"]),
+    ("defect_bounds_2A5.json", ["defect-bounds", "--type", "2A", "--rank", "5"]),
+    ("defect_bounds_D6.json", ["defect-bounds", "--type", "D", "--rank", "6"]),
+    ("dseries_check_B4_D1_2.json",
+     ["dseries-check", "--type", "B", "--rank", "4", "--D", "1,2"]),
 ])
 def test_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -128,6 +133,15 @@ def test_composite_p_report_is_frozen(capsys, command):
         '"error":{"code":"ValueError","message":"p = 4 is not prime"},'
         '"inputs":{"datum":"catalog:pgl2_split","p":4},"schema":"report_v1",'
         '"seed":null,"status":"error"}\n' % command)
+
+
+def test_blocks_at_large_ell_finishes_quickly(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "blocks", "--type", "B", "--rank", "2", "--q", "2",
+                    "--ell", "1000000007")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert check(out)["result"]["context"]["d"] == 500000003
 
 
 def test_usage_error_is_structured(capsys):
@@ -280,6 +294,17 @@ def test_fusion_exceptional_without_plugin(capsys):
                     "--q", "2")
     assert code == 2
     assert check(out)["error"]["code"] == "NotSupported"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fusion", "--q", "2"], "family G2 needs plugin data for fusion"),
+    (["dseries-check", "--D", "3"],
+     "family G2 needs plugin data for D-series checks"),
+])
+def test_exceptional_without_plugin_message(capsys, argv, message):
+    code, out = run(capsys, argv[0], "--type", "G2", "--rank", "2", *argv[1:])
+    assert code == 2
+    assert check(out)["error"] == {"code": "NotSupported", "message": message}
 
 
 # --------------------------------------------------------------------- grid

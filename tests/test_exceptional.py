@@ -1,7 +1,9 @@
 """Tests for the loadable exceptional-family data plugin."""
 import json
+from importlib import resources
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from blockatlas.arith import GroupTypeTag, PrimePower
 from blockatlas.errors import NotSupported, ParseError
@@ -77,7 +79,7 @@ def g2(**kwargs):
     return data
 
 
-@pytest.mark.parametrize("bad", [
+MALFORMED = [
     [],                                       # not an object
     tweak(schema="exceptional_v2"),           # wrong tag
     tweak(families={}),                       # no families
@@ -98,10 +100,56 @@ def g2(**kwargs):
                      {"core": "x", "members": ["b"]}]}),        # duplicate core
     g2(series={"3": [{"core": "x", "members": ["a", "b"]},
                      {"core": "y", "members": ["b"]}]}),        # overlapping blocks
-])
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
 def test_rejects_malformed(bad):
     with pytest.raises(ParseError):
         ExceptionalPlugin.from_dict(bad)
+
+
+def _with_extra_block_key():
+    data = json.loads(json.dumps(VALID))
+    data["families"]["G2"]["series"]["3"][0]["note"] = "ignored"
+    return data
+
+
+def _with_empty_family_name():
+    data = json.loads(json.dumps(VALID))
+    data["families"][""] = data["families"]["G2"]
+    return data
+
+
+# Documents the schema cannot judge: members outside the label list,
+# overlapping blocks and duplicate cores within one d (loader-only rules).
+LOADER_ONLY = [
+    g2(series={"3": [{"core": "x", "members": ["a", "q"]}]}),
+    g2(series={"3": [{"core": "x", "members": ["a"]},
+                     {"core": "x", "members": ["b"]}]}),
+    g2(series={"3": [{"core": "x", "members": ["a", "b"]},
+                     {"core": "y", "members": ["b"]}]}),
+]
+
+
+def test_schema_agrees_with_loader():
+    validator = Draft202012Validator(json.loads(
+        resources.files("blockatlas").joinpath("exceptional_v1.schema.json")
+        .read_text(encoding="utf-8")))
+    accepted_by_both = [tweak(comment="ignored"),     # unknown top-level key
+                        g2(comment="ignored"),        # unknown family key
+                        _with_extra_block_key()]      # unknown block key
+    for doc in [VALID] + MALFORMED + accepted_by_both + [_with_empty_family_name()]:
+        try:
+            ExceptionalPlugin.from_dict(doc)
+            loader_ok = True
+        except ParseError:
+            loader_ok = False
+        if doc in LOADER_ONLY:
+            assert validator.is_valid(doc) and not loader_ok, doc
+        else:
+            assert validator.is_valid(doc) == loader_ok, doc
+            assert loader_ok == (doc is VALID or doc in accepted_by_both), doc
 
 
 def test_fusion_closure_through_plugin():
