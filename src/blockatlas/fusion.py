@@ -2,13 +2,16 @@
 
 The closure engine merges the d-series partitions for every admissible d
 (those witnessed by an odd good prime not dividing q) with a union-find,
-recording one certificate event per effective merge.  The closure and the
-D-series join share one merge loop; the defect bounds read the validated
-1-series.  Processing order is
-fixed — d ascending, blocks by key, members in label order — so certificates
-are byte-reproducible.  A result with more than one class is reported as
-"inconclusive": the witnessed mechanism alone does not decide it, and the
-engine never claims a refutation.
+recording one certificate event per effective merge.  The loop stops once a
+single class remains, because no later series can merge anything: the
+certificate and the admissible map (every witnessed d ≤ d_max) are the same
+as over every d, and every series that is built is still validated.  The
+closure and the D-series join share one merge loop; the defect bounds read
+the validated 1-series.  Processing order is fixed — d ascending, blocks by
+key, members in label order — so certificates are byte-reproducible.  A
+result with more than one class is reported as "inconclusive": the witnessed
+mechanism alone does not decide it, and the engine never claims a
+refutation.
 """
 
 from __future__ import annotations
@@ -109,9 +112,14 @@ class _SeriesJoin:
 
     def merge(self, ds) -> list[tuple]:
         """Union each d-series, d ascending, blocks by key, every member onto
-        its block's first; returns the effective merges (a, b, d)."""
+        its block's first; returns the effective merges (a, b, d).  Stops
+        before the next d once one class is left: no later series can merge
+        anything, so the merges returned are the same as over every d."""
         gt, merges = self.group_type, []
+        single = len(self.uf.parent) - 1
         for d in sorted(ds):
+            if len(merges) == single:
+                break
             if gt.is_classical:
                 blocks = [[lab.render() for lab in members]
                           for _key, members in d_series(gt, d).blocks]

@@ -63,10 +63,16 @@ def _criterion(num, label, ok, detail=""):
 _DATA = ", ".join("catalog:" + name for name in sorted(catalog()))
 
 GRID_CONFIGS = {
+    # up to the default symbol bound, rank 10; at q = 8 up to rank 9, as
+    # rank 10 needs d up to 22 and 8**21 already exceeds the 63-bit power cap
     "fusion_abc": ("command = fusion\nfamilies = A, 2A, B, C\n"
-                   "ranks = 1-8\nqs = 2, 4, 8\nworkers = 8\n"),
+                   "ranks = 1-10\nqs = 2, 4\nworkers = 8\n"),
+    "fusion_abc_q8": ("command = fusion\nfamilies = A, 2A, B, C\n"
+                      "ranks = 1-9\nqs = 8\nworkers = 8\n"),
     "fusion_d": ("command = fusion\nfamilies = D, 2D\n"
-                 "ranks = 2-8\nqs = 2, 4, 8\nworkers = 8\n"),
+                 "ranks = 2-10\nqs = 2, 4\nworkers = 8\n"),
+    "fusion_d_q8": ("command = fusion\nfamilies = D, 2D\n"
+                    "ranks = 2-9\nqs = 8\nworkers = 8\n"),
     "zsygmondy": "command = zsygmondy\nqs = 2-16\nds = 3-12\nworkers = 8\n",
     "bijection": (f"command = bijection\ndata = {_DATA}\n"
                   "primes = 2, 3, 5\nworkers = 8\n"),
@@ -99,15 +105,16 @@ def _jobs(run):
 # ------------------------------------------------------------- criterion 1
 
 def test_criterion_1_fusion_single_class(grids):
-    a, b = grids["fusion_abc"], grids["fusion_d"]
-    elapsed = a.elapsed + b.elapsed
-    jobs = _jobs(a) + _jobs(b)
+    runs = [grids[name] for name in
+            ("fusion_abc", "fusion_abc_q8", "fusion_d", "fusion_d_q8")]
+    elapsed = sum(run.elapsed for run in runs)
+    jobs = [job for run in runs for job in _jobs(run)]
     bad = [j["key"] for j in jobs
            if j["status"] != "ok" or j["result"]["class_count"] != 1
            or j["result"]["verdict"] != "single_class"]
-    ok = len(jobs) == 138 and not bad and elapsed < 60.0
+    ok = len(jobs) == 168 and not bad and elapsed < 60.0
     _criterion(1, "fusion closure is a single class on all 6 families, "
-                  "ranks <= 8, q in {2,4,8}", ok,
+                  "ranks <= 10 at q in {2,4}, ranks <= 9 at q = 8", ok,
                f"{len(jobs)} cells in {elapsed:.1f}s (budget 60s)"
                + (f"; failures {bad}" if bad else ""))
 

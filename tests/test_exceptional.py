@@ -100,6 +100,7 @@ MALFORMED = [
                      {"core": "x", "members": ["b"]}]}),        # duplicate core
     g2(series={"3": [{"core": "x", "members": ["a", "b"]},
                      {"core": "y", "members": ["b"]}]}),        # overlapping blocks
+    g2(series={"3\n": []}),                   # trailing newline in key
 ]
 
 

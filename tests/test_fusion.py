@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,11 +8,13 @@ from blockatlas.errors import InvariantViolation, NotSupported
 from blockatlas.fusion import (
     FusionResult,
     MergeEvent,
+    _UnionFind,
     defect_bound_report,
     derived_inequality_check,
     fusion_closure,
     is_single_D_series,
 )
+from blockatlas.limits import DEFAULT_PARTITION_SIZE
 from blockatlas.unipotent import d_series, enumerate_labels, series_core_render
 
 
@@ -109,6 +112,44 @@ def test_monotone_in_d_max_and_prefix_certificates(family, rank, qv):
         prev = res
 
 
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
+def test_series_after_one_class_merge_nothing(family):
+    """Union every admissible d-series, with no early stop, in the closure's
+    order: the classes and the ordered effective merges are the closure's,
+    so the series it skips once one class is left merge nothing."""
+    for rank in range(2 if family in ("D", "2D") else 1, 9):
+        tag = GroupTypeTag(family, rank)
+        names = [lab.render() for lab in enumerate_labels(tag)]
+        for qv in (2, 3, 4, 5, 7, 8):
+            q = PrimePower.from_q(qv)
+            res = fusion_closure(tag, q)
+            witnesses = admissible_d(tag, q, 2 * (rank + 1))
+            assert res.admissible == witnesses
+            uf, merges = _UnionFind(names), []
+            for d in sorted(witnesses):
+                for _key, members in d_series(tag, d).blocks:
+                    anchor, *others = [lab.render() for lab in members]
+                    for other in others:
+                        if uf.union(anchor, other):
+                            merges.append((anchor, other, d))
+            assert uf.classes(names) == res.classes, (tag, qv)
+            assert merges == [(ev.label_a, ev.label_b, ev.d)
+                              for ev in res.certificate], (tag, qv)
+
+
+@pytest.mark.parametrize("family", ["A", "2A"])
+def test_linear_families_single_class_at_partition_bound(family):
+    rank = DEFAULT_PARTITION_SIZE - 1
+    start = time.monotonic()
+    res = fusion_closure(GroupTypeTag(family, rank), PrimePower.from_q(2))
+    elapsed = time.monotonic() - start
+    assert res.verdict == "single_class"
+    # q = 2 has no odd witness at d = 1 or d = 6 (Zsigmondy's exception)
+    assert sorted(res.admissible) == [d for d in range(2, 2 * rank + 3)
+                                      if d != 6]
+    assert elapsed < 10.0, f"{elapsed:.1f}s"
+
+
 def test_certificate_events_share_series_core():
     for family, rank in [("B", 3), ("D", 4), ("2A", 4)]:
         tag = GroupTypeTag(family, rank)
@@ -170,6 +211,29 @@ def test_plugin_drives_exceptional_fusion():
     assert res.plugin_type == "G2"
     join = is_single_D_series(g2, {3}, plugin=_FakePlugin())
     assert join.single and bool(join)
+
+
+class _RecordingPlugin(_FakePlugin):
+    def __init__(self):
+        self.asked = []
+
+    def series_blocks(self, family, d):
+        self.asked.append(d)
+        return super().series_blocks(family, d)
+
+
+def test_merge_loop_stops_once_one_class_is_left():
+    g2 = GroupTypeTag("G2", 2)
+    plugin = _RecordingPlugin()
+    res = fusion_closure(g2, PrimePower.from_q(2), plugin=plugin)
+    # d=3 joins all three labels; d=4 and d=5 stay admissible but unread
+    assert sorted(res.admissible) == [3, 4, 5]
+    assert plugin.asked == [3]
+    assert len(res.certificate) == 2
+
+    plugin = _RecordingPlugin()
+    assert is_single_D_series(g2, {3, 4, 5}, plugin=plugin).single
+    assert plugin.asked == [3]
 
 
 def test_D_series_join_frozen():
