@@ -8,12 +8,18 @@ report is reproducible bit for bit.  It is also the only elimination that
 yields bases and inverses: U @ M @ V = S gives the image basis as columns
 of M @ V, and a unimodular M has inverse V @ U.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
+
+The public ``IntMatrix`` constructor validates its input: it converts every
+entry with ``int()`` and rejects ragged rows.  Matrices that this module
+computes from other matrices (products, sums, stacks, transposes, the Smith
+factors and the bases read from them) skip that re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from .arith import is_prime
@@ -47,12 +53,25 @@ class IntMatrix:
         object.__setattr__(self, "cols", c)
 
     @classmethod
+    def _of(cls, entries: tuple, rows: int, cols: int) -> "IntMatrix":
+        """Wrap a rectangular tuple of int tuples that this module built
+        itself, with ``rows`` empty rows when ``cols`` is 0; skips the
+        conversion and shape checks of the public constructor."""
+        m = object.__new__(cls)
+        fields = m.__dict__     # frozen: write the fields directly
+        fields["entries"] = entries
+        fields["rows"] = rows
+        fields["cols"] = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(int(i == j) for j in range(n))
+                             for i in range(n)), n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
+        return cls._of(((0,) * cols,) * rows, rows, cols)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], dim: int) -> "IntMatrix":
@@ -62,48 +81,48 @@ class IntMatrix:
         return cls([[v[i] for v in cols] for i in range(dim)],
                    rows=dim, cols=len(cols))
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
+
+    def _first_rows(self, k: int) -> "IntMatrix":
+        return IntMatrix._of(self.entries[:k], k, self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)],
-                         rows=self.cols, cols=self.rows)
+        return IntMatrix._of(tuple(self.columns()), self.cols, self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        return IntMatrix(
-            [[sum(self.entries[i][k] * other.entries[k][j]
-                  for k in range(self.cols)) for j in range(other.cols)]
-             for i in range(self.rows)],
-            rows=self.rows, cols=other.cols)
+        if not self.cols:
+            return IntMatrix.zeros(self.rows, other.cols)
+        cols = tuple(zip(*other.entries))
+        return IntMatrix._of(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                  for row in self.entries),
+            self.rows, other.cols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                         rows=self.rows, cols=self.cols)
+        return IntMatrix._of(tuple(tuple(map(op, ra, rb)) for ra, rb
+                                   in zip(self.entries, other.entries)),
+                             self.rows, self.cols)
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.entries],
-                         rows=self.rows, cols=self.cols)
+        return IntMatrix._of(tuple(tuple(map(neg, row)) for row in self.entries),
+                             self.rows, self.cols)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return IntMatrix([ra + rb for ra, rb in zip(self.entries, other.entries)],
-                         rows=self.rows, cols=self.cols + other.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return IntMatrix._of(tuple(map(add, self.entries, other.entries)),
+                             self.rows, self.cols + other.cols)
 
     def det(self) -> int:
         """Bareiss fraction-free elimination; every division is exact."""
@@ -215,9 +234,9 @@ def smith_normal_form(M: IntMatrix) -> tuple:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return (IntMatrix(U, rows=r, cols=r),
-            IntMatrix(A, rows=r, cols=c),
-            IntMatrix(V, rows=c, cols=c))
+    return (IntMatrix._of(tuple(map(tuple, U)), r, r),
+            IntMatrix._of(tuple(map(tuple, A)), r, c),
+            IntMatrix._of(tuple(map(tuple, V)), c, c))
 
 
 def _snf_diagonal(S: IntMatrix) -> list:
@@ -228,8 +247,8 @@ def _snf_diagonal(S: IntMatrix) -> list:
 def lattice_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of the lattice generated by the columns of M."""
     _U, S, V = smith_normal_form(M)
-    image = (M @ V).columns()[:len(_snf_diagonal(S))]
-    return IntMatrix.from_columns(image, M.rows)
+    k = len(_snf_diagonal(S))
+    return M @ IntMatrix._of(tuple(row[:k] for row in V.entries), V.rows, k)
 
 
 def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
@@ -250,15 +269,15 @@ def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
                     return None
                 if i < B.cols:
                     Y[i][j] = v // d
-    return V @ IntMatrix(Y, rows=B.cols, cols=targets.cols)
+    return V @ IntMatrix._of(tuple(map(tuple, Y)), B.cols, targets.cols)
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of {x : M @ x = 0}."""
     _U, S, V = smith_normal_form(M)
     rank = len(_snf_diagonal(S))
-    cols = [V.column(j) for j in range(rank, M.cols)]
-    return IntMatrix.from_columns(cols, M.cols)
+    return IntMatrix._of(tuple(row[rank:] for row in V.entries),
+                         M.cols, M.cols - rank)
 
 
 def lattice_contains(B: IntMatrix, vectors: IntMatrix) -> bool:
@@ -271,8 +290,7 @@ def lattice_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     ker = kernel_basis(A.hstack(-B))
-    top = IntMatrix(ker.entries[:A.cols], rows=A.cols, cols=ker.cols)
-    return lattice_basis(A @ top)
+    return lattice_basis(A @ ker._first_rows(A.cols))
 
 
 class FGAbelianGroup:
@@ -342,8 +360,8 @@ class FGAbelianGroup:
 
     def torsion(self) -> "FGAbelianGroup":
         """Subgroup of elements with m·x ∈ L for some m ≥ 1 (mod L)."""
-        cols = [tuple(x // d for x in col) for col, d in self._scaled_gens]
-        sat = IntMatrix.from_columns(cols, self.sub.cols)
+        cols = tuple(tuple(x // d for x in col) for col, d in self._scaled_gens)
+        sat = IntMatrix._of(cols, len(cols), self.sub.cols).transpose()
         return FGAbelianGroup(self.ambient_dim, self.sub @ sat, self.rel)
 
     def p_torsion(self, p: int) -> "FGAbelianGroup":
@@ -357,7 +375,7 @@ class FGAbelianGroup:
                 v //= p
             # col / p-part = v·e_i, of exact order p^{v_p(d)} (v prime to p)
             cols.append(tuple(x // (d // v) for x in col))
-        gens = IntMatrix.from_columns(cols, self.sub.cols)
+        gens = IntMatrix._of(tuple(cols), len(cols), self.sub.cols).transpose()
         return FGAbelianGroup(self.ambient_dim, self.sub @ gens, self.rel)
 
 
@@ -380,8 +398,7 @@ def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     A._check_compatible(f)
     one = IntMatrix.identity(A.ambient_dim)
     stacked = ((f - one) @ A.sub).hstack(-A.rel)
-    ker = kernel_basis(stacked)
-    top = IntMatrix(ker.entries[:A.sub.cols], rows=A.sub.cols, cols=ker.cols)
+    top = kernel_basis(stacked)._first_rows(A.sub.cols)
     return FGAbelianGroup(A.ambient_dim, A.sub @ lattice_basis(top), A.rel)
 
 
@@ -391,8 +408,7 @@ def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     if not A.is_finite:
         raise NotFinite("H^1 of a procyclic group needs a finite module")
     A._check_compatible(f)
-    ker = kernel_basis((f @ A.sub).hstack(-A.rel))
-    top = IntMatrix(ker.entries[:A.sub.cols], rows=A.sub.cols, cols=ker.cols)
+    top = kernel_basis((f @ A.sub).hstack(-A.rel))._first_rows(A.sub.cols)
     injective = FGAbelianGroup(
         A.ambient_dim, A.sub @ lattice_basis(top), A.rel).is_trivial
     if not injective:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 from . import __version__
 from .arith import GoodnessFilter, GroupTypeTag, PrimePower, primitive_prime
@@ -103,8 +103,17 @@ def _bounds_json(report) -> dict:
 
 # ------------------------------------------------------------------ inputs
 
+@lru_cache(maxsize=None)
+def _load_datum_text(text: str):
+    """One parsed and validated datum per distinct file text."""
+    return load_datum(text)
+
+
 def _resolve_datum(ref: str):
-    """(datum, quasi_split) from a catalog: name or a JSON file path."""
+    """(datum, quasi_split) from a catalog: name or a JSON file path.
+
+    A file is read on every call; its datum is built once per distinct text,
+    so a rewritten file is loaded again."""
     if ref.startswith("catalog:"):
         name = ref[len("catalog:"):]
         entries = catalog()
@@ -115,7 +124,7 @@ def _resolve_datum(ref: str):
         return entry.datum, entry.quasi_split
     with open(ref, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return load_datum(text), True
+    return _load_datum_text(text), True
 
 
 def _int_tokens(tokens) -> list[int]:

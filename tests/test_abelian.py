@@ -96,7 +96,7 @@ def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         IntMatrix.identity(2) @ IntMatrix.identity(3)
     z = IntMatrix.zeros(3, 0)
-    assert (z.rows, z.cols) == (3, 0) and z.is_zero()
+    assert (z.rows, z.cols) == (3, 0) and z == IntMatrix([[], [], []])
     assert (IntMatrix.identity(2) @ IntMatrix.zeros(2, 0)).cols == 0
 
 
@@ -183,6 +183,73 @@ def test_snf_empty_shapes():
         u, s, v = smith_normal_form(m)
         assert (s.rows, s.cols) == shape
         assert u @ m @ v == s
+
+
+# ------------------------------------- internal results vs the public path
+
+def shaped_matrix(rng, rows, cols):
+    """Random rows x cols matrix through the public constructor; unlike
+    random_matrix it also builds the 0 x n shapes."""
+    return IntMatrix([[rng.randint(-9, 9) for _ in range(cols)]
+                      for _ in range(rows)], rows=rows, cols=cols)
+
+
+def assert_same_as_validated(m):
+    """m equals, with the same hash, the matrix the validating constructor
+    builds from its entries, and holds a rectangular tuple of int tuples."""
+    v = IntMatrix([list(row) for row in m.entries], rows=m.rows, cols=m.cols)
+    assert m == v and hash(m) == hash(v)
+    assert type(m.entries) is tuple and len(m.entries) == m.rows
+    for row in m.entries:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+
+
+def naive_product(a, b):
+    return [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def test_internal_results_match_validating_constructor():
+    rng = random.Random(73)
+    dims = (0, 1, 2, 3, 5)
+    for r, k, c in itertools.product(dims, repeat=3):
+        a, a2, b = (shaped_matrix(rng, r, k), shaped_matrix(rng, r, k),
+                    shaped_matrix(rng, k, c))
+        product = a @ b
+        assert_same_as_validated(product)
+        assert product == IntMatrix(naive_product(a, b), rows=r, cols=c)
+        rows = list(zip(a.entries, a2.entries))
+        cases = [
+            (a + a2, [[x + y for x, y in zip(p, q)] for p, q in rows]),
+            (a - a2, [[x - y for x, y in zip(p, q)] for p, q in rows]),
+            (-a, [[-x for x in p] for p in a.entries]),
+            (a.hstack(product),
+             [list(p) + list(q) for p, q in zip(a.entries, product.entries)]),
+            (a.transpose(), [[a.entries[i][j] for i in range(r)]
+                             for j in range(k)]),
+        ]
+        for m, expected in cases:
+            assert_same_as_validated(m)
+            assert m == IntMatrix(expected, rows=m.rows, cols=m.cols)
+        for m in smith_normal_form(a) + smith_normal_form(b):
+            assert_same_as_validated(m)
+    for n in dims:
+        assert_same_as_validated(IntMatrix.identity(n))
+        for c in dims:
+            assert_same_as_validated(IntMatrix.zeros(n, c))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="row count"):
+        IntMatrix([[1, 2]], rows=2)
+    m = IntMatrix([[True, 2.0], ["3", -4]])
+    assert m.entries == ((1, 2), (3, -4))
+    assert all(type(x) is int for row in m.entries for x in row)
+    assert m == IntMatrix([[1, 2], [3, -4]])
+    assert hash(m) == hash(IntMatrix([[1, 2], [3, -4]]))
 
 
 # ---------------------------------------------------------- group basics
@@ -367,10 +434,10 @@ def test_solve_and_contains():
 def test_kernel_basis_annihilates():
     m = IntMatrix([[1, 1, 1]])
     k = kernel_basis(m)
-    assert k.cols == 2 and (m @ k).is_zero()
+    assert k.cols == 2 and m @ k == IntMatrix.zeros(1, 2)
     m = IntMatrix([[2, 4]])
     k = kernel_basis(m)
-    assert k.cols == 1 and (m @ k).is_zero()
+    assert k.cols == 1 and m @ k == IntMatrix.zeros(1, 1)
     assert lattice_contains(k, IntMatrix.from_columns([(2, -1)], 2))
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from blockatlas import cli
-from blockatlas.errors import InvariantViolation
+from blockatlas import cli, langlands
+from blockatlas.errors import InvalidDatum, InvariantViolation
 from blockatlas.rootdata import catalog, datum_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,6 +79,29 @@ def test_golden(capsys, name, argv):
     assert code == 0
     check(out)
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+GRID_DATA = "catalog:wild_plus_tame_rank2, catalog:pgl3_split, su3.json, " \
+            "catalog:gl2_inner_twist"
+
+
+@pytest.mark.parametrize("command", ["bijection", "cornqs", "components"])
+def test_grid_golden_across_primes(capsys, tmp_path, monkeypatch, command):
+    """One grid per lattice command over a wild and a tame catalog entry, an
+    inner twist and a datum file, each at p = 2, 3, 5; the file is named by
+    a relative path so the report does not depend on the directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("su3.json").write_text(
+        json.dumps(datum_to_dict(catalog()["su3_unramified"].datum)),
+        encoding="utf-8")
+    Path("grid.cfg").write_text(
+        f"command = {command}\ndata = {GRID_DATA}\nprimes = 2, 3, 5\n",
+        encoding="utf-8")
+    code, out = run(capsys, "grid", "--config", "grid.cfg", "--pretty")
+    assert code == 0
+    assert check(out)["result"]["counts"] == {"ok": 12, "error": 0}
+    assert out == (GOLDEN / f"grid_{command}_p235.json").read_text(
+        encoding="utf-8")
 
 
 def test_rerun_is_byte_identical(capsys):
@@ -420,3 +443,34 @@ def test_grid_error_context_has_line(capsys, tmp_path):
     doc = check(out)
     assert code == 2
     assert doc["error"]["context"]["line"] == 2
+
+
+def test_rewritten_datum_file_is_reloaded(tmp_path):
+    path = str(tmp_path / "datum.json")
+    first, second = (catalog()[n].datum for n in ("sl2_split", "pgl2_split"))
+    for datum in (first, second):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(datum_to_dict(datum), handle)
+        loaded, quasi = cli._resolve_datum(path)
+        assert loaded == datum and quasi
+        assert cli._resolve_datum(path)[0] is loaded   # same text: one load
+
+
+def test_grid_errors_are_not_cached(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def failing_pi1(datum):
+        calls.append(datum)
+        raise InvalidDatum("synthetic pi1 failure")
+    langlands._modules.cache_clear()
+    monkeypatch.setattr(langlands, "pi1", failing_pi1)
+    cfg = write_cfg(tmp_path, "command = cornqs\n"
+                              "data = catalog:pgl3_split\nprimes = 2, 3, 5\n")
+    code, out = run(capsys, "grid", "--config", cfg)
+    jobs = check(out)["result"]["jobs"]
+    assert code == 0 and len(calls) == 3
+    assert [j["error"] for j in jobs] == [
+        {"code": "InvalidDatum", "message": "synthetic pi1 failure"}] * 3
+    monkeypatch.undo()
+    _, out = run(capsys, "grid", "--config", cfg)
+    assert check(out)["result"]["counts"] == {"ok": 3, "error": 0}

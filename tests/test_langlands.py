@@ -2,6 +2,7 @@
 
 import pytest
 
+from blockatlas import langlands
 from blockatlas.abelian import (
     FGAbelianGroup,
     IntMatrix,
@@ -270,3 +271,34 @@ def test_lemma_report_dict():
         "wild_torsion_p_local", "h1_agree_cochar", "h1_agree_pi1",
         "torsion_injects", "torsion_injects_fixed", "all_ok",
     }
+
+
+# ----------------------------------------------------- per-datum module reuse
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_checks_agree_with_and_without_warm_modules(name):
+    e = entry(name)
+    checks = {
+        "bijection": lambda p: bijection_check(e.datum, p, e.quasi_split),
+        "cornqs": lambda p: cornqs_check(e.datum, p, quasi_split=e.quasi_split),
+        "components": lambda p: component_lemma_checks(e.datum, p),
+    }
+    cells = [(command, p) for command in checks for p in PRIMES]
+    cold = {}
+    for command, p in cells:
+        langlands._modules.cache_clear()
+        cold[command, p] = checks[command](p).as_dict()
+    # one sweep in reverse order warms the record with the other primes and
+    # commands; a second sweep then reads every module from it
+    langlands._modules.cache_clear()
+    for sweep in (cells[::-1], cells):
+        for command, p in sweep:
+            assert checks[command](p).as_dict() == cold[command, p], (command, p)
+
+
+def test_bijection_check_rejects_composite_p_before_lattice_work(monkeypatch):
+    def no_lattice_work(datum):
+        raise AssertionError("lattice work before the prime check")
+    monkeypatch.setattr(langlands, "_modules", no_lattice_work)
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        bijection_check(entry("pgl2_split").datum, 4)
