@@ -9,6 +9,13 @@ yields bases and inverses: U @ M @ V = S gives the image basis as columns
 of M @ V, and a unimodular M has inverse V @ U.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
+``smith_normal_form``, ``lattice_basis``, ``solve_in_lattice`` (and so
+``lattice_contains``) and ``kernel_basis`` are pure functions of frozen
+matrices and are memoized with ``functools.lru_cache``: each distinct
+matrix is factored once per process, and each basis or membership question
+is answered once.  Their results are immutable; a call that raises is not
+cached and raises again when repeated.
+
 The public ``IntMatrix`` constructor validates its input: it converts every
 entry with ``int()`` and rejects ragged rows.  Matrices that this module
 computes from other matrices (products, sums, stacks, transposes, the Smith
@@ -17,6 +24,7 @@ factors and the bases read from them) skip that re-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
 from operator import add, mul, neg, sub
@@ -161,6 +169,7 @@ class IntMatrix:
         return self.rows == self.cols and abs(self.det()) == 1
 
 
+@functools.lru_cache(maxsize=None)
 def smith_normal_form(M: IntMatrix) -> tuple:
     """(U, S, V) with U @ M @ V = S diagonal, d_1 | d_2 | ..., d_i > 0.
 
@@ -244,6 +253,7 @@ def _snf_diagonal(S: IntMatrix) -> list:
             if S.entries[i][i] != 0]
 
 
+@functools.lru_cache(maxsize=None)
 def lattice_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of the lattice generated by the columns of M."""
     _U, S, V = smith_normal_form(M)
@@ -251,6 +261,7 @@ def lattice_basis(M: IntMatrix) -> IntMatrix:
     return M @ IntMatrix._of(tuple(row[:k] for row in V.entries), V.rows, k)
 
 
+@functools.lru_cache(maxsize=None)
 def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
     """X with B @ X = targets over Z, or None. B must have independent cols."""
     U, S, V = smith_normal_form(B)
@@ -272,6 +283,7 @@ def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
     return V @ IntMatrix._of(tuple(map(tuple, Y)), B.cols, targets.cols)
 
 
+@functools.lru_cache(maxsize=None)
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of {x : M @ x = 0}."""
     _U, S, V = smith_normal_form(M)

@@ -171,10 +171,18 @@ def test_snf_matches_determinantal_divisors():
 
 
 def test_snf_deterministic():
+    # the cache would make a repeated call compare a result with itself, so
+    # compare the cached factors with an uncached and a re-filled factoring
+    # of an equal matrix built afresh
     rng = random.Random(5)
     for _ in range(20):
         m = random_matrix(rng, 4, 5)
-        assert smith_normal_form(m) == smith_normal_form(m)
+        cached = smith_normal_form(m)
+        fresh = IntMatrix([list(row) for row in m.entries])
+        assert fresh is not m
+        assert smith_normal_form.__wrapped__(fresh) == cached
+        smith_normal_form.cache_clear()
+        assert smith_normal_form(fresh) == cached
 
 
 def test_snf_empty_shapes():
@@ -250,6 +258,94 @@ def test_public_constructor_still_validates():
     assert all(type(x) is int for row in m.entries for x in row)
     assert m == IntMatrix([[1, 2], [3, -4]])
     assert hash(m) == hash(IntMatrix([[1, 2], [3, -4]]))
+
+
+# ------------------------------------------------------ memoized functions
+
+MEMOIZED = (smith_normal_form, lattice_basis, solve_in_lattice, kernel_basis)
+SHAPES = [(r, c) for r in (0, 1, 2, 3, 4) for c in (0, 1, 2, 3, 5)]
+
+
+def clear_memoized():
+    for fn in MEMOIZED:
+        fn.cache_clear()
+
+
+def memoized_calls(rng, rows, cols):
+    """(function, args) for every memoized function on one seeded random
+    rows x cols matrix; solve_in_lattice gets its basis, a target inside the
+    lattice and one that is (in general) outside it."""
+    m = shaped_matrix(rng, rows, cols)
+    basis = lattice_basis.__wrapped__(m)
+    inside = basis @ shaped_matrix(rng, basis.cols, 2)
+    return [(smith_normal_form, (m,)), (lattice_basis, (m,)),
+            (kernel_basis, (m,)), (solve_in_lattice, (basis, inside)),
+            (solve_in_lattice, (basis, shaped_matrix(rng, rows, 2)))]
+
+
+def test_memoized_results_equal_uncached():
+    rng = random.Random(91)
+    clear_memoized()
+    for rows, cols in SHAPES * 3:
+        for fn, args in memoized_calls(rng, rows, cols):
+            result = fn(*args)
+            assert result == fn.__wrapped__(*args), (fn.__name__, args)
+            assert fn(*args) is result, (fn.__name__, args)
+
+
+def test_constructor_and_trusted_matrices_share_cache_entries():
+    rng = random.Random(97)
+    for rows, cols in SHAPES:
+        public = shaped_matrix(rng, rows, cols)
+        trusted = IntMatrix._of(public.entries, rows, cols)
+        assert public is not trusted
+        target = IntMatrix._of(tuple((x,) for x in range(rows)), rows, 1)
+        for fn, first, second in [
+                (smith_normal_form, (public,), (trusted,)),
+                (lattice_basis, (public,), (trusted,)),
+                (kernel_basis, (public,), (trusted,)),
+                (solve_in_lattice, (public, target),
+                 (trusted, IntMatrix([[x] for x in range(rows)],
+                                     rows=rows, cols=1)))]:
+            fn.cache_clear()
+            result = fn(*first)
+            assert fn(*second) is result, (fn.__name__, rows, cols)
+            info = fn.cache_info()
+            assert (info.misses, info.hits) == (1, 1), (fn.__name__, rows, cols)
+
+
+def test_equal_entries_with_other_shapes_do_not_collide():
+    # the 0 x n matrices all hold (); only their shapes tell them apart
+    assert IntMatrix.zeros(0, 2).entries == IntMatrix.zeros(0, 3).entries
+    clear_memoized()
+    for a, b in [((0, 2), (0, 3)), ((2, 0), (3, 0))]:
+        for fn in (smith_normal_form, lattice_basis, kernel_basis):
+            for shape in (a, b):
+                m = IntMatrix.zeros(*shape)
+                assert fn(m) == fn.__wrapped__(m), (fn.__name__, shape)
+        assert smith_normal_form(IntMatrix.zeros(*a)) != smith_normal_form(
+            IntMatrix.zeros(*b))
+        assert (kernel_basis(IntMatrix.zeros(*a)).cols,
+                kernel_basis(IntMatrix.zeros(*b)).cols) == (a[1], b[1])
+        assert (lattice_basis(IntMatrix.zeros(*a)).rows,
+                lattice_basis(IntMatrix.zeros(*b)).rows) == (a[0], b[0])
+    for fn in (smith_normal_form, lattice_basis, kernel_basis):
+        assert fn.cache_info().currsize == 4, fn.__name__
+
+
+def test_solve_in_lattice_shape_errors_are_not_cached():
+    clear_memoized()
+    for basis_rows, target_rows in [(2, 3), (0, 2), (3, 0)]:
+        basis = IntMatrix.identity(basis_rows)
+        targets = IntMatrix.zeros(target_rows, 1)
+        for attempt in range(1, 4):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                solve_in_lattice(basis, targets)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                lattice_contains(basis, targets)
+            info = solve_in_lattice.cache_info()
+            assert info.hits == 0 and info.currsize == 0, attempt
+    assert solve_in_lattice.cache_info().misses == 18
 
 
 # ---------------------------------------------------------- group basics

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from blockatlas import cli, langlands
+from blockatlas import abelian, cli, langlands
 from blockatlas.errors import InvalidDatum, InvariantViolation
 from blockatlas.rootdata import catalog, datum_to_dict
 
@@ -474,3 +474,44 @@ def test_grid_errors_are_not_cached(capsys, tmp_path, monkeypatch):
     monkeypatch.undo()
     _, out = run(capsys, "grid", "--config", cfg)
     assert check(out)["result"]["counts"] == {"ok": 3, "error": 0}
+
+
+def test_grid_cell_invariant_violation_aborts_the_grid(capsys, tmp_path,
+                                                      monkeypatch):
+    # an internal defect in one cell is not a cell error: the whole grid
+    # stops with exit 1 and an InvariantViolation report
+    payload = cli._datum_payload
+
+    def broken_cell(command, ref, p):
+        if p == 3:
+            raise InvariantViolation("synthetic defect in one cell")
+        return payload(command, ref, p)
+    monkeypatch.setattr(cli, "_datum_payload", broken_cell)
+    cfg = write_cfg(tmp_path, "command = bijection\n"
+                              "data = catalog:pgl2_split\nprimes = 2, 3, 5\n")
+    code, out = run(capsys, "grid", "--config", cfg)
+    doc = check(out)
+    assert code == 1 and doc["status"] == "error" and "result" not in doc
+    assert doc["error"] == {"code": "InvariantViolation",
+                            "message": "synthetic defect in one cell"}
+
+
+def test_components_grid_factors_each_matrix_once(capsys, tmp_path):
+    # A work counter instead of a timer: each distinct matrix is factored
+    # once, and every later lookup of an equal matrix is a cache hit.  At
+    # the time of writing this grid (18 catalog entries, p = 2, 3, 5) makes
+    # 67 factorizations (cache misses) and 1063 hits, about 17 lookups per
+    # factorization; without a working cache key every lookup would miss.
+    langlands._modules.cache_clear()
+    for fn in (abelian.smith_normal_form, abelian.lattice_basis,
+               abelian.solve_in_lattice, abelian.kernel_basis):
+        fn.cache_clear()
+    data = ", ".join(f"catalog:{name}" for name in sorted(catalog()))
+    cfg = write_cfg(tmp_path, f"command = components\ndata = {data}\n"
+                              "primes = 2, 3, 5\n")
+    code, out = run(capsys, "grid", "--config", cfg)
+    assert code == 0
+    assert check(out)["result"]["counts"] == {"ok": 54, "error": 0}
+    info = abelian.smith_normal_form.cache_info()
+    assert info.misses > 0
+    assert info.hits + info.misses >= 4 * info.misses, info

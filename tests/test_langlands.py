@@ -8,6 +8,10 @@ from blockatlas.abelian import (
     IntMatrix,
     coinvariants,
     fixed_points,
+    kernel_basis,
+    lattice_basis,
+    smith_normal_form,
+    solve_in_lattice,
 )
 from blockatlas.errors import InvalidWitness
 from blockatlas.langlands import (
@@ -275,6 +279,14 @@ def test_lemma_report_dict():
 
 # ----------------------------------------------------- per-datum module reuse
 
+def clear_process_caches():
+    """Empty the per-datum module record and the memoized lattice layer."""
+    langlands._modules.cache_clear()
+    for fn in (smith_normal_form, lattice_basis, solve_in_lattice,
+               kernel_basis):
+        fn.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(catalog()))
 def test_checks_agree_with_and_without_warm_modules(name):
     e = entry(name)
@@ -286,7 +298,7 @@ def test_checks_agree_with_and_without_warm_modules(name):
     cells = [(command, p) for command in checks for p in PRIMES]
     cold = {}
     for command, p in cells:
-        langlands._modules.cache_clear()
+        clear_process_caches()
         cold[command, p] = checks[command](p).as_dict()
     # one sweep in reverse order warms the record with the other primes and
     # commands; a second sweep then reads every module from it
