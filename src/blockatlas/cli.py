@@ -14,6 +14,14 @@ datum file (treated as quasi-split).  ``grid`` runs the cells of a parameter
 grid in expansion order on one thread and lists them in that order; the
 ``workers`` config key is accepted and echoed for compatibility but does not
 change the output.
+
+Handlers reach the layers through the package's lazily run modules, so a
+process runs, and without a bytecode cache compiles, only its command's
+layers: ``zsygmondy`` runs ``arith``; ``unipotent``, ``series`` and ``blocks``
+add ``limits``, ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
+``dseries-check`` and ``defect-bounds`` also ``fusion`` (and ``exceptional``
+with a plugin); ``pi1`` adds ``abelian`` and ``rootdata``, the datum checks
+also ``langlands``; ``grid`` runs those of its configured command.
 """
 from __future__ import annotations
 
@@ -22,19 +30,9 @@ import json
 import sys
 from functools import lru_cache, partial
 
-from . import __version__
-from .arith import GoodnessFilter, GroupTypeTag, PrimePower, primitive_prime
+from . import (__version__, arith, exceptional, fusion, langlands, rootdata,
+               unipotent)
 from .errors import BlockatlasError, InvariantViolation, ParseError
-from .exceptional import ExceptionalPlugin
-from .fusion import (
-    defect_bound_report,
-    derived_inequality_check,
-    fusion_closure,
-    is_single_D_series,
-)
-from .langlands import bijection_check, component_lemma_checks, cornqs_check
-from .rootdata import catalog, kottwitz_target, load_datum, pi1
-from .unipotent import d_series, ell_blocks, enumerate_labels
 
 ENGINE = "blockatlas"
 
@@ -106,7 +104,7 @@ def _bounds_json(report) -> dict:
 @lru_cache(maxsize=None)
 def _load_datum_text(text: str):
     """One parsed and validated datum per distinct file text."""
-    return load_datum(text)
+    return rootdata.load_datum(text)
 
 
 def _resolve_datum(ref: str):
@@ -116,7 +114,7 @@ def _resolve_datum(ref: str):
     so a rewritten file is loaded again."""
     if ref.startswith("catalog:"):
         name = ref[len("catalog:"):]
-        entries = catalog()
+        entries = rootdata.catalog()
         if name not in entries:
             raise ParseError(f"unknown catalog entry {name!r}; "
                              f"names: {', '.join(sorted(entries))}")
@@ -146,32 +144,33 @@ def _int_tokens(tokens) -> list[int]:
 # byte-identical to the standalone run.
 
 def _fusion_payload(family: str, rank: int, q: int, dmax, plugin) -> dict:
-    tag = GroupTypeTag(family, rank)
-    res = fusion_closure(tag, PrimePower.from_q(q), d_max=dmax, plugin=plugin)
+    tag = arith.GroupTypeTag(family, rank)
+    res = fusion.fusion_closure(tag, arith.PrimePower.from_q(q), d_max=dmax,
+                                plugin=plugin)
     return _fusion_json(res)
 
 
 def _zsygmondy_payload(q: int, d: int) -> dict:
-    witness = primitive_prime(q, d, GoodnessFilter(odd_only=True))
+    witness = arith.primitive_prime(q, d, arith.GoodnessFilter(odd_only=True))
     return {"q": q, "d": d, "witness": witness, "exists": witness is not None}
 
 
 def _datum_payload(command: str, ref: str, p: int) -> dict:
     datum, quasi = _resolve_datum(ref)
     if command == "bijection":
-        body = bijection_check(datum, p, quasi_split=quasi).as_dict()
+        body = langlands.bijection_check(datum, p, quasi_split=quasi).as_dict()
     elif command == "cornqs":
-        body = cornqs_check(datum, p, quasi_split=quasi).as_dict()
+        body = langlands.cornqs_check(datum, p, quasi_split=quasi).as_dict()
     else:
-        body = component_lemma_checks(datum, p).as_dict()
+        body = langlands.component_lemma_checks(datum, p).as_dict()
     return {"datum": ref, **body}
 
 
 # ---------------------------------------------------------------- handlers
 
 def _cmd_unipotent(args) -> dict:
-    tag = GroupTypeTag(args.type, args.rank)
-    labels = enumerate_labels(tag)
+    tag = arith.GroupTypeTag(args.type, args.rank)
+    labels = unipotent.enumerate_labels(tag)
     return {
         "type": str(tag),
         "count": len(labels),
@@ -181,23 +180,29 @@ def _cmd_unipotent(args) -> dict:
 
 
 def _cmd_series(args) -> dict:
-    return _series_json(d_series(GroupTypeTag(args.type, args.rank), args.d))
+    tag = arith.GroupTypeTag(args.type, args.rank)
+    return _series_json(unipotent.d_series(tag, args.d))
 
 
 def _cmd_blocks(args) -> dict:
-    tag = GroupTypeTag(args.type, args.rank)
-    return _series_json(ell_blocks(tag, PrimePower.from_q(args.q), args.ell))
+    tag = arith.GroupTypeTag(args.type, args.rank)
+    q = arith.PrimePower.from_q(args.q)
+    return _series_json(unipotent.ell_blocks(tag, q, args.ell))
+
+
+def _plugin(path):
+    return exceptional.ExceptionalPlugin.load(path) if path else None
 
 
 def _cmd_fusion(args) -> dict:
-    plugin = ExceptionalPlugin.load(args.plugin) if args.plugin else None
-    return _fusion_payload(args.type, args.rank, args.q, args.dmax, plugin)
+    return _fusion_payload(args.type, args.rank, args.q, args.dmax,
+                           _plugin(args.plugin))
 
 
 def _cmd_dseries_check(args) -> dict:
-    tag = GroupTypeTag(args.type, args.rank)
-    plugin = ExceptionalPlugin.load(args.plugin) if args.plugin else None
-    join = is_single_D_series(tag, _int_tokens(args.D), plugin=plugin)
+    tag = arith.GroupTypeTag(args.type, args.rank)
+    join = fusion.is_single_D_series(tag, _int_tokens(args.D),
+                                     plugin=_plugin(args.plugin))
     return {
         "type": str(tag),
         "D": list(join.D),
@@ -208,9 +213,9 @@ def _cmd_dseries_check(args) -> dict:
 
 
 def _cmd_defect_bounds(args) -> dict:
-    tag = GroupTypeTag(args.type, args.rank)
-    primary = _bounds_json(defect_bound_report(tag))
-    derived = (_bounds_json(derived_inequality_check(tag))
+    tag = arith.GroupTypeTag(args.type, args.rank)
+    primary = _bounds_json(fusion.defect_bound_report(tag))
+    derived = (_bounds_json(fusion.derived_inequality_check(tag))
                if tag.rank >= 2 else None)
     return {"type": str(tag), "primary": primary, "derived": derived}
 
@@ -221,8 +226,8 @@ def _cmd_zsygmondy(args) -> dict:
 
 def _cmd_pi1(args) -> dict:
     datum, _ = _resolve_datum(args.datum)
-    group = pi1(datum)
-    target = kottwitz_target(datum)
+    group = rootdata.pi1(datum)
+    target = rootdata.kottwitz_target(datum)
     result = {
         "datum": args.datum,
         "pi1": _group_json(group),
@@ -327,8 +332,7 @@ def _grid_jobs(cfg: dict) -> list:
     command = cfg["command"]
     jobs = []
     if command == "fusion":
-        plugin = (ExceptionalPlugin.load(cfg["plugin"])
-                  if "plugin" in cfg else None)
+        plugin = _plugin(cfg.get("plugin"))
         for family in _need(cfg, "families"):
             for rank in _need(cfg, "ranks"):
                 for q in _need(cfg, "qs"):
@@ -385,32 +389,23 @@ _HANDLERS = {
 }
 
 
-def _report(command: str, inputs: dict) -> dict:
+def _report(command: str, inputs: dict, **outcome) -> dict:
     return {
         "schema": "report_v1",
         "engine": {"name": ENGINE, "version": __version__},
         "command": command,
         "inputs": inputs,
         "seed": None,
+        **outcome,
     }
-
-
-def _ok_report(command: str, inputs: dict, result: dict) -> dict:
-    doc = _report(command, inputs)
-    doc["status"] = "ok"
-    doc["result"] = result
-    return doc
 
 
 def _error_report(command: str, inputs: dict, code: str, message: str,
                   context: dict | None = None) -> dict:
-    doc = _report(command, inputs)
-    doc["status"] = "error"
     error = {"code": code, "message": message}
     if context:
         error["context"] = context
-    doc["error"] = error
-    return doc
+    return _report(command, inputs, status="error", error=error)
 
 
 def _inputs_echo(args) -> dict:
@@ -522,7 +517,8 @@ def main(argv=None) -> int:
         _emit(_error_report(args.command, _inputs_echo(args),
                             type(exc).__name__, str(exc)), args.pretty)
         return 2
-    _emit(_ok_report(args.command, _inputs_echo(args), result), args.pretty)
+    _emit(_report(args.command, _inputs_echo(args), status="ok", result=result),
+          args.pretty)
     return 0
 
 

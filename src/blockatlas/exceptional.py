@@ -141,9 +141,6 @@ class ExceptionalPlugin:
 
     # ----------------------------------------------------------- interface
 
-    def family_names(self) -> list[str]:
-        return sorted(self._tables)
-
     def _family(self, family: str) -> tuple:
         if family not in self._tables:
             raise NotSupported(f"no data for family {family}")

@@ -504,6 +504,7 @@ def _catalog_entries() -> tuple:
 
 
 def datum_to_dict(datum: RootDatumWithAction) -> dict:
+    """The JSON object of a datum file; ``datum_from_dict`` inverts it."""
     out = {
         "rank": datum.rank,
         "coroots": [list(v) for v in datum.coroots],

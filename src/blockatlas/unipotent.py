@@ -110,11 +110,6 @@ def _measure(payload) -> int:
     return payload.rank if isinstance(payload, Symbol) else sum(payload)
 
 
-def series_core_render(label: UnipotentLabel, d: int) -> str:
-    """Canonical rendering of the label's d-series invariant."""
-    return _render(series_core(label, d))
-
-
 @dataclass
 class SeriesPartition:
     group_type: GroupTypeTag
@@ -127,15 +122,8 @@ class SeriesPartition:
         return len(self.blocks)
 
     @property
-    def is_single(self) -> bool:
-        return len(self.blocks) == 1
-
-    def labels(self) -> list[UnipotentLabel]:
-        return [lab for _, members in self.blocks for lab in members]
-
-    @property
     def touches_degenerate(self) -> bool:
-        return any(lab.marker for lab in self.labels())
+        return any(lab.marker for _, members in self.blocks for lab in members)
 
     def validate(self) -> None:
         """Recompute every invariant; raise InvariantViolation on failure."""

@@ -3,6 +3,9 @@
 Every emitted document is validated against the shipped report_v1 schema.
 """
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import blockatlas
 from blockatlas import abelian, cli, langlands
 from blockatlas.errors import InvalidDatum, InvariantViolation
 from blockatlas.rootdata import catalog, datum_to_dict
@@ -515,3 +519,47 @@ def test_components_grid_factors_each_matrix_once(capsys, tmp_path):
     info = abelian.smith_normal_form.cache_info()
     assert info.misses > 0
     assert info.hits + info.misses >= 4 * info.misses, info
+
+
+# ----------------------------------------------------------------- start-up
+
+# Prints, to stderr, the blockatlas modules whose code has run.  The package
+# registers its other submodules as LazyLoader stubs, whose type is a
+# ModuleType subclass until their first attribute access executes them.
+_EXECUTED = """
+import json, sys, types
+from blockatlas.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+json.dump(sorted(name for name, module in sys.modules.items()
+                 if name.startswith("blockatlas.")
+                 and type(module) is types.ModuleType), sys.stderr)
+sys.exit(code)
+"""
+_UNIPOTENT_STACK = ["arith", "cli", "errors", "limits", "partitions",
+                    "symbols", "unipotent"]
+
+
+@pytest.mark.parametrize("argv,grid,executed", [
+    (["zsygmondy", "--q", "3", "--d", "7"], None, ["arith", "cli", "errors"]),
+    (["unipotent", "--type", "B", "--rank", "3"], None, _UNIPOTENT_STACK),
+    ([], "command = fusion\nfamilies = B, 2A\nranks = 2-3\nqs = 3\n",
+     sorted(_UNIPOTENT_STACK + ["fusion"])),
+    ([], "command = bijection\n"
+         "data = catalog:sl2_split, catalog:su3_unramified\nprimes = 2, 3\n",
+     ["abelian", "arith", "cli", "errors", "langlands", "rootdata"]),
+], ids=["zsygmondy", "unipotent", "fusion-grid", "bijection-grid"])
+def test_command_executes_only_its_layers(capsys, tmp_path, argv, grid,
+                                          executed):
+    # A fresh interpreter per command, since this one has run every layer.
+    if grid is not None:
+        argv = ["grid", "--config", write_cfg(tmp_path, grid)]
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _EXECUTED, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [f"blockatlas.{m}" for m in executed]
+    assert run(capsys, *argv) == (0, proc.stdout)

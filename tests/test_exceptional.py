@@ -35,7 +35,6 @@ def plugin():
 
 def test_accessors():
     pl = plugin()
-    assert pl.family_names() == ["G2"]
     assert pl.labels("G2") == ["a", "b", "c", "d", "e"]
     assert pl.series_blocks("G2", 3) == [("x", ["a", "b"]), ("y", ["c", "d"])]
     assert pl.series_blocks("G2", 4) == [("z", ["b", "c", "e"])]

@@ -15,7 +15,7 @@ from blockatlas.fusion import (
     is_single_D_series,
 )
 from blockatlas.limits import DEFAULT_PARTITION_SIZE
-from blockatlas.unipotent import d_series, enumerate_labels, series_core_render
+from blockatlas.unipotent import d_series, enumerate_labels
 
 
 def oracle_closure(group_type, q, d_max, rng):
@@ -153,11 +153,13 @@ def test_linear_families_single_class_at_partition_bound(family):
 def test_certificate_events_share_series_core():
     for family, rank in [("B", 3), ("D", 4), ("2A", 4)]:
         tag = GroupTypeTag(family, rank)
-        by_render = {lab.render(): lab for lab in enumerate_labels(tag)}
         res = fusion_closure(tag, PrimePower.from_q(2))
         for ev in res.certificate:
-            assert (series_core_render(by_render[ev.label_a], ev.d)
-                    == series_core_render(by_render[ev.label_b], ev.d))
+            # a d-series block is keyed by its members' rendered core
+            core = {lab.render(): key
+                    for key, members in d_series(tag, ev.d).blocks
+                    for lab in members}
+            assert core[ev.label_a] == core[ev.label_b]
 
 
 def test_validate_rejects_tampering():

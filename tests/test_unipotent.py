@@ -15,7 +15,6 @@ from blockatlas.unipotent import (
     d_series,
     ell_blocks,
     enumerate_labels,
-    series_core_render,
 )
 
 A1 = GroupTypeTag("A", 1)
@@ -100,17 +99,17 @@ def test_a2_series_frozen():
     s2 = d_series(A2, 2)
     assert block_sets(s2) == {frozenset({"(3)", "(1,1,1)"}), frozenset({"(2,1)"})}
     s3 = d_series(A2, 3)
-    assert s3.is_single
+    assert s3.class_count == 1
 
 
 def test_a_type_single_1_series():
     for n in range(1, 11):
-        assert d_series(GroupTypeTag("A", n), 1).is_single
+        assert d_series(GroupTypeTag("A", n), 1).class_count == 1
 
 
 def test_twisted_a_single_2_series():
     for n in range(1, 11):
-        assert d_series(GroupTypeTag("2A", n), 2).is_single
+        assert d_series(GroupTypeTag("2A", n), 2).class_count == 1
 
 
 def test_twisted_a2_1_series():
@@ -121,7 +120,7 @@ def test_twisted_a2_1_series():
 
 def test_b1_single_1_series():
     part = d_series(B1, 1)
-    assert part.is_single
+    assert part.class_count == 1
     assert part.blocks[0][0] == "({0},{})"
 
 
@@ -164,20 +163,11 @@ def test_series_validation_rejects_tampering():
         bad2.validate()
 
 
-def test_series_core_render_matches_block_keys():
-    for tag in (A2, TA2, B2, D2, TD2):
-        for d in (1, 2, 3, 4):
-            part = d_series(tag, d)
-            for key, members in part.blocks:
-                for lab in members:
-                    assert series_core_render(lab, d) == key
-
-
 # ---------------------------------------------------------------- ℓ-blocks
 
 def test_ell_blocks_a2_frozen():
     part = ell_blocks(A2, PrimePower.from_q(2), 7)
-    assert part.is_single
+    assert part.class_count == 1
     assert part.context == {"kind": "ell_blocks", "ell": 7, "q": 2, "d": 3}
 
 
