@@ -9,12 +9,15 @@ yields bases and inverses: U @ M @ V = S gives the image basis as columns
 of M @ V, and a unimodular M has inverse V @ U.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
+Pure functions of immutable values are memoized with ``functools.lru_cache``:
 ``smith_normal_form``, ``lattice_basis``, ``solve_in_lattice`` (and so
-``lattice_contains``) and ``kernel_basis`` are pure functions of frozen
-matrices and are memoized with ``functools.lru_cache``: each distinct
-matrix is factored once per process, and each basis or membership question
-is answered once.  Their results are immutable; a call that raises is not
-cached and raises again when repeated.
+``lattice_contains``) and ``kernel_basis`` on their frozen matrices, and
+``IntMatrix.identity`` on n, so each distinct matrix is factored once per
+process.  ``FGAbelianGroup`` is an immutable value built once per
+(n, lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
+``coinvariants`` (on the tuple of operators), ``fixed_points``,
+``h1_cyclic`` and the operator check are memoized on the group and their
+operator or prime.  A call that raises is not cached and raises again.
 
 The public ``IntMatrix`` constructor validates its input: it converts every
 entry with ``int()`` and rejects ragged rows.  Matrices that this module
@@ -73,6 +76,7 @@ class IntMatrix:
         return m
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def identity(cls, n: int) -> "IntMatrix":
         return cls._of(tuple(tuple(int(i == j) for j in range(n))
                              for i in range(n)), n, n)
@@ -306,24 +310,16 @@ def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 
 class FGAbelianGroup:
-    """Subquotient K/L of Z^n; K and L are column-basis matrices, L ⊆ K."""
+    """Subquotient K/L of Z^n; K and L are column-basis matrices, L ⊆ K.
+    An immutable value: equal inputs give the same object."""
 
-    def __init__(self, ambient_dim: int, sub: IntMatrix, rel: IntMatrix):
+    def __new__(cls, ambient_dim: int, sub: IntMatrix, rel: IntMatrix):
         if sub.rows != ambient_dim or rel.rows != ambient_dim:
             raise ValueError("basis matrices must live in the ambient lattice")
-        self.ambient_dim = ambient_dim
-        self.sub = lattice_basis(sub)
-        self.rel = lattice_basis(rel)
-        coords = solve_in_lattice(self.sub, self.rel)
-        if coords is None:
-            raise ValueError("relation lattice is not contained in the subgroup")
-        _U, S, V = smith_normal_form(coords)
-        diag = _snf_diagonal(S)
-        # column i of coords @ V is d_i times column i of U^-1: the i-th
-        # cyclic factor's generator, scaled to a relation
-        self._scaled_gens = list(zip((coords @ V).columns(), diag))
-        self.free_rank = self.sub.cols - len(diag)
-        self.invariant_factors = tuple(d for d in diag if d > 1)
+        return _group(ambient_dim, lattice_basis(sub), lattice_basis(rel))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FGAbelianGroup is immutable")
 
     # ------------------------------------------------------------- basics
 
@@ -361,6 +357,7 @@ class FGAbelianGroup:
 
     # ------------------------------------------------------------ functors
 
+    @functools.lru_cache(maxsize=None)
     def _check_compatible(self, g: IntMatrix) -> None:
         if g.rows != self.ambient_dim or g.cols != self.ambient_dim:
             raise IncompatibleAction(
@@ -370,12 +367,14 @@ class FGAbelianGroup:
         if self.rel.cols and not lattice_contains(self.rel, g @ self.rel):
             raise IncompatibleAction("operator does not preserve the relations")
 
+    @functools.lru_cache(maxsize=None)
     def torsion(self) -> "FGAbelianGroup":
         """Subgroup of elements with m·x ∈ L for some m ≥ 1 (mod L)."""
         cols = tuple(tuple(x // d for x in col) for col, d in self._scaled_gens)
         sat = IntMatrix._of(cols, len(cols), self.sub.cols).transpose()
         return FGAbelianGroup(self.ambient_dim, self.sub @ sat, self.rel)
 
+    @functools.lru_cache(maxsize=None)
     def p_torsion(self, p: int) -> "FGAbelianGroup":
         """Subgroup of elements of p-power order (mod L)."""
         if not is_prime(p):
@@ -391,12 +390,35 @@ class FGAbelianGroup:
         return FGAbelianGroup(self.ambient_dim, self.sub @ gens, self.rel)
 
 
+@functools.lru_cache(maxsize=None)
+def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
+    coords = solve_in_lattice(sub, rel)
+    if coords is None:
+        raise ValueError("relation lattice is not contained in the subgroup")
+    _U, S, V = smith_normal_form(coords)
+    diag = _snf_diagonal(S)
+    group = object.__new__(FGAbelianGroup)
+    # column i of coords @ V is d_i times column i of U^-1: the i-th
+    # cyclic factor's generator, scaled to a relation
+    vars(group).update(
+        ambient_dim=ambient_dim, sub=sub, rel=rel,
+        _scaled_gens=tuple(zip((coords @ V).columns(), diag)),
+        free_rank=sub.cols - len(diag),
+        invariant_factors=tuple(d for d in diag if d > 1))
+    return group
+
+
 def cokernel(M: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup.from_presentation(M)
 
 
 def coinvariants(A: FGAbelianGroup, gens: Sequence[IntMatrix]) -> FGAbelianGroup:
     """A / <(g-1)a : g in gens>, for ambient operators preserving K and L."""
+    return _coinvariants(A, tuple(gens))
+
+
+@functools.lru_cache(maxsize=None)
+def _coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
     rel = A.rel
     one = IntMatrix.identity(A.ambient_dim)
     for g in gens:
@@ -405,6 +427,7 @@ def coinvariants(A: FGAbelianGroup, gens: Sequence[IntMatrix]) -> FGAbelianGroup
     return FGAbelianGroup(A.ambient_dim, A.sub, rel)
 
 
+@functools.lru_cache(maxsize=None)
 def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     """{a in A : f(a) = a}, for an ambient operator preserving K and L."""
     A._check_compatible(f)
@@ -414,6 +437,7 @@ def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup(A.ambient_dim, A.sub @ lattice_basis(top), A.rel)
 
 
+@functools.lru_cache(maxsize=None)
 def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     """H^1 of the procyclic group generated by f, for finite A: the
     coinvariants A_f.  Requires f to induce an automorphism of A."""

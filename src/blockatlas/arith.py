@@ -10,6 +10,12 @@ which carries exactly the primes of order d (plus possibly the largest
 prime factor of d, filtered out by an explicit order check).  Factoring is
 plain trial division; powers beyond 63 bits are rejected rather than
 silently promoted, which keeps the search at desk scale.
+
+``primitive_prime`` is memoized on the question it answers: (q, d, the
+frozenset of primes the witness may not be), and ``_cyclotomic_value`` on
+(q, d).  ``admissible_d`` excludes 2 and the family's bad primes, so the six
+classical families share one witness search per (q, d) with each other and
+with ``zsygmondy``, which excludes only 2.
 """
 
 from __future__ import annotations
@@ -83,21 +89,6 @@ class PrimePower:
         if n != 1:
             raise ValueError(f"{q} is not a prime power")
         return cls(q, p, r)
-
-
-@dataclass(frozen=True)
-class GoodnessFilter:
-    """Constraints a witnessing prime must satisfy."""
-
-    group_type: Optional[GroupTypeTag] = None
-    odd_only: bool = False
-
-    def passes(self, ell: int) -> bool:
-        if self.odd_only and ell == 2:
-            return False
-        if self.group_type is not None and not is_good(ell, self.group_type):
-            return False
-        return True
 
 
 def _candidate_divisors() -> Iterator[int]:
@@ -183,13 +174,11 @@ def _cyclotomic_value(q: int, d: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def primitive_prime(q: int, d: int,
-                    constraint: Optional[GoodnessFilter] = None) -> Optional[int]:
-    """Smallest prime of multiplicative order exactly d at q passing the
-    filter, or None when no such prime exists."""
-    target = _cyclotomic_value(q, d)
-    fltr = constraint or GoodnessFilter()
-    for ell in prime_factors(target):
-        if _order_equals(q, ell, d) and fltr.passes(ell):
+                    excluded: frozenset = frozenset()) -> Optional[int]:
+    """Smallest prime of multiplicative order exactly d at q that is not in
+    ``excluded``, or None when no such prime exists."""
+    for ell in prime_factors(_cyclotomic_value(q, d)):
+        if ell not in excluded and _order_equals(q, ell, d):
             return ell
     return None
 
@@ -198,10 +187,10 @@ def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[in
     """Map d -> smallest witnessing odd good prime, for 1 <= d <= d_max."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    fltr = GoodnessFilter(group_type=group_type, odd_only=True)
+    excluded = _BAD_PRIMES[group_type.family] | {2}
     out: dict[int, int] = {}
     for d in range(1, d_max + 1):
-        ell = primitive_prime(q.q, d, fltr)
+        ell = primitive_prime(q.q, d, excluded)
         if ell is not None:
             out[d] = ell
     return out

@@ -151,7 +151,7 @@ def _fusion_payload(family: str, rank: int, q: int, dmax, plugin) -> dict:
 
 
 def _zsygmondy_payload(q: int, d: int) -> dict:
-    witness = arith.primitive_prime(q, d, arith.GoodnessFilter(odd_only=True))
+    witness = arith.primitive_prime(q, d, frozenset({2}))
     return {"q": q, "d": d, "witness": witness, "exists": witness is not None}
 
 

@@ -1,9 +1,12 @@
 import itertools
 import random
 from math import gcd, prod
+from operator import add, sub
 
 import pytest
+from conftest import clear_process_caches
 
+from blockatlas import abelian
 from blockatlas.abelian import (
     FGAbelianGroup,
     IntMatrix,
@@ -262,13 +265,7 @@ def test_public_constructor_still_validates():
 
 # ------------------------------------------------------ memoized functions
 
-MEMOIZED = (smith_normal_form, lattice_basis, solve_in_lattice, kernel_basis)
 SHAPES = [(r, c) for r in (0, 1, 2, 3, 4) for c in (0, 1, 2, 3, 5)]
-
-
-def clear_memoized():
-    for fn in MEMOIZED:
-        fn.cache_clear()
 
 
 def memoized_calls(rng, rows, cols):
@@ -285,7 +282,7 @@ def memoized_calls(rng, rows, cols):
 
 def test_memoized_results_equal_uncached():
     rng = random.Random(91)
-    clear_memoized()
+    clear_process_caches()
     for rows, cols in SHAPES * 3:
         for fn, args in memoized_calls(rng, rows, cols):
             result = fn(*args)
@@ -317,7 +314,7 @@ def test_constructor_and_trusted_matrices_share_cache_entries():
 def test_equal_entries_with_other_shapes_do_not_collide():
     # the 0 x n matrices all hold (); only their shapes tell them apart
     assert IntMatrix.zeros(0, 2).entries == IntMatrix.zeros(0, 3).entries
-    clear_memoized()
+    clear_process_caches()
     for a, b in [((0, 2), (0, 3)), ((2, 0), (3, 0))]:
         for fn in (smith_normal_form, lattice_basis, kernel_basis):
             for shape in (a, b):
@@ -334,7 +331,7 @@ def test_equal_entries_with_other_shapes_do_not_collide():
 
 
 def test_solve_in_lattice_shape_errors_are_not_cached():
-    clear_memoized()
+    clear_process_caches()
     for basis_rows, target_rows in [(2, 3), (0, 2), (3, 0)]:
         basis = IntMatrix.identity(basis_rows)
         targets = IntMatrix.zeros(target_rows, 1)
@@ -600,3 +597,267 @@ def test_subquotient_map_image_and_kernel():
     # image and kernel sit inside target and source respectively
     assert SubquotientMap(f.image(), b).well_defined()
     assert SubquotientMap(f.kernel(), a).well_defined()
+
+
+# ------------------------------------- interned groups, memoized functors
+
+def signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return IntMatrix([[rng.choice((-1, 1)) if perm[i] == j else 0
+                       for j in range(n)] for i in range(n)])
+
+
+def stable_relations(rng, f, n, orbits):
+    """Columns: the f-orbits of a few random vectors, so f preserves their
+    span (a signed permutation has finite order)."""
+    cols = []
+    for _ in range(orbits):
+        v = w = tuple(rng.randint(-6, 6) for _ in range(n))
+        while True:
+            cols.append(w)
+            w = tuple(sum(a * b for a, b in zip(row, w)) for row in f.entries)
+            if w == v:
+                break
+    return cols
+
+
+def seeded_modules(seed, count, finite=True):
+    """(cols, f, group): Z^n modulo the span of cols, n <= 3, with an
+    operator f preserving that span; finite of order 2 to 1728, or else
+    (finite=False) any, free parts included."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((1, 2, 2, 3, 3))
+        f = signed_permutation(rng, n)
+        cols = stable_relations(rng, f, n, rng.randint(not finite, 2))
+        if finite and not 2 <= len(FiniteModule(cols, n).elements) <= 1728:
+            continue
+        out.append((cols, f, cokernel(IntMatrix.from_columns(cols, n))))
+    return out
+
+
+def value(result):
+    """What a functor's result holds, for comparing distinct objects."""
+    if isinstance(result, FGAbelianGroup):
+        return (result.ambient_dim, result.sub, result.rel, result.free_rank,
+                result.invariant_factors, result._scaled_gens)
+    return result
+
+
+def memoized_functor_calls(group, f):
+    calls = [(FGAbelianGroup.torsion, (group,)),
+             (FGAbelianGroup._check_compatible, (group, f)),
+             (abelian._coinvariants, (group, (f,))),
+             (fixed_points, (group, f)),
+             (abelian._group, (group.ambient_dim, group.sub, group.rel)),
+             (IntMatrix.identity.__func__, (IntMatrix, group.ambient_dim))]
+    calls += [(FGAbelianGroup.p_torsion, (group, p)) for p in (2, 3, 5)]
+    if group.is_finite:
+        calls.append((h1_cyclic, (group, f)))
+    return calls
+
+
+def test_memoized_functors_equal_uncached():
+    clear_process_caches()
+    for _cols, f, group in (seeded_modules(101, 30)
+                            + seeded_modules(103, 30, finite=False)):
+        for fn, args in memoized_functor_calls(group, f):
+            result = fn(*args)
+            assert value(result) == value(fn.__wrapped__(*args)), fn
+            assert fn(*args) is result, fn
+
+
+def test_equal_inputs_give_the_same_group():
+    clear_process_caches()
+    for cols, f, group in seeded_modules(107, 30, finite=False):
+        n = group.ambient_dim
+        fresh = IntMatrix([list(row) for row in
+                           IntMatrix.from_columns(cols, n).entries],
+                          rows=n, cols=len(cols))
+        assert cokernel(fresh) is group
+        assert FGAbelianGroup(n, IntMatrix.identity(n), fresh) is group
+        f2 = IntMatrix([list(row) for row in f.entries])
+        assert coinvariants(group, [f2]) is coinvariants(group, (f,))
+        assert fixed_points(group, f2) is fixed_points(group, f)
+        assert group.p_torsion(2) is group.p_torsion(2)
+    with pytest.raises(AttributeError):
+        group.free_rank = 0
+    assert IntMatrix.identity(3) is IntMatrix.identity(3)
+
+
+def test_functor_errors_raise_on_every_repeat_and_are_not_cached():
+    clear_process_caches()
+    swap = IntMatrix([[0, 1], [1, 0]])
+    half_lattice = FGAbelianGroup(2, IntMatrix.from_columns([(2, 0), (0, 1)], 2),
+                                  IntMatrix.zeros(2, 0))
+    z2_z4 = cokernel(IntMatrix([[2, 0], [0, 4]]))   # swap moves (0, 2)
+    z4, double = cokernel(IntMatrix([[4]])), IntMatrix([[2]])
+    built = abelian._group.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(IncompatibleAction):
+            coinvariants(half_lattice, [swap])
+        with pytest.raises(IncompatibleAction):
+            fixed_points(half_lattice, swap)
+        with pytest.raises(IncompatibleAction):
+            h1_cyclic(z2_z4, swap)
+        with pytest.raises(NotAutomorphism):
+            h1_cyclic(z4, double)
+        with pytest.raises(ValueError):
+            z4.p_torsion(4)
+        with pytest.raises(ValueError):
+            FGAbelianGroup(2, IntMatrix.from_columns([(2, 0)], 2),
+                           IntMatrix.from_columns([(1, 0)], 2))
+    # only the operator check of (z4, double) passed, so only it is stored
+    info = FGAbelianGroup._check_compatible.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 10, 2), info
+    for fn in (abelian._coinvariants, fixed_points, h1_cyclic,
+               FGAbelianGroup.p_torsion):
+        assert fn.cache_info().currsize == 0, fn
+    # the failed builds stored nothing; h1_cyclic's injectivity test built
+    # one kernel module, once
+    assert abelian._group.cache_info().currsize == built + 1
+
+
+# ------------------------------------------ SNF-independent module oracle
+
+def hermite_basis(cols, n):
+    """Upper-triangular basis of the span of cols, with a positive pivot
+    h[i][i] in column i, by gcd steps on one row at a time; None when the
+    span has rank < n.  Independent of the Smith normal form."""
+    cols = [list(c) for c in cols]
+    basis = [None] * n
+    for i in reversed(range(n)):
+        active = [c for c in cols if c[i]]
+        cols = [c for c in cols if not c[i]]
+        while len(active) > 1:
+            active.sort(key=lambda c: abs(c[i]))
+            pivot, rest = active[0], []
+            for c in active[1:]:
+                k = c[i] // pivot[i]
+                c = [a - k * b for a, b in zip(c, pivot)]
+                (rest if c[i] else cols).append(c)
+            active = [pivot] + rest
+        if not active:
+            return None
+        basis[i] = active[0] if active[0][i] > 0 else [-a for a in active[0]]
+    return basis
+
+
+class FiniteModule:
+    """Z^n modulo a full-rank lattice, element by element: the coset
+    representatives fill the box 0 <= x_i < h[i][i] of its Hermite basis."""
+
+    def __init__(self, cols, n):
+        self.n = n
+        self.basis = hermite_basis(cols, n)
+        self.elements = [] if self.basis is None else list(itertools.product(
+            *(range(self.basis[i][i]) for i in range(n))))
+
+    def reduce(self, v):
+        v = list(v)
+        for i in reversed(range(self.n)):
+            k = v[i] // self.basis[i][i]
+            if k:
+                v = [a - k * b for a, b in zip(v, self.basis[i])]
+        return tuple(v)
+
+    def scale(self, m, x):
+        return self.reduce(m * a for a in x)
+
+    def apply(self, f, x):
+        return self.reduce(sum(a * b for a, b in zip(row, x))
+                           for row in f.entries)
+
+    def span(self, vectors):
+        gens = [self.reduce(v) for v in vectors]
+        seen = {self.reduce((0,) * self.n)}
+        frontier = list(seen)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = self.reduce(map(add, x, g))
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+
+def prime_divisors(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % r for r in range(2, p))]
+
+
+def factors_from_counts(order, count):
+    """Invariant factors (> 1, ascending) of a finite abelian group of this
+    order from m -> |G[m]|: |G[p^k]| / |G[p^(k-1)]| is p to the number of
+    invariant factors divisible by p^k."""
+    factors = []                      # largest first
+    for p in prime_divisors(order):
+        k, previous = 1, 1
+        while True:
+            current = count(p**k)
+            r, ratio = 0, current // previous
+            while ratio > 1:
+                ratio //= p
+                r += 1
+            if not r:
+                break
+            factors += [1] * (r - len(factors))
+            for j in range(r):
+                factors[j] *= p
+            k, previous = k + 1, current
+    return tuple(sorted(factors))
+
+
+def subgroup_factors(module, members):
+    zero = module.reduce((0,) * module.n)
+    return factors_from_counts(len(members), lambda m: sum(
+        module.scale(m, x) == zero for x in members))
+
+
+def quotient_factors(module, moved):
+    """Invariant factors of module / moved, a subgroup given by elements."""
+    return factors_from_counts(len(module.elements) // len(moved), lambda m: sum(
+        module.scale(m, x) in moved for x in module.elements) // len(moved))
+
+
+def assert_subgroup(module, group, members):
+    """group, a subquotient with the module's relations, has exactly these
+    elements."""
+    assert all(module.reduce(c) == module.reduce((0,) * module.n)
+               for c in group.rel.columns())
+    assert module.span(group.sub.columns()) == members
+    assert group.order() == len(members)
+    assert group.invariant_factors == subgroup_factors(module, members)
+
+
+def assert_quotient(module, group, moved):
+    """group is Z^n modulo the module's relations and moved."""
+    assert module.span(group.rel.columns()) == moved
+    assert group.order() * len(moved) == len(module.elements)
+    assert group.invariant_factors == quotient_factors(module, moved)
+
+
+def test_functors_match_element_oracle():
+    modules = seeded_modules(109, 100)
+    assert {g.ambient_dim for _c, _f, g in modules} == {1, 2, 3}
+    assert max(g.order() for _c, _f, g in modules) > 100
+    for cols, f, group in modules:
+        module = FiniteModule(cols, group.ambient_dim)
+        everything = set(module.elements)
+        assert group.order() == len(everything)
+        assert group.invariant_factors == subgroup_factors(module, everything)
+        assert_subgroup(module, group.torsion(), everything)
+        for p in (2, 3, 5):
+            e = len(module.elements).bit_length()
+            assert_subgroup(module, group.p_torsion(p), {
+                x for x in everything if module.scale(p**e, x) ==
+                module.reduce((0,) * module.n)})
+        assert_subgroup(module, fixed_points(group, f),
+                        {x for x in everything if module.apply(f, x) == x})
+        moved = module.span(tuple(map(sub, col, e_i)) for col, e_i in
+                            zip(f.columns(), IntMatrix.identity(
+                                module.n).columns()))
+        assert_quotient(module, coinvariants(group, [f]), moved)
+        assert_quotient(module, h1_cyclic(group, f), moved)

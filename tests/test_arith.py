@@ -6,7 +6,8 @@ import random
 import pytest
 
 from blockatlas.arith import (
-    GoodnessFilter,
+    CLASSICAL_FAMILIES,
+    EXCEPTIONAL_FAMILIES,
     GroupTypeTag,
     PrimePower,
     admissible_d,
@@ -119,7 +120,7 @@ def test_primitive_prime_q_minus_one_trivial():
     # d = 1 needs a prime dividing q - 1
     assert primitive_prime(2, 1) is None
     assert primitive_prime(3, 1) == 2
-    assert primitive_prime(3, 1, GoodnessFilter(odd_only=True)) is None
+    assert primitive_prime(3, 1, frozenset({2})) is None
 
 
 def test_primitive_prime_random_matches_oracle():
@@ -174,9 +175,15 @@ def test_bad_prime_tables():
 
 
 def test_goodness_filter():
-    f = GoodnessFilter(group_type=GroupTypeTag("B", 2), odd_only=True)
-    assert not f.passes(2)
-    assert f.passes(3)
+    # an excluded prime is skipped, not fatal: 2^11 - 1 = 23 * 89
+    assert primitive_prime(2, 11) == 23
+    assert primitive_prime(2, 11, frozenset({23})) == 89
+    assert primitive_prime(2, 11, frozenset({23, 89})) is None
+    # admissible_d excludes 2 and the family's bad primes: 7 - 1 = 2 * 3
+    assert primitive_prime(7, 1, frozenset({2})) == 3
+    q7 = PrimePower.from_q(7)
+    assert admissible_d(GroupTypeTag("B", 2), q7, 1) == {1: 3}
+    assert admissible_d(GroupTypeTag("G2", 2), q7, 1) == {}
 
 
 def test_group_type_tag_validation():
@@ -209,3 +216,62 @@ def test_admissible_witnesses_are_witnesses():
         assert ell % 2 == 1
         assert is_good(ell, tag)
         assert mult_order(3, ell) == d
+
+
+# ------------------------------------------------------- the witness cache
+
+def oracle_cyclotomic(q, d):
+    """Phi_d(q) as the Moebius product of the q^e - 1 over e | d."""
+    def mobius(n):
+        sign = 1
+        for p in range(2, n + 1):
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+        return sign
+    num = den = 1
+    for e in range(1, d + 1):
+        if d % e == 0:
+            mu = mobius(d // e)
+            if mu == 1:
+                num *= q**e - 1
+            elif mu == -1:
+                den *= q**e - 1
+    assert num % den == 0
+    return num // den
+
+
+EXCEPTIONAL_RANKS = {"G2": 2, "F4": 4, "3D4": 4, "E6": 6, "2E6": 6, "E7": 7,
+                     "E8": 8}
+
+
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES)
+def test_admissible_d_matches_brute_force_filter(family):
+    tag = GroupTypeTag(family, EXCEPTIONAL_RANKS.get(family, 3))
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        expected = {}
+        for d in range(1, 13):
+            ells = [ell for ell in prime_factors(oracle_cyclotomic(q, d))
+                    if ell % 2 and is_good(ell, tag)
+                    and oracle_has_order(q, ell, d)]
+            if ells:
+                expected[d] = min(ells)
+        assert admissible_d(tag, PrimePower.from_q(q), 12) == expected, q
+
+
+def test_classical_families_share_one_witness_search_per_d():
+    # a work counter: the cache key is the question, not the group type, so
+    # all six families at all ranks search once per distinct d
+    q = PrimePower.from_q(4)
+    primitive_prime.cache_clear()
+    ds = set()
+    for family in CLASSICAL_FAMILIES:
+        for rank in range(2 if family in ("D", "2D") else 1, 9):
+            d_max = 2 * (rank + 1)   # the fusion closure's default
+            admissible_d(GroupTypeTag(family, rank), q, d_max)
+            ds.update(range(1, d_max + 1))
+    info = primitive_prime.cache_info()
+    assert info.misses == len(ds) == 18, info
+    assert info.hits > 10 * info.misses, info

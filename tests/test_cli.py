@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import clear_process_caches
 from jsonschema import Draft202012Validator
 
 import blockatlas
@@ -466,7 +467,7 @@ def test_grid_errors_are_not_cached(capsys, tmp_path, monkeypatch):
     def failing_pi1(datum):
         calls.append(datum)
         raise InvalidDatum("synthetic pi1 failure")
-    langlands._modules.cache_clear()
+    clear_process_caches()
     monkeypatch.setattr(langlands, "pi1", failing_pi1)
     cfg = write_cfg(tmp_path, "command = cornqs\n"
                               "data = catalog:pgl3_split\nprimes = 2, 3, 5\n")
@@ -500,25 +501,41 @@ def test_grid_cell_invariant_violation_aborts_the_grid(capsys, tmp_path,
                             "message": "synthetic defect in one cell"}
 
 
-def test_components_grid_factors_each_matrix_once(capsys, tmp_path):
+def test_components_grid_factors_each_matrix_once(capsys, tmp_path,
+                                                  monkeypatch):
     # A work counter instead of a timer: each distinct matrix is factored
-    # once, and every later lookup of an equal matrix is a cache hit.  At
-    # the time of writing this grid (18 catalog entries, p = 2, 3, 5) makes
-    # 67 factorizations (cache misses) and 1063 hits, about 17 lookups per
-    # factorization; without a working cache key every lookup would miss.
-    langlands._modules.cache_clear()
-    for fn in (abelian.smith_normal_form, abelian.lattice_basis,
-               abelian.solve_in_lattice, abelian.kernel_basis):
-        fn.cache_clear()
+    # once and each distinct (dim, sub, rel) group is built once; every
+    # later lookup of an equal key is a cache hit.  From cold caches this
+    # grid (18 catalog entries, p = 2, 3, 5) passes 68 distinct matrices in
+    # 180 lookups to the SNF, and builds 27 distinct groups in 168 lookups;
+    # without a working cache key every lookup would be a miss.
+    clear_process_caches()
+    lookups = {}
+
+    def recorded(name):
+        cached = getattr(abelian, name)
+        lookups[name] = (cached, [])
+
+        def lookup(*args):
+            lookups[name][1].append(args)
+            return cached(*args)
+        monkeypatch.setattr(abelian, name, lookup)
+    recorded("smith_normal_form")
+    recorded("_group")
     data = ", ".join(f"catalog:{name}" for name in sorted(catalog()))
     cfg = write_cfg(tmp_path, f"command = components\ndata = {data}\n"
                               "primes = 2, 3, 5\n")
     code, out = run(capsys, "grid", "--config", cfg)
     assert code == 0
     assert check(out)["result"]["counts"] == {"ok": 54, "error": 0}
-    info = abelian.smith_normal_form.cache_info()
-    assert info.misses > 0
-    assert info.hits + info.misses >= 4 * info.misses, info
+    for name, (cached, args) in lookups.items():
+        info = cached.cache_info()
+        assert info.hits + info.misses == len(args), (name, info)
+        assert 0 < info.misses == len(set(args)), (name, info)
+    snf_info = lookups["smith_normal_form"][0].cache_info()
+    assert snf_info.hits >= snf_info.misses, snf_info
+    group_info = lookups["_group"][0].cache_info()
+    assert group_info.hits + group_info.misses >= 4 * group_info.misses
 
 
 # ----------------------------------------------------------------- start-up

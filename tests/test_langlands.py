@@ -1,6 +1,7 @@
 """Torsor comparison, triviality criterion, and component-lemma checks."""
 
 import pytest
+from conftest import clear_process_caches
 
 from blockatlas import langlands
 from blockatlas.abelian import (
@@ -8,10 +9,6 @@ from blockatlas.abelian import (
     IntMatrix,
     coinvariants,
     fixed_points,
-    kernel_basis,
-    lattice_basis,
-    smith_normal_form,
-    solve_in_lattice,
 )
 from blockatlas.errors import InvalidWitness
 from blockatlas.langlands import (
@@ -278,14 +275,6 @@ def test_lemma_report_dict():
 
 
 # ----------------------------------------------------- per-datum module reuse
-
-def clear_process_caches():
-    """Empty the per-datum module record and the memoized lattice layer."""
-    langlands._modules.cache_clear()
-    for fn in (smith_normal_form, lattice_basis, solve_in_lattice,
-               kernel_basis):
-        fn.cache_clear()
-
 
 @pytest.mark.parametrize("name", sorted(catalog()))
 def test_checks_agree_with_and_without_warm_modules(name):

@@ -1,0 +1,59 @@
+"""The names perfbench/tracer.py wraps still exist where it looks for them.
+
+The tracer finds each function it counts or serialises by (layer, qualified
+name) and reads ``cache_info()`` from the cached ones; a rename or a cache
+moved behind a wrapper would otherwise fail only the traced benchmark runs.
+The tables are read, never changed.
+"""
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+NAMED = sorted(set(tracer.CACHED) | set(tracer.COUNTERS)
+               | set(tracer.COUNT_ONLY) | tracer.NOT_WRAPPED
+               | tracer.EXTRA_SPANS)
+
+
+def resolve(layer, qualname):
+    module = importlib.import_module(f"blockatlas.{layer}")
+    owner, obj = module, module
+    for part in qualname.split("."):
+        owner, obj = obj, inspect.getattr_static(obj, part)
+    if isinstance(obj, (classmethod, staticmethod)):
+        obj = obj.__func__
+    return module, owner, obj
+
+
+@pytest.mark.parametrize("layer,qualname", NAMED)
+def test_traced_name_exists_in_its_layer(layer, qualname):
+    assert layer in tracer.LAYERS
+    module, owner, obj = resolve(layer, qualname)
+    assert callable(obj)
+    # install() wraps only what the layer module itself defines
+    defined_in = owner if owner is not module else obj
+    assert defined_in.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("layer,qualname", sorted(tracer.CACHED))
+def test_cached_names_are_lru_caches_the_key_can_bind(layer, qualname):
+    _module, _owner, obj = resolve(layer, qualname)
+    assert callable(getattr(obj, "cache_info", None))
+    # the tracer calls its key function with the cached call's arguments:
+    # every positional parameter of the function must bind to it
+    params = [p for p in inspect.signature(obj.__wrapped__).parameters.values()
+              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    inspect.signature(tracer.CACHED[layer, qualname]).bind(*params)
