@@ -28,7 +28,6 @@ factors and the bases read from them) skip that re-check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import prod
 from operator import add, mul, neg, sub
 from typing import Optional, Sequence
@@ -37,11 +36,8 @@ from .arith import is_prime
 from .errors import IncompatibleAction, NotAutomorphism, NotFinite
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    entries: tuple
-    rows: int
-    cols: int
+    __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Sequence[Sequence[int]],
                  rows: Optional[int] = None, cols: Optional[int] = None):
@@ -63,16 +59,25 @@ class IntMatrix:
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "cols", c)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("IntMatrix is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is IntMatrix and self.entries == other.entries
+                and self.rows == other.rows and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash((self.entries, self.rows, self.cols))
+
     @classmethod
     def _of(cls, entries: tuple, rows: int, cols: int) -> "IntMatrix":
         """Wrap a rectangular tuple of int tuples that this module built
         itself, with ``rows`` empty rows when ``cols`` is 0; skips the
         conversion and shape checks of the public constructor."""
         m = object.__new__(cls)
-        fields = m.__dict__     # frozen: write the fields directly
-        fields["entries"] = entries
-        fields["rows"] = rows
-        fields["cols"] = cols
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
         return m
 
     @classmethod
@@ -452,15 +457,13 @@ def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     return coinvariants(A, [f])
 
 
-@dataclass
 class SubquotientMap:
     """Map K1/L1 -> K2/L2 induced by the identity of the shared ambient."""
-    source: FGAbelianGroup
-    target: FGAbelianGroup
 
-    def __post_init__(self):
-        if not self.source.same_ambient(self.target):
+    def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup):
+        if not source.same_ambient(target):
             raise ValueError("map needs a shared ambient lattice")
+        self.source, self.target = source, target
 
     def well_defined(self) -> bool:
         return (lattice_contains(self.target.sub, self.source.sub)

@@ -21,7 +21,6 @@ with ``zsygmondy``, which excludes only 2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BoundExceeded, DividesModulus
@@ -41,20 +40,30 @@ _BAD_PRIMES = {
 _POWER_LIMIT = 2**63 - 1  # largest accepted value of q**d
 
 
-@dataclass(frozen=True, order=True)
 class GroupTypeTag:
     """A family token plus a rank, e.g. B3 or 2A5."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+    def __init__(self, family: str, rank: int):
+        if family not in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.family in ("D", "2D") and self.rank < 2:
-            raise ValueError(f"family {self.family} needs rank >= 2")
+        if family in ("D", "2D") and rank < 2:
+            raise ValueError(f"family {family} needs rank >= 2")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupTypeTag is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is GroupTypeTag and self.family == other.family
+                and self.rank == other.rank)
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     @property
     def is_classical(self) -> bool:
@@ -64,19 +73,29 @@ class GroupTypeTag:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
 class PrimePower:
     """q = p**r with p prime and r >= 1."""
 
-    q: int
-    p: int
-    r: int
+    __slots__ = ("q", "p", "r")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.r < 1 or self.p ** self.r != self.q:
-            raise ValueError(f"{self.q} != {self.p}**{self.r}")
+    def __init__(self, q: int, p: int, r: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if r < 1 or p ** r != q:
+            raise ValueError(f"{q} != {p}**{r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrimePower is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is PrimePower and self.q == other.q
+                and self.p == other.p and self.r == other.r)
+
+    def __hash__(self):
+        return hash((self.q, self.p, self.r))
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":

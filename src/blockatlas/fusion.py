@@ -16,8 +16,7 @@ refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
 from .errors import InvariantViolation, NotSupported
@@ -52,16 +51,14 @@ class _UnionFind:
                      sorted(by_root.values(), key=lambda ms: ms[0]))
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(NamedTuple):
     label_a: str
     label_b: str
     d: int
     ell: int
 
 
-@dataclass
-class FusionResult:
+class FusionResult(NamedTuple):
     group_type: GroupTypeTag
     q: PrimePower
     d_max: int
@@ -155,8 +152,7 @@ def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
     return result
 
 
-@dataclass
-class DSeriesJoin:
+class DSeriesJoin(NamedTuple):
     group_type: GroupTypeTag
     D: tuple
     single: bool
@@ -179,8 +175,7 @@ def is_single_D_series(group_type: GroupTypeTag, D, plugin=None) -> DSeriesJoin:
 
 # ------------------------------------------------------------ defect bounds
 
-@dataclass(frozen=True)
-class DefectBoundRow:
+class DefectBoundRow(NamedTuple):
     core: str
     defect: int
     lhs: int
@@ -189,8 +184,7 @@ class DefectBoundRow:
     base_case: bool = False
 
 
-@dataclass
-class DefectBoundReport:
+class DefectBoundReport(NamedTuple):
     group_type: GroupTypeTag
     kind: str  # "primary" | "derived"
     rows: tuple

@@ -33,8 +33,7 @@ p-parts, H^1 on them and the cardinality check remain.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .abelian import (
     FGAbelianGroup,
@@ -156,8 +155,7 @@ def _group_dict(group: FGAbelianGroup) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TorsorReport:
+class TorsorReport(NamedTuple):
     """Both torsor groups at p, with the regime the comparison lives in."""
 
     p: int
@@ -203,8 +201,7 @@ def bijection_check(datum: RootDatumWithAction, p: int,
 # ------------------------------------------------------- triviality criterion
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Both hypotheses of the triviality criterion, and its conclusion.
 
     ``hypothesis_a``: p does not divide the order of the fundamental group
@@ -300,8 +297,7 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
 # --------------------------------------------------------- component lemma
 
 
-@dataclass(frozen=True)
-class ComponentLemmaReport:
+class ComponentLemmaReport(NamedTuple):
     """Mechanized component-group lemma, one boolean per claim.
 
     ``wild_torsion_p_local``: torsion created by the wild coinvariants

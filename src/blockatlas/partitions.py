@@ -14,6 +14,8 @@ every removal order.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import LengthTooShort
 from .limits import check_partition_size
 
@@ -74,12 +76,11 @@ def d_core(lam: Partition, d: int) -> Partition:
     m = len(lam)
     if m == 0:
         return ()
-    beta = to_beta_set(lam, m)
-    counts = [0] * d
-    for b in beta:
-        counts[b % d] += 1
-    packed = [r + d * i for r in range(d) for i in range(counts[r])]
-    return from_beta_set(tuple(packed))
+    # the i-th bead on runner r slides to r + d*i; only the runners that
+    # hold a bead are visited, so a large d costs no more than a small one
+    runners = groupby(sorted(b % d for b in to_beta_set(lam, m)))
+    return from_beta_set(tuple(r + d * i for r, beads in runners
+                               for i, _ in enumerate(beads)))
 
 
 def ennola_dual(d: int) -> int:

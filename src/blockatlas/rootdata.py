@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .abelian import (
     FGAbelianGroup,
@@ -56,7 +55,6 @@ def _apply(m: IntMatrix, v: Sequence[int]) -> tuple:
     return tuple(_dot(row, v) for row in m.entries)
 
 
-@dataclass(frozen=True)
 class RootDatumWithAction:
     """Cocharacter lattice with coroots, roots, and a labeled Galois action.
 
@@ -66,14 +64,8 @@ class RootDatumWithAction:
     raises InvalidDatum on any defect.
     """
 
-    rank: int
-    coroots: tuple
-    roots: tuple
-    galois: tuple
-    inertia: tuple
-    wild: tuple
-    frobenius: str
-    induced_witness: Optional[IntMatrix] = None
+    __slots__ = ("rank", "coroots", "roots", "galois", "inertia", "wild",
+                 "frobenius", "induced_witness")
 
     def __init__(self, rank: int, coroots=(), roots=(), galois=(),
                  inertia=(), wild=(), frobenius: str = "F",
@@ -101,6 +93,20 @@ class RootDatumWithAction:
             induced_witness = IntMatrix(induced_witness)
         object.__setattr__(self, "induced_witness", induced_witness)
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootDatumWithAction is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.rank, self.coroots, self.roots, self.galois, self.inertia,
+                self.wild, self.frobenius, self.induced_witness)
+
+    def __eq__(self, other):
+        return (type(other) is RootDatumWithAction
+                and self._fields() == other._fields())
+
+    def __hash__(self):
+        return hash(self._fields())
 
     # ----------------------------------------------------------- validation
 
@@ -270,8 +276,7 @@ def kottwitz_target(datum: RootDatumWithAction) -> FGAbelianGroup:
     return fixed_points(descended, datum.frobenius_matrix)
 
 
-@dataclass(frozen=True)
-class DerivedAbelianized:
+class DerivedAbelianized(NamedTuple):
     """Two ends of the derived-subgroup sequence, in the shared ambient.
 
     ``pi1_der`` is the fundamental group of the derived subgroup (saturation
@@ -355,8 +360,7 @@ def is_induced(operators: Sequence[IntMatrix], witness: IntMatrix) -> bool:
 # ---------------------------------------------------------------- catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named example datum with arithmetic metadata.
 
     ``residue_chars`` limits the residue characteristics the entry models

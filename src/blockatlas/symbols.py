@@ -21,7 +21,6 @@ suite checks confluence exhaustively on small grids instead of assuming it).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .limits import check_symbol_rank
 from .partitions import partitions_of, to_beta_set
@@ -41,16 +40,29 @@ def _clean_row(row) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
 class Symbol:
-    row_s: tuple
-    row_t: tuple
+    __slots__ = ("row_s", "row_t")
+
+    def __init__(self, row_s, row_t):
+        object.__setattr__(self, "row_s", row_s)
+        object.__setattr__(self, "row_t", row_t)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "row_s", _clean_row(self.row_s))
         object.__setattr__(self, "row_t", _clean_row(self.row_t))
         if self.row_s and self.row_t and self.row_s[0] == 0 and self.row_t[0] == 0:
             raise ValueError("not reduced: 0 in both rows (use make_symbol)")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Symbol is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is Symbol and self.row_s == other.row_s
+                and self.row_t == other.row_t)
+
+    def __hash__(self):
+        return hash((self.row_s, self.row_t))
 
     @property
     def rank(self) -> int:

@@ -25,8 +25,7 @@ defect bounds in :mod:`fusion`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .arith import GroupTypeTag, PrimePower, is_good, is_prime, mult_order
 from .errors import BadPrimeHypothesis, InvariantViolation, NotSupported
@@ -49,11 +48,28 @@ _SYMBOL_DEFECTS = {"B": DEFECT_ODD, "C": DEFECT_ODD,
                    "D": DEFECT_MOD4_0, "2D": DEFECT_MOD4_2}
 
 
-@dataclass(frozen=True)
 class UnipotentLabel:
-    group_type: GroupTypeTag
-    payload: Union[tuple, Symbol]
-    marker: str = ""
+    __slots__ = ("group_type", "payload", "marker", "_text")
+
+    def __init__(self, group_type: GroupTypeTag,
+                 payload: Union[tuple, Symbol], marker: str = ""):
+        object.__setattr__(self, "group_type", group_type)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "marker", marker)
+        # labels live as long as the per-type cache, so each renders once
+        object.__setattr__(self, "_text", _render(payload) + marker)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UnipotentLabel is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is UnipotentLabel
+                and self.group_type == other.group_type
+                and self.payload == other.payload
+                and self.marker == other.marker)
+
+    def __hash__(self):
+        return hash((self.group_type, self.payload, self.marker))
 
     @property
     def is_partition(self) -> bool:
@@ -61,11 +77,6 @@ class UnipotentLabel:
 
     def render(self) -> str:
         return self._text
-
-    @functools.cached_property
-    def _text(self) -> str:
-        # labels live as long as the per-type cache, so each renders once
-        return _render(self.payload) + self.marker
 
     def sort_key(self):
         if self.is_partition:
@@ -110,12 +121,11 @@ def _measure(payload) -> int:
     return payload.rank if isinstance(payload, Symbol) else sum(payload)
 
 
-@dataclass
-class SeriesPartition:
+class SeriesPartition(NamedTuple):
     group_type: GroupTypeTag
     d: int
     blocks: tuple  # ((core_key, (labels...)), ...) sorted by key
-    context: dict = field(default_factory=dict)
+    context: dict
 
     @property
     def class_count(self) -> int:
@@ -195,7 +205,7 @@ def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
         ((_render(core), tuple(sorted(members, key=UnipotentLabel.sort_key)))
          for core, members in groups.items()),
         key=lambda block: block[0]))
-    SeriesPartition(group_type, d, blocks).validate()
+    SeriesPartition(group_type, d, blocks, {}).validate()
     return blocks
 
 

@@ -172,6 +172,22 @@ def test_blocks_at_large_ell_finishes_quickly(capsys):
     assert check(out)["result"]["context"]["d"] == 500000003
 
 
+def test_type_a_at_huge_d_finishes_quickly(capsys):
+    # every label of A2 is its own d-core once d exceeds 3, as at d = 4
+    _, out = run(capsys, "series", "--type", "A", "--rank", "2", "--d", "4")
+    singletons = check(out)["result"]["blocks"]
+    assert [len(block["members"]) for block in singletons] == [1, 1, 1]
+    for argv in (("series", "--type", "A", "--rank", "2",
+                  "--d", "1000000000000"),
+                 ("blocks", "--type", "A", "--rank", "2", "--q", "2",
+                  "--ell", "1000000000039")):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code == 0, argv
+        assert check(out)["result"]["blocks"] == singletons, argv
+
+
 def test_usage_error_is_structured(capsys):
     code, out = run(capsys, "fusion", "--type", "B")
     doc = check(out)
@@ -540,17 +556,19 @@ def test_components_grid_factors_each_matrix_once(capsys, tmp_path,
 
 # ----------------------------------------------------------------- start-up
 
-# Prints, to stderr, the blockatlas modules whose code has run.  The package
-# registers its other submodules as LazyLoader stubs, whose type is a
-# ModuleType subclass until their first attribute access executes them.
+# Prints, to stderr, the blockatlas modules whose code has run, and which of
+# two slow-to-import standard modules were imported.  The package registers
+# its other submodules as LazyLoader stubs, whose type is a ModuleType
+# subclass until their first attribute access executes them.
 _EXECUTED = """
 import json, sys, types
 from blockatlas.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-json.dump(sorted(name for name, module in sys.modules.items()
-                 if name.startswith("blockatlas.")
-                 and type(module) is types.ModuleType), sys.stderr)
+json.dump([sorted(name for name, module in sys.modules.items()
+                  if name.startswith("blockatlas.")
+                  and type(module) is types.ModuleType),
+           sorted({"dataclasses", "inspect"} & set(sys.modules))], sys.stderr)
 sys.exit(code)
 """
 _UNIPOTENT_STACK = ["arith", "cli", "errors", "limits", "partitions",
@@ -578,5 +596,7 @@ def test_command_executes_only_its_layers(capsys, tmp_path, argv, grid,
                           capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr) == [f"blockatlas.{m}" for m in executed]
+    ran, slow_imports = json.loads(proc.stderr)
+    assert ran == [f"blockatlas.{m}" for m in executed]
+    assert slow_imports == []
     assert run(capsys, *argv) == (0, proc.stdout)

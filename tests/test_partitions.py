@@ -81,6 +81,18 @@ def oracle_random_order_core(lam, d, rng):
         beta = rng.choice(moves)
 
 
+def oracle_counted_abacus_core(lam, d):
+    # the abacus as first written: a bead count on each of all d runners
+    m = len(lam)
+    if m == 0:
+        return ()
+    counts = [0] * d
+    for b in to_beta_set(lam, m):
+        counts[b % d] += 1
+    packed = [r + d * i for r in range(d) for i in range(counts[r])]
+    return from_beta_set(tuple(packed))
+
+
 # ----------------------------------------------------------- enumeration
 
 def test_partitions_frozen():
@@ -176,6 +188,14 @@ def test_d_core_random_removal_orders():
                 expected = d_core(lam, d)
                 for _ in range(3):
                     assert oracle_random_order_core(lam, d, rng) == expected
+
+
+def test_d_core_matches_counted_abacus():
+    # d past the beta-set's largest entry included: every bead on its own
+    for m in range(9):
+        for lam in partitions_of(m):
+            for d in range(1, m + 3):
+                assert d_core(lam, d) == oracle_counted_abacus_core(lam, d)
 
 
 def test_d_core_idempotent_and_size_drop():

@@ -3,14 +3,21 @@
 The tracer finds each function it counts or serialises by (layer, qualified
 name) and reads ``cache_info()`` from the cached ones; a rename or a cache
 moved behind a wrapper would otherwise fail only the traced benchmark runs.
-The tables are read, never changed.
+The tables are read, never changed.  A traced run of each kind of command,
+in a fresh interpreter, must exit 0 and print the bytes of the untraced run.
 """
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import blockatlas
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +64,35 @@ def test_cached_names_are_lru_caches_the_key_can_bind(layer, qualname):
     params = [p for p in inspect.signature(obj.__wrapped__).parameters.values()
               if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
     inspect.signature(tracer.CACHED[layer, qualname]).bind(*params)
+
+
+# The console script's body: what a user's `blockatlas ARGS` runs.
+_ENTRY = "import sys; from blockatlas.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion", "--type", "B", "--rank", "2", "--q", "3"],
+    ["bijection", "--datum", "catalog:sl2_split", "--p", "2"],
+    ["grid", "--config", "{cfg}"],
+], ids=["fusion", "bijection", "zsygmondy-grid"])
+def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("command = zsygmondy\nqs = 2\nds = 3-4\n", encoding="utf-8")
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "trace.json"
+
+    def run(*head):
+        return subprocess.run([sys.executable, *head, *argv],
+                              capture_output=True, env=env, timeout=60)
+
+    plain = run("-c", _ENTRY)
+    traced = run(str(TRACER), str(out), "--")
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    layers = json.loads(out.read_text(encoding="utf-8"))["layers"]
+    assert sorted(layers) == sorted(tracer.LAYERS)
+    assert layers["cli"]["calls"] >= 1
