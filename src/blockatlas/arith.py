@@ -12,10 +12,12 @@ plain trial division; powers beyond 63 bits are rejected rather than
 silently promoted, which keeps the search at desk scale.
 
 ``primitive_prime`` is memoized on the question it answers: (q, d, the
-frozenset of primes the witness may not be), and ``_cyclotomic_value`` on
-(q, d).  ``admissible_d`` excludes 2 and the family's bad primes, so the six
-classical families share one witness search per (q, d) with each other and
-with ``zsygmondy``, which excludes only 2.
+frozenset of primes the witness may not be), ``_cyclotomic_value`` on
+(q, d), and ``mult_order`` on (q, ℓ), so a fusion certificate replays its
+merge events with one divisor walk per distinct pair.  ``admissible_d``
+excludes 2 and the family's bad primes, so the six classical families share
+one witness search per (q, d) with each other and with ``zsygmondy``, which
+excludes only 2.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ _POWER_LIMIT = 2**63 - 1  # largest accepted value of q**d
 class GroupTypeTag:
     """A family token plus a rank, e.g. B3 or 2A5."""
 
-    __slots__ = ("family", "rank")
+    __slots__ = ("family", "rank", "_hash")
 
     def __init__(self, family: str, rank: int):
         if family not in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
@@ -54,6 +56,7 @@ class GroupTypeTag:
             raise ValueError(f"family {family} needs rank >= 2")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_hash", hash((family, rank)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupTypeTag is immutable")
@@ -63,7 +66,7 @@ class GroupTypeTag:
                 and self.rank == other.rank)
 
     def __hash__(self):
-        return hash((self.family, self.rank))
+        return self._hash
 
     @property
     def is_classical(self) -> bool:
@@ -154,6 +157,7 @@ def is_good(ell: int, group_type: GroupTypeTag) -> bool:
     return ell not in _BAD_PRIMES[group_type.family]
 
 
+@functools.lru_cache(maxsize=None)
 def mult_order(q: int, ell: int) -> int:
     """Smallest d >= 1 with q**d = 1 mod ell (ell prime, ell not | q)."""
     if not is_prime(ell):

@@ -1,4 +1,4 @@
-"""Two-row symbols: rank, defect, the involution phi, hooks, cohooks, cores,
+"""Two-row symbols: rank, defect, the involution phi, hook and cohook cores,
 and bounded enumeration.
 
 A symbol is a pair of strictly increasing rows of non-negative integers,
@@ -7,15 +7,21 @@ by one) and up to row swap.  Instances always store the shift-reduced form —
 never 0 in both rows — but keep their row order as constructed; identity
 questions at the class level go through `class_key`/`same_class`, and
 `canonical` picks the distinguished representative (larger row first, ties by
-lexicographically smaller row).
+lexicographically smaller row).  Each instance hashes its rows once, when it
+is built.
 
 Moves:
   * d-hook at x: x and x−d in the same row, x−d absent there; replace.
     Rank drops by d, defect unchanged.
   * d-cohook at x: x in one row, x−d ≥ 0 absent from the *other* row; move it
     across.  Rank drops by d, defect moves by ±2.
-Cores iterate moves to a fixed point; the order does not matter (the test
-suite checks confluence exhaustively on small grids instead of assuming it).
+Cores are the fixed points of these moves, computed in closed form on the
+abacus (James–Kerber §2.7): a d-hook slides a bead one level down its
+d-runner within its row, and a cohook slides a bead one level down a chain
+that alternates between the rows, so a core packs every runner or chain onto
+its lowest levels.  The move-by-move recursion lives in the test suite,
+which checks confluence on it and that the closed forms agree with it row
+for row.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def _clean_row(row) -> tuple:
 
 
 class Symbol:
-    __slots__ = ("row_s", "row_t")
+    __slots__ = ("row_s", "row_t", "_hash")
 
     def __init__(self, row_s, row_t):
         object.__setattr__(self, "row_s", row_s)
@@ -53,6 +59,7 @@ class Symbol:
         object.__setattr__(self, "row_t", _clean_row(self.row_t))
         if self.row_s and self.row_t and self.row_s[0] == 0 and self.row_t[0] == 0:
             raise ValueError("not reduced: 0 in both rows (use make_symbol)")
+        object.__setattr__(self, "_hash", hash((self.row_s, self.row_t)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
@@ -62,7 +69,7 @@ class Symbol:
                 and self.row_t == other.row_t)
 
     def __hash__(self):
-        return hash((self.row_s, self.row_t))
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -107,16 +114,21 @@ def _built(row_s: tuple, row_t: tuple) -> Symbol:
     sym = object.__new__(Symbol)
     object.__setattr__(sym, "row_s", row_s)
     object.__setattr__(sym, "row_t", row_t)
+    object.__setattr__(sym, "_hash", hash((row_s, row_t)))
     return sym
 
 
-def make_symbol(row_s, row_t) -> Symbol:
-    """Construct with shift reduction applied."""
-    s, t = _clean_row(row_s), _clean_row(row_t)
+def _reduced(s: tuple, t: tuple) -> Symbol:
+    """A Symbol from clean rows, shift-reduced."""
     while s and t and s[0] == 0 and t[0] == 0:
         s = tuple(x - 1 for x in s[1:])
         t = tuple(x - 1 for x in t[1:])
     return _built(s, t)
+
+
+def make_symbol(row_s, row_t) -> Symbol:
+    """Construct with shift reduction applied."""
+    return _reduced(_clean_row(row_s), _clean_row(row_t))
 
 
 def phi(sym: Symbol) -> Symbol:
@@ -128,50 +140,43 @@ def phi(sym: Symbol) -> Symbol:
     return make_symbol(s_e + t_o, t_e + s_o)
 
 
-# ------------------------------------------------------------------- moves
+# ------------------------------------------------------------------- cores
 
-def hook_removals(sym: Symbol, d: int) -> list[Symbol]:
-    """Every symbol obtained by removing one d-hook."""
+def _packed_core(sym: Symbol, d: int, across: int) -> Symbol:
+    """Slide every bead to the lowest free level of its runner.  A bead at
+    x = r + k·d in row a lies on runner (r, (a + across·k) mod 2), whose
+    level k sits in row (c + across·k) mod 2 for runner (r, c): a d-hook
+    (across = 0) moves a bead one level down in its row, a d-cohook
+    (across = 1) one level down into the other row.  A symbol with no move
+    left is its own core and keeps its object."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = []
-    for which, row in ((0, sym.row_s), (1, sym.row_t)):
+    levels: dict = {}  # runner -> beads on it
+    for a, row in enumerate((sym.row_s, sym.row_t)):
         for x in row:
-            if x >= d and (x - d) not in row:
-                new = tuple(y for y in row if y != x) + (x - d,)
-                if which == 0:
-                    out.append(make_symbol(new, sym.row_t))
-                else:
-                    out.append(make_symbol(sym.row_s, new))
-    return out
-
-
-def cohook_removals(sym: Symbol, d: int) -> list[Symbol]:
-    """Every symbol obtained by removing one d-cohook (cross-row move)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    out = []
-    for x in sym.row_s:
-        if x >= d and (x - d) not in sym.row_t:
-            out.append(make_symbol(tuple(y for y in sym.row_s if y != x),
-                                   sym.row_t + (x - d,)))
-    for x in sym.row_t:
-        if x >= d and (x - d) not in sym.row_s:
-            out.append(make_symbol(sym.row_s + (x - d,),
-                                   tuple(y for y in sym.row_t if y != x)))
-    return out
+            k, r = divmod(x, d)
+            runner = (r, (a + across * k) % 2)
+            levels[runner] = levels.get(runner, 0) + 1
+    rows = ([], [])
+    for (r, c), n in levels.items():
+        for k in range(n):
+            rows[(c + across * k) % 2].append(r + k * d)
+    s, t = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
+    if s == sym.row_s and t == sym.row_t:
+        return sym
+    # a core is its own core, so looking it up returns the object cached
+    # first for it: equal cores share one object
+    return (cohook_core if across else hook_core)(_reduced(s, t), d)
 
 
 @functools.lru_cache(maxsize=None)
 def hook_core(sym: Symbol, d: int) -> Symbol:
-    moves = hook_removals(sym, d)
-    return sym if not moves else hook_core(moves[0], d)
+    return _packed_core(sym, d, 0)
 
 
 @functools.lru_cache(maxsize=None)
 def cohook_core(sym: Symbol, d: int) -> Symbol:
-    moves = cohook_removals(sym, d)
-    return sym if not moves else cohook_core(moves[0], d)
+    return _packed_core(sym, d, 1)
 
 
 # ------------------------------------------------------------- enumeration

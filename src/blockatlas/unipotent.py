@@ -49,7 +49,7 @@ _SYMBOL_DEFECTS = {"B": DEFECT_ODD, "C": DEFECT_ODD,
 
 
 class UnipotentLabel:
-    __slots__ = ("group_type", "payload", "marker", "_text")
+    __slots__ = ("group_type", "payload", "marker", "_text", "_hash")
 
     def __init__(self, group_type: GroupTypeTag,
                  payload: Union[tuple, Symbol], marker: str = ""):
@@ -58,6 +58,7 @@ class UnipotentLabel:
         object.__setattr__(self, "marker", marker)
         # labels live as long as the per-type cache, so each renders once
         object.__setattr__(self, "_text", _render(payload) + marker)
+        object.__setattr__(self, "_hash", hash((group_type, payload, marker)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentLabel is immutable")
@@ -69,7 +70,7 @@ class UnipotentLabel:
                 and self.marker == other.marker)
 
     def __hash__(self):
-        return hash((self.group_type, self.payload, self.marker))
+        return self._hash
 
     @property
     def is_partition(self) -> bool:

@@ -99,6 +99,29 @@ def test_mult_order_random_matches_oracle():
         assert (ell - 1) % got == 0  # Lagrange
 
 
+def test_mult_order_cache_matches_uncached():
+    # seeded pairs with repeats, so that hits are compared as well as misses
+    rng = random.Random(17)
+    primes = [p for p in range(3, 180) if is_prime(p)]
+    mult_order.cache_clear()
+    for _ in range(300):
+        ell = rng.choice(primes)
+        q = rng.randrange(2, 50)
+        if q % ell == 0:
+            continue
+        assert mult_order(q, ell) == mult_order.__wrapped__(q, ell), (q, ell)
+    assert mult_order.cache_info().hits > 0
+
+
+def test_mult_order_raises_on_every_repeat():
+    # a call that raises is not cached, so the check runs again each time
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            mult_order(2, 9)
+        with pytest.raises(DividesModulus):
+            mult_order(6, 3)
+
+
 # ------------------------------------------------------- primitive primes
 
 def test_primitive_prime_frozen():

@@ -24,7 +24,8 @@ def test_helper_covers_every_library_cache():
     assert not missing
     # the library has caches in modules, on methods and on a classmethod
     names = {c.__qualname__ for c in found}
-    assert {"primitive_prime", "smith_normal_form", "_group",
+    assert {"primitive_prime", "mult_order", "hook_core", "cohook_core",
+            "smith_normal_form", "_group",
             "FGAbelianGroup.p_torsion", "IntMatrix.identity"} <= names
 
 

@@ -412,7 +412,7 @@ def test_grid_workers_do_not_change_results(capsys, tmp_path, body):
 def test_grid_fusion_ranks_9_10_single_class(capsys, tmp_path):
     cfg = write_cfg(tmp_path, "command = fusion\n"
                               "families = A, 2A, B, C, D, 2D\n"
-                              "ranks = 9-10\nqs = 2, 4\n")
+                              "ranks = 9-10\nqs = 3, 5\n")
     start = time.monotonic()
     code, out = run(capsys, "grid", "--config", cfg)
     elapsed = time.monotonic() - start

@@ -1,10 +1,14 @@
 """Symbols: rank/defect arithmetic, phi, hooks/cohooks, cores, enumeration.
 
-Two independent oracles: a bounded brute-force enumeration over raw entry
-sets (no beta-set machinery), and an exhaustive all-orders removal walker on
-plain frozenset pairs (no Symbol class) for core confluence.
+Three independent oracles: a bounded brute-force enumeration over raw entry
+sets (no beta-set machinery); the move-by-move cores, which remove one hook
+or cohook at a time until none is left; and an exhaustive all-orders removal
+walker on plain frozenset pairs (no Symbol class) for core confluence.  The
+library computes cores in closed form on the abacus; they must equal the
+move-by-move cores row for row.
 """
 
+import functools
 import itertools
 import random
 
@@ -18,10 +22,8 @@ from blockatlas.symbols import (
     DEFECT_ODD,
     Symbol,
     cohook_core,
-    cohook_removals,
     enumerate_symbols,
     hook_core,
-    hook_removals,
     make_symbol,
     phi,
 )
@@ -68,6 +70,46 @@ def oracle_pair_count(n, defect):
         diag = P[w // 2] if w % 2 == 0 else 0
         return (pairs + diag) // 2
     return pairs
+
+
+def hook_removals(sym, d):
+    """Every symbol obtained by removing one d-hook."""
+    out = []
+    for which, row in ((0, sym.row_s), (1, sym.row_t)):
+        for x in row:
+            if x >= d and (x - d) not in row:
+                new = tuple(y for y in row if y != x) + (x - d,)
+                if which == 0:
+                    out.append(make_symbol(new, sym.row_t))
+                else:
+                    out.append(make_symbol(sym.row_s, new))
+    return out
+
+
+def cohook_removals(sym, d):
+    """Every symbol obtained by removing one d-cohook (cross-row move)."""
+    out = []
+    for x in sym.row_s:
+        if x >= d and (x - d) not in sym.row_t:
+            out.append(make_symbol(tuple(y for y in sym.row_s if y != x),
+                                   sym.row_t + (x - d,)))
+    for x in sym.row_t:
+        if x >= d and (x - d) not in sym.row_s:
+            out.append(make_symbol(sym.row_s + (x - d,),
+                                   tuple(y for y in sym.row_t if y != x)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_hook_core(sym, d):
+    moves = hook_removals(sym, d)
+    return sym if not moves else oracle_hook_core(moves[0], d)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_cohook_core(sym, d):
+    moves = cohook_removals(sym, d)
+    return sym if not moves else oracle_cohook_core(moves[0], d)
 
 
 def oracle_moves(rows, d, cohook):
@@ -224,14 +266,37 @@ def test_removal_rank_and_defect_steps():
 
 
 def test_core_confluence_exhaustive():
-    # every removal order ends at the same class (rank <= 4, d <= 3)
+    # every removal order ends at the same class (rank <= 4, d <= 3), so
+    # the first-move-first cores are well defined
     for n in range(5):
         for sym in enumerate_symbols(n, DEFECT_ANY):
             for d in range(1, 4):
                 assert oracle_all_terminals(sym, d, cohook=False) == \
-                    {key_of(hook_core(sym, d))}
+                    {key_of(oracle_hook_core(sym, d))}
                 assert oracle_all_terminals(sym, d, cohook=True) == \
-                    {key_of(cohook_core(sym, d))}
+                    {key_of(oracle_cohook_core(sym, d))}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_closed_form_cores_equal_move_by_move_cores(n):
+    # row for row, not only up to swap: both row orders, every d up to
+    # past the rank, where no move exists and the core is the symbol
+    for sym in enumerate_symbols(n, DEFECT_ANY):
+        for x in (sym, sym.swap()):
+            for d in range(1, 2 * n + 4):
+                for core, oracle in ((hook_core, oracle_hook_core),
+                                     (cohook_core, oracle_cohook_core)):
+                    got, want = core(x, d), oracle(x, d)
+                    assert (got.row_s, got.row_t) == (want.row_s, want.row_t), \
+                        (core.__name__, x.render(), d)
+                    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("core", [hook_core, cohook_core])
+@pytest.mark.parametrize("d", [0, -1])
+def test_cores_reject_nonpositive_step(core, d):
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        core(Symbol((0, 2), (1,)), d)
 
 
 def test_phi_transports_hook_cores_to_cohook_cores():
@@ -241,10 +306,12 @@ def test_phi_transports_hook_cores_to_cohook_cores():
         by_hook, by_pull, by_co2, by_co2_phi = {}, {}, {}, {}
         for sym in enumerate_symbols(n, DEFECT_ODD):
             k = key_of(sym)
-            by_hook.setdefault(key_of(hook_core(sym, 1)), set()).add(k)
-            by_pull.setdefault(key_of(cohook_core(phi(sym), 1)), set()).add(k)
-            by_co2.setdefault(key_of(cohook_core(sym, 2)), set()).add(k)
-            by_co2_phi.setdefault(key_of(cohook_core(phi(sym), 2)), set()).add(k)
+            by_hook.setdefault(key_of(oracle_hook_core(sym, 1)), set()).add(k)
+            by_pull.setdefault(
+                key_of(oracle_cohook_core(phi(sym), 1)), set()).add(k)
+            by_co2.setdefault(key_of(oracle_cohook_core(sym, 2)), set()).add(k)
+            by_co2_phi.setdefault(
+                key_of(oracle_cohook_core(phi(sym), 2)), set()).add(k)
         assert {frozenset(v) for v in by_hook.values()} == \
             {frozenset(v) for v in by_pull.values()}
         assert {frozenset(v) for v in by_co2.values()} == \

@@ -15,6 +15,8 @@ from blockatlas.unipotent import (
     d_series,
     ell_blocks,
     enumerate_labels,
+    series_core,
+    series_step,
 )
 
 A1 = GroupTypeTag("A", 1)
@@ -139,6 +141,51 @@ def test_b2_even_d_series_frozen():
         frozenset({"({0,1},{2})"}),
         frozenset({"({1,2},{0})"}),
     }
+
+
+def multipartition_count(e, w):
+    """#{e-tuples of partitions of total size w}: the x^w coefficient of
+    P(x)^e, with P(x) the partition generating function."""
+    p = [1] + [0] * w
+    for part in range(1, w + 1):
+        for n in range(part, w + 1):
+            p[n] += p[n - part]
+    power = [1] + [0] * w
+    for _ in range(e):
+        power = [sum(power[i] * p[n - i] for i in range(n + 1))
+                 for n in range(w + 1)]
+    return power[w]
+
+
+def relative_weyl_rank(family, d):
+    # the e of G(e, 1, w): a d-series of weight w has as many members as
+    # G(e, 1, w) has irreducible characters
+    if family in ("A", "2A"):
+        return series_step(family, d)
+    return 2 * d if d % 2 == 1 else d
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C"])
+def test_block_sizes_count_e_multipartitions(family):
+    # the generic-block count (Broué–Malle–Michel): a series whose core has
+    # weight w, i.e. sits w removals below its members, has
+    # #{e-multipartitions of w} members.  D and 2D are left out: their
+    # relative Weyl groups are G(2e, 2, w), so swap classes and degenerate
+    # symbols give other counts.
+    for rank in range(2, 9):
+        tag = GroupTypeTag(family, rank)
+        for d in range(1, 9):
+            step, e = series_step(family, d), relative_weyl_rank(family, d)
+            for key, members in d_series(tag, d).blocks:
+                lab = members[0]
+                core = series_core(lab, d)
+                if lab.is_partition:
+                    drop = sum(lab.payload) - sum(core)
+                else:
+                    drop = lab.payload.rank - core.rank
+                assert drop % step == 0
+                assert len(members) == multipartition_count(e, drop // step), \
+                    (str(tag), d, key)
 
 
 def test_degenerate_labels_travel_together():

@@ -3,7 +3,8 @@
 Each type refuses assignment to a field, compares and hashes by its fields,
 and keeps the error text of its constructor's checks.  Objects built by the
 internal constructors (``IntMatrix._of``, ``make_symbol``) equal those built
-by the public ones.
+by the public ones.  ``Symbol``, ``UnipotentLabel`` and ``GroupTypeTag`` hash
+their fields once, when they are built, on every construction path.
 """
 import re
 
@@ -13,7 +14,13 @@ from blockatlas.abelian import IntMatrix
 from blockatlas.arith import GroupTypeTag, PrimePower
 from blockatlas.errors import InvalidDatum
 from blockatlas.rootdata import RootDatumWithAction
-from blockatlas.symbols import Symbol, make_symbol
+from blockatlas.symbols import (
+    Symbol,
+    _built,
+    cohook_core,
+    hook_core,
+    make_symbol,
+)
 from blockatlas.unipotent import UnipotentLabel
 
 _SWAP = ((0, 1), (1, 0))
@@ -67,6 +74,37 @@ def test_equal_fields_equal_values(name):
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != c and not a == c
     assert len({a, b, c}) == 2
+
+
+# the fields each hashed-once type hashes, and every path that builds one
+HASHED_FIELDS = {Symbol: ("row_s", "row_t"),
+                 UnipotentLabel: ("group_type", "payload", "marker"),
+                 GroupTypeTag: ("family", "rank")}
+BUILT_BY = {
+    "Symbol": lambda: Symbol((1, 2), (0,)),
+    "make_symbol": lambda: make_symbol((0, 2, 3), (0, 1)),
+    "_built": lambda: _built((1, 2), (0,)),
+    "Symbol.swap": lambda: Symbol((0,), (1, 2)).swap(),
+    "Symbol.canonical": lambda: Symbol((2,), (0,)).canonical(),
+    "hook_core": lambda: hook_core(Symbol((0, 4), (1,)), 3),
+    "cohook_core": lambda: cohook_core(Symbol((0, 2), (1,)), 2),
+    "UnipotentLabel": lambda: _label(Symbol, "″"),
+    "UnipotentLabel(make_symbol)": lambda: _label(make_symbol, ""),
+    "GroupTypeTag": lambda: GroupTypeTag("2D", 5),
+    "GroupTypeTag(keywords)": lambda: GroupTypeTag(family="A", rank=1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(BUILT_BY))
+def test_hash_is_the_hash_of_the_fields(path):
+    value = BUILT_BY[path]()
+    fields = tuple(getattr(value, f) for f in HASHED_FIELDS[type(value)])
+    assert hash(value) == hash(fields)
+    rebuilt = type(value)(*fields)   # the public constructor
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    with pytest.raises(AttributeError):
+        value._hash = 0
+    assert hash(value) == hash(fields)
 
 
 def test_cached_render_is_not_a_field():
