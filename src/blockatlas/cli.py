@@ -6,7 +6,8 @@ carries ``status: "error"``), or 1 when an internal invariant check fails.
 Reports contain no timestamps and all keys are emitted sorted, so repeating
 an invocation reproduces the output byte for byte.  ``--pretty`` switches
 from compact separators to two-space indentation; both renderings are
-deterministic.
+deterministic.  Every report byte is written or the command fails, also
+when stdout is unbuffered and a write returns short (see ``_emit``).
 
 Root data are addressed either as ``catalog:NAME`` (built-in examples,
 which carry their own quasi-splitness metadata) or as a path to a JSON
@@ -414,11 +415,28 @@ def _inputs_echo(args) -> dict:
 
 
 def _emit(doc: dict, pretty: bool) -> None:
+    """Write the report and a newline to stdout, every byte.  Unbuffered
+    (``python -u``), stdout's text layer sits on a raw file whose write can
+    return short, e.g. when a stop signal interrupts a write blocked on a
+    full pipe, and the text layer drops the rest; so the bytes go to the
+    binary layer until all are taken.  A text-only stream gets one write."""
     if pretty:
         text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text + "\n")
+        return
+    out.flush()
+    data = memoryview((text + "\n").encode(out.encoding))
+    while data:
+        written = binary.write(data)
+        if not written:  # None: a non-blocking stdout that would block
+            raise OSError("stdout took no bytes of the report")
+        data = data[written:]
+    binary.flush()
 
 
 def build_parser() -> _Parser:

@@ -10,10 +10,16 @@ by residue, slide every bead down to the lowest free position on its runner,
 and read the partition back off.  Sliding one step down a runner is exactly
 the removal of one d-hook, so the abacus output is the common endpoint of
 every removal order.
+
+Each size's partition table and each (λ, d) core is computed once per
+process: ``partitions_of`` checks the configured bound on every call and
+returns a fresh list copied from the size's table, and ``d_core`` is an
+``lru_cache`` function, so the linear families A and 2A share their cores.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import groupby
 
 from .errors import LengthTooShort
@@ -41,6 +47,12 @@ def partitions_of(m: int) -> list[Partition]:
     if m < 0:
         raise ValueError("m must be >= 0")
     check_partition_size(m)
+    return list(_partitions(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(m: int) -> tuple:
+    """The partitions of m as one shared tuple, built once per size."""
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
@@ -53,7 +65,7 @@ def partitions_of(m: int) -> list[Partition]:
             prefix.pop()
 
     rec(m, m, [])
-    return out
+    return tuple(out)
 
 
 def to_beta_set(lam: Partition, length: int) -> BetaSet:
@@ -70,6 +82,7 @@ def from_beta_set(beta: BetaSet) -> Partition:
     return as_partition(lam)
 
 
+@functools.lru_cache(maxsize=None)
 def d_core(lam: Partition, d: int) -> Partition:
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -8,7 +8,8 @@ never 0 in both rows — but keep their row order as constructed; identity
 questions at the class level go through `class_key`/`same_class`, and
 `canonical` picks the distinguished representative (larger row first, ties by
 lexicographically smaller row).  Each instance hashes its rows once, when it
-is built.
+is built.  Enumeration builds one table per (rank, defect residues mod 4),
+from β-sets that are already clean, and returns a fresh list of it.
 
 Moves:
   * d-hook at x: x and x−d in the same row, x−d absent there; replace.
@@ -184,8 +185,8 @@ def cohook_core(sym: Symbol, d: int) -> Symbol:
 def _symbol_from_pair(alpha, beta, defect: int) -> Symbol:
     # beta-set pair construction; the reduction makes it length-independent
     length = max(len(beta), len(alpha) - defect)
-    return make_symbol(to_beta_set(alpha, length + defect),
-                       to_beta_set(beta, length))
+    return _reduced(to_beta_set(alpha, length + defect),
+                    to_beta_set(beta, length))
 
 
 def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
@@ -195,17 +196,25 @@ def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
     if n < 0:
         raise ValueError("rank must be >= 0")
     check_symbol_rank(n)
-    residues = {r % 4 for r in defect_filter}
+    return list(_symbols(n, frozenset(r % 4 for r in defect_filter)))
+
+
+@functools.lru_cache(maxsize=None)
+def _symbols(n: int, residues: frozenset) -> tuple:
+    """The table of enumerate_symbols, built once per (rank, residues), so
+    types B and C share one; each weight's partitions are read once."""
     seen = {}
     defect = 0
     while defect ** 2 // 4 <= n:
         if defect % 4 in residues:
             weight = n - defect ** 2 // 4
+            tables = [partitions_of(w) for w in range(weight + 1)]
             for wa in range(weight + 1):
-                for alpha in partitions_of(wa):
-                    for beta in partitions_of(weight - wa):
-                        sym = _symbol_from_pair(alpha, beta, defect)
+                for alpha in tables[wa]:
+                    for beta in tables[weight - wa]:
+                        sym = _symbol_from_pair(alpha, beta, defect).canonical()
                         assert sym.rank == n and sym.defect == defect
-                        seen.setdefault(sym.class_key(), sym.canonical())
+                        seen.setdefault((sym.row_s, sym.row_t), sym)
         defect += 1
-    return sorted(seen.values(), key=lambda s: (s.defect, s.row_s, s.row_t))
+    return tuple(sorted(seen.values(),
+                        key=lambda s: (s.defect, s.row_s, s.row_t)))

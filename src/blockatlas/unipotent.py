@@ -15,11 +15,15 @@ image, or d/2 respectively) — validated on every constructed partition.
 
 Each type's labels and each (type, d) series are built once per process,
 the series validated before they are kept; every call still checks the
-configured rank bound first and gets its own list or SeriesPartition.  A
-series groups its labels by the value of their canonical core and renders
-each distinct core once; validation recomputes every label's core itself
-and renders each distinct core once more.  The 1-series also feeds the
-defect bounds in :mod:`fusion`.
+configured rank bound first and gets its own list or SeriesPartition.  The
+label table is built in ``UnipotentLabel.sort_key`` order, checked once when
+it is built, so a series keeps each block's members in table order.  Cores
+are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
+the canonical symbol core per (symbol, d), so B and C share theirs.  A series
+groups its labels by the value of their core and renders each distinct core
+once; validation looks up every label's core again, renders and measures
+each distinct core once more, and compares coverage with one frozenset per
+type.  The 1-series also feeds the defect bounds in :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -99,16 +103,28 @@ def series_step(family: str, d: int) -> int:
     return d if d % 2 == 1 else d // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _symbol_core(sym: Symbol, d: int) -> Symbol:
+    """The canonical d-hook core for odd d, (d/2)-cohook core for even d."""
+    core = hook_core(sym, d) if d % 2 == 1 else cohook_core(sym, d // 2)
+    return core.canonical()
+
+
+def _core_rule(family: str, d: int) -> tuple:
+    """(core function, its step argument) of the family's d-rule, resolved
+    once per series rather than once per label."""
+    if family == "A":
+        return d_core, d
+    if family == "2A":
+        return d_core, ennola_dual(d)
+    return _symbol_core, d
+
+
 def series_core(label: UnipotentLabel, d: int):
     """The label's core under the family's d-rule: a partition, or the
     canonical Symbol of the core's swap class."""
-    family, payload = label.group_type.family, label.payload
-    if family == "A":
-        return d_core(payload, d)
-    if family == "2A":
-        return d_core(payload, ennola_dual(d))
-    core = hook_core(payload, d) if d % 2 == 1 else cohook_core(payload, d // 2)
-    return core.canonical()
+    core_of, arg = _core_rule(label.group_type.family, d)
+    return core_of(label.payload, arg)
 
 
 def _render(value) -> str:
@@ -139,8 +155,10 @@ class SeriesPartition(NamedTuple):
     def validate(self) -> None:
         """Recompute every invariant; raise InvariantViolation on failure."""
         seen = set()
-        texts: dict = {}  # recomputed core -> its text, rendered once per call
-        step = series_step(self.group_type.family, self.d)
+        cores: dict = {}  # core -> (text, measure), once per distinct core
+        family = self.group_type.family
+        core_of, arg = _core_rule(family, self.d)
+        step = series_step(family, self.d)
         for key, members in self.blocks:
             if not members:
                 raise InvariantViolation(f"empty block {key!r}")
@@ -148,18 +166,18 @@ class SeriesPartition(NamedTuple):
                 if lab in seen:
                     raise InvariantViolation(f"label {lab} in two blocks")
                 seen.add(lab)
-                core = series_core(lab, self.d)
-                if core not in texts:
-                    texts[core] = _render(core)
-                if texts[core] != key:
+                core = core_of(lab.payload, arg)
+                known = cores.get(core)
+                if known is None:
+                    known = cores[core] = (_render(core), _measure(core))
+                if known[0] != key:
                     raise InvariantViolation(
                         f"label {lab} keyed {key!r} but core differs")
-                drop = _measure(lab.payload) - _measure(core)
+                drop = _measure(lab.payload) - known[1]
                 if drop < 0 or drop % step != 0:
                     raise InvariantViolation(
                         f"label {lab}: drop {drop} not a multiple of {step}")
-        expected = {lab for lab in enumerate_labels(self.group_type)}
-        if seen != expected:
+        if seen != _label_set(self.group_type):
             raise InvariantViolation("blocks do not cover the label set")
 
 
@@ -174,10 +192,11 @@ def _check_bound(group_type: GroupTypeTag) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _labels(group_type: GroupTypeTag) -> tuple:
+    """The type's label table, strictly increasing in sort_key order."""
     family, n = group_type.family, group_type.rank
     if family in ("A", "2A"):
-        return tuple(UnipotentLabel(group_type, lam) for lam in partitions_of(n + 1))
-    if family in _SYMBOL_DEFECTS:
+        out = [UnipotentLabel(group_type, lam) for lam in partitions_of(n + 1)]
+    elif family in _SYMBOL_DEFECTS:
         out = []
         for sym in enumerate_symbols(n, _SYMBOL_DEFECTS[family]):
             if family == "D" and sym.is_degenerate:
@@ -185,9 +204,18 @@ def _labels(group_type: GroupTypeTag) -> tuple:
                 out.append(UnipotentLabel(group_type, sym, DOUBLE_PRIME_MARK))
             else:
                 out.append(UnipotentLabel(group_type, sym))
-        return tuple(out)
-    raise NotSupported(
-        f"family {family} has no built-in label table; supply plugin data")
+    else:
+        raise NotSupported(
+            f"family {family} has no built-in label table; supply plugin data")
+    keys = [lab.sort_key() for lab in out]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise InvariantViolation(f"{group_type} labels are not in sort_key order")
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _label_set(group_type: GroupTypeTag) -> frozenset:
+    return frozenset(_labels(group_type))
 
 
 def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
@@ -198,13 +226,13 @@ def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
 
 @functools.lru_cache(maxsize=None)
 def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
-    groups: dict = {}  # core value -> labels
+    core_of, arg = _core_rule(group_type.family, d)
+    groups: dict = {}  # core value -> labels, in table (sort_key) order
     for lab in _labels(group_type):
-        groups.setdefault(series_core(lab, d), []).append(lab)
+        groups.setdefault(core_of(lab.payload, arg), []).append(lab)
     # sorted by core text, which is the order reports list the blocks in
     blocks = tuple(sorted(
-        ((_render(core), tuple(sorted(members, key=UnipotentLabel.sort_key)))
-         for core, members in groups.items()),
+        ((_render(core), tuple(members)) for core, members in groups.items()),
         key=lambda block: block[0]))
     SeriesPartition(group_type, d, blocks, {}).validate()
     return blocks

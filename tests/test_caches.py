@@ -27,6 +27,9 @@ def test_helper_covers_every_library_cache():
     assert {"primitive_prime", "mult_order", "hook_core", "cohook_core",
             "smith_normal_form", "_group",
             "FGAbelianGroup.p_torsion", "IntMatrix.identity"} <= names
+    # the label tables and series cores
+    assert {"_partitions", "d_core", "_symbols", "_symbol_core", "_labels",
+            "_label_set", "_blocks"} <= names
 
 
 def test_clear_process_caches_leaves_every_cache_empty(capsys):

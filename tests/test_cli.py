@@ -2,10 +2,14 @@
 
 Every emitted document is validated against the shipped report_v1 schema.
 """
+import fcntl
 import json
 import os
+import signal
+import struct
 import subprocess
 import sys
+import termios
 import time
 from importlib import resources
 from pathlib import Path
@@ -600,3 +604,44 @@ def test_command_executes_only_its_layers(capsys, tmp_path, argv, grid,
     assert ran == [f"blockatlas.{m}" for m in executed]
     assert slow_imports == []
     assert run(capsys, *argv) == (0, proc.stdout)
+
+
+# ------------------------------------------------------------------- output
+
+def _pipe_bytes(fd: int) -> int:
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
+
+
+def test_report_is_whole_after_stop_and_continue_on_a_full_pipe():
+    # Unbuffered (python -u), stdout is a raw FileIO under the text layer.
+    # A write blocked on a full pipe returns short when the process is
+    # stopped; the report must still arrive byte for byte.
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-c",
+           "import sys; from blockatlas.cli import main; sys.exit(main())",
+           "unipotent", "--type", "A", "--rank", "29"]
+    whole = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    assert whole.returncode == 0, whole.stderr
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        fd = proc.stdout.fileno()
+        capacity = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+        assert len(whole.stdout) > capacity
+        deadline = time.monotonic() + 60
+        while _pipe_bytes(fd) < capacity:   # the CLI is blocked writing
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        os.kill(proc.pid, signal.SIGSTOP)
+        _, status = os.waitpid(proc.pid, os.WUNTRACED)
+        assert os.WIFSTOPPED(status)
+        os.kill(proc.pid, signal.SIGCONT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert len(out) == len(whole.stdout)
+    assert out == whole.stdout

@@ -12,6 +12,7 @@ import pytest
 
 from blockatlas.errors import BoundExceeded, LengthTooShort
 from blockatlas.partitions import (
+    _partitions,
     as_partition,
     d_core,
     ennola_dual,
@@ -244,3 +245,31 @@ def test_ennola_frozen():
 def test_ennola_involution():
     for d in range(1, 101):
         assert ennola_dual(ennola_dual(d)) == d
+
+
+# ------------------------------------------------------------------ caches
+
+def test_cached_tables_and_cores_equal_uncached():
+    for m in range(15):
+        assert _partitions(m) == _partitions.__wrapped__(m)
+        assert partitions_of(m) == list(_partitions.__wrapped__(m))
+    for m in range(11):
+        for lam in partitions_of(m):
+            for d in range(1, 13):
+                assert d_core(lam, d) == d_core.__wrapped__(lam, d), (lam, d)
+    assert d_core.cache_info().hits > 0
+
+
+def test_mutating_a_returned_table_leaves_the_cache_intact():
+    ps = partitions_of(5)
+    ps.clear()
+    ps.append((9,))
+    assert partitions_of(5) == list(_partitions.__wrapped__(5))
+    assert len(partitions_of(5)) == 7
+
+
+def test_d_core_raises_on_every_repeat():
+    # a call that raises is not cached, so the check runs again each time
+    for _ in range(3):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            d_core((2, 1), 0)

@@ -21,6 +21,7 @@ from blockatlas.symbols import (
     DEFECT_MOD4_2,
     DEFECT_ODD,
     Symbol,
+    _symbols,
     cohook_core,
     enumerate_symbols,
     hook_core,
@@ -384,6 +385,26 @@ def test_enumerate_sorted_and_canonical():
 def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_symbols(11, DEFECT_ODD)
+
+
+def test_symbol_tables_equal_uncached_and_are_shared():
+    for n in range(8):
+        for residues in (DEFECT_ODD, DEFECT_MOD4_0, DEFECT_MOD4_2, DEFECT_ANY):
+            assert _symbols(n, residues) == _symbols.__wrapped__(n, residues)
+        # one table per (rank, residues mod 4), whatever set names them
+        odd = enumerate_symbols(n, DEFECT_ODD)
+        again = enumerate_symbols(n, {5, 3, 7})
+        assert len(odd) == len(again)
+        assert all(a is b for a, b in zip(odd, again))
+
+
+def test_mutating_a_returned_symbol_list_leaves_the_cache_intact():
+    syms = enumerate_symbols(3, DEFECT_ODD)
+    expected = list(syms)
+    syms.clear()
+    assert enumerate_symbols(3, DEFECT_ODD) == expected
+    assert enumerate_symbols(3, DEFECT_ODD) == \
+        list(_symbols.__wrapped__(3, DEFECT_ODD))
 
 
 def test_enumerate_bound_env(monkeypatch):

@@ -1,7 +1,9 @@
 """Label enumeration, d-series, ℓ-blocks."""
 
 import pytest
+from conftest import clear_process_caches
 
+from blockatlas import unipotent
 from blockatlas.arith import GroupTypeTag, PrimePower
 from blockatlas.errors import (
     BadPrimeHypothesis,
@@ -9,9 +11,15 @@ from blockatlas.errors import (
     InvariantViolation,
     NotSupported,
 )
+from blockatlas.partitions import d_core
+from blockatlas.symbols import Symbol
 from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
+    _blocks,
+    _label_set,
+    _labels,
+    _symbol_core,
     d_series,
     ell_blocks,
     enumerate_labels,
@@ -26,6 +34,12 @@ B1 = GroupTypeTag("B", 1)
 B2 = GroupTypeTag("B", 2)
 D2 = GroupTypeTag("D", 2)
 TD2 = GroupTypeTag("2D", 2)
+FAMILIES = ("A", "2A", "B", "C", "D", "2D")
+
+
+def tags(family, top):
+    low = 2 if family in ("D", "2D") else 1
+    return [GroupTypeTag(family, rank) for rank in range(low, top + 1)]
 
 
 def block_sets(part):
@@ -208,6 +222,93 @@ def test_series_validation_rejects_tampering():
     bad2 = SeriesPartition(A2, 2, ((k1, m1), (k2, m2[:0])), {})
     with pytest.raises(InvariantViolation):
         bad2.validate()
+
+
+# A2 at d = 2: the blocks are "(1)" with (3), (1,1,1) and "(2,1)" with (2,1).
+_A2_BLOCKS = (("(1)", ("(3)", "(1,1,1)")), ("(2,1)", ("(2,1)",)))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda one, two: ((one[0], one[1] + two[1]),), "keyed"),
+    (lambda one, two: (one, two, (one[0], one[1][:1])), "in two blocks"),
+    (lambda one, two: (one, two, ("(3)", ())), "empty block"),
+    (lambda one, two: ((one[0], one[1][:1]), two), "do not cover"),
+], ids=["mis-keyed", "two-blocks", "empty-block", "missing-label"])
+def test_series_validation_rejects_each_corruption(corrupt, message):
+    part = d_series(A2, 2)
+    assert [(key, [lab.render() for lab in members])
+            for key, members in part.blocks] == \
+        [(key, list(members)) for key, members in _A2_BLOCKS]
+    bad = SeriesPartition(A2, 2, corrupt(*part.blocks), {})
+    with pytest.raises(InvariantViolation, match=message):
+        bad.validate()
+
+
+def test_series_validation_rejects_a_wrong_drop(monkeypatch):
+    # a core rule that drops one box at d = 2, keyed consistently: only the
+    # drop check can see it
+    monkeypatch.setattr(unipotent, "_core_rule",
+                        lambda family, d: (lambda lam, _: (2,), d))
+    bad = SeriesPartition(A2, 2, (("(2)", tuple(enumerate_labels(A2))),), {})
+    with pytest.raises(InvariantViolation, match="drop 1 not a multiple of 2"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_label_tables_and_blocks_are_in_sort_key_order(family):
+    for tag in tags(family, 8):
+        labels = enumerate_labels(tag)
+        keys = [lab.sort_key() for lab in labels]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), str(tag)
+        for d in range(1, 9):
+            for _, members in d_series(tag, d).blocks:
+                assert list(members) == sorted(members,
+                                               key=UnipotentLabel.sort_key)
+
+
+@pytest.mark.parametrize("source,tag", [("partitions_of", A2),
+                                        ("enumerate_symbols", B2)])
+def test_label_table_out_of_order_raises(monkeypatch, source, tag):
+    real = getattr(unipotent, source)
+    monkeypatch.setattr(unipotent, source, lambda *args: real(*args)[::-1])
+    with pytest.raises(InvariantViolation, match="sort_key order"):
+        _labels.__wrapped__(tag)
+
+
+def test_series_caches_equal_uncached():
+    for family in FAMILIES:
+        for tag in tags(family, 6):
+            assert _labels(tag) == _labels.__wrapped__(tag)
+            assert _label_set(tag) == _label_set.__wrapped__(tag)
+            for d in range(1, 2 * tag.rank + 4):
+                assert _blocks(tag, d) == _blocks.__wrapped__(tag, d)
+                for lab in _labels(tag):
+                    if not lab.is_partition:
+                        assert _symbol_core(lab.payload, d) == \
+                            _symbol_core.__wrapped__(lab.payload, d)
+
+
+def test_one_core_per_payload_and_d(monkeypatch):
+    # B and C share their symbols' cores, A and 2A their partitions' cores;
+    # once built, validating a series again builds no swapped Symbol.
+    clear_process_caches()
+    d_series(GroupTypeTag("B", 5), 3)
+    misses = _symbol_core.cache_info().misses
+    d_series(GroupTypeTag("C", 5), 3)
+    assert _symbol_core.cache_info().misses == misses
+    d_series(GroupTypeTag("A", 5), 1)
+    misses = d_core.cache_info().misses
+    d_series(GroupTypeTag("2A", 5), 2)          # ennola_dual(2) = 1
+    assert d_core.cache_info().misses == misses
+    series = [d_series(tag, d) for family in FAMILIES
+              for tag in tags(family, 6) for d in range(1, 9)]
+    swaps = []
+    real_swap = Symbol.swap
+    monkeypatch.setattr(Symbol, "swap",
+                        lambda sym: swaps.append(sym) or real_swap(sym))
+    for part in series:
+        part.validate()
+    assert swaps == []
 
 
 # ---------------------------------------------------------------- ℓ-blocks
