@@ -9,7 +9,10 @@ Primitive primes are located by factoring the cyclotomic value Φ_d(q),
 which carries exactly the primes of order d (plus possibly the largest
 prime factor of d, filtered out by an explicit order check).  Factoring is
 plain trial division; powers beyond 63 bits are rejected rather than
-silently promoted, which keeps the search at desk scale.
+silently promoted, which keeps the search at desk scale.  ``is_prime`` is a
+deterministic Miller–Rabin test, exact below 3.3·10²⁴ and BoundExceeded
+above, and ``PrimePower.from_q`` tries the 13 smallest primes, then exact
+integer roots whose base is prime, so neither divides up to √q.
 
 ``primitive_prime`` is memoized on the question it answers: (q, d, the
 frozenset of primes the witness may not be), ``_cyclotomic_value`` on
@@ -23,6 +26,7 @@ excludes only 2.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterator, Optional
 
 from .errors import BoundExceeded, DividesModulus
@@ -40,6 +44,11 @@ _BAD_PRIMES = {
 }
 
 _POWER_LIMIT = 2**63 - 1  # largest accepted value of q**d
+
+# the first 13 primes; as Miller–Rabin bases they decide primality below
+# _MR_LIMIT, the least strong pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 class GroupTypeTag:
@@ -104,13 +113,38 @@ class PrimePower:
     def from_q(cls, q: int) -> "PrimePower":
         if q < 2:
             raise ValueError("q must be >= 2")
-        n, p, r = q, next(prime_factors(q)), 0
-        while n % p == 0:
-            n //= p
-            r += 1
-        if n != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(q, p, r)
+        for p in _MR_BASES:
+            if q % p == 0:
+                n, r = q, 0
+                while n % p == 0:
+                    n //= p
+                    r += 1
+                if n != 1:
+                    raise ValueError(f"{q} is not a prime power")
+                return cls(q, p, r)
+        # every prime factor exceeds 41 > 2**5, so q = p**r has r <= bits / 5.
+        # Exponents go down and roots up; for q = p**r the first exact root
+        # is p itself, so a prime power parses even above is_prime's bound,
+        # and once roots reach that bound no answer is left to find.
+        for r in range(q.bit_length() // 5, 0, -1):
+            p = _integer_root(q, r)
+            if p >= _MR_LIMIT:
+                raise BoundExceeded(f"{q} is no power of a prime below "
+                                    f"{_MR_LIMIT}, the bound of is_prime")
+            if p ** r == q and is_prime(p):
+                return cls(q, p, r)
+        raise ValueError(f"{q} is not a prime power")
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The largest x with x**k <= n, for a root below 2**1000: Newton's
+    method from just above a floating-point estimate."""
+    x = int(math.exp(math.log(n) / k) * (1 + 2 ** -30)) + 1
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _candidate_divisors() -> Iterator[int]:
@@ -124,7 +158,32 @@ def _candidate_divisors() -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(prime_factors(n)) == n
+    """Deterministic Miller–Rabin on the first 13 prime bases, exact below
+    3.3·10²⁴ (Sorenson–Webster, Math. Comp. 86, 2017); a larger n without a
+    factor among the bases raises BoundExceeded."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:
+        return n > 1
+    if n >= _MR_LIMIT:
+        raise BoundExceeded(f"primality of {n} is decided only below "
+                            f"{_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_factors(n: int) -> Iterator[int]:

@@ -6,12 +6,14 @@ recording one certificate event per effective merge.  The loop stops once a
 single class remains, because no later series can merge anything: the
 certificate and the admissible map (every witnessed d ≤ d_max) are the same
 as over every d, and every series that is built is still validated.  The
-closure and the D-series join share one merge loop; the defect bounds read
-the validated 1-series.  Processing order is fixed — d ascending, blocks by
-key, members in label order — so certificates are byte-reproducible.  A
-result with more than one class is reported as "inconclusive": the witnessed
-mechanism alone does not decide it, and the engine never claims a
-refutation.
+closure and the D-series join share one merge loop, which reads each series
+as the process-wide tuples of member renders from :mod:`unipotent`; the
+defect bounds read the validated 1-series.  Certificates are replayed event
+by event; the witness of each distinct (d, ℓ) is checked once.  Processing
+order is fixed — d ascending, blocks by key, members in label order — so
+certificates are byte-reproducible.  A result with more than one class is
+reported as "inconclusive": the witnessed mechanism alone does not decide
+it, and the engine never claims a refutation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from typing import NamedTuple, Optional
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
 from .errors import InvariantViolation, NotSupported
 from .partitions import staircase_parameter
-from .unipotent import d_series, enumerate_labels, series_core
+from .unipotent import (
+    d_series,
+    enumerate_labels,
+    label_renders,
+    series_core,
+    series_renders,
+)
 
 
 class _UnionFind:
@@ -29,11 +37,12 @@ class _UnionFind:
         self.parent = {x: x for x in items}
 
     def find(self, x):
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a, b) -> bool:
@@ -43,10 +52,21 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
+    def roots(self, items) -> list:
+        """find of each item; an item at most one step below its root is
+        read without the call."""
+        parent, find, out = self.parent, self.find, []
+        for x in items:
+            top = parent[x]
+            if parent[top] != top:
+                top = find(x)
+            out.append(top)
+        return out
+
     def classes(self, order) -> tuple:
         by_root: dict = {}
-        for x in order:
-            by_root.setdefault(self.find(x), []).append(x)
+        for x, root in zip(order, self.roots(order)):
+            by_root.setdefault(root, []).append(x)
         return tuple(tuple(members) for members in
                      sorted(by_root.values(), key=lambda ms: ms[0]))
 
@@ -74,20 +94,32 @@ class FusionResult(NamedTuple):
         return len(self.classes)
 
     def validate(self) -> None:
-        labels = [lab for cls in self.classes for lab in cls]
-        uf = _UnionFind(labels)
+        # the witness checks read only (d, ell): once per distinct pair
+        witnessed: dict = {}
         for ev in self.certificate:
+            witnessed.setdefault((ev.d, ev.ell), ev)
+        for ev in witnessed.values():
             if ev.d not in self.admissible or self.admissible[ev.d] != ev.ell:
                 raise InvariantViolation(f"event {ev} not backed by a witness")
             if ev.ell % 2 == 0 or not is_good(ev.ell, self.group_type):
                 raise InvariantViolation(f"witness {ev.ell} fails hypotheses")
             if self.q.q % ev.ell == 0 or mult_order(self.q.q, ev.ell) != ev.d:
                 raise InvariantViolation(f"witness {ev.ell} has wrong order")
+        labels = [lab for cls in self.classes for lab in cls]
+        uf = _UnionFind(labels)
+        for ev in self.certificate:
             if not uf.union(ev.label_a, ev.label_b):
                 raise InvariantViolation(f"event {ev} merges nothing")
-        replayed = {frozenset(cls) for cls in uf.classes(labels)}
-        if replayed != {frozenset(cls) for cls in self.classes}:
-            raise InvariantViolation("certificate replay does not reproduce classes")
+        # the replayed classes are the stated ones when each stated class
+        # lies in one replayed class and no two share one: the stated
+        # classes hold every label the union-find holds
+        seen: set = set()
+        for cls in self.classes:
+            roots = set(uf.roots(cls))
+            if len(roots) != 1 or roots & seen:
+                raise InvariantViolation(
+                    "certificate replay does not reproduce classes")
+            seen |= roots
 
 
 class _SeriesJoin:
@@ -97,7 +129,7 @@ class _SeriesJoin:
     def __init__(self, group_type: GroupTypeTag, plugin, needs: str):
         if group_type.is_classical:
             labels = enumerate_labels(group_type)
-            self.names = [lab.render() for lab in labels]
+            self.names = label_renders(group_type)
             self.degenerate = any(lab.marker for lab in labels)
         elif plugin is None:
             raise NotSupported(
@@ -113,19 +145,29 @@ class _SeriesJoin:
         before the next d once one class is left: no later series can merge
         anything, so the merges returned are the same as over every d."""
         gt, merges = self.group_type, []
-        single = len(self.uf.parent) - 1
+        find, parent = self.uf.find, self.uf.parent
+        single = len(parent) - 1
         for d in sorted(ds):
             if len(merges) == single:
                 break
             if gt.is_classical:
-                blocks = [[lab.render() for lab in members]
-                          for _key, members in d_series(gt, d).blocks]
+                blocks = series_renders(gt, d)
             else:
                 blocks = [members for _key, members
                           in self.plugin.series_blocks(gt.family, d)]
-            for anchor, *others in blocks:
-                for other in others:
-                    if self.uf.union(anchor, other):
+            for block in blocks:
+                # the anchor's root stays the root of every class merged
+                # into it, as union(anchor, other) would keep it
+                anchor = block[0]
+                root = find(anchor)
+                for other in block[1:]:
+                    # find(other), read without the call when other is at
+                    # most one step below its root, as roots() does
+                    other_root = parent[other]
+                    if parent[other_root] != other_root:
+                        other_root = find(other)
+                    if other_root != root:
+                        parent[other_root] = root
                         merges.append((anchor, other, d))
         return merges
 

@@ -20,7 +20,10 @@ Cores are the fixed points of these moves, computed in closed form on the
 abacus (James–Kerber §2.7): a d-hook slides a bead one level down its
 d-runner within its row, and a cohook slides a bead one level down a chain
 that alternates between the rows, so a core packs every runner or chain onto
-its lowest levels.  The move-by-move recursion lives in the test suite,
+its lowest levels.  ``hook_core`` and ``cohook_core`` cache the closed form
+per (symbol, d) and return each core as built, without a second lookup;
+the series cores of :mod:`unipotent` have their own cache and call the
+closed form directly.  The move-by-move recursion lives in the test suite,
 which checks confluence on it and that the closed forms agree with it row
 for row.
 """
@@ -102,9 +105,8 @@ class Symbol:
         return self.class_key() == other.class_key()
 
     def render(self) -> str:
-        def row(r):
-            return "{" + ",".join(str(x) for x in r) + "}"
-        return f"({row(self.row_s)},{row(self.row_t)})"
+        return ("({" + ",".join(map(str, self.row_s)) + "},{"
+                + ",".join(map(str, self.row_t)) + "})")
 
     def __str__(self) -> str:
         return self.render()
@@ -120,10 +122,16 @@ def _built(row_s: tuple, row_t: tuple) -> Symbol:
 
 
 def _reduced(s: tuple, t: tuple) -> Symbol:
-    """A Symbol from clean rows, shift-reduced."""
-    while s and t and s[0] == 0 and t[0] == 0:
-        s = tuple(x - 1 for x in s[1:])
-        t = tuple(x - 1 for x in t[1:])
+    """A Symbol from clean rows, shift-reduced: both rows start 0, 1, …,
+    m − 1, so m shifts at once drop those entries and lower the rest by m."""
+    m = 0
+    for a, b in zip(s, t):
+        if a != m or b != m:
+            break
+        m += 1
+    if m:
+        s = tuple([x - m for x in s[m:]])
+        t = tuple([x - m for x in t[m:]])
     return _built(s, t)
 
 
@@ -152,22 +160,24 @@ def _packed_core(sym: Symbol, d: int, across: int) -> Symbol:
     left is its own core and keeps its object."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    levels: dict = {}  # runner -> beads on it
-    for a, row in enumerate((sym.row_s, sym.row_t)):
+    levels: dict = {}  # runner (r, c) as 2·r + c -> beads on it
+    for a, row in ((0, sym.row_s), (1, sym.row_t)):
         for x in row:
             k, r = divmod(x, d)
-            runner = (r, (a + across * k) % 2)
+            runner = 2 * r + (a + across * k) % 2
             levels[runner] = levels.get(runner, 0) + 1
     rows = ([], [])
-    for (r, c), n in levels.items():
-        for k in range(n):
-            rows[(c + across * k) % 2].append(r + k * d)
+    for runner, n in levels.items():
+        r, c = divmod(runner, 2)
+        if across:
+            for k in range(n):
+                rows[(c + k) % 2].append(r + k * d)
+        else:
+            rows[c].extend(range(r, r + n * d, d))
     s, t = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
     if s == sym.row_s and t == sym.row_t:
         return sym
-    # a core is its own core, so looking it up returns the object cached
-    # first for it: equal cores share one object
-    return (cohook_core if across else hook_core)(_reduced(s, t), d)
+    return _reduced(s, t)
 
 
 @functools.lru_cache(maxsize=None)

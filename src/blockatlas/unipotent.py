@@ -21,9 +21,14 @@ it is built, so a series keeps each block's members in table order.  Cores
 are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
 the canonical symbol core per (symbol, d), so B and C share theirs.  A series
 groups its labels by the value of their core and renders each distinct core
-once; validation looks up every label's core again, renders and measures
-each distinct core once more, and compares coverage with one frozenset per
-type.  The 1-series also feeds the defect bounds in :mod:`fusion`.
+once.  Each label keeps the measure its table computed for it when the table
+was built.  Validation looks up every label's core again, renders and
+measures each distinct core once more, checks each label's stored measure
+against it, and compares coverage with one frozenset per type.  Two render
+tables serve the fusion merge: ``label_renders`` holds one tuple of label
+renders per type and ``series_renders`` one tuple of member renders per
+block of each (type, d) series, both built from the tables above.  The
+1-series also feeds the defect bounds in :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -40,9 +45,8 @@ from .symbols import (
     DEFECT_MOD4_2,
     DEFECT_ODD,
     Symbol,
-    cohook_core,
+    _packed_core,
     enumerate_symbols,
-    hook_core,
 )
 
 PRIME_MARK = "′"         # ′
@@ -53,13 +57,18 @@ _SYMBOL_DEFECTS = {"B": DEFECT_ODD, "C": DEFECT_ODD,
 
 
 class UnipotentLabel:
-    __slots__ = ("group_type", "payload", "marker", "_text", "_hash")
+    __slots__ = ("group_type", "payload", "marker", "measure", "_text",
+                 "_hash")
 
     def __init__(self, group_type: GroupTypeTag,
-                 payload: Union[tuple, Symbol], marker: str = ""):
+                 payload: Union[tuple, Symbol], marker: str = "",
+                 measure: Optional[int] = None):
         object.__setattr__(self, "group_type", group_type)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "marker", marker)
+        # the payload's size or rank as the type's table measured it, or
+        # None for a label built outside a table; not a field
+        object.__setattr__(self, "measure", measure)
         # labels live as long as the per-type cache, so each renders once
         object.__setattr__(self, "_text", _render(payload) + marker)
         object.__setattr__(self, "_hash", hash((group_type, payload, marker)))
@@ -105,9 +114,12 @@ def series_step(family: str, d: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _symbol_core(sym: Symbol, d: int) -> Symbol:
-    """The canonical d-hook core for odd d, (d/2)-cohook core for even d."""
-    core = hook_core(sym, d) if d % 2 == 1 else cohook_core(sym, d // 2)
-    return core.canonical()
+    """The canonical d-hook core for odd d, (d/2)-cohook core for even d.
+    Computed by the closed form itself: this cache asks for each (sym, d)
+    once, so the caches of hook_core and cohook_core would only miss."""
+    if d % 2 == 1:
+        return _packed_core(sym, d, 0).canonical()
+    return _packed_core(sym, d // 2, 1).canonical()
 
 
 def _core_rule(family: str, d: int) -> tuple:
@@ -131,7 +143,7 @@ def _render(value) -> str:
     """Text of a partition or a Symbol; the one home of the partition text."""
     if isinstance(value, Symbol):
         return value.render()
-    return "(" + ",".join(str(x) for x in value) + ")"
+    return "(" + ",".join(map(str, value)) + ")"
 
 
 def _measure(payload) -> int:
@@ -163,9 +175,10 @@ class SeriesPartition(NamedTuple):
             if not members:
                 raise InvariantViolation(f"empty block {key!r}")
             for lab in members:
-                if lab in seen:
-                    raise InvariantViolation(f"label {lab} in two blocks")
+                size = len(seen)
                 seen.add(lab)
+                if len(seen) == size:
+                    raise InvariantViolation(f"label {lab} in two blocks")
                 core = core_of(lab.payload, arg)
                 known = cores.get(core)
                 if known is None:
@@ -173,10 +186,15 @@ class SeriesPartition(NamedTuple):
                 if known[0] != key:
                     raise InvariantViolation(
                         f"label {lab} keyed {key!r} but core differs")
-                drop = _measure(lab.payload) - known[1]
+                measure = lab.measure
+                if measure is None:
+                    measure = _measure(lab.payload)
+                drop = measure - known[1]
                 if drop < 0 or drop % step != 0:
                     raise InvariantViolation(
                         f"label {lab}: drop {drop} not a multiple of {step}")
+        if len({key for key, _ in self.blocks}) != len(self.blocks):
+            raise InvariantViolation("two blocks share a core")
         if seen != _label_set(self.group_type):
             raise InvariantViolation("blocks do not cover the label set")
 
@@ -195,18 +213,19 @@ def _labels(group_type: GroupTypeTag) -> tuple:
     """The type's label table, strictly increasing in sort_key order."""
     family, n = group_type.family, group_type.rank
     if family in ("A", "2A"):
-        out = [UnipotentLabel(group_type, lam) for lam in partitions_of(n + 1)]
+        entries = [(lam, "") for lam in partitions_of(n + 1)]
     elif family in _SYMBOL_DEFECTS:
-        out = []
+        entries = []
         for sym in enumerate_symbols(n, _SYMBOL_DEFECTS[family]):
             if family == "D" and sym.is_degenerate:
-                out.append(UnipotentLabel(group_type, sym, PRIME_MARK))
-                out.append(UnipotentLabel(group_type, sym, DOUBLE_PRIME_MARK))
+                entries += [(sym, PRIME_MARK), (sym, DOUBLE_PRIME_MARK)]
             else:
-                out.append(UnipotentLabel(group_type, sym))
+                entries.append((sym, ""))
     else:
         raise NotSupported(
             f"family {family} has no built-in label table; supply plugin data")
+    out = [UnipotentLabel(group_type, payload, marker, _measure(payload))
+           for payload, marker in entries]
     keys = [lab.sort_key() for lab in out]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise InvariantViolation(f"{group_type} labels are not in sort_key order")
@@ -225,6 +244,17 @@ def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
 
 
 @functools.lru_cache(maxsize=None)
+def _label_renders(group_type: GroupTypeTag) -> tuple:
+    return tuple(lab.render() for lab in _labels(group_type))
+
+
+def label_renders(group_type: GroupTypeTag) -> tuple:
+    """Each label's render, in the order of enumerate_labels."""
+    _check_bound(group_type)
+    return _label_renders(group_type)
+
+
+@functools.lru_cache(maxsize=None)
 def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
     core_of, arg = _core_rule(group_type.family, d)
     groups: dict = {}  # core value -> labels, in table (sort_key) order
@@ -236,6 +266,20 @@ def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
         key=lambda block: block[0]))
     SeriesPartition(group_type, d, blocks, {}).validate()
     return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _series_renders(group_type: GroupTypeTag, d: int) -> tuple:
+    return tuple(tuple(lab.render() for lab in members)
+                 for _key, members in _blocks(group_type, d))
+
+
+def series_renders(group_type: GroupTypeTag, d: int) -> tuple:
+    """Each block's member renders, blocks and members in d_series order."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    _check_bound(group_type)
+    return _series_renders(group_type, d)
 
 
 def d_series(group_type: GroupTypeTag, d: int,

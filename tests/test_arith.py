@@ -2,6 +2,7 @@
 consistency against an independent brute-force oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from blockatlas.arith import (
     EXCEPTIONAL_FAMILIES,
     GroupTypeTag,
     PrimePower,
+    _integer_root,
     admissible_d,
     checked_power,
     divisors,
@@ -57,6 +59,58 @@ def oracle_primitive(q, d, limit=100_000):
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_trial_division():
+    def oracle(n):
+        return n >= 2 and all(n % c for c in range(2, int(n ** 0.5) + 1))
+
+    assert all(is_prime(n) == oracle(n) for n in range(-5, 5000))
+    rng = random.Random(19)
+    for n in [rng.randrange(5000, 10 ** 10) for _ in range(300)]:
+        assert is_prime(n) == (next(prime_factors(n)) == n), n
+
+
+def test_is_prime_is_deterministic_up_to_its_bound():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    # the two factors of the least strong pseudoprime to all 13 bases
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    assert is_prime(3317044064679887385961981 - 2) is False
+    with pytest.raises(BoundExceeded):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(BoundExceeded):
+        is_prime(2 ** 89 - 1)
+    assert not is_prime(2 ** 200)    # a small factor decides at any size
+
+
+def test_prime_power_parsing_past_trial_division():
+    for q, p, r in [(43, 43, 1), (43 ** 2, 43, 2), (1000003 ** 3, 1000003, 3),
+                    (2 ** 61 - 1, 2 ** 61 - 1, 1), (2 ** 200, 2, 200),
+                    (43 ** 16, 43, 16), ((2 ** 61 - 1) ** 2, 2 ** 61 - 1, 2)]:
+        assert PrimePower.from_q(q) == PrimePower(q, p, r)
+    for q in (1000003 * 1000033, 43 ** 2 * 47, 3 ** 5 * 43):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            PrimePower.from_q(q)
+    with pytest.raises(BoundExceeded):
+        PrimePower.from_q(2575672364521 * 1287836182261 * 1000003)
+    # 43**300 * 47**300 has exact roots, all with composite bases, until the
+    # roots pass the bound; a 1,000-digit q is answered at once
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="is no power of a prime below"):
+        PrimePower.from_q(43 ** 300 * 47 ** 300)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_integer_root_is_the_floor_root():
+    rng = random.Random(61)
+    for _ in range(2000):
+        k = rng.randrange(1, 40)
+        n = rng.randrange(1, 2 ** (k * rng.randrange(1, 82)))
+        x = _integer_root(n, k)
+        assert x ** k <= n < (x + 1) ** k, (n, k)
 
 
 def test_prime_factors_and_divisors():

@@ -30,6 +30,10 @@ _VALIDATOR = Draft202012Validator(json.loads(
     .read_text(encoding="utf-8")))
 
 
+# The console script's body: what a user's `blockatlas ARGS` runs.
+_ENTRY = "import sys; from blockatlas.cli import main; sys.exit(main())"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
@@ -113,6 +117,20 @@ def test_grid_golden_across_primes(capsys, tmp_path, monkeypatch, command):
         encoding="utf-8")
 
 
+def test_grid_golden_fusion_all_families(capsys, tmp_path, monkeypatch):
+    """All six classical families at ranks 1-5 and q = 2, 3, 4, rank 1 of D
+    and 2D being error cells: pins the bytes of the closure's merge path."""
+    monkeypatch.chdir(tmp_path)
+    Path("grid.cfg").write_text(
+        "command = fusion\nfamilies = A, 2A, B, C, D, 2D\nranks = 1-5\n"
+        "qs = 2, 3, 4\n", encoding="utf-8")
+    code, out = run(capsys, "grid", "--config", "grid.cfg")
+    assert code == 0
+    assert check(out)["result"]["counts"] == {"ok": 84, "error": 6}
+    assert out == (GOLDEN / "grid_fusion_A-2D_r1-5_q234.json").read_text(
+        encoding="utf-8")
+
+
 def test_rerun_is_byte_identical(capsys):
     argv = ("fusion", "--type", "2A", "--rank", "3", "--q", "2")
     _, first = run(capsys, *argv)
@@ -190,6 +208,22 @@ def test_type_a_at_huge_d_finishes_quickly(capsys):
         assert time.perf_counter() - start < 5.0, argv
         assert code == 0, argv
         assert check(out)["result"]["blocks"] == singletons, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion", "--type", "A", "--rank", "1", "--q", "2305843009213693951"],
+    ["bijection", "--datum", "catalog:sl2_split",
+     "--p", "2305843009213693951"],
+], ids=["fusion-q", "bijection-p"])
+def test_a_61_bit_prime_finishes_quickly(argv):
+    # 2**61 - 1 is prime: trial division to its square root never finished
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode in (0, 2), proc.stderr
+    check(proc.stdout)
 
 
 def test_usage_error_is_structured(capsys):

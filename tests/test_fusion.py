@@ -182,6 +182,38 @@ def test_validate_rejects_tampering():
                      res.classes, forged, res.verdict).validate()
 
 
+@pytest.mark.parametrize("stated", [
+    (("(1,1)", "(2)"),),                  # joins what no event joins
+    (("(1,1)",), ("(2)",), ("(2)",)),     # states one class twice
+    (("(1,1)",), ("(2)",), ()),           # states an empty class
+], ids=["joined", "repeated", "empty"])
+def test_validate_rejects_classes_the_replay_does_not_give(stated):
+    res = fusion_closure(GroupTypeTag("A", 1), PrimePower.from_q(3))
+    assert res.classes == (("(1,1)",), ("(2)",)) and res.certificate == ()
+    with pytest.raises(InvariantViolation, match="does not reproduce"):
+        res._replace(classes=stated).validate()
+
+
+def test_validate_checks_the_witness_of_every_d():
+    res = fusion_closure(GroupTypeTag("A", 2), PrimePower.from_q(2))
+    last = res.certificate[-1]
+    assert [ev.d for ev in res.certificate] == [2, 3] and last.ell == 7
+    forged = res.certificate[:-1] + (last._replace(ell=5),)
+    with pytest.raises(InvariantViolation, match="not backed"):
+        res._replace(certificate=forged).validate()
+    # 5 is odd, good and prime to 2, but 2 has order 4 mod 5
+    with pytest.raises(InvariantViolation, match="wrong order"):
+        res._replace(certificate=forged,
+                     admissible={**res.admissible, 3: 5}).validate()
+
+
+def test_validate_rejects_a_split_class():
+    res = fusion_closure(GroupTypeTag("A", 2), PrimePower.from_q(2))
+    split = (("(3)",), ("(2,1)", "(1,1,1)"))
+    with pytest.raises(InvariantViolation, match="does not reproduce"):
+        res._replace(classes=split).validate()
+
+
 def test_exceptional_family_needs_plugin():
     g2 = GroupTypeTag("G2", 2)
     with pytest.raises(NotSupported):

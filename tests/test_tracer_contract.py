@@ -73,12 +73,17 @@ _ENTRY = "import sys; from blockatlas.cli import main; sys.exit(main())"
 @pytest.mark.parametrize("argv", [
     ["fusion", "--type", "B", "--rank", "2", "--q", "3"],
     ["bijection", "--datum", "catalog:sl2_split", "--p", "2"],
-    ["grid", "--config", "{cfg}"],
-], ids=["fusion", "bijection", "zsygmondy-grid"])
+    ["grid", "--config", "{zsygmondy}"],
+    ["grid", "--config", "{fusion}"],
+], ids=["fusion", "bijection", "zsygmondy-grid", "fusion-grid"])
 def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text("command = zsygmondy\nqs = 2\nds = 3-4\n", encoding="utf-8")
-    argv = [arg.format(cfg=cfg) for arg in argv]
+    configs = {"zsygmondy": "command = zsygmondy\nqs = 2\nds = 3-4\n",
+               "fusion": "command = fusion\nfamilies = B, D\nranks = 2-3\n"
+                         "qs = 2, 3\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
+    argv = [arg.format(**{name: tmp_path / f"{name}.cfg" for name in configs})
+            for arg in argv]
     src = str(Path(blockatlas.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -17,13 +17,18 @@ from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
     _blocks,
+    _label_renders,
     _label_set,
     _labels,
+    _measure,
+    _series_renders,
     _symbol_core,
     d_series,
     ell_blocks,
     enumerate_labels,
+    label_renders,
     series_core,
+    series_renders,
     series_step,
 )
 
@@ -98,6 +103,7 @@ def test_cached_labels_and_series_respect_rank_bound(monkeypatch):
     expected = list(labels)
     labels.clear()
     labels.append(UnipotentLabel(b8, "tampered"))
+    assert labels[0].measure is None
     assert enumerate_labels(b8) == expected
     part = d_series(b8, 3)
     part.context["tampered"] = True
@@ -107,6 +113,10 @@ def test_cached_labels_and_series_respect_rank_bound(monkeypatch):
         enumerate_labels(b8)
     with pytest.raises(BoundExceeded):
         d_series(b8, 3)
+    with pytest.raises(BoundExceeded):
+        label_renders(b8)
+    with pytest.raises(BoundExceeded):
+        series_renders(b8, 3)
 
 
 # --------------------------------------------------------------- d-series
@@ -233,7 +243,10 @@ _A2_BLOCKS = (("(1)", ("(3)", "(1,1,1)")), ("(2,1)", ("(2,1)",)))
     (lambda one, two: (one, two, (one[0], one[1][:1])), "in two blocks"),
     (lambda one, two: (one, two, ("(3)", ())), "empty block"),
     (lambda one, two: ((one[0], one[1][:1]), two), "do not cover"),
-], ids=["mis-keyed", "two-blocks", "empty-block", "missing-label"])
+    (lambda one, two: ((one[0], one[1][:1]), (one[0], one[1][1:]), two),
+     "share a core"),
+], ids=["mis-keyed", "two-blocks", "empty-block", "missing-label",
+        "split-block"])
 def test_series_validation_rejects_each_corruption(corrupt, message):
     part = d_series(A2, 2)
     assert [(key, [lab.render() for lab in members])
@@ -280,12 +293,36 @@ def test_series_caches_equal_uncached():
         for tag in tags(family, 6):
             assert _labels(tag) == _labels.__wrapped__(tag)
             assert _label_set(tag) == _label_set.__wrapped__(tag)
+            assert _label_renders(tag) == _label_renders.__wrapped__(tag)
             for d in range(1, 2 * tag.rank + 4):
                 assert _blocks(tag, d) == _blocks.__wrapped__(tag, d)
+                assert _series_renders(tag, d) == \
+                    _series_renders.__wrapped__(tag, d)
                 for lab in _labels(tag):
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
                             _symbol_core.__wrapped__(lab.payload, d)
+
+
+def test_render_tables_follow_the_label_table_and_series():
+    for family in FAMILIES:
+        for tag in tags(family, 6):
+            assert label_renders(tag) == \
+                tuple(lab.render() for lab in enumerate_labels(tag))
+            assert label_renders(tag) is label_renders(tag)
+            for d in range(1, 2 * tag.rank + 4):
+                assert series_renders(tag, d) == tuple(
+                    tuple(lab.render() for lab in members)
+                    for _key, members in d_series(tag, d).blocks)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        series_renders(A2, 0)
+
+
+def test_each_label_stores_its_measure():
+    for family in FAMILIES:
+        for tag in tags(family, 8):
+            for lab in _labels(tag):
+                assert lab.measure == _measure(lab.payload), (str(tag), lab)
 
 
 def test_one_core_per_payload_and_d(monkeypatch):
@@ -302,12 +339,19 @@ def test_one_core_per_payload_and_d(monkeypatch):
     assert d_core.cache_info().misses == misses
     series = [d_series(tag, d) for family in FAMILIES
               for tag in tags(family, 6) for d in range(1, 9)]
-    swaps = []
-    real_swap = Symbol.swap
+    swaps, ranks = [], []
+    real_swap, real_rank = Symbol.swap, Symbol.rank.fget
     monkeypatch.setattr(Symbol, "swap",
                         lambda sym: swaps.append(sym) or real_swap(sym))
+    monkeypatch.setattr(Symbol, "rank",
+                        property(lambda sym: ranks.append(sym)
+                                 or real_rank(sym)))
     for part in series:
+        ranks.clear()
         part.validate()
+        # each distinct core is measured once; the labels' measures are
+        # stored in their table
+        assert len(ranks) <= part.class_count
     assert swaps == []
 
 
