@@ -19,6 +19,17 @@ process.  ``FGAbelianGroup`` is an immutable value built once per
 ``h1_cyclic`` and the operator check are memoized on the group and their
 operator or prime.  A call that raises is not cached and raises again.
 
+Two exact shortcuts skip elimination where its answer is known.  A product
+with an identity factor is the other factor, and the SNF of an identity is
+(I, I, I), which the pivot loop would also produce.  A zero module K/K has
+only zero sub- and quotient modules: ``p_torsion`` for a p that divides no
+invariant factor is L/L, ``coinvariants``, ``fixed_points`` and
+``h1_cyclic`` of a zero module return it once every operator has passed
+the compatibility check, and a map from a zero module is injective with a
+zero kernel.  Each result spans the same lattices K and L as the general
+path's, possibly on another basis, so every invariant and every report is
+unchanged.
+
 The public ``IntMatrix`` constructor validates its input: it converts every
 entry with ``int()`` and rejects ragged rows.  Matrices that this module
 computes from other matrices (products, sums, stacks, transposes, the Smith
@@ -112,6 +123,11 @@ class IntMatrix:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
         if not self.cols:
             return IntMatrix.zeros(self.rows, other.cols)
+        one = IntMatrix.identity(self.cols).entries
+        if self.entries == one:
+            return other
+        if other.entries == one:
+            return self
         cols = tuple(zip(*other.entries))
         return IntMatrix._of(
             tuple(tuple(sum(map(mul, row, col)) for col in cols)
@@ -186,6 +202,9 @@ def smith_normal_form(M: IntMatrix) -> tuple:
     making the whole decomposition deterministic.
     """
     r, c = M.rows, M.cols
+    one = IntMatrix.identity(r)
+    if M == one:
+        return one, M, one
     A = [list(row) for row in M.entries]
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
@@ -384,6 +403,8 @@ class FGAbelianGroup:
         """Subgroup of elements of p-power order (mod L)."""
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
+        if all(d % p for d in self.invariant_factors):
+            return FGAbelianGroup(self.ambient_dim, self.rel, self.rel)
         cols = []
         for col, d in self._scaled_gens:
             v = d
@@ -424,10 +445,13 @@ def coinvariants(A: FGAbelianGroup, gens: Sequence[IntMatrix]) -> FGAbelianGroup
 
 @functools.lru_cache(maxsize=None)
 def _coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
+    for g in gens:
+        A._check_compatible(g)
+    if A.is_trivial:
+        return A
     rel = A.rel
     one = IntMatrix.identity(A.ambient_dim)
     for g in gens:
-        A._check_compatible(g)
         rel = rel.hstack((g - one) @ A.sub)
     return FGAbelianGroup(A.ambient_dim, A.sub, rel)
 
@@ -436,6 +460,8 @@ def _coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
 def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     """{a in A : f(a) = a}, for an ambient operator preserving K and L."""
     A._check_compatible(f)
+    if A.is_trivial:
+        return A
     one = IntMatrix.identity(A.ambient_dim)
     stacked = ((f - one) @ A.sub).hstack(-A.rel)
     top = kernel_basis(stacked)._first_rows(A.sub.cols)
@@ -449,6 +475,8 @@ def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     if not A.is_finite:
         raise NotFinite("H^1 of a procyclic group needs a finite module")
     A._check_compatible(f)
+    if A.is_trivial:
+        return A
     top = kernel_basis((f @ A.sub).hstack(-A.rel))._first_rows(A.sub.cols)
     injective = FGAbelianGroup(
         A.ambient_dim, A.sub @ lattice_basis(top), A.rel).is_trivial
@@ -471,6 +499,8 @@ class SubquotientMap:
                      or lattice_contains(self.target.rel, self.source.rel)))
 
     def injective(self) -> bool:
+        if self.source.is_trivial:
+            return True
         meet = lattice_intersection(self.source.sub, self.target.rel)
         return meet.cols == 0 or lattice_contains(self.source.rel, meet)
 
@@ -486,6 +516,8 @@ class SubquotientMap:
 
     def kernel(self) -> FGAbelianGroup:
         """The kernel, as a subgroup of the source."""
+        if self.source.is_trivial:
+            return self.source
         meet = lattice_intersection(self.source.sub, self.target.rel)
         return FGAbelianGroup(
             self.source.ambient_dim,

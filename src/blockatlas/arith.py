@@ -17,7 +17,11 @@ integer roots whose base is prime, so neither divides up to √q.
 ``primitive_prime`` is memoized on the question it answers: (q, d, the
 frozenset of primes the witness may not be), ``_cyclotomic_value`` on
 (q, d), and ``mult_order`` on (q, ℓ), so a fusion certificate replays its
-merge events with one divisor walk per distinct pair.  ``admissible_d``
+merge events with one order computation per distinct pair.  ``mult_order``
+factors ℓ − 1 (trial division below 1000, then Miller–Rabin and
+Pollard–Brent, at most 2²² steps, else BoundExceeded) and divides each
+prime out of ℓ − 1 while the quotient is still a multiple of the order, so
+it never walks the divisors of ℓ − 1.  ``admissible_d``
 excludes 2 and the family's bad primes, so the six classical families share
 one witness search per (q, d) with each other and with ``zsygmondy``, which
 excludes only 2.
@@ -26,6 +30,7 @@ excludes only 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterator, Optional
 
@@ -49,6 +54,12 @@ _POWER_LIMIT = 2**63 - 1  # largest accepted value of q**d
 # _MR_LIMIT, the least strong pseudoprime to all of them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+# mult_order factors ell - 1: trial division below _TRIAL_LIMIT, then
+# Pollard–Brent, one gcd per _RHO_BATCH steps and at most _RHO_LIMIT steps
+_TRIAL_LIMIT = 1000
+_RHO_BATCH = 128
+_RHO_LIMIT = 2**22
 
 
 class GroupTypeTag:
@@ -216,6 +227,63 @@ def is_good(ell: int, group_type: GroupTypeTag) -> bool:
     return ell not in _BAD_PRIMES[group_type.family]
 
 
+def _pollard_brent(n: int, budget: int) -> tuple:
+    """(a proper factor of the composite n, steps left of budget): Brent's
+    cycle search on x -> x² + c (Brent, BIT 20, 1980), with the differences
+    multiplied into one gcd per _RHO_BATCH steps, for c = 1, 2, ... until
+    one splits n.  BoundExceeded before a round that would overrun budget."""
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r  # r steps to move x ahead, at most r to search
+            if budget < 0:
+                raise BoundExceeded(f"no factor of {n} within "
+                                    f"{_RHO_LIMIT} Pollard–Brent steps")
+            x, k = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                saved, steps = y, min(_RHO_BATCH, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += steps
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g, budget
+
+
+def _prime_divisors(n: int) -> set:
+    """The distinct primes of n >= 1: trial division below _TRIAL_LIMIT,
+    then is_prime on each cofactor and Pollard–Brent splits of composite
+    ones, at most _RHO_LIMIT steps in all."""
+    primes = set()
+    for c in _candidate_divisors():
+        if c * c > n or c >= _TRIAL_LIMIT:
+            break
+        if n % c == 0:
+            primes.add(c)
+            while n % c == 0:
+                n //= c
+    parts, budget = [n], _RHO_LIMIT
+    while parts:
+        m = parts.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            primes.add(m)
+        else:
+            f, budget = _pollard_brent(m, budget)
+            parts += (f, m // f)
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def mult_order(q: int, ell: int) -> int:
     """Smallest d >= 1 with q**d = 1 mod ell (ell prime, ell not | q)."""
@@ -223,8 +291,13 @@ def mult_order(q: int, ell: int) -> int:
         raise ValueError(f"{ell} is not prime")
     if q % ell == 0:
         raise DividesModulus(f"{ell} divides {q}")
-    # the order divides ell - 1 (Fermat); the first divisor that works is it
-    return next(e for e in divisors(ell - 1) if pow(q, e, ell) == 1)
+    # the order divides ell - 1 (Fermat): divide each prime out of ell - 1
+    # for as long as the quotient is still a multiple of the order
+    order = ell - 1
+    for r in _prime_divisors(order):
+        while order % r == 0 and pow(q, order // r, ell) == 1:
+            order //= r
+    return order
 
 
 def _order_equals(q: int, ell: int, d: int) -> bool:

@@ -19,7 +19,9 @@ configured rank bound first and gets its own list or SeriesPartition.  The
 label table is built in ``UnipotentLabel.sort_key`` order, checked once when
 it is built, so a series keeps each block's members in table order.  Cores
 are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
-the canonical symbol core per (symbol, d), so B and C share theirs.  A series
+the canonical symbol core per (symbol, d), so B and C share theirs, and
+equal symbol cores are one object, so dict lookups on them stop at
+identity instead of calling ``Symbol.__eq__``.  A series
 groups its labels by the value of their core and renders each distinct core
 once.  Each label keeps the measure its table computed for it when the table
 was built.  Validation looks up every label's core again, renders and
@@ -45,6 +47,7 @@ from .symbols import (
     DEFECT_MOD4_2,
     DEFECT_ODD,
     Symbol,
+    _built,
     _packed_core,
     enumerate_symbols,
 )
@@ -118,8 +121,18 @@ def _symbol_core(sym: Symbol, d: int) -> Symbol:
     Computed by the closed form itself: this cache asks for each (sym, d)
     once, so the caches of hook_core and cohook_core would only miss."""
     if d % 2 == 1:
-        return _packed_core(sym, d, 0).canonical()
-    return _packed_core(sym, d // 2, 1).canonical()
+        core = _packed_core(sym, d, 0).canonical()
+    else:
+        core = _packed_core(sym, d // 2, 1).canonical()
+    return _core_symbol(core.row_s, core.row_t)
+
+
+@functools.lru_cache(maxsize=None)
+def _core_symbol(row_s: tuple, row_t: tuple) -> Symbol:
+    """The one core Symbol with these rows: keyed on the row tuples, so
+    equal cores are one object and dict lookups on cores stop at identity
+    instead of calling Symbol.__eq__."""
+    return _built(row_s, row_t)
 
 
 def _core_rule(family: str, d: int) -> tuple:

@@ -7,6 +7,7 @@ later change adds.  ``tests/test_caches.py`` checks that it finds them all.
 import functools
 import importlib
 import pkgutil
+import random
 
 import blockatlas
 
@@ -34,3 +35,140 @@ def process_caches() -> list:
 def clear_process_caches() -> None:
     for cache in process_caches():
         cache.cache_clear()
+
+
+# ------------------------------------------------------ seeded lattice data
+
+def _block_diag(blocks) -> list:
+    size = sum(len(b) for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _eye(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def catalog_sum(names):
+    """Block-diagonal direct sum of catalog data, as the lattice benchmark
+    builds its rank 3-8 sums: summand i's operators act on block i and
+    fix the others, under labels ``s<i>_…``, and the summands' Frobenius
+    lifts form one Frobenius ``F``."""
+    from blockatlas.rootdata import RootDatumWithAction, catalog
+    parts = [catalog()[name].datum for name in names]
+    ranks = [d.rank for d in parts]
+    offsets = [sum(ranks[:i]) for i in range(len(parts))]
+
+    def embed(vectors, i):
+        return [[0] * offsets[i] + list(v) + [0] * (sum(ranks) - offsets[i]
+                                                    - ranks[i])
+                for v in vectors]
+
+    coroots, roots, galois, inertia, wild = [], [], [], [], []
+    for i, d in enumerate(parts):
+        coroots += embed(d.coroots, i)
+        roots += embed(d.roots, i)
+        for label, mat in d.galois:
+            if label != d.frobenius:
+                blocks = [_eye(r) for r in ranks]
+                blocks[i] = [list(row) for row in mat.entries]
+                galois.append((f"s{i}_{label}", _block_diag(blocks)))
+        inertia += [f"s{i}_{x}" for x in d.inertia]
+        wild += [f"s{i}_{x}" for x in d.wild]
+    galois.append(("F", _block_diag([[list(row) for row in d.frobenius_matrix
+                                      .entries] for d in parts])))
+    return RootDatumWithAction(sum(ranks), coroots=coroots, roots=roots,
+                               galois=galois, inertia=inertia, wild=wild,
+                               frobenius="F")
+
+
+def seeded_catalog_sums(seed: int, count: int = 6) -> list:
+    """count sums of 2-4 catalog entries each, at most one of them wild,
+    of total rank 3-8."""
+    from blockatlas.rootdata import catalog
+    entries = catalog()
+    names = sorted(entries)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        chosen = rng.sample(names, rng.randint(2, 4))
+        rank = sum(entries[n].datum.rank for n in chosen)
+        if (3 <= rank <= 8
+                and sum(bool(entries[n].datum.wild) for n in chosen) <= 1):
+            out.append((chosen, catalog_sum(chosen)))
+    return out
+
+
+def _permutation_block(m: int) -> list:
+    """s on Z[C_m]: the cyclic shift of the basis."""
+    return [[int(i == (j + 1) % m) for j in range(m)] for i in range(m)]
+
+
+def _norm_one_block(m: int) -> list:
+    """s on Z[x]/(1 + x + ... + x^(m-1)): the companion matrix, i.e. the
+    cocharacters of the norm-one torus of a degree-m extension."""
+    n = m - 1
+    return [[-1 if j == n - 1 else int(i == j + 1) for j in range(n)]
+            for i in range(n)]
+
+
+def _sign_block(m: int) -> list:
+    return [[-1]]
+
+
+TORUS_SUMMANDS = {"perm": _permutation_block, "norm_one": _norm_one_block,
+                  "sign": _sign_block}
+
+
+def torus(summands, m: int, p: int, frobenius_power=None):
+    """The torus whose cocharacter lattice is the direct sum of the given
+    (kind, m) summands, with inertia generated by s acting on every block
+    at once.  For m = p^a·e with e prime to p the wild part is <s^e>; the
+    Frobenius is s^frobenius_power, or the identity for None."""
+    from blockatlas.abelian import IntMatrix
+    from blockatlas.rootdata import RootDatumWithAction
+    s = IntMatrix(_block_diag([TORUS_SUMMANDS[kind](k) for kind, k
+                               in summands]))
+    e = m
+    while e % p == 0:
+        e //= p
+    power = IntMatrix.identity(s.rows)
+    for _ in range(e):
+        power = power @ s
+    galois = [("s", s), ("w", power)]
+    frob = IntMatrix.identity(s.rows)
+    for _ in range(frobenius_power or 0):
+        frob = frob @ s
+    galois.append(("F", frob))
+    return RootDatumWithAction(s.rows, galois=galois, inertia=("s", "w"),
+                               wild=("w",), frobenius="F")
+
+
+def seeded_tori(seed: int, count: int, primes=(2, 3, 5, 7)) -> list:
+    """count (summands, m, p, datum) cells: for each a prime p and a degree
+    m <= 12, then 1-3 summands whose degree divides m (a sign character
+    needs an even m), and a Frobenius that is the identity or a power of s."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, m = rng.choice(primes), rng.randint(2, 12)
+        kinds = [("perm", m), ("norm_one", m)] + ([("sign", 2)] if m % 2 == 0
+                                                 else [])
+        summands = []
+        for _ in range(rng.randint(1, 3)):
+            kind, _k = rng.choice(kinds)
+            k = m if kind != "sign" else 2
+            if kind != "sign" and rng.random() < 0.3:
+                k = rng.choice([d for d in range(2, m + 1) if m % d == 0])
+            summands.append((kind, k))
+        if sum(k if kind == "perm" else k - 1 if kind == "norm_one" else 1
+               for kind, k in summands) > 12:
+            continue
+        frob = rng.choice([None, rng.randrange(m)])
+        out.append((summands, m, p, torus(summands, m, p, frob)))
+    return out

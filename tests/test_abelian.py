@@ -861,3 +861,216 @@ def test_functors_match_element_oracle():
                                 module.n).columns()))
         assert_quotient(module, coinvariants(group, [f]), moved)
         assert_quotient(module, h1_cyclic(group, f), moved)
+
+
+# ------------------------------- exact shortcuts vs the general paths
+
+# The general paths as they ran before abelian.py learned to skip work on
+# identity factors and zero modules; the shortcuts must give the same
+# modules, possibly on other bases.
+
+def general_p_torsion(group, p):
+    cols = []
+    for col, d in group._scaled_gens:
+        v = d
+        while v % p == 0:
+            v //= p
+        cols.append(tuple(x // (d // v) for x in col))
+    gens = IntMatrix._of(tuple(cols), len(cols), group.sub.cols).transpose()
+    return FGAbelianGroup(group.ambient_dim, group.sub @ gens, group.rel)
+
+
+def general_coinvariants(group, gens):
+    rel = group.rel
+    one = IntMatrix.identity(group.ambient_dim)
+    for g in gens:
+        group._check_compatible(g)
+        rel = rel.hstack((g - one) @ group.sub)
+    return FGAbelianGroup(group.ambient_dim, group.sub, rel)
+
+
+def general_fixed_points(group, f):
+    group._check_compatible(f)
+    one = IntMatrix.identity(group.ambient_dim)
+    stacked = ((f - one) @ group.sub).hstack(-group.rel)
+    top = kernel_basis(stacked)._first_rows(group.sub.cols)
+    return FGAbelianGroup(group.ambient_dim, group.sub @ lattice_basis(top),
+                          group.rel)
+
+
+def general_h1_cyclic(group, f):
+    group._check_compatible(f)
+    top = kernel_basis((f @ group.sub).hstack(-group.rel))._first_rows(
+        group.sub.cols)
+    assert FGAbelianGroup(group.ambient_dim, group.sub @ lattice_basis(top),
+                          group.rel).is_trivial
+    return general_coinvariants(group, [f])
+
+
+def general_injective(source, target):
+    meet = lattice_intersection(source.sub, target.rel)
+    return meet.cols == 0 or lattice_contains(source.rel, meet)
+
+
+def general_kernel(source, target):
+    meet = lattice_intersection(source.sub, target.rel)
+    return FGAbelianGroup(source.ambient_dim, lattice_sum(meet, source.rel),
+                          source.rel)
+
+
+def same_lattice(a, b):
+    return lattice_contains(a, b) and lattice_contains(b, a)
+
+
+def assert_same_module(got, expected, what):
+    assert same_lattice(got.sub, expected.sub), what
+    assert same_lattice(got.rel, expected.rel), what
+    assert got.free_rank == expected.free_rank, what
+    assert got.invariant_factors == expected.invariant_factors, what
+
+
+def lattice_data():
+    """Every catalog datum, six seeded sums of them and 20 seeded tori."""
+    from conftest import seeded_catalog_sums, seeded_tori
+
+    from blockatlas.rootdata import catalog
+    data = [(name, e.datum) for name, e in sorted(catalog().items())]
+    data += [("+".join(names), d) for names, d in seeded_catalog_sums(20)]
+    data += [(f"torus {summands} m={m}", d)
+             for summands, m, _p, d in seeded_tori(21, 20)]
+    return data
+
+
+def test_shortcuts_give_the_general_modules():
+    from blockatlas import langlands
+    zero_cells = nonzero_cells = 0
+    for name, datum in lattice_data():
+        modules = langlands._modules(datum)
+        inert, frob = datum.inertia_matrices, datum.frobenius_matrix
+        bases = {"descent": modules.descent, "pi1_descent": modules.pi1_descent,
+                 "ab_descent": modules.ab_descent,
+                 "der_descent": modules.der_descent,
+                 "wild_lattice": modules.wild_lattice,
+                 "wild_pi1": modules.wild_pi1}
+        for key, base in bases.items():
+            assert_same_module(fixed_points(base, frob),
+                               general_fixed_points(base, frob), (name, key))
+            assert_same_module(coinvariants(base, inert),
+                               general_coinvariants(base, inert), (name, key))
+        for p in (2, 3, 5, 7):
+            parts = {}
+            for key, base in bases.items():
+                what = (name, key, p)
+                part = parts[key] = base.p_torsion(p)
+                assert_same_module(part, general_p_torsion(base, p), what)
+                zero_cells += part.is_trivial
+                nonzero_cells += not part.is_trivial
+                for got, expected in [
+                        (coinvariants(part, inert),
+                         general_coinvariants(part, inert)),
+                        (coinvariants(part, [frob]),
+                         general_coinvariants(part, [frob])),
+                        (fixed_points(part, frob),
+                         general_fixed_points(part, frob)),
+                        (h1_cyclic(part, frob), general_h1_cyclic(part, frob))]:
+                    assert_same_module(got, expected, what)
+            for source, target in [("der_descent", "pi1_descent"),
+                                   ("descent", "pi1_descent"),
+                                   ("pi1_descent", "ab_descent")]:
+                for a, b in [(parts[source], parts[target]),
+                             (fixed_points(parts[source], frob),
+                              fixed_points(parts[target], frob))]:
+                    what = (name, source, target, p)
+                    f = SubquotientMap(a, b)
+                    assert f.injective() == general_injective(a, b), what
+                    assert_same_module(f.kernel(), general_kernel(a, b), what)
+    # the shortcuts serve most cells, and the general path still runs
+    assert zero_cells > 2 * nonzero_cells > 0
+
+
+def test_p_torsion_takes_the_general_path_when_p_divides_a_factor():
+    # Z + Z/12: the shortcut fits p = 5 and 7 only
+    g = FGAbelianGroup(2, IntMatrix.identity(2),
+                       IntMatrix.from_columns([(0, 12)], 2))
+    for p, factors in [(2, (4,)), (3, (3,)), (5, ()), (7, ())]:
+        part = g.p_torsion(p)
+        assert part.invariant_factors == factors and part.free_rank == 0
+        assert_same_module(part, general_p_torsion(g, p), p)
+    # the zero subgroup is L/L, with L the relations
+    assert g.p_torsion(5) is FGAbelianGroup(2, g.rel, g.rel)
+    assert same_lattice(g.p_torsion(5).sub, g.rel)
+
+
+def test_injective_and_kernel_on_nonzero_sources():
+    # Z/4 -> Z/2 along the identity of Z: not injective, kernel Z/2; a
+    # zero source maps injectively with a zero kernel
+    z4, z2 = cokernel(IntMatrix([[4]])), cokernel(IntMatrix([[2]]))
+    f = SubquotientMap(z4, z2)
+    assert f.well_defined() and not f.injective()
+    assert f.kernel().invariant_factors == (2,)
+    zero = cokernel(IntMatrix([[1]]))
+    assert zero.is_trivial
+    g = SubquotientMap(FGAbelianGroup(1, z2.rel, z2.rel), z4)
+    assert g.injective() and g.kernel().is_trivial
+    assert_same_module(g.kernel(), general_kernel(g.source, g.target), "zero")
+
+
+def test_zero_modules_still_check_their_operators():
+    # K/K for K = 2Z + Z: a zero module the swap does not preserve
+    k = IntMatrix.from_columns([(2, 0), (0, 1)], 2)
+    zero = FGAbelianGroup(2, k, k)
+    assert zero.is_trivial
+    swap = IntMatrix([[0, 1], [1, 0]])
+    for op in (swap, IntMatrix.identity(3)):
+        for _ in range(2):
+            with pytest.raises(IncompatibleAction):
+                coinvariants(zero, [op])
+            with pytest.raises(IncompatibleAction):
+                coinvariants(zero, [IntMatrix.identity(2), op])
+            with pytest.raises(IncompatibleAction):
+                fixed_points(zero, op)
+            with pytest.raises(IncompatibleAction):
+                h1_cyclic(zero, op)
+    # an operator that preserves K gives the zero module back
+    neg = IntMatrix([[-1, 0], [0, -1]])
+    for result in (coinvariants(zero, [neg]), fixed_points(zero, neg),
+                   h1_cyclic(zero, neg)):
+        assert result is zero
+
+
+def test_identity_factors_keep_shape_errors_and_products():
+    rng = random.Random(113)
+    for n, c in itertools.product((1, 2, 3, 5), (0, 1, 2, 4)):
+        one = IntMatrix.identity(n)
+        m = shaped_matrix(rng, n, c)
+        assert one @ m == m == IntMatrix(naive_product(one, m), rows=n, cols=c)
+        left = shaped_matrix(rng, c, n)
+        assert left @ one == left == IntMatrix(naive_product(left, one),
+                                               rows=c, cols=n)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            one @ shaped_matrix(rng, n + 1, c)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            shaped_matrix(rng, c, n + 1) @ one
+        with pytest.raises(ValueError, match="shape mismatch"):
+            IntMatrix.identity(n + 1) @ one
+    for n in range(6):
+        u, s, v = smith_normal_form(IntMatrix.identity(n))
+        assert u == s == v == IntMatrix.identity(n)
+        assert u @ IntMatrix.identity(n) @ v == s
+
+
+def test_components_grid_factors_fewer_matrices(tmp_path, capsys):
+    # a work counter: from cold caches, the components grid over the
+    # catalog at p = 2, 3, 5 factors 40 distinct matrices and builds 24
+    # distinct groups (68 and 27 with every zero module and identity
+    # factor sent through the general path)
+    from blockatlas.cli import main
+    from blockatlas.rootdata import catalog
+    cfg = tmp_path / "components.cfg"
+    data = ", ".join(f"catalog:{name}" for name in sorted(catalog()))
+    cfg.write_text(f"command = components\ndata = {data}\nprimes = 2, 3, 5\n")
+    clear_process_caches()
+    assert main(["grid", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert smith_normal_form.cache_info().misses <= 40
+    assert abelian._group.cache_info().misses <= 24

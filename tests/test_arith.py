@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from blockatlas import arith
 from blockatlas.arith import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -165,6 +166,67 @@ def test_mult_order_cache_matches_uncached():
             continue
         assert mult_order(q, ell) == mult_order.__wrapped__(q, ell), (q, ell)
     assert mult_order.cache_info().hits > 0
+
+
+def divisor_walk_order(q, ell):
+    """The order as mult_order found it before: the first divisor e of
+    ell - 1, in increasing order, with q^e = 1 mod ell."""
+    return next(e for e in divisors(ell - 1) if pow(q, e, ell) == 1)
+
+
+def random_prime(rng, bits):
+    while True:
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(n):
+            return n
+
+
+def test_mult_order_matches_the_divisor_walk():
+    # seeded primes up to 2**24, whose ell - 1 trial division splits alone
+    # or leaves a prime cofactor above the trial bound
+    rng = random.Random(20261019)
+    for _ in range(300):
+        ell = random_prime(rng, rng.randint(2, 24))
+        q = rng.randrange(2, 2**20)
+        if q % ell:
+            assert mult_order.__wrapped__(q, ell) == divisor_walk_order(q, ell)
+
+
+def test_mult_order_through_pollard_brent():
+    # ell = 2·a·b + 1 with a, b primes of 14-24 bits: after trial division
+    # ell - 1 leaves the composite a·b, which only Pollard–Brent splits
+    rng = random.Random(61)
+    done = 0
+    while done < 12:
+        bits = rng.randint(14, 24)
+        a, b = random_prime(rng, bits), random_prime(rng, bits)
+        ell = 2 * a * b + 1
+        if a == b or not is_prime(ell):
+            continue
+        assert arith._prime_divisors(ell - 1) == {2, a, b}
+        q = rng.randrange(2, 10**6)
+        d = mult_order.__wrapped__(q, ell)
+        assert (ell - 1) % d == 0 and pow(q, d, ell) == 1
+        assert all(pow(q, d // r, ell) != 1 for r in (2, a, b) if d % r == 0)
+        if bits <= 16:
+            assert d == divisor_walk_order(q, ell)
+        done += 1
+
+
+def test_mult_order_stops_at_the_pollard_brent_bound(monkeypatch):
+    # ell - 1 = 2·a·b with 20-bit primes a and b: about a thousand steps
+    # split a·b, far more than a bound of 64 allows
+    a, b = 1048583, 1048681
+    ell = 2 * a * b + 1
+    assert is_prime(ell)
+    monkeypatch.setattr(arith, "_RHO_LIMIT", 64)
+    for _ in range(2):
+        with pytest.raises(BoundExceeded, match="within 64 Pollard–Brent"):
+            mult_order(3, ell)
+    monkeypatch.undo()
+    d = mult_order(3, ell)
+    assert (ell - 1) % d == 0 and pow(3, d, ell) == 1
+    assert all(pow(3, d // r, ell) != 1 for r in (2, a, b) if d % r == 0)
 
 
 def test_mult_order_raises_on_every_repeat():

@@ -30,7 +30,7 @@ def test_helper_covers_every_library_cache():
     # the label tables and series cores
     assert {"_partitions", "d_core", "_symbols", "_symbol_core", "_labels",
             "_label_set", "_blocks", "_label_renders",
-            "_series_renders"} <= names
+            "_series_renders", "_core_symbol"} <= names
 
 
 def test_clear_process_caches_leaves_every_cache_empty(capsys):

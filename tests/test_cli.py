@@ -226,6 +226,21 @@ def test_a_61_bit_prime_finishes_quickly(argv):
     check(proc.stdout)
 
 
+def test_blocks_at_a_61_bit_ell_finishes_quickly():
+    # ell - 1 = 2 * (2**60 - 1) has only primes below 1400, so the order of
+    # 2 comes from its factorization, not from a walk over its divisors
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, "blocks", "--type", "A", "--rank", "2",
+         "--q", "2", "--ell", "2305843009213693951"],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    result = check(proc.stdout)["result"]
+    assert result["d"] == 61 and result["class_count"] == 3
+
+
 def test_usage_error_is_structured(capsys):
     code, out = run(capsys, "fusion", "--type", "B")
     doc = check(out)

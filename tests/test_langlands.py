@@ -1,7 +1,7 @@
 """Torsor comparison, triviality criterion, and component-lemma checks."""
 
 import pytest
-from conftest import clear_process_caches
+from conftest import clear_process_caches, seeded_tori, torus
 
 from blockatlas import langlands
 from blockatlas.abelian import (
@@ -49,6 +49,49 @@ def test_norm_one_wild_frozen():
     report = bijection_check(datum, 2)
     assert report.group_side.invariant_factors == (2,)
     assert report.dual_side.invariant_factors == (2,)
+
+
+def inertia_order(datum):
+    """Order of the inertia image <s>, by powering s."""
+    s = datum.matrix("s")
+    power, order = s, 1
+    while power != IntMatrix.identity(datum.rank):
+        power, order = power @ s, order + 1
+    return order
+
+
+def test_tame_tori_have_trivial_torsors():
+    # The torsion of X_I is H^-1(I, X), which |I| kills (Brown, Cohomology
+    # of Groups, GTM 87, VI.4): for a torus whose inertia image has order
+    # prime to p, both torsor sides are trivial.
+    tame = wild = 0
+    for summands, m, p, datum in seeded_tori(20261019, 300):
+        report = bijection_check(datum, p)
+        if inertia_order(datum) % p:
+            assert report.group_side.is_trivial, (summands, m, p)
+            assert report.dual_side.is_trivial, (summands, m, p)
+            tame += 1
+        else:
+            wild += not report.group_side.is_trivial
+    assert tame > 100 and wild > 10, (tame, wild)
+
+
+def test_norm_one_tori_have_group_side_of_order_p_to_the_valuation():
+    # X_I of the norm-one torus of a totally ramified degree-m extension
+    # is Z/m, and Frobenius (a power of s) fixes it
+    for m in range(2, 13):
+        for p in (2, 3, 5, 7, 11):
+            if m % p:
+                continue
+            v = 0
+            while m % p ** (v + 1) == 0:
+                v += 1
+            for frob in (None, 1, m - 1):
+                datum = torus([("norm_one", m)], m, p, frob)
+                report = bijection_check(datum, p)
+                assert report.group_side.order() == p ** v, (m, p, frob)
+                assert report.group_side.invariant_factors == (p ** v,)
+                assert report.dual_side.order() == p ** v
 
 
 def test_wild_swap_both_sides_trivial():

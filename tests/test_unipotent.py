@@ -22,6 +22,7 @@ from blockatlas.unipotent import (
     _labels,
     _measure,
     _series_renders,
+    _core_symbol,
     _symbol_core,
     d_series,
     ell_blocks,
@@ -302,6 +303,29 @@ def test_series_caches_equal_uncached():
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
                             _symbol_core.__wrapped__(lab.payload, d)
+
+
+def test_equal_symbol_cores_are_one_object(monkeypatch):
+    # dict lookups on cores stop at identity: counting Symbol.__eq__ while
+    # every symbol-family series up to rank 6 is built and validated finds
+    # no call, and each distinct core value is one object
+    clear_process_caches()
+    calls = []
+    real_eq = Symbol.__eq__
+    monkeypatch.setattr(Symbol, "__eq__",
+                        lambda a, b: calls.append(1) or real_eq(a, b))
+    cores = {}
+    for family in ("B", "C", "D", "2D"):
+        for tag in tags(family, 6):
+            for d in range(1, 2 * tag.rank + 4):
+                d_series(tag, d)
+                for lab in _labels(tag):
+                    core = _symbol_core(lab.payload, d)
+                    key = (core.row_s, core.row_t)
+                    assert cores.setdefault(key, core) is core, (tag, d)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(cores) == _core_symbol.cache_info().currsize
 
 
 def test_render_tables_follow_the_label_table_and_series():
