@@ -118,6 +118,7 @@ def _norm_one_block(m: int) -> list:
 
 
 def _sign_block(m: int) -> list:
+    """s on Z as -1: the sign character, for an even degree."""
     return [[-1]]
 
 
@@ -127,9 +128,9 @@ TORUS_SUMMANDS = {"perm": _permutation_block, "norm_one": _norm_one_block,
 
 def torus(summands, m: int, p: int, frobenius_power=None):
     """The torus whose cocharacter lattice is the direct sum of the given
-    (kind, m) summands, with inertia generated by s acting on every block
-    at once.  For m = p^a·e with e prime to p the wild part is <s^e>; the
-    Frobenius is s^frobenius_power, or the identity for None."""
+    (kind, degree) summands, with inertia generated by s acting on every
+    block at once.  For m = p^a·e with e prime to p the wild part is
+    <s^e>; the Frobenius is s^frobenius_power, or the identity for None."""
     from blockatlas.abelian import IntMatrix
     from blockatlas.rootdata import RootDatumWithAction
     s = IntMatrix(_block_diag([TORUS_SUMMANDS[kind](k) for kind, k
@@ -152,22 +153,21 @@ def torus(summands, m: int, p: int, frobenius_power=None):
 def seeded_tori(seed: int, count: int, primes=(2, 3, 5, 7)) -> list:
     """count (summands, m, p, datum) cells: for each a prime p and a degree
     m <= 12, then 1-3 summands whose degree divides m (a sign character
-    needs an even m), and a Frobenius that is the identity or a power of s."""
+    needs an even m) and whose ranks sum to at most 12, and a Frobenius
+    that is the identity or a power of s."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         p, m = rng.choice(primes), rng.randint(2, 12)
-        kinds = [("perm", m), ("norm_one", m)] + ([("sign", 2)] if m % 2 == 0
-                                                 else [])
+        kinds = ["perm", "norm_one"] + (["sign"] if m % 2 == 0 else [])
         summands = []
         for _ in range(rng.randint(1, 3)):
-            kind, _k = rng.choice(kinds)
-            k = m if kind != "sign" else 2
+            kind = rng.choice(kinds)
+            k = 2 if kind == "sign" else m
             if kind != "sign" and rng.random() < 0.3:
                 k = rng.choice([d for d in range(2, m + 1) if m % d == 0])
             summands.append((kind, k))
-        if sum(k if kind == "perm" else k - 1 if kind == "norm_one" else 1
-               for kind, k in summands) > 12:
+        if sum(len(TORUS_SUMMANDS[kind](k)) for kind, k in summands) > 12:
             continue
         frob = rng.choice([None, rng.randrange(m)])
         out.append((summands, m, p, torus(summands, m, p, frob)))
