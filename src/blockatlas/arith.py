@@ -311,8 +311,9 @@ def checked_power(q: int, d: int) -> int:
     """q**d, rejected when it exceeds the native 63-bit budget."""
     if q < 2 or d < 1:
         raise ValueError("need q >= 2 and d >= 1")
-    value = q ** d
-    if value > _POWER_LIMIT:
+    # q >= 2**(bits - 1), so q**d >= 2**63 once d * (bits - 1) >= 63: such
+    # a power is rejected before it is computed
+    if d * (q.bit_length() - 1) >= 63 or (value := q ** d) > _POWER_LIMIT:
         raise BoundExceeded(f"{q}**{d} exceeds the supported range")
     return value
 

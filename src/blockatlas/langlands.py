@@ -23,16 +23,17 @@ computed directly from the inertia coinvariants, and p-torsion of the torus
 quotient injects into p-torsion of the fundamental-group quotient, before
 and after taking Frobenius fixed points.
 
-The modules these checks read that do not depend on p (inertia and wild
-coinvariants, pi1 and its descent, the derived-subgroup sequence, Frobenius
-fixed points, the tame quotient order) are computed once per datum value and
-process, each on first use; per p only the p-torsion, the maps between the
+The modules these checks read that do not depend on p are computed once per
+datum value and process, each on first use, by the caches that build them:
+``pi1``, ``kottwitz_target``, ``derived_and_abelianized`` and
+``tame_quotient_order`` in :mod:`rootdata`, and ``coinvariants`` and
+``fixed_points`` in :mod:`abelian` for the inertia and wild coinvariants and
+the Frobenius fixed points.  Per p only the p-torsion, the maps between the
 p-parts, H^1 on them and the cardinality check remain.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Optional
 
 from .abelian import (
@@ -47,10 +48,10 @@ from .abelian import (
 from .arith import is_prime
 from .errors import InvariantViolation
 from .rootdata import (
-    DerivedAbelianized,
     RootDatumWithAction,
     derived_and_abelianized,
     is_induced,
+    kottwitz_target,
     pi1,
     tame_quotient_order,
 )
@@ -64,87 +65,22 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-class _DatumModules:
-    """The p-independent modules of one datum, each built on first use.
-
-    A field whose construction raises is not stored, so the error is raised
-    again on the next read.
-    """
-
-    def __init__(self, datum: RootDatumWithAction):
-        self.datum = datum
-
-    @functools.cached_property
-    def descent(self) -> FGAbelianGroup:
-        """Inertia coinvariants of the cocharacter lattice."""
-        return coinvariants(FGAbelianGroup.free(self.datum.rank),
-                            self.datum.inertia_matrices)
-
-    @functools.cached_property
-    def descent_fixed(self) -> FGAbelianGroup:
-        return fixed_points(self.descent, self.datum.frobenius_matrix)
-
-    @functools.cached_property
-    def fundamental(self) -> FGAbelianGroup:
-        return pi1(self.datum)
-
-    @functools.cached_property
-    def pi1_descent(self) -> FGAbelianGroup:
-        return coinvariants(self.fundamental, self.datum.inertia_matrices)
-
-    @functools.cached_property
-    def kottwitz(self) -> FGAbelianGroup:
-        return fixed_points(self.pi1_descent, self.datum.frobenius_matrix)
-
-    @functools.cached_property
-    def derived(self) -> DerivedAbelianized:
-        return derived_and_abelianized(self.datum)
-
-    @functools.cached_property
-    def ab_descent(self) -> FGAbelianGroup:
-        return coinvariants(self.derived.cochar_ab, self.datum.inertia_matrices)
-
-    @functools.cached_property
-    def der_descent(self) -> FGAbelianGroup:
-        return coinvariants(self.derived.pi1_der, self.datum.inertia_matrices)
-
-    @functools.cached_property
-    def wild_lattice(self) -> FGAbelianGroup:
-        """Wild coinvariants of the cocharacter lattice."""
-        return coinvariants(FGAbelianGroup.free(self.datum.rank),
-                            self.datum.wild_matrices)
-
-    @functools.cached_property
-    def wild_torsion(self) -> FGAbelianGroup:
-        return self.wild_lattice.torsion()
-
-    @functools.cached_property
-    def wild_pi1(self) -> FGAbelianGroup:
-        return coinvariants(self.fundamental, self.datum.wild_matrices)
-
-    @functools.cached_property
-    def tame_order(self) -> int:
-        return tame_quotient_order(self.datum)
-
-
-@functools.lru_cache(maxsize=None)
-def _modules(datum: RootDatumWithAction) -> _DatumModules:
-    return _DatumModules(datum)
-
-
 def group_side_torsor(datum: RootDatumWithAction, p: int) -> FGAbelianGroup:
     """p-torsion of the Frobenius fixed points of the inertia coinvariants
     of the cocharacter lattice."""
     _check_prime(p)
-    return _modules(datum).descent_fixed.p_torsion(p)
+    descent = coinvariants(FGAbelianGroup.free(datum.rank),
+                           datum.inertia_matrices)
+    return fixed_points(descent, datum.frobenius_matrix).p_torsion(p)
 
 
 def dual_side_torsor(datum: RootDatumWithAction, p: int) -> FGAbelianGroup:
     """Frobenius coinvariants of the p-torsion of the inertia coinvariants
     of the cocharacter lattice."""
     _check_prime(p)
-    return coinvariants(_modules(datum).descent.p_torsion(p),
-                        [datum.frobenius_matrix])
+    descent = coinvariants(FGAbelianGroup.free(datum.rank),
+                           datum.inertia_matrices)
+    return coinvariants(descent.p_torsion(p), [datum.frobenius_matrix])
 
 
 def _group_dict(group: FGAbelianGroup) -> dict:
@@ -263,8 +199,7 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     it is omitted.  A malformed witness raises InvalidWitness.
     """
     _check_prime(p)
-    modules = _modules(datum)
-    da = modules.derived
+    da = derived_and_abelianized(datum)
     der_order = da.pi1_der.order()
     if der_order is None:
         raise InvariantViolation("derived fundamental group must be finite")
@@ -276,15 +211,17 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
         else IntMatrix.identity(da.ab_rank)
     wild_ab_induced = is_induced(wild_ab, witness)
 
-    ab_torsion = modules.ab_descent.p_torsion(p)
-    pi1_torsion = modules.pi1_descent.p_torsion(p)
-    left = SubquotientMap(modules.der_descent.p_torsion(p), pi1_torsion)
+    inert = datum.inertia_matrices
+    ab_torsion = coinvariants(da.cochar_ab, inert).p_torsion(p)
+    pi1_torsion = coinvariants(pi1(datum), inert).p_torsion(p)
+    left = SubquotientMap(coinvariants(da.pi1_der, inert).p_torsion(p),
+                          pi1_torsion)
     right = SubquotientMap(pi1_torsion, ab_torsion)
     sequence_exact = (left.well_defined() and right.well_defined()
                       and right.surjective()
                       and _subgroups_equal(left.image(), right.kernel()))
 
-    conclusion = modules.kottwitz.p_torsion(p).is_trivial
+    conclusion = kottwitz_target(datum).p_torsion(p).is_trivial
     regime = REGIME_PROVED if quasi_split else REGIME_CONJECTURAL
     return CriterionReport(
         p=p, regime=regime, derived_pi1_order=der_order,
@@ -349,24 +286,26 @@ def _is_p_power(n: int, p: int) -> bool:
 def component_lemma_checks(datum: RootDatumWithAction,
                            p: int) -> ComponentLemmaReport:
     _check_prime(p)
-    modules = _modules(datum)
     inert = datum.inertia_matrices
     frob = datum.frobenius_matrix
+    lattice = FGAbelianGroup.free(datum.rank)
 
+    wild_lattice = coinvariants(lattice, datum.wild_matrices)
     p_local = all(_is_p_power(d, p)
-                  for d in modules.wild_torsion.invariant_factors)
+                  for d in wild_lattice.torsion().invariant_factors)
 
-    torus_part = modules.descent.p_torsion(p)
-    pi1_part = modules.pi1_descent.p_torsion(p)
+    torus_part = coinvariants(lattice, inert).p_torsion(p)
+    fundamental = pi1(datum)
+    pi1_part = coinvariants(fundamental, inert).p_torsion(p)
 
     def through_wild(wild_quotient: FGAbelianGroup) -> tuple:
         staged = wild_quotient.p_torsion(p)
         return h1_cyclic(coinvariants(staged, inert), frob).invariant_factors
 
     h1_cochar = (h1_cyclic(torus_part, frob).invariant_factors
-                 == through_wild(modules.wild_lattice))
+                 == through_wild(wild_lattice))
     h1_pi1 = (h1_cyclic(pi1_part, frob).invariant_factors
-              == through_wild(modules.wild_pi1))
+              == through_wild(coinvariants(fundamental, datum.wild_matrices)))
 
     plain = SubquotientMap(torus_part, pi1_part)
     injects = plain.well_defined() and plain.injective()
@@ -374,7 +313,7 @@ def component_lemma_checks(datum: RootDatumWithAction,
                            fixed_points(pi1_part, frob))
     injects_fixed = fixed.well_defined() and fixed.injective()
 
-    tame_order = modules.tame_order
+    tame_order = tame_quotient_order(datum)
     return ComponentLemmaReport(
         p=p, tame_action_order=tame_order,
         tame_order_coprime=tame_order % p != 0,

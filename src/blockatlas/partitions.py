@@ -12,7 +12,7 @@ the removal of one d-hook, so the abacus output is the common endpoint of
 every removal order.
 
 Each size's partition table and each (λ, d) core is computed once per
-process: ``partitions_of`` checks the configured bound on every call and
+process: ``partitions_of`` checks the size bound on every call and
 returns a fresh list copied from the size's table, and ``d_core`` is an
 ``lru_cache`` function, so the linear families A and 2A share their cores.
 """

@@ -12,7 +12,11 @@ From a datum the module derives the algebraic fundamental group (cocharacter
 lattice modulo the coroot lattice), its arithmetic form (inertia
 coinvariants followed by Frobenius fixed points), and the two ends of the
 derived-subgroup sequence: the fundamental group of the derived subgroup and
-the cocharacter lattice of the abelianization.
+the cocharacter lattice of the abelianization.  Each of these functors
+(``pi1``, ``kottwitz_target``, ``derived_and_abelianized``, and
+``tame_quotient_order``) is an ``lru_cache`` function of the immutable
+datum, so it runs once per datum value and process; a call that raises is
+not cached.
 
 ``catalog()`` returns a fixed library of small worked examples used by the
 tests and the command-line tools.
@@ -210,6 +214,7 @@ class RootDatumWithAction:
         return IntMatrix.from_columns(self.coroots, self.rank)
 
 
+@functools.lru_cache(maxsize=None)
 def tame_quotient_order(datum: RootDatumWithAction) -> int:
     """Order of the tame quotient of the inertia image.
 
@@ -253,6 +258,7 @@ def _matrix_group_closure(gens: Sequence[IntMatrix], dim: int) -> set:
 # --------------------------------------------------------------- functors
 
 
+@functools.lru_cache(maxsize=None)
 def pi1(datum: RootDatumWithAction) -> FGAbelianGroup:
     """Cocharacter lattice modulo the coroot lattice, in ambient Z^rank.
 
@@ -270,6 +276,7 @@ def pi1(datum: RootDatumWithAction) -> FGAbelianGroup:
                           coroot_lattice)
 
 
+@functools.lru_cache(maxsize=None)
 def kottwitz_target(datum: RootDatumWithAction) -> FGAbelianGroup:
     """Frobenius fixed points of the inertia coinvariants of pi1."""
     descended = coinvariants(pi1(datum), datum.inertia_matrices)
@@ -292,6 +299,7 @@ class DerivedAbelianized(NamedTuple):
     ab_action: tuple  # (label, IntMatrix on Z^ab_rank) pairs
 
 
+@functools.lru_cache(maxsize=None)
 def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
     rank = datum.rank
     ambient = IntMatrix.identity(rank)
@@ -376,7 +384,6 @@ class CatalogEntry(NamedTuple):
     quasi_split: bool = True
     residue_chars: Optional[tuple] = None
     tame_witness: Optional[IntMatrix] = None
-    summary: str = ""
 
 
 def _split(rank: int, coroots=(), roots=()):
@@ -407,80 +414,63 @@ def _catalog_entries() -> tuple:
     eye1 = IntMatrix.identity(1)
     eye2 = IntMatrix.identity(2)
     return (
-        CatalogEntry(
-            "split_torus_rank1", _split(1), tame_witness=eye1,
-            summary="split one-dimensional torus; everything trivial"),
-        CatalogEntry(
-            "split_torus_rank2", _split(2), tame_witness=eye2,
-            summary="split two-dimensional torus"),
+        CatalogEntry("split_torus_rank1", _split(1), tame_witness=eye1),
+        CatalogEntry("split_torus_rank2", _split(2), tame_witness=eye2),
         CatalogEntry(
             "unramified_induced_rank2",
             RootDatumWithAction(2, galois=(("F", _SWAP),), frobenius="F"),
-            tame_witness=eye2,
-            summary="unramified induced torus; Frobenius swaps the basis"),
+            tame_witness=eye2),
         CatalogEntry(
             "tame_induced_rank2",
             RootDatumWithAction(2, galois=(("s", _SWAP), ("F", _NEG2)),
                                 inertia=("s",), frobenius="F"),
-            tame_witness=eye2,
-            summary="tame inertia swaps the basis; Frobenius negates"),
+            tame_witness=eye2),
         CatalogEntry(
             "norm_one_ramified",
             RootDatumWithAction(1, galois=(("s", _NEG1), ("F", eye1)),
-                                inertia=("s",), frobenius="F"),
-            summary="norm-one torus of a ramified quadratic extension"),
+                                inertia=("s",), frobenius="F")),
         CatalogEntry(
             "norm_one_unramified",
             RootDatumWithAction(1, galois=(("F", _NEG1),), frobenius="F"),
-            tame_witness=eye1,
-            summary="norm-one torus of the unramified quadratic extension"),
+            tame_witness=eye1),
         CatalogEntry(
             "norm_one_wild",
             RootDatumWithAction(1, galois=(("w", _NEG1), ("F", eye1)),
                                 inertia=("w",), wild=("w",), frobenius="F"),
-            residue_chars=(2,),
-            summary="norm-one torus of a wildly ramified quadratic extension"),
+            residue_chars=(2,)),
         CatalogEntry(
             "wild_swap_rank2",
             RootDatumWithAction(2, galois=(("w", _SWAP), ("F", eye2)),
                                 inertia=("w",), wild=("w",), frobenius="F",
                                 induced_witness=eye2),
-            residue_chars=(2,),
-            summary="wildly induced rank-two torus; wild inertia swaps the basis"),
+            residue_chars=(2,)),
         CatalogEntry(
             "wild_induced_rank2",
             RootDatumWithAction(2, galois=(("w", _SWAP), ("F", _NEG2)),
                                 inertia=("w",), wild=("w",), frobenius="F",
                                 induced_witness=eye2),
-            residue_chars=(2,),
-            summary="wild basis swap with Frobenius acting by negation"),
+            residue_chars=(2,)),
         CatalogEntry(
             "wild_plus_tame_rank2",
             RootDatumWithAction(2, galois=(("w", _NEG2), ("t", _ROT3), ("F", eye2)),
                                 inertia=("w", "t"), wild=("w",), frobenius="F"),
-            residue_chars=(2,),
-            summary="central wild negation under a tame order-three rotation"),
+            residue_chars=(2,)),
         CatalogEntry(
             "sl2_split", _split(1, coroots=((1,), (-1,)), roots=((2,), (-2,))),
-            tame_witness=eye1,
-            summary="split rank-one simply connected group"),
+            tame_witness=eye1),
         CatalogEntry(
             "pgl2_split", _split(1, coroots=((2,), (-2,)), roots=((1,), (-1,))),
-            tame_witness=eye1,
-            summary="split rank-one adjoint group"),
+            tame_witness=eye1),
         CatalogEntry(
             "gl2_split",
             _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1))),
-            tame_witness=eye2,
-            summary="split reductive group with one-dimensional center"),
+            tame_witness=eye2),
         CatalogEntry(
             "sl3_split", _split(2, coroots=_A2_COROOTS, roots=_A2_ROOTS),
-            tame_witness=eye2,
-            summary="split rank-two simply connected group"),
+            tame_witness=eye2),
         CatalogEntry(
             "pgl3_split", _split(2, coroots=_A2_ROOTS, roots=_A2_COROOTS),
-            tame_witness=eye2,
-            summary="split rank-two adjoint group"),
+            tame_witness=eye2),
         CatalogEntry(
             "sp4_split",
             _split(2,
@@ -488,19 +478,16 @@ def _catalog_entries() -> tuple:
                             (-1, 0), (0, -1), (-1, -1), (-1, 1)),
                    roots=((2, 0), (0, 2), (1, 1), (1, -1),
                           (-2, 0), (0, -2), (-1, -1), (-1, 1))),
-            tame_witness=eye2,
-            summary="split rank-two symplectic group"),
+            tame_witness=eye2),
         CatalogEntry(
             "su3_unramified",
             RootDatumWithAction(2, coroots=_A2_COROOTS, roots=_A2_ROOTS,
                                 galois=(("F", _SWAP),), frobenius="F"),
-            tame_witness=eye2,
-            summary="quasi-split unramified special unitary group of rank two"),
+            tame_witness=eye2),
         CatalogEntry(
             "gl2_inner_twist",
             _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1))),
-            quasi_split=False, tame_witness=eye2,
-            summary="inner twist sharing the gl2 datum; comparison is conjectural"),
+            quasi_split=False, tame_witness=eye2),
     )
 
 

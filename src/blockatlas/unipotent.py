@@ -14,10 +14,12 @@ members differ from their core by a multiple of the step size (d, the ennola
 image, or d/2 respectively) — validated on every constructed partition.
 
 Each type's labels and each (type, d) series are built once per process,
-the series validated before they are kept; every call still checks the
-configured rank bound first and gets its own list or SeriesPartition.  The
-label table is built in ``UnipotentLabel.sort_key`` order, checked once when
-it is built, so a series keeps each block's members in table order.  Cores
+the series validated before they are kept, and each call gets its own list
+or SeriesPartition.  The rank bounds of :mod:`limits` are checked by the
+enumerators that build a label table; a build that raises is not cached, so
+it raises again on the next call.  The label table is built in
+``UnipotentLabel.sort_key`` order, checked once when it is built, so a
+series keeps each block's members in table order.  Cores
 are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
 the canonical symbol core per (symbol, d), so B and C share theirs, and
 equal symbol cores are one object, so dict lookups on them stop at
@@ -27,7 +29,7 @@ once.  Each label keeps the measure its table computed for it when the table
 was built.  Validation looks up every label's core again, renders and
 measures each distinct core once more, checks each label's stored measure
 against it, and compares coverage with one frozenset per type.  Two render
-tables serve the fusion merge: ``label_renders`` holds one tuple of label
+caches serve the fusion merge: ``label_renders`` holds one tuple of label
 renders per type and ``series_renders`` one tuple of member renders per
 block of each (type, d) series, both built from the tables above.  The
 1-series also feeds the defect bounds in :mod:`fusion`.
@@ -40,7 +42,6 @@ from typing import NamedTuple, Optional, Union
 
 from .arith import GroupTypeTag, PrimePower, is_good, is_prime, mult_order
 from .errors import BadPrimeHypothesis, InvariantViolation, NotSupported
-from .limits import check_partition_size, check_symbol_rank
 from .partitions import d_core, ennola_dual, partitions_of
 from .symbols import (
     DEFECT_MOD4_0,
@@ -138,6 +139,8 @@ def _core_symbol(row_s: tuple, row_t: tuple) -> Symbol:
 def _core_rule(family: str, d: int) -> tuple:
     """(core function, its step argument) of the family's d-rule, resolved
     once per series rather than once per label."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if family == "A":
         return d_core, d
     if family == "2A":
@@ -212,15 +215,6 @@ class SeriesPartition(NamedTuple):
             raise InvariantViolation("blocks do not cover the label set")
 
 
-def _check_bound(group_type: GroupTypeTag) -> None:
-    """Raise BoundExceeded if the configured bound excludes the type's labels;
-    read on every call, ahead of the caches below."""
-    if group_type.family in ("A", "2A"):
-        check_partition_size(group_type.rank + 1)
-    elif group_type.family in _SYMBOL_DEFECTS:
-        check_symbol_rank(group_type.rank)
-
-
 @functools.lru_cache(maxsize=None)
 def _labels(group_type: GroupTypeTag) -> tuple:
     """The type's label table, strictly increasing in sort_key order."""
@@ -252,19 +246,13 @@ def _label_set(group_type: GroupTypeTag) -> frozenset:
 
 def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
     """Complete, duplicate-free, deterministically ordered label list."""
-    _check_bound(group_type)
     return list(_labels(group_type))
 
 
 @functools.lru_cache(maxsize=None)
-def _label_renders(group_type: GroupTypeTag) -> tuple:
-    return tuple(lab.render() for lab in _labels(group_type))
-
-
 def label_renders(group_type: GroupTypeTag) -> tuple:
     """Each label's render, in the order of enumerate_labels."""
-    _check_bound(group_type)
-    return _label_renders(group_type)
+    return tuple(lab.render() for lab in _labels(group_type))
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,24 +270,14 @@ def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _series_renders(group_type: GroupTypeTag, d: int) -> tuple:
+def series_renders(group_type: GroupTypeTag, d: int) -> tuple:
+    """Each block's member renders, blocks and members in d_series order."""
     return tuple(tuple(lab.render() for lab in members)
                  for _key, members in _blocks(group_type, d))
 
 
-def series_renders(group_type: GroupTypeTag, d: int) -> tuple:
-    """Each block's member renders, blocks and members in d_series order."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _check_bound(group_type)
-    return _series_renders(group_type, d)
-
-
 def d_series(group_type: GroupTypeTag, d: int,
              context: Optional[dict] = None) -> SeriesPartition:
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _check_bound(group_type)
     ctx = context if context is not None else {"kind": "d_series", "d": d}
     return SeriesPartition(group_type, d, _blocks(group_type, d), ctx)
 

@@ -942,17 +942,19 @@ def lattice_data():
 
 
 def test_shortcuts_give_the_general_modules():
-    from blockatlas import langlands
+    from blockatlas.rootdata import derived_and_abelianized, pi1
     zero_cells = nonzero_cells = 0
     for name, datum in lattice_data():
-        modules = langlands._modules(datum)
         inert, frob = datum.inertia_matrices, datum.frobenius_matrix
-        bases = {"descent": modules.descent,
-                 "pi1_descent": modules.pi1_descent,
-                 "ab_descent": modules.ab_descent,
-                 "der_descent": modules.der_descent,
-                 "wild_lattice": modules.wild_lattice,
-                 "wild_pi1": modules.wild_pi1}
+        wild = datum.wild_matrices
+        lattice, fundamental = FGAbelianGroup.free(datum.rank), pi1(datum)
+        da = derived_and_abelianized(datum)
+        bases = {"descent": coinvariants(lattice, inert),
+                 "pi1_descent": coinvariants(fundamental, inert),
+                 "ab_descent": coinvariants(da.cochar_ab, inert),
+                 "der_descent": coinvariants(da.pi1_der, inert),
+                 "wild_lattice": coinvariants(lattice, wild),
+                 "wild_pi1": coinvariants(fundamental, wild)}
         for key, base in bases.items():
             assert_same_module(fixed_points(base, frob),
                                general_fixed_points(base, frob), (name, key))

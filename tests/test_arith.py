@@ -299,6 +299,19 @@ def test_checked_power_bound():
         primitive_prime(10, 20)
 
 
+def test_checked_power_raises_exactly_above_the_limit():
+    # the bit-length guard rejects some powers before computing them; it
+    # must reject no power that fits
+    for q in range(2, 65):
+        for d in range(1, 72):
+            if q ** d > 2**63 - 1:
+                with pytest.raises(BoundExceeded,
+                                   match=rf"^{q}\*\*{d} exceeds"):
+                    checked_power(q, d)
+            else:
+                assert checked_power(q, d) == q ** d, (q, d)
+
+
 # ------------------------------------------------------------ good primes
 
 def test_bad_prime_tables():

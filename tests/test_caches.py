@@ -29,8 +29,11 @@ def test_helper_covers_every_library_cache():
             "FGAbelianGroup.p_torsion", "IntMatrix.identity"} <= names
     # the label tables and series cores
     assert {"_partitions", "d_core", "_symbols", "_symbol_core", "_labels",
-            "_label_set", "_blocks", "_label_renders",
-            "_series_renders", "_core_symbol"} <= names
+            "_label_set", "_blocks", "label_renders",
+            "series_renders", "_core_symbol"} <= names
+    # the p-independent functors of a root datum
+    assert {"pi1", "kottwitz_target", "derived_and_abelianized",
+            "tame_quotient_order"} <= names
 
 
 def test_clear_process_caches_leaves_every_cache_empty(capsys):

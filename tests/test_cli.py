@@ -226,6 +226,21 @@ def test_a_61_bit_prime_finishes_quickly(argv):
     check(proc.stdout)
 
 
+@pytest.mark.parametrize("d", [2**61 - 1, 2**63 - 1])
+def test_zsygmondy_at_a_huge_d_fails_fast(d):
+    # q**d is rejected from the bit lengths, before the power is computed
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, "zsygmondy", "--q", "2", "--d", str(d)],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 2, proc.stderr
+    assert check(proc.stdout)["error"] == {
+        "code": "BoundExceeded",
+        "message": f"2**{d} exceeds the supported range"}
+
+
 def test_blocks_at_a_61_bit_ell_finishes_quickly():
     # ell - 1 = 2 * (2**60 - 1) has only primes below 1400, so the order of
     # 2 comes from its factorization, not from a walk over its divisors

@@ -14,7 +14,7 @@ from blockatlas.fusion import (
     fusion_closure,
     is_single_D_series,
 )
-from blockatlas.limits import DEFAULT_PARTITION_SIZE
+from blockatlas.limits import MAX_PARTITION_SIZE
 from blockatlas.unipotent import d_series, enumerate_labels
 
 
@@ -139,7 +139,7 @@ def test_series_after_one_class_merge_nothing(family):
 
 @pytest.mark.parametrize("family", ["A", "2A"])
 def test_linear_families_single_class_at_partition_bound(family):
-    rank = DEFAULT_PARTITION_SIZE - 1
+    rank = MAX_PARTITION_SIZE - 1
     start = time.monotonic()
     res = fusion_closure(GroupTypeTag(family, rank), PrimePower.from_q(2))
     elapsed = time.monotonic() - start

@@ -21,7 +21,14 @@ from blockatlas.langlands import (
     dual_side_torsor,
     group_side_torsor,
 )
-from blockatlas.rootdata import RootDatumWithAction, catalog
+from blockatlas.rootdata import (
+    RootDatumWithAction,
+    catalog,
+    derived_and_abelianized,
+    kottwitz_target,
+    pi1,
+    tame_quotient_order,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -332,17 +339,20 @@ def test_checks_agree_with_and_without_warm_modules(name):
     for command, p in cells:
         clear_process_caches()
         cold[command, p] = checks[command](p).as_dict()
-    # one sweep in reverse order warms the record with the other primes and
-    # commands; a second sweep then reads every module from it
-    langlands._modules.cache_clear()
+    # one sweep in reverse order warms the datum's caches with the other
+    # primes and commands; a second sweep then reads every module from them
+    for cache in (pi1, kottwitz_target, derived_and_abelianized,
+                  tame_quotient_order):
+        cache.cache_clear()
     for sweep in (cells[::-1], cells):
         for command, p in sweep:
             assert checks[command](p).as_dict() == cold[command, p], (command, p)
 
 
 def test_bijection_check_rejects_composite_p_before_lattice_work(monkeypatch):
-    def no_lattice_work(datum):
+    def no_lattice_work(*args):
         raise AssertionError("lattice work before the prime check")
-    monkeypatch.setattr(langlands, "_modules", no_lattice_work)
+    monkeypatch.setattr(langlands, "coinvariants", no_lattice_work)
+    monkeypatch.setattr(langlands, "fixed_points", no_lattice_work)
     with pytest.raises(ValueError, match="p = 4 is not prime"):
         bijection_check(entry("pgl2_split").datum, 4)

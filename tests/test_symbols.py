@@ -408,7 +408,9 @@ def test_mutating_a_returned_symbol_list_leaves_the_cache_intact():
 
 
 def test_enumerate_bound_env(monkeypatch):
+    # the bound is the constant rank 10: no environment variable lowers it
     monkeypatch.setenv("BLOCKATLAS_MAX_RANK", "3")
     with pytest.raises(BoundExceeded):
-        enumerate_symbols(4, DEFECT_ODD)
+        enumerate_symbols(11, DEFECT_ODD)
     assert enumerate_symbols(3, DEFECT_ODD)
+    assert enumerate_symbols(4, DEFECT_ODD)

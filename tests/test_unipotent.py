@@ -17,11 +17,9 @@ from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
     _blocks,
-    _label_renders,
     _label_set,
     _labels,
     _measure,
-    _series_renders,
     _core_symbol,
     _symbol_core,
     d_series,
@@ -70,6 +68,34 @@ def test_enumerate_counts_frozen():
     assert len(enumerate_labels(GroupTypeTag("A", 3))) == 5
 
 
+def lusztig_label_count(family, n):
+    """Lusztig's closed forms for the number of unipotent characters, with
+    p the partition count and p2 the bipartition count (0 below size 0)."""
+    def p(m):
+        return multipartition_count(1, m) if m >= 0 else 0
+
+    def p2(m):
+        return multipartition_count(2, m) if m >= 0 else 0
+
+    if family in ("A", "2A"):
+        return p(n + 1)
+    if family in ("B", "C"):
+        return sum(p2(n - s * (s + 1)) for s in range(n + 1))
+    if family == "D":
+        # defect 0: swap classes of bipartitions, degenerate ones twice
+        half = p(n // 2) if n % 2 == 0 else 0
+        return ((p2(n) + 3 * half) // 2
+                + sum(p2(n - 4 * k * k) for k in range(1, n + 1)))
+    return sum(p2(n - (2 * k + 1) ** 2) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_label_counts_follow_the_closed_forms(family):
+    for n in range(2, 11):
+        tag = GroupTypeTag(family, n)
+        assert len(enumerate_labels(tag)) == lusztig_label_count(family, n), n
+
+
 def test_degenerate_markers():
     labs = enumerate_labels(D2)
     marked = [lab for lab in labs if lab.marker]
@@ -98,7 +124,7 @@ def test_enumerate_bound():
         enumerate_labels(GroupTypeTag("A", 30))
 
 
-def test_cached_labels_and_series_respect_rank_bound(monkeypatch):
+def test_cached_labels_and_series_respect_rank_bound(monkeypatch, capsys):
     b8 = GroupTypeTag("B", 8)
     labels = enumerate_labels(b8)
     expected = list(labels)
@@ -109,15 +135,26 @@ def test_cached_labels_and_series_respect_rank_bound(monkeypatch):
     part = d_series(b8, 3)
     part.context["tampered"] = True
     assert d_series(b8, 3).context == {"kind": "d_series", "d": 3}
+    # a build that exceeds the bound raises and is not cached: it raises
+    # again on the next call, through every entry point
+    b11 = GroupTypeTag("B", 11)
+    for _ in range(2):
+        with pytest.raises(BoundExceeded):
+            enumerate_labels(b11)
+        with pytest.raises(BoundExceeded):
+            d_series(b11, 3)
+        with pytest.raises(BoundExceeded):
+            label_renders(b11)
+        with pytest.raises(BoundExceeded):
+            series_renders(b11, 3)
+    # the bound is a constant: no environment variable lowers it
+    from blockatlas.cli import main
+    argv = ["unipotent", "--type", "B", "--rank", "4"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
     monkeypatch.setenv("BLOCKATLAS_MAX_RANK", "3")
-    with pytest.raises(BoundExceeded):
-        enumerate_labels(b8)
-    with pytest.raises(BoundExceeded):
-        d_series(b8, 3)
-    with pytest.raises(BoundExceeded):
-        label_renders(b8)
-    with pytest.raises(BoundExceeded):
-        series_renders(b8, 3)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
 
 
 # --------------------------------------------------------------- d-series
@@ -294,11 +331,11 @@ def test_series_caches_equal_uncached():
         for tag in tags(family, 6):
             assert _labels(tag) == _labels.__wrapped__(tag)
             assert _label_set(tag) == _label_set.__wrapped__(tag)
-            assert _label_renders(tag) == _label_renders.__wrapped__(tag)
+            assert label_renders(tag) == label_renders.__wrapped__(tag)
             for d in range(1, 2 * tag.rank + 4):
                 assert _blocks(tag, d) == _blocks.__wrapped__(tag, d)
-                assert _series_renders(tag, d) == \
-                    _series_renders.__wrapped__(tag, d)
+                assert series_renders(tag, d) == \
+                    series_renders.__wrapped__(tag, d)
                 for lab in _labels(tag):
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
