@@ -343,6 +343,11 @@ def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[in
     """Map d -> smallest witnessing odd good prime, for 1 <= d <= d_max."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
+    # q >= 2, so q**d > _POWER_LIMIT for every d past this one
+    limit = _POWER_LIMIT.bit_length() - 1
+    if d_max > limit:
+        raise BoundExceeded(f"d_max {d_max} exceeds {limit}: every q**d with "
+                            f"d > {limit} exceeds the supported range")
     excluded = _BAD_PRIMES[group_type.family] | {2}
     out: dict[int, int] = {}
     for d in range(1, d_max + 1):

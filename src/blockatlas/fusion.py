@@ -7,13 +7,15 @@ single class remains, because no later series can merge anything: the
 certificate and the admissible map (every witnessed d ≤ d_max) are the same
 as over every d, and every series that is built is still validated.  The
 closure and the D-series join share one merge loop, which reads each series
-as the process-wide tuples of member renders from :mod:`unipotent`; the
-defect bounds read the validated 1-series.  Certificates are replayed event
-by event; the witness of each distinct (d, ℓ) is checked once.  Processing
-order is fixed — d ascending, blocks by key, members in label order — so
-certificates are byte-reproducible.  A result with more than one class is
-reported as "inconclusive": the witnessed mechanism alone does not decide
-it, and the engine never claims a refutation.
+as the process-wide tuples of member renders from :mod:`unipotent`, and
+each type's label renders and degenerate flag from its caches, so C and 2A
+read those of B and A; the defect bounds read the validated 1-series.
+Certificates are replayed event by event; the witness of each distinct
+(d, ℓ) is checked once.  Processing order is fixed — d ascending, blocks by
+key, members in label order — so certificates are byte-reproducible.  A
+result with more than one class is reported as "inconclusive": the
+witnessed mechanism alone does not decide it, and the engine never claims
+a refutation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import InvariantViolation, NotSupported
 from .partitions import staircase_parameter
 from .unipotent import (
     d_series,
-    enumerate_labels,
+    has_degenerate_labels,
     label_renders,
     series_core,
     series_renders,
@@ -128,9 +130,8 @@ class _SeriesJoin:
 
     def __init__(self, group_type: GroupTypeTag, plugin, needs: str):
         if group_type.is_classical:
-            labels = enumerate_labels(group_type)
             self.names = label_renders(group_type)
-            self.degenerate = any(lab.marker for lab in labels)
+            self.degenerate = has_degenerate_labels(group_type)
         elif plugin is None:
             raise NotSupported(
                 f"family {group_type.family} needs plugin data for {needs}")

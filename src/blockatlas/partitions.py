@@ -9,12 +9,15 @@ The d-core is computed on the abacus: spread the beta entries over d runners
 by residue, slide every bead down to the lowest free position on its runner,
 and read the partition back off.  Sliding one step down a runner is exactly
 the removal of one d-hook, so the abacus output is the common endpoint of
-every removal order.
+every removal order.  ``beta_core`` is that slide, the one home of the
+d-hook closed form: ``d_core`` reads it, and so do the d-hook cores of
+:mod:`symbols`, row by row, since a d-hook never leaves its row.
 
-Each size's partition table and each (λ, d) core is computed once per
-process: ``partitions_of`` checks the size bound on every call and
-returns a fresh list copied from the size's table, and ``d_core`` is an
-``lru_cache`` function, so the linear families A and 2A share their cores.
+Each size's partition table and each core is computed once per process:
+``partitions_of`` checks the size bound on every call and returns a fresh
+list copied from the size's table; ``beta_core`` caches each (β-set, d),
+so a symbol row shared by many symbols is slid once, and ``d_core`` each
+(λ, d), so the linear families A and 2A share their cores.
 """
 
 from __future__ import annotations
@@ -83,17 +86,21 @@ def from_beta_set(beta: BetaSet) -> Partition:
 
 
 @functools.lru_cache(maxsize=None)
-def d_core(lam: Partition, d: int) -> Partition:
+def beta_core(beta: BetaSet, d: int) -> BetaSet:
+    """The d-core of a beta-set, its length kept: every bead slid to the
+    lowest free place on its runner."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    m = len(lam)
-    if m == 0:
-        return ()
     # the i-th bead on runner r slides to r + d*i; only the runners that
     # hold a bead are visited, so a large d costs no more than a small one
-    runners = groupby(sorted(b % d for b in to_beta_set(lam, m)))
-    return from_beta_set(tuple(r + d * i for r, beads in runners
-                               for i, _ in enumerate(beads)))
+    runners = groupby(sorted(b % d for b in beta))
+    return tuple(sorted(r + d * i for r, beads in runners
+                        for i, _ in enumerate(beads)))
+
+
+@functools.lru_cache(maxsize=None)
+def d_core(lam: Partition, d: int) -> Partition:
+    return from_beta_set(beta_core(to_beta_set(lam, len(lam)), d))
 
 
 def ennola_dual(d: int) -> int:

@@ -20,12 +20,14 @@ Cores are the fixed points of these moves, computed in closed form on the
 abacus (James–Kerber §2.7): a d-hook slides a bead one level down its
 d-runner within its row, and a cohook slides a bead one level down a chain
 that alternates between the rows, so a core packs every runner or chain onto
-its lowest levels.  ``hook_core`` and ``cohook_core`` cache the closed form
-per (symbol, d) and return each core as built, without a second lookup;
-the series cores of :mod:`unipotent` have their own cache and call the
-closed form directly.  The move-by-move recursion lives in the test suite,
-which checks confluence on it and that the closed forms agree with it row
-for row.
+its lowest levels.  A hook core is therefore each row's β-set core, read
+from the cache of ``partitions.beta_core`` (``_hook_rows``); the cohook
+chains are packed here (``_packed_core``).  Either returns the symbol
+itself when nothing moves.  ``hook_core`` and ``cohook_core`` cache the
+closed form per (symbol, d); the series cores of :mod:`unipotent` have
+their own cache and call the closed form directly.  The move-by-move
+recursion lives in the test suite, which checks confluence on it and that
+the closed forms agree with it row for row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import functools
 
 from .limits import check_symbol_rank
-from .partitions import partitions_of, to_beta_set
+from .partitions import beta_core, partitions_of, to_beta_set
 
 DEFECT_ODD = frozenset({1, 3})      # types B and C
 DEFECT_MOD4_0 = frozenset({0})      # type D
@@ -151,29 +153,35 @@ def phi(sym: Symbol) -> Symbol:
 
 # ------------------------------------------------------------------- cores
 
-def _packed_core(sym: Symbol, d: int, across: int) -> Symbol:
-    """Slide every bead to the lowest free level of its runner.  A bead at
-    x = r + k·d in row a lies on runner (r, (a + across·k) mod 2), whose
-    level k sits in row (c + across·k) mod 2 for runner (r, c): a d-hook
-    (across = 0) moves a bead one level down in its row, a d-cohook
-    (across = 1) one level down into the other row.  A symbol with no move
-    left is its own core and keeps its object."""
+def _hook_rows(sym: Symbol, d: int) -> Symbol:
+    """The d-hook core row by row: a d-hook slides a bead one level down
+    its d-runner within its row, so each row goes to its beta-set core.  A
+    symbol with no move left is its own core and keeps its object."""
+    s, t = beta_core(sym.row_s, d), beta_core(sym.row_t, d)
+    if s == sym.row_s and t == sym.row_t:
+        return sym
+    return _reduced(s, t)
+
+
+def _packed_core(sym: Symbol, d: int) -> Symbol:
+    """The d-cohook core: slide every bead to the lowest free level of its
+    runner.  A bead at x = r + k·d in row a lies on runner (r, (a + k) mod
+    2), whose level k sits in row (c + k) mod 2 for runner (r, c), so a
+    d-cohook moves a bead one level down into the other row.  A symbol with
+    no move left is its own core and keeps its object."""
     if d < 1:
         raise ValueError("d must be >= 1")
     levels: dict = {}  # runner (r, c) as 2·r + c -> beads on it
     for a, row in ((0, sym.row_s), (1, sym.row_t)):
         for x in row:
             k, r = divmod(x, d)
-            runner = 2 * r + (a + across * k) % 2
+            runner = 2 * r + (a + k) % 2
             levels[runner] = levels.get(runner, 0) + 1
     rows = ([], [])
     for runner, n in levels.items():
         r, c = divmod(runner, 2)
-        if across:
-            for k in range(n):
-                rows[(c + k) % 2].append(r + k * d)
-        else:
-            rows[c].extend(range(r, r + n * d, d))
+        for k in range(n):
+            rows[(c + k) % 2].append(r + k * d)
     s, t = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
     if s == sym.row_s and t == sym.row_t:
         return sym
@@ -182,12 +190,12 @@ def _packed_core(sym: Symbol, d: int, across: int) -> Symbol:
 
 @functools.lru_cache(maxsize=None)
 def hook_core(sym: Symbol, d: int) -> Symbol:
-    return _packed_core(sym, d, 0)
+    return _hook_rows(sym, d)
 
 
 @functools.lru_cache(maxsize=None)
 def cohook_core(sym: Symbol, d: int) -> Symbol:
-    return _packed_core(sym, d, 1)
+    return _packed_core(sym, d)
 
 
 # ------------------------------------------------------------- enumeration

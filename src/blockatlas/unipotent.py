@@ -23,7 +23,8 @@ series keeps each block's members in table order.  Cores
 are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
 the canonical symbol core per (symbol, d), so B and C share theirs, and
 equal symbol cores are one object, so dict lookups on them stop at
-identity instead of calling ``Symbol.__eq__``.  A series
+identity instead of calling ``Symbol.__eq__``.  An odd-d symbol core is
+built from the cached β-set cores of its rows.  A series
 groups its labels by the value of their core and renders each distinct core
 once.  Each label keeps the measure its table computed for it when the table
 was built.  Validation looks up every label's core again, renders and
@@ -31,8 +32,12 @@ measures each distinct core once more, checks each label's stored measure
 against it, and compares coverage with one frozenset per type.  Two render
 caches serve the fusion merge: ``label_renders`` holds one tuple of label
 renders per type and ``series_renders`` one tuple of member renders per
-block of each (type, d) series, both built from the tables above.  The
-1-series also feeds the defect bounds in :mod:`fusion`.
+block of each (type, d) series, both built from the tables above, and
+``has_degenerate_labels`` one flag per type.  C_n has the labels and series
+of B_n, and 2A_n the labels of A_n with the d-series of A_n at
+ennola_dual(d), so these three answer C and 2A from the tables of B and A:
+a fusion run builds no C or 2A label table or series.  The 1-series also
+feeds the defect bounds in :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .symbols import (
     DEFECT_ODD,
     Symbol,
     _built,
+    _hook_rows,
     _packed_core,
     enumerate_symbols,
 )
@@ -122,9 +128,9 @@ def _symbol_core(sym: Symbol, d: int) -> Symbol:
     Computed by the closed form itself: this cache asks for each (sym, d)
     once, so the caches of hook_core and cohook_core would only miss."""
     if d % 2 == 1:
-        core = _packed_core(sym, d, 0).canonical()
+        core = _hook_rows(sym, d).canonical()
     else:
-        core = _packed_core(sym, d // 2, 1).canonical()
+        core = _packed_core(sym, d // 2).canonical()
     return _core_symbol(core.row_s, core.row_t)
 
 
@@ -249,10 +255,31 @@ def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
     return list(_labels(group_type))
 
 
+# C_n has the labels and series of B_n, and 2A_n the labels of A_n with the
+# d-series of A_n at ennola_dual(d): their render tables are those of the twin
+_TWINS = {"C": "B", "2A": "A"}
+
+
+def _twin(group_type: GroupTypeTag) -> GroupTypeTag:
+    family = _TWINS.get(group_type.family)
+    if family is None:
+        return group_type
+    return GroupTypeTag(family, group_type.rank)
+
+
 @functools.lru_cache(maxsize=None)
 def label_renders(group_type: GroupTypeTag) -> tuple:
     """Each label's render, in the order of enumerate_labels."""
+    twin = _twin(group_type)
+    if twin is not group_type:
+        return label_renders(twin)
     return tuple(lab.render() for lab in _labels(group_type))
+
+
+@functools.lru_cache(maxsize=None)
+def has_degenerate_labels(group_type: GroupTypeTag) -> bool:
+    """Whether a label of the type carries a ′/″ marker."""
+    return any(lab.marker for lab in _labels(_twin(group_type)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,6 +299,9 @@ def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def series_renders(group_type: GroupTypeTag, d: int) -> tuple:
     """Each block's member renders, blocks and members in d_series order."""
+    twin = _twin(group_type)
+    if twin is not group_type:
+        return series_renders(twin, d if twin.family == "B" else ennola_dual(d))
     return tuple(tuple(lab.render() for lab in members)
                  for _key, members in _blocks(group_type, d))
 

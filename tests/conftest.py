@@ -172,3 +172,22 @@ def seeded_tori(seed: int, count: int, primes=(2, 3, 5, 7)) -> list:
         frob = rng.choice([None, rng.randrange(m)])
         out.append((summands, m, p, torus(summands, m, p, frob)))
     return out
+
+
+# --------------------------------------------------- ramified unitary groups
+
+def unitary(n: int, p: int):
+    """The ramified unitary group U_n at p: the roots of GL_n, with inertia
+    generated by σ(e_i) = −e_{n+1−i}, which permutes the roots e_i − e_j.
+    σ has order 2, so it is wild at p = 2 and tame at odd p; Frobenius is
+    the identity."""
+    from blockatlas.abelian import IntMatrix
+    from blockatlas.rootdata import RootDatumWithAction
+    basis = _eye(n)
+    roots = [[a - b for a, b in zip(basis[i], basis[j])]
+             for i in range(n) for j in range(n) if i != j]
+    sigma = [[-int(i == n - 1 - j) for j in range(n)] for i in range(n)]
+    return RootDatumWithAction(
+        n, coroots=roots, roots=roots,
+        galois=[("s", sigma), ("F", IntMatrix.identity(n))],
+        inertia=("s",), wild=("s",) if p == 2 else (), frobenius="F")

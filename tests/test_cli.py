@@ -241,6 +241,36 @@ def test_zsygmondy_at_a_huge_d_fails_fast(d):
         "message": f"2**{d} exceeds the supported range"}
 
 
+_DMAX_ERROR = {"code": "BoundExceeded",
+               "message": "d_max 100000000 exceeds 62: every q**d with "
+                          "d > 62 exceeds the supported range"}
+
+
+def test_fusion_at_a_huge_dmax_fails_fast(tmp_path):
+    # q**63 >= 2**63 for every q >= 2, so a d_max past 62 is rejected before
+    # any witness search: a single command exits 2, a grid reports the error
+    # in each cell
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(tmp_path, "command = fusion\nfamilies = A\nranks = 2\n"
+                              "qs = 2, 4\ndmax = 100000000\n")
+    for argv, code in (
+            (["fusion", "--type", "A", "--rank", "2", "--q", "4",
+              "--dmax", "100000000"], 2),
+            (["grid", "--config", cfg], 0)):
+        proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=5)
+        assert proc.returncode == code, proc.stderr
+        doc = check(proc.stdout)
+        if code:
+            assert doc["error"] == _DMAX_ERROR
+        else:
+            assert [job["error"] for job in doc["result"]["jobs"]] == \
+                [_DMAX_ERROR] * 2
+
+
 def test_blocks_at_a_61_bit_ell_finishes_quickly():
     # ell - 1 = 2 * (2**60 - 1) has only primes below 1400, so the order of
     # 2 comes from its factorization, not from a walk over its divisors

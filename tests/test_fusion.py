@@ -2,9 +2,12 @@ import random
 import time
 
 import pytest
+from conftest import clear_process_caches
 
+from blockatlas import arith, unipotent
 from blockatlas.arith import GroupTypeTag, PrimePower, admissible_d
-from blockatlas.errors import InvariantViolation, NotSupported
+from blockatlas.cli import main
+from blockatlas.errors import BoundExceeded, InvariantViolation, NotSupported
 from blockatlas.fusion import (
     FusionResult,
     MergeEvent,
@@ -268,6 +271,38 @@ def test_merge_loop_stops_once_one_class_is_left():
     plugin = _RecordingPlugin()
     assert is_single_D_series(g2, {3, 4, 5}, plugin=plugin).single
     assert plugin.asked == [3]
+
+
+@pytest.mark.parametrize("first,twin", [("B", "C"), ("A", "2A")])
+def test_twin_families_build_no_label_table(capsys, first, twin):
+    # C answers from B's label table and series, 2A from A's label table
+    # and A's series at ennola_dual(d): after the first family's run, the
+    # twin's run builds no label table (and C's no series either)
+    for rank, q in ((3, 2), (5, 7), (8, 4)):
+        clear_process_caches()
+        assert main(["fusion", "--type", first, "--rank", str(rank),
+                     "--q", str(q)]) == 0
+        labels = unipotent._labels.cache_info().currsize
+        blocks = unipotent._blocks.cache_info().currsize
+        assert main(["fusion", "--type", twin, "--rank", str(rank),
+                     "--q", str(q)]) == 0
+        assert unipotent._labels.cache_info().currsize == labels
+        if twin == "C":
+            assert unipotent._blocks.cache_info().currsize == blocks
+    capsys.readouterr()
+
+
+def test_bound_errors_come_before_any_witness_search(monkeypatch):
+    searched = []
+    real = arith.primitive_prime
+    monkeypatch.setattr(arith, "primitive_prime",
+                        lambda *args: searched.append(args) or real(*args))
+    q = PrimePower.from_q(4)
+    with pytest.raises(BoundExceeded, match="^rank 11 exceeds"):
+        fusion_closure(GroupTypeTag("B", 11), q, d_max=10**8)
+    with pytest.raises(BoundExceeded, match="^d_max 63 exceeds 62"):
+        fusion_closure(GroupTypeTag("A", 2), q, d_max=63)
+    assert searched == []
 
 
 def test_D_series_join_frozen():

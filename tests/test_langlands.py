@@ -1,7 +1,7 @@
 """Torsor comparison, triviality criterion, and component-lemma checks."""
 
 import pytest
-from conftest import clear_process_caches, seeded_tori, torus
+from conftest import clear_process_caches, seeded_tori, torus, unitary
 
 from blockatlas import langlands
 from blockatlas.abelian import (
@@ -99,6 +99,26 @@ def test_norm_one_tori_have_group_side_of_order_p_to_the_valuation():
                 assert report.group_side.order() == p ** v, (m, p, frob)
                 assert report.group_side.invariant_factors == (p ** v,)
                 assert report.dual_side.order() == p ** v
+
+
+def test_ramified_unitary_groups_match_their_closed_forms():
+    # X_I = Z^n / <e_i + e_{n+1-i}>: its torsion is Z/2, from the middle
+    # coordinate, exactly for odd n.  With Frobenius the identity both torsor
+    # sides are the p-torsion of X_I, of order 2 at p = 2 for odd n and
+    # trivial otherwise
+    for n in range(1, 7):
+        for p in PRIMES:
+            datum = unitary(n, p)
+            descent = coinvariants(FGAbelianGroup.free(n),
+                                   datum.inertia_matrices)
+            assert descent.torsion().invariant_factors == \
+                ((2,) if n % 2 else ()), n
+            order = 2 if p == 2 and n % 2 else 1
+            report = bijection_check(datum, p)
+            assert report.group_side.order() == order, (n, p)
+            assert report.dual_side.order() == order, (n, p)
+            assert cornqs_check(datum, p).implication_holds, (n, p)
+            assert component_lemma_checks(datum, p).all_ok, (n, p)
 
 
 def test_wild_swap_both_sides_trivial():

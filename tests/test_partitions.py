@@ -14,6 +14,7 @@ from blockatlas.errors import BoundExceeded, LengthTooShort
 from blockatlas.partitions import (
     _partitions,
     as_partition,
+    beta_core,
     d_core,
     ennola_dual,
     from_beta_set,
@@ -82,16 +83,19 @@ def oracle_random_order_core(lam, d, rng):
         beta = rng.choice(moves)
 
 
-def oracle_counted_abacus_core(lam, d):
+def oracle_counted_abacus_beta(beta, d):
     # the abacus as first written: a bead count on each of all d runners
+    counts = [0] * d
+    for b in beta:
+        counts[b % d] += 1
+    return tuple(sorted(r + d * i for r in range(d) for i in range(counts[r])))
+
+
+def oracle_counted_abacus_core(lam, d):
     m = len(lam)
     if m == 0:
         return ()
-    counts = [0] * d
-    for b in to_beta_set(lam, m):
-        counts[b % d] += 1
-    packed = [r + d * i for r in range(d) for i in range(counts[r])]
-    return from_beta_set(tuple(packed))
+    return from_beta_set(oracle_counted_abacus_beta(to_beta_set(lam, m), d))
 
 
 # ----------------------------------------------------------- enumeration
@@ -199,6 +203,23 @@ def test_d_core_matches_counted_abacus():
                 assert d_core(lam, d) == oracle_counted_abacus_core(lam, d)
 
 
+def test_beta_core_matches_counted_abacus():
+    # beta-sets of every length up to three past the parts (so with and
+    # without 0), shifted up by one (never 0), and d past the largest bead
+    for m in range(8):
+        for lam in partitions_of(m):
+            for length in range(len(lam), len(lam) + 4):
+                beta = to_beta_set(lam, length)
+                for b in (beta, tuple(x + 1 for x in beta)):
+                    top = b[-1] if b else 0
+                    for d in range(1, top + 3):
+                        core = beta_core(b, d)
+                        assert core == oracle_counted_abacus_beta(b, d), (b, d)
+                        assert len(core) == len(b)
+                        assert from_beta_set(core) == \
+                            d_core(from_beta_set(b), d)
+
+
 def test_d_core_idempotent_and_size_drop():
     for m in range(13):
         for lam in partitions_of(m):
@@ -258,6 +279,10 @@ def test_cached_tables_and_cores_equal_uncached():
             for d in range(1, 13):
                 assert d_core(lam, d) == d_core.__wrapped__(lam, d), (lam, d)
     assert d_core.cache_info().hits > 0
+    for beta in {to_beta_set(lam, len(lam) + 1) for m in range(9)
+                 for lam in partitions_of(m)}:
+        for d in range(1, 11):
+            assert beta_core(beta, d) == beta_core.__wrapped__(beta, d)
 
 
 def test_mutating_a_returned_table_leaves_the_cache_intact():
@@ -269,7 +294,11 @@ def test_mutating_a_returned_table_leaves_the_cache_intact():
 
 
 def test_d_core_raises_on_every_repeat():
-    # a call that raises is not cached, so the check runs again each time
-    for _ in range(3):
-        with pytest.raises(ValueError, match="d must be >= 1"):
-            d_core((2, 1), 0)
+    # a call that raises is not cached, so the check runs again each time;
+    # the beta-set core checks d before it looks at any bead
+    for core, arg in ((d_core, (2, 1)), (d_core, ()),
+                      (beta_core, (1, 3)), (beta_core, ())):
+        for d in (0, -1):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="^d must be >= 1$"):
+                    core(arg, d)

@@ -25,6 +25,7 @@ from blockatlas.unipotent import (
     d_series,
     ell_blocks,
     enumerate_labels,
+    has_degenerate_labels,
     label_renders,
     series_core,
     series_renders,
@@ -366,15 +367,21 @@ def test_equal_symbol_cores_are_one_object(monkeypatch):
 
 
 def test_render_tables_follow_the_label_table_and_series():
-    for family in FAMILIES:
-        for tag in tags(family, 6):
-            assert label_renders(tag) == \
-                tuple(lab.render() for lab in enumerate_labels(tag))
-            assert label_renders(tag) is label_renders(tag)
-            for d in range(1, 2 * tag.rank + 4):
-                assert series_renders(tag, d) == tuple(
-                    tuple(lab.render() for lab in members)
-                    for _key, members in d_series(tag, d).blocks)
+    # C and 2A answer from the tables of B and of A: compared with their own
+    # series here, also at the fusion grid's top ranks 7 and 8
+    cells = [(tag, range(1, 2 * tag.rank + 4))
+             for family in FAMILIES for tag in tags(family, 6)]
+    cells += [(GroupTypeTag(family, rank), range(1, 2 * (rank + 1) + 1))
+              for family in ("C", "2A") for rank in (7, 8)]
+    for tag, ds in cells:
+        labels = enumerate_labels(tag)
+        assert label_renders(tag) == tuple(lab.render() for lab in labels)
+        assert label_renders(tag) is label_renders(tag)
+        assert has_degenerate_labels(tag) == any(lab.marker for lab in labels)
+        for d in ds:
+            assert series_renders(tag, d) == tuple(
+                tuple(lab.render() for lab in members)
+                for _key, members in d_series(tag, d).blocks), (str(tag), d)
     with pytest.raises(ValueError, match="d must be >= 1"):
         series_renders(A2, 0)
 
