@@ -340,7 +340,9 @@ def primitive_prime(q: int, d: int,
 
 
 def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[int, int]:
-    """Map d -> smallest witnessing odd good prime, for 1 <= d <= d_max."""
+    """Map d -> smallest witnessing odd good prime, for 1 <= d <= d_max.
+
+    A q**d_max past the power cap raises BoundExceeded before any search."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     # q >= 2, so q**d > _POWER_LIMIT for every d past this one
@@ -348,6 +350,9 @@ def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[in
     if d_max > limit:
         raise BoundExceeded(f"d_max {d_max} exceeds {limit}: every q**d with "
                             f"d > {limit} exceeds the supported range")
+    # fail before any search, at the first d whose power the search rejects
+    for d in range(1, d_max + 1):
+        checked_power(q.q, d)
     excluded = _BAD_PRIMES[group_type.family] | {2}
     out: dict[int, int] = {}
     for d in range(1, d_max + 1):

@@ -12,9 +12,7 @@ when stdout is unbuffered and a write returns short (see ``_emit``).
 Root data are addressed either as ``catalog:NAME`` (built-in examples,
 which carry their own quasi-splitness metadata) or as a path to a JSON
 datum file (treated as quasi-split).  ``grid`` runs the cells of a parameter
-grid in expansion order on one thread and lists them in that order; the
-``workers`` config key is accepted and echoed for compatibility but does not
-change the output.
+grid in expansion order on one thread and lists them in that order.
 
 Handlers reach the layers through the package's lazily run modules, so a
 process runs, and without a bytecode cache compiles, only its command's
@@ -249,7 +247,7 @@ def _cmd_datum_check(args) -> dict:
 
 _INT_LIST_KEYS = ("ranks", "qs", "ds", "primes")
 _STR_LIST_KEYS = ("families", "data")
-_INT_KEYS = ("dmax", "workers")
+_INT_KEYS = ("dmax",)
 _STR_KEYS = ("command", "plugin")
 _GRID_COMMANDS = ("fusion", "zsygmondy", "bijection", "cornqs", "components")
 
@@ -317,8 +315,6 @@ def parse_grid_config(text: str) -> dict:
     if cfg["command"] not in _GRID_COMMANDS:
         raise ParseError(f"grid cannot run command {cfg['command']!r}; "
                          f"choices: {', '.join(_GRID_COMMANDS)}")
-    if cfg.get("workers", 1) < 1:
-        raise ParseError("workers must be >= 1")
     return cfg
 
 

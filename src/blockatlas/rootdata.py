@@ -369,21 +369,12 @@ def is_induced(operators: Sequence[IntMatrix], witness: IntMatrix) -> bool:
 
 
 class CatalogEntry(NamedTuple):
-    """A named example datum with arithmetic metadata.
-
-    ``residue_chars`` limits the residue characteristics the entry models
-    (None = no restriction; entries with wild operators of order n only make
-    sense when p divides n).  ``tame_witness`` is a basis permuted by every
-    inertia operator, when one exists — such entries have torsion-free
-    inertia coinvariants.  ``quasi_split`` is metadata, not derivable from
-    the datum: inner twists share their root datum.
-    """
+    """A named example datum.  ``quasi_split`` is the one field not derivable
+    from the datum: inner twists share their root datum."""
 
     name: str
     datum: RootDatumWithAction
     quasi_split: bool = True
-    residue_chars: Optional[tuple] = None
-    tame_witness: Optional[IntMatrix] = None
 
 
 def _split(rank: int, coroots=(), roots=()):
@@ -392,6 +383,8 @@ def _split(rank: int, coroots=(), roots=()):
         galois=(("F", IntMatrix.identity(rank)),), frobenius="F")
 
 
+_ID1 = ((1,),)
+_ID2 = ((1, 0), (0, 1))
 _SWAP = ((0, 1), (1, 0))
 _NEG1 = ((-1,),)
 _NEG2 = ((-1, 0), (0, -1))
@@ -411,83 +404,67 @@ def catalog() -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _catalog_entries() -> tuple:
-    eye1 = IntMatrix.identity(1)
-    eye2 = IntMatrix.identity(2)
     return (
-        CatalogEntry("split_torus_rank1", _split(1), tame_witness=eye1),
-        CatalogEntry("split_torus_rank2", _split(2), tame_witness=eye2),
+        CatalogEntry("split_torus_rank1", _split(1)),
+        CatalogEntry("split_torus_rank2", _split(2)),
         CatalogEntry(
             "unramified_induced_rank2",
-            RootDatumWithAction(2, galois=(("F", _SWAP),), frobenius="F"),
-            tame_witness=eye2),
+            RootDatumWithAction(2, galois=(("F", _SWAP),), frobenius="F")),
         CatalogEntry(
             "tame_induced_rank2",
             RootDatumWithAction(2, galois=(("s", _SWAP), ("F", _NEG2)),
-                                inertia=("s",), frobenius="F"),
-            tame_witness=eye2),
+                                inertia=("s",), frobenius="F")),
         CatalogEntry(
             "norm_one_ramified",
-            RootDatumWithAction(1, galois=(("s", _NEG1), ("F", eye1)),
+            RootDatumWithAction(1, galois=(("s", _NEG1), ("F", _ID1)),
                                 inertia=("s",), frobenius="F")),
         CatalogEntry(
             "norm_one_unramified",
-            RootDatumWithAction(1, galois=(("F", _NEG1),), frobenius="F"),
-            tame_witness=eye1),
+            RootDatumWithAction(1, galois=(("F", _NEG1),), frobenius="F")),
         CatalogEntry(
             "norm_one_wild",
-            RootDatumWithAction(1, galois=(("w", _NEG1), ("F", eye1)),
-                                inertia=("w",), wild=("w",), frobenius="F"),
-            residue_chars=(2,)),
+            RootDatumWithAction(1, galois=(("w", _NEG1), ("F", _ID1)),
+                                inertia=("w",), wild=("w",), frobenius="F")),
         CatalogEntry(
             "wild_swap_rank2",
-            RootDatumWithAction(2, galois=(("w", _SWAP), ("F", eye2)),
+            RootDatumWithAction(2, galois=(("w", _SWAP), ("F", _ID2)),
                                 inertia=("w",), wild=("w",), frobenius="F",
-                                induced_witness=eye2),
-            residue_chars=(2,)),
+                                induced_witness=_ID2)),
         CatalogEntry(
             "wild_induced_rank2",
             RootDatumWithAction(2, galois=(("w", _SWAP), ("F", _NEG2)),
                                 inertia=("w",), wild=("w",), frobenius="F",
-                                induced_witness=eye2),
-            residue_chars=(2,)),
+                                induced_witness=_ID2)),
         CatalogEntry(
             "wild_plus_tame_rank2",
-            RootDatumWithAction(2, galois=(("w", _NEG2), ("t", _ROT3), ("F", eye2)),
-                                inertia=("w", "t"), wild=("w",), frobenius="F"),
-            residue_chars=(2,)),
+            RootDatumWithAction(2, galois=(("w", _NEG2), ("t", _ROT3), ("F", _ID2)),
+                                inertia=("w", "t"), wild=("w",), frobenius="F")),
         CatalogEntry(
-            "sl2_split", _split(1, coroots=((1,), (-1,)), roots=((2,), (-2,))),
-            tame_witness=eye1),
+            "sl2_split", _split(1, coroots=((1,), (-1,)), roots=((2,), (-2,)))),
         CatalogEntry(
-            "pgl2_split", _split(1, coroots=((2,), (-2,)), roots=((1,), (-1,))),
-            tame_witness=eye1),
+            "pgl2_split", _split(1, coroots=((2,), (-2,)), roots=((1,), (-1,)))),
         CatalogEntry(
             "gl2_split",
-            _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1))),
-            tame_witness=eye2),
+            _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1)))),
         CatalogEntry(
-            "sl3_split", _split(2, coroots=_A2_COROOTS, roots=_A2_ROOTS),
-            tame_witness=eye2),
+            "sl3_split", _split(2, coroots=_A2_COROOTS, roots=_A2_ROOTS)),
         CatalogEntry(
-            "pgl3_split", _split(2, coroots=_A2_ROOTS, roots=_A2_COROOTS),
-            tame_witness=eye2),
+            "pgl3_split", _split(2, coroots=_A2_ROOTS, roots=_A2_COROOTS)),
         CatalogEntry(
             "sp4_split",
             _split(2,
                    coroots=((1, 0), (0, 1), (1, 1), (1, -1),
                             (-1, 0), (0, -1), (-1, -1), (-1, 1)),
                    roots=((2, 0), (0, 2), (1, 1), (1, -1),
-                          (-2, 0), (0, -2), (-1, -1), (-1, 1))),
-            tame_witness=eye2),
+                          (-2, 0), (0, -2), (-1, -1), (-1, 1)))),
         CatalogEntry(
             "su3_unramified",
             RootDatumWithAction(2, coroots=_A2_COROOTS, roots=_A2_ROOTS,
-                                galois=(("F", _SWAP),), frobenius="F"),
-            tame_witness=eye2),
+                                galois=(("F", _SWAP),), frobenius="F")),
         CatalogEntry(
             "gl2_inner_twist",
             _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1))),
-            quasi_split=False, tame_witness=eye2),
+            quasi_split=False),
     )
 
 

@@ -6,6 +6,7 @@ later change adds.  ``tests/test_caches.py`` checks that it finds them all.
 """
 import functools
 import importlib
+import math
 import pkgutil
 import random
 
@@ -126,16 +127,16 @@ TORUS_SUMMANDS = {"perm": _permutation_block, "norm_one": _norm_one_block,
                   "sign": _sign_block}
 
 
-def torus(summands, m: int, p: int, frobenius_power=None):
-    """The torus whose cocharacter lattice is the direct sum of the given
-    (kind, degree) summands, with inertia generated by s acting on every
-    block at once.  For m = p^a·e with e prime to p the wild part is
-    <s^e>; the Frobenius is s^frobenius_power, or the identity for None."""
+def _cyclic_inertia(blocks, order: int, p: int, coroots=(), roots=(),
+                    frobenius_power=None):
+    """The datum on the direct sum of the blocks, with inertia generated by
+    s acting on every block at once.  For the order p^a·e of s, e prime to
+    p, the wild part is <s^e>; the Frobenius is s^frobenius_power, or the
+    identity for None."""
     from blockatlas.abelian import IntMatrix
     from blockatlas.rootdata import RootDatumWithAction
-    s = IntMatrix(_block_diag([TORUS_SUMMANDS[kind](k) for kind, k
-                               in summands]))
-    e = m
+    s = IntMatrix(_block_diag(blocks))
+    e = order
     while e % p == 0:
         e //= p
     power = IntMatrix.identity(s.rows)
@@ -146,8 +147,18 @@ def torus(summands, m: int, p: int, frobenius_power=None):
     for _ in range(frobenius_power or 0):
         frob = frob @ s
     galois.append(("F", frob))
-    return RootDatumWithAction(s.rows, galois=galois, inertia=("s", "w"),
+    return RootDatumWithAction(s.rows, coroots=coroots, roots=roots,
+                               galois=galois, inertia=("s", "w"),
                                wild=("w",), frobenius="F")
+
+
+def torus(summands, m: int, p: int, frobenius_power=None):
+    """The torus whose cocharacter lattice is the direct sum of the given
+    (kind, degree) summands, with inertia generated by s acting on every
+    block at once.  For m = p^a·e with e prime to p the wild part is
+    <s^e>; the Frobenius is s^frobenius_power, or the identity for None."""
+    return _cyclic_inertia([TORUS_SUMMANDS[kind](k) for kind, k in summands],
+                           m, p, frobenius_power=frobenius_power)
 
 
 def seeded_tori(seed: int, count: int, primes=(2, 3, 5, 7)) -> list:
@@ -191,3 +202,31 @@ def unitary(n: int, p: int):
         n, coroots=roots, roots=roots,
         galois=[("s", sigma), ("F", IntMatrix.identity(n))],
         inertia=("s",), wild=("s",) if p == 2 else (), frobenius="F")
+
+
+# ------------------------------------------------ Weil restrictions with roots
+
+SPLIT_GROUPS = ("sl2_split", "pgl2_split", "gl2_split", "sl3_split",
+                "pgl3_split", "sp4_split")
+
+
+def weil_restriction(name: str, m: int, p: int, summands=()):
+    """Res_{E/F} H for the split catalog group H = name and a totally
+    ramified E/F of degree m: m copies of H's cocharacter lattice, with
+    inertia generated by s cycling them and Frobenius the identity.  The
+    torus summands (kind, degree) of ``torus`` follow under the same s, so
+    one inertia generator acts on a semisimple and a torus part at once."""
+    from blockatlas.rootdata import catalog
+    h = catalog()[name].datum
+    r = h.rank
+    cycle = [[int(i // r == (j // r + 1) % m and i % r == j % r)
+              for j in range(m * r)] for i in range(m * r)]
+    blocks = [cycle] + [TORUS_SUMMANDS[kind](k) for kind, k in summands]
+    rank = sum(len(b) for b in blocks)
+
+    def copies(vectors):
+        return [[0] * (c * r) + list(v) + [0] * (rank - (c + 1) * r)
+                for c in range(m) for v in vectors]
+    order = math.lcm(m, *(k for _kind, k in summands))
+    return _cyclic_inertia(blocks, order, p, coroots=copies(h.coroots),
+                           roots=copies(h.roots))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd, prod
 from operator import add, sub
 
@@ -631,8 +632,10 @@ def seeded_modules(seed, count, finite=True):
         n = rng.choice((1, 2, 2, 3, 3))
         f = signed_permutation(rng, n)
         cols = stable_relations(rng, f, n, rng.randint(not finite, 2))
-        if finite and not 2 <= len(FiniteModule(cols, n).elements) <= 1728:
-            continue
+        if finite:
+            module = FiniteModule(cols, n)
+            if not module.full_rank or not 2 <= len(module.elements) <= 1728:
+                continue
         out.append((cols, f, cokernel(IntMatrix.from_columns(cols, n))))
     return out
 
@@ -722,9 +725,10 @@ def test_functor_errors_raise_on_every_repeat_and_are_not_cached():
 # ------------------------------------------ SNF-independent module oracle
 
 def hermite_basis(cols, n):
-    """Upper-triangular basis of the span of cols, with a positive pivot
-    h[i][i] in column i, by gcd steps on one row at a time; None when the
-    span has rank < n.  Independent of the Smith normal form."""
+    """Echelon basis of the span of cols, by gcd steps on one row at a
+    time: basis[i] has a positive pivot in coordinate i and zeros above it,
+    or is None when no vector of the span pivots there.  Independent of the
+    Smith normal form."""
     cols = [list(c) for c in cols]
     basis = [None] * n
     for i in reversed(range(n)):
@@ -738,29 +742,51 @@ def hermite_basis(cols, n):
                 c = [a - k * b for a, b in zip(c, pivot)]
                 (rest if c[i] else cols).append(c)
             active = [pivot] + rest
-        if not active:
-            return None
-        basis[i] = active[0] if active[0][i] > 0 else [-a for a in active[0]]
+        if active:
+            basis[i] = active[0] if active[0][i] > 0 else [-a for a in active[0]]
     return basis
 
 
 class FiniteModule:
-    """Z^n modulo a full-rank lattice, element by element: the coset
-    representatives fill the box 0 <= x_i < h[i][i] of its Hermite basis."""
+    """sat(R)/R, the torsion of Z^n modulo the span R of cols, element by
+    element.  A vector of R ⊗ Q is fixed by its pivot coordinates, those of
+    R's echelon basis h; the elements are the integral vectors of R ⊗ Q whose
+    pivot coordinates fill the box 0 <= x_i < h[i][i].  For a full-rank R
+    that is all of Z^n/R."""
 
     def __init__(self, cols, n):
         self.n = n
         self.basis = hermite_basis(cols, n)
-        self.elements = [] if self.basis is None else list(itertools.product(
-            *(range(self.basis[i][i]) for i in range(n))))
+        self.pivots = [i for i in range(n) if self.basis[i] is not None]
+        self.full_rank = len(self.pivots) == n
+        boxes = itertools.product(*(range(self.basis[i][i])
+                                    for i in self.pivots))
+        if self.full_rank:
+            self.elements = set(boxes)
+        else:
+            lifts = (self.lift(dict(zip(self.pivots, box))) for box in boxes)
+            self.elements = {tuple(int(a) for a in x) for x in lifts
+                             if all(a.denominator == 1 for a in x)}
+
+    def lift(self, coords):
+        """The vector of R ⊗ Q with these pivot coordinates, in fractions:
+        h[i] vanishes above coordinate i, so solve from the top down."""
+        x = [Fraction(0)] * self.n
+        for i in reversed(self.pivots):
+            c = (coords[i] - x[i]) / self.basis[i][i]
+            x = [a + c * b for a, b in zip(x, self.basis[i])]
+        return x
 
     def reduce(self, v):
+        """The element of v + R, for v in sat(R)."""
         v = list(v)
-        for i in reversed(range(self.n)):
+        for i in reversed(self.pivots):
             k = v[i] // self.basis[i][i]
             if k:
                 v = [a - k * b for a, b in zip(v, self.basis[i])]
-        return tuple(v)
+        v = tuple(v)
+        assert v in self.elements, f"{v} is not torsion modulo R"
+        return v
 
     def scale(self, m, x):
         return self.reduce(m * a for a in x)
@@ -816,10 +842,10 @@ def subgroup_factors(module, members):
         module.scale(m, x) == zero for x in members))
 
 
-def quotient_factors(module, moved):
-    """Invariant factors of module / moved, a subgroup given by elements."""
-    return factors_from_counts(len(module.elements) // len(moved), lambda m: sum(
-        module.scale(m, x) in moved for x in module.elements) // len(moved))
+def quotient_factors(module, moved, members):
+    """Invariant factors of members / moved, subgroups given by elements."""
+    return factors_from_counts(len(members) // len(moved), lambda m: sum(
+        module.scale(m, x) in moved for x in members) // len(moved))
 
 
 def assert_subgroup(module, group, members):
@@ -832,11 +858,13 @@ def assert_subgroup(module, group, members):
     assert group.invariant_factors == subgroup_factors(module, members)
 
 
-def assert_quotient(module, group, moved):
-    """group is Z^n modulo the module's relations and moved."""
+def assert_quotient(module, group, moved, members=None):
+    """group is members (by default every element) modulo moved."""
+    members = module.elements if members is None else members
+    assert module.span(group.sub.columns()) == members
     assert module.span(group.rel.columns()) == moved
-    assert group.order() * len(moved) == len(module.elements)
-    assert group.invariant_factors == quotient_factors(module, moved)
+    assert group.order() * len(moved) == len(members)
+    assert group.invariant_factors == quotient_factors(module, moved, members)
 
 
 def test_functors_match_element_oracle():
@@ -861,6 +889,136 @@ def test_functors_match_element_oracle():
                                 module.n).columns()))
         assert_quotient(module, coinvariants(group, [f]), moved)
         assert_quotient(module, h1_cyclic(group, f), moved)
+
+
+def seeded_relations(seed, count):
+    """count spans R of 1-3 random vectors in Z^n, n <= 4, of rank below n,
+    whose torsion sat(R)/R has 2 to 500 elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        base = [[rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))]
+        cols = [tuple(sum(rng.randint(-3, 3) * b[i] for b in base)
+                      for i in range(n)) for _ in range(len(base))]
+        pivots = [h[i] for i, h in enumerate(hermite_basis(cols, n)) if h]
+        if prod(pivots) <= 2000:
+            module = FiniteModule(cols, n)
+            if 2 <= len(module.elements) <= 500:
+                out.append((cols, module))
+    return out
+
+
+def test_saturation_elements_are_the_torsion():
+    # sat(R)/R through the pivot coordinates of R ⊗ Q, for R of rank < n
+    for cols, module in seeded_relations(127, 40):
+        n = module.n
+        group = cokernel(IntMatrix.from_columns(cols, n))
+        assert group.free_rank == n - len(module.pivots)
+        assert_subgroup(module, group.torsion(), module.elements)
+        zero = module.reduce((0,) * n)
+        e = len(module.elements).bit_length()
+        for p in (2, 3, 5):
+            assert_subgroup(module, group.p_torsion(p), {
+                x for x in module.elements if module.scale(p**e, x) == zero})
+
+
+def inertia_relations(datum):
+    """Generators of R = sum of (g - 1)Z^n over inertia, so X_I = Z^n/R."""
+    one = IntMatrix.identity(datum.rank)
+    return [col for g in datum.inertia_matrices for col in (g - one).columns()]
+
+
+def test_torsors_match_the_element_oracle():
+    # (X_I)^F[p^∞] and (X_I[p^∞])_F on the torsion sat(R)/R of X_I
+    from blockatlas.langlands import dual_side_torsor, group_side_torsor
+    nontrivial = 0
+    for name, datum in lattice_data():
+        module = FiniteModule(inertia_relations(datum), datum.rank)
+        zero = module.reduce((0,) * module.n)
+        e = len(module.elements).bit_length()
+        frob = datum.frobenius_matrix
+        for p in (2, 3, 5):
+            part = {x for x in module.elements
+                    if module.scale(p**e, x) == zero}
+            assert_subgroup(module, group_side_torsor(datum, p),
+                            {x for x in part if module.apply(frob, x) == x})
+            moved = module.span(tuple(map(sub, module.apply(frob, x), x))
+                                for x in part)
+            assert_quotient(module, dual_side_torsor(datum, p), moved, part)
+            nontrivial += len(part) > 1
+    assert nontrivial >= 10
+
+
+def assert_map_matches_elements(f):
+    """Each answer of a SubquotientMap between finite subquotients agrees
+    with the map x + L1 -> x + L2 on elements; (injective, surjective)."""
+    a, b = f.source, f.target
+    source = FiniteModule(a.rel.columns(), a.ambient_dim)
+    target = FiniteModule(b.rel.columns(), b.ambient_dim)
+    image = {x: target.reduce(x) for x in source.span(a.sub.columns())}
+    zero = target.reduce((0,) * target.n)
+    kernel = {x for x, y in image.items() if y == zero}
+    values = set(image.values())
+    assert f.well_defined()
+    assert f.injective() == (kernel == {source.reduce((0,) * source.n)})
+    assert f.surjective() == (values == target.span(b.sub.columns()))
+    assert_subgroup(source, f.kernel(), kernel)
+    assert_subgroup(target, f.image(), values)
+    return f.injective(), f.surjective()
+
+
+def seeded_maps(seed, count):
+    """count finite subquotients a = K1/L1 and b = K2/L2 of Z^n, n <= 3,
+    with K1 ⊆ K2 and L1 ⊆ L2, all inside the span of r random vectors."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        r = rng.randint(1, n)
+        base = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+
+        def vectors(k):
+            return [tuple(sum(rng.randint(-3, 3) * b[i] for b in base)
+                          for i in range(n)) for _ in range(k)]
+        l1 = vectors(r)
+        l2 = l1 + vectors(1)
+        k1 = l1 + vectors(rng.randint(0, 2))
+        k2 = k1 + l2 + vectors(rng.randint(0, 1))
+        ranks = {sum(h is not None for h in hermite_basis(c, n))
+                 for c in (l1, k2)}
+        pivots = [h[i] for i, h in enumerate(hermite_basis(l2, n)) if h]
+        if len(ranks) == 1 and 0 not in ranks and prod(pivots) <= 1000:
+            out.append(SubquotientMap(
+                *(FGAbelianGroup(n, IntMatrix.from_columns(k, n),
+                                 IntMatrix.from_columns(l, n))
+                  for k, l in ((k1, l1), (k2, l2)))))
+    return out
+
+
+def test_subquotient_maps_match_the_element_oracle():
+    from blockatlas.rootdata import derived_and_abelianized, pi1
+    seen = set()
+    for f in seeded_maps(131, 80):
+        seen.add(assert_map_matches_elements(f))
+    # the p-parts the triviality criterion and the component lemma compare
+    for _name, datum in lattice_data():
+        inert, frob = datum.inertia_matrices, datum.frobenius_matrix
+        torus = coinvariants(FGAbelianGroup.free(datum.rank), inert)
+        fundamental = coinvariants(pi1(datum), inert)
+        da = derived_and_abelianized(datum)
+        for p in (2, 3, 5):
+            parts = [coinvariants(g, inert).p_torsion(p)
+                     for g in (da.pi1_der, pi1(datum), da.cochar_ab)]
+            pairs = [(parts[0], parts[1]), (parts[1], parts[2]),
+                     (torus.p_torsion(p), fundamental.p_torsion(p))]
+            pairs.append(tuple(fixed_points(g, frob) for g in pairs[-1]))
+            for a, b in pairs:
+                seen.add(assert_map_matches_elements(SubquotientMap(a, b)))
+    # maps that are not injective, and not surjective, are among them
+    assert {injective for injective, _ in seen} == {True, False}
+    assert {surjective for _, surjective in seen} == {True, False}
 
 
 # ------------------------------- exact shortcuts vs the general paths

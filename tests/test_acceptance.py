@@ -31,7 +31,7 @@ from blockatlas.fusion import (
     derived_inequality_check,
     is_single_D_series,
 )
-from blockatlas.rootdata import catalog
+from blockatlas.rootdata import catalog, is_induced
 from blockatlas.symbols import (
     DEFECT_ANY,
     DEFECT_ODD,
@@ -66,18 +66,18 @@ GRID_CONFIGS = {
     # up to the default symbol bound, rank 10; at q = 8 up to rank 9, as
     # rank 10 needs d up to 22 and 8**21 already exceeds the 63-bit power cap
     "fusion_abc": ("command = fusion\nfamilies = A, 2A, B, C\n"
-                   "ranks = 1-10\nqs = 2, 4\nworkers = 8\n"),
+                   "ranks = 1-10\nqs = 2, 4\n"),
     "fusion_abc_q8": ("command = fusion\nfamilies = A, 2A, B, C\n"
-                      "ranks = 1-9\nqs = 8\nworkers = 8\n"),
+                      "ranks = 1-9\nqs = 8\n"),
     "fusion_d": ("command = fusion\nfamilies = D, 2D\n"
-                 "ranks = 2-10\nqs = 2, 4\nworkers = 8\n"),
+                 "ranks = 2-10\nqs = 2, 4\n"),
     "fusion_d_q8": ("command = fusion\nfamilies = D, 2D\n"
-                    "ranks = 2-9\nqs = 8\nworkers = 8\n"),
-    "zsygmondy": "command = zsygmondy\nqs = 2-16\nds = 3-12\nworkers = 8\n",
+                    "ranks = 2-9\nqs = 8\n"),
+    "zsygmondy": "command = zsygmondy\nqs = 2-16\nds = 3-12\n",
     "bijection": (f"command = bijection\ndata = {_DATA}\n"
-                  "primes = 2, 3, 5\nworkers = 8\n"),
+                  "primes = 2, 3, 5\n"),
     "cornqs": (f"command = cornqs\ndata = {_DATA}\n"
-               "primes = 2, 3, 5\nworkers = 8\n"),
+               "primes = 2, 3, 5\n"),
 }
 
 
@@ -331,8 +331,9 @@ def test_criterion_6_abelian_kernel():
 def test_criterion_7_torsor_bijection(grids):
     g = grids["bijection"]
     jobs = _jobs(g)
-    tame = {name for name, e in catalog().items()
-            if e.tame_witness is not None}
+    permutation = {name for name, e in catalog().items()
+                   if is_induced(e.datum.inertia_matrices,
+                                 IntMatrix.identity(e.datum.rank))}
     problems = []
     for job in jobs:
         key = job["key"]
@@ -346,13 +347,14 @@ def test_criterion_7_torsor_bijection(grids):
             problems.append((key, f"orders differ {orders}"))
         if name == "norm_one_ramified" and key["p"] == 2 and orders != (2, 2):
             problems.append((key, f"expected (2, 2), got {orders}"))
-        if name in tame and orders != (1, 1):
-            problems.append((key, f"tame entry not trivial: {orders}"))
+        if name in permutation and orders != (1, 1):
+            problems.append((key, f"permutation lattice not trivial: "
+                                  f"{orders}"))
     ok = (len(jobs) == 3 * len(catalog()) and not problems
           and g.elapsed < 5.0)
     _criterion(7, "torsor orders agree on all catalog entries x p in "
-                  "{2,3,5}; ramified norm-one is Z/2 at 2; tame entries "
-                  "trivial", ok,
+                  "{2,3,5}; ramified norm-one is Z/2 at 2; entries whose "
+                  "inertia permutes the standard basis trivial", ok,
                f"{len(jobs)} cells in {g.elapsed:.1f}s (budget 5s)"
                + (f"; failures {problems[:5]}" if problems else ""))
 

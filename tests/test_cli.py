@@ -34,6 +34,13 @@ _VALIDATOR = Draft202012Validator(json.loads(
 _ENTRY = "import sys; from blockatlas.cli import main; sys.exit(main())"
 
 
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(blockatlas.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
@@ -217,9 +224,7 @@ def test_type_a_at_huge_d_finishes_quickly(capsys):
 ], ids=["fusion-q", "bijection-p"])
 def test_a_61_bit_prime_finishes_quickly(argv):
     # 2**61 - 1 is prime: trial division to its square root never finished
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv],
                           capture_output=True, text=True, env=env, timeout=5)
     assert proc.returncode in (0, 2), proc.stderr
@@ -229,9 +234,7 @@ def test_a_61_bit_prime_finishes_quickly(argv):
 @pytest.mark.parametrize("d", [2**61 - 1, 2**63 - 1])
 def test_zsygmondy_at_a_huge_d_fails_fast(d):
     # q**d is rejected from the bit lengths, before the power is computed
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     proc = subprocess.run(
         [sys.executable, "-c", _ENTRY, "zsygmondy", "--q", "2", "--d", str(d)],
         capture_output=True, text=True, env=env, timeout=5)
@@ -250,9 +253,7 @@ def test_fusion_at_a_huge_dmax_fails_fast(tmp_path):
     # q**63 >= 2**63 for every q >= 2, so a d_max past 62 is rejected before
     # any witness search: a single command exits 2, a grid reports the error
     # in each cell
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     cfg = write_cfg(tmp_path, "command = fusion\nfamilies = A\nranks = 2\n"
                               "qs = 2, 4\ndmax = 100000000\n")
     for argv, code in (
@@ -271,12 +272,63 @@ def test_fusion_at_a_huge_dmax_fails_fast(tmp_path):
                 [_DMAX_ERROR] * 2
 
 
+_MR_LIMIT = "3317044064679887385961981"  # is_prime decides below this
+_PRIMALITY_ERROR = {"code": "BoundExceeded",
+                    "message": f"primality of {_MR_LIMIT} is decided only "
+                               f"below {_MR_LIMIT}"}
+
+
+def _power_error(power):
+    return {"code": "BoundExceeded",
+            "message": f"{power} exceeds the supported range"}
+
+
+_PAST_BOUNDS = [
+    # --rank: symbols up to rank 10, partitions up to size 30
+    (["unipotent", "--type", "B", "--rank", "11"],
+     {"code": "BoundExceeded",
+      "message": "rank 11 exceeds the configured bound 10"}),
+    (["fusion", "--type", "A", "--rank", "30", "--q", "2"],
+     {"code": "BoundExceeded",
+      "message": "partitions of 31 exceed the configured bound 30"}),
+    # --q and --d: q**d at most 2**63 - 1
+    (["zsygmondy", "--q", "2", "--d", "63"], _power_error("2**63")),
+    (["zsygmondy", "--q", str(2**63), "--d", "1"],
+     _power_error(f"{2**63}**1")),
+    # --dmax: at most 62, and q**dmax under the same cap
+    (["fusion", "--type", "A", "--rank", "2", "--q", "2", "--dmax", "63"],
+     {"code": "BoundExceeded",
+      "message": "d_max 63 exceeds 62: every q**d with d > 62 exceeds the "
+                 "supported range"}),
+    (["fusion", "--type", "A", "--rank", "2", "--q", "4", "--dmax", "32"],
+     _power_error("4**32")),
+    (["fusion", "--type", "A", "--rank", "2", "--q", "4", "--dmax", "40"],
+     _power_error("4**32")),
+    # --p and --ell: below the bound of is_prime
+    (["bijection", "--datum", "catalog:sl2_split", "--p", _MR_LIMIT],
+     _PRIMALITY_ERROR),
+    (["blocks", "--type", "A", "--rank", "2", "--q", "2", "--ell", _MR_LIMIT],
+     _PRIMALITY_ERROR),
+]
+
+
+@pytest.mark.parametrize("argv,error", _PAST_BOUNDS,
+                         ids=[" ".join(argv) for argv, _ in _PAST_BOUNDS])
+def test_one_past_each_documented_bound_fails_fast(argv, error):
+    # README §CLI states these bounds.  A d_max past the power cap fails
+    # before any witness search, which at q = 4 would first trial-divide
+    # Phi_31(4)
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv],
+                          capture_output=True, text=True, env=fresh_env(),
+                          timeout=5)
+    assert proc.returncode == 2, proc.stderr
+    assert check(proc.stdout)["error"] == error
+
+
 def test_blocks_at_a_61_bit_ell_finishes_quickly():
     # ell - 1 = 2 * (2**60 - 1) has only primes below 1400, so the order of
     # 2 comes from its factorization, not from a walk over its divisors
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     proc = subprocess.run(
         [sys.executable, "-c", _ENTRY, "blocks", "--type", "A", "--rank", "2",
          "--q", "2", "--ell", "2305843009213693951"],
@@ -464,7 +516,6 @@ command = fusion
 families = B, C
 ranks = 1-2
 qs = 2, 4
-workers = 3
 """)
     code, out = run(capsys, "grid", "--config", cfg)
     doc = check(out)
@@ -481,30 +532,11 @@ workers = 3
 
 def test_grid_rerun_byte_identical(capsys, tmp_path):
     cfg = write_cfg(tmp_path,
-                    "command = zsygmondy\nqs = 2-4\nds = 3-5\nworkers = 4\n")
+                    "command = zsygmondy\nqs = 2-4\nds = 3-5\n")
     code, first = run(capsys, "grid", "--config", cfg)
     assert code == 0
     _, second = run(capsys, "grid", "--config", cfg)
     assert first == second
-
-
-@pytest.mark.parametrize("body", [
-    "command = fusion\nfamilies = B, D\nranks = 2-4\nqs = 2, 3\n",
-    "command = bijection\ndata = catalog:sl2_split, catalog:norm_one_wild, "
-    "catalog:bogus\nprimes = 2, 3\n",
-], ids=["fusion", "bijection"])
-def test_grid_workers_do_not_change_results(capsys, tmp_path, body):
-    outputs = []
-    for workers in ("workers = 1\n", "workers = 8\n", ""):
-        code, out = run(capsys, "grid", "--config",
-                        write_cfg(tmp_path, body + workers))
-        assert code == 0
-        result = check(out)["result"]
-        if workers:
-            assert result["config"]["workers"] == int(workers.split()[-1])
-        outputs.append(json.dumps([result["jobs"], result["counts"]],
-                                  sort_keys=True))
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_grid_fusion_ranks_9_10_single_class(capsys, tmp_path):
@@ -544,6 +576,8 @@ def test_grid_captures_job_errors(capsys, tmp_path):
     ("command = fusion\nfamilies = B\nqs = 2\n", "ranks"),   # missing key
     ("command = fusion\nfamilies = B\nranks = 1\nqs = 2\nworkers = 0\n",
      "workers"),
+    ("command = fusion\nfamilies = B\nranks = 1\nqs = 2\nworkers = 8\n",
+     "line 5: unknown key 'workers'"),
     ("command = fusion\ncommand = fusion\n", "duplicate"),
     ("just some words\n", "key = value"),
 ])
@@ -554,6 +588,15 @@ def test_grid_config_errors(capsys, tmp_path, text, fragment):
     assert code == 2
     assert doc["error"]["code"] == "ParseError"
     assert fragment in doc["error"]["message"]
+
+
+def test_readme_grid_configs_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = readme.split("```ini\n")[1:]
+    assert blocks
+    for block in blocks:
+        cli.parse_grid_config(block.split("```", 1)[0])
 
 
 def test_grid_error_context_has_line(capsys, tmp_path):
@@ -687,9 +730,7 @@ def test_command_executes_only_its_layers(capsys, tmp_path, argv, grid,
     # A fresh interpreter per command, since this one has run every layer.
     if grid is not None:
         argv = ["grid", "--config", write_cfg(tmp_path, grid)]
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-c", _EXECUTED, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=60)
@@ -710,9 +751,7 @@ def test_report_is_whole_after_stop_and_continue_on_a_full_pipe():
     # Unbuffered (python -u), stdout is a raw FileIO under the text layer.
     # A write blocked on a full pipe returns short when the process is
     # stopped; the report must still arrive byte for byte.
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env(PYTHONUNBUFFERED="1")
     cmd = [sys.executable, "-c",
            "import sys; from blockatlas.cli import main; sys.exit(main())",
            "unipotent", "--type", "A", "--rank", "29"]

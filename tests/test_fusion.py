@@ -302,6 +302,11 @@ def test_bound_errors_come_before_any_witness_search(monkeypatch):
         fusion_closure(GroupTypeTag("B", 11), q, d_max=10**8)
     with pytest.raises(BoundExceeded, match="^d_max 63 exceeds 62"):
         fusion_closure(GroupTypeTag("A", 2), q, d_max=63)
+    # below 63, on the first d whose power is past the cap
+    with pytest.raises(BoundExceeded, match=r"^4\*\*32 exceeds"):
+        fusion_closure(GroupTypeTag("A", 2), q, d_max=40)
+    with pytest.raises(BoundExceeded, match=r"^8\*\*21 exceeds"):
+        fusion_closure(GroupTypeTag("B", 3), PrimePower.from_q(8), d_max=25)
     assert searched == []
 
 

@@ -1,7 +1,16 @@
 """Torsor comparison, triviality criterion, and component-lemma checks."""
 
+import math
+
 import pytest
-from conftest import clear_process_caches, seeded_tori, torus, unitary
+from conftest import (
+    SPLIT_GROUPS,
+    clear_process_caches,
+    seeded_tori,
+    torus,
+    unitary,
+    weil_restriction,
+)
 
 from blockatlas import langlands
 from blockatlas.abelian import (
@@ -25,6 +34,7 @@ from blockatlas.rootdata import (
     RootDatumWithAction,
     catalog,
     derived_and_abelianized,
+    is_induced,
     kottwitz_target,
     pi1,
     tame_quotient_order,
@@ -121,6 +131,51 @@ def test_ramified_unitary_groups_match_their_closed_forms():
             assert component_lemma_checks(datum, p).all_ok, (n, p)
 
 
+def test_weil_restrictions_of_split_groups_have_trivial_torsors():
+    # s permutes the m copies of a split group's cocharacter lattice, a
+    # permutation lattice, so X_I is torsion-free and both torsor sides are
+    # trivial at every p, the wild ones (p | m) included
+    for name in SPLIT_GROUPS:
+        for m in range(1, 7):
+            for p in PRIMES:
+                datum = weil_restriction(name, m, p)
+                report = bijection_check(datum, p)
+                assert report.group_side.is_trivial, (name, m, p)
+                assert report.dual_side.is_trivial, (name, m, p)
+                assert cornqs_check(datum, p).implication_holds, (name, m, p)
+                assert component_lemma_checks(datum, p).all_ok, (name, m, p)
+
+
+SHARED_TORI = ([("norm_one", 2)], [("norm_one", 4)], [("sign", 2)],
+               [("norm_one", 3), ("perm", 3)], [("norm_one", 6)])
+
+
+def test_semisimple_and_torus_summands_under_one_inertia_generator():
+    # s acts on Res_{E/F} H and on a torus at once, and Frobenius is the
+    # identity; the permutation part adds no torsion to X_I, so both torsor
+    # sides are those of the torus alone
+    nontrivial = 0
+    for name, m in zip(SPLIT_GROUPS, (2, 3, 3, 2, 3, 2)):
+        for summands in SHARED_TORI:
+            degree = math.lcm(*(k for _kind, k in summands))
+            for p in PRIMES:
+                what = (name, m, summands, p)
+                datum = weil_restriction(name, m, p, summands)
+                report = bijection_check(datum, p)
+                alone = bijection_check(torus(summands, degree, p), p)
+                for side in ("group_side", "dual_side"):
+                    assert getattr(report, side).invariant_factors == \
+                        getattr(alone, side).invariant_factors, what
+                assert report.group_side.order() == \
+                    report.dual_side.order(), what
+                assert cornqs_check(datum, p).implication_holds, what
+                assert component_lemma_checks(datum, p).all_ok, what
+                nontrivial += not report.group_side.is_trivial
+    # Z/2 from norm_one 2, Z/4 from norm_one 4 and Z/2 from the sign at
+    # p = 2; Z/3 from norm_one 3 at p = 3; Z/6 from norm_one 6 at 2 and 3
+    assert nontrivial == len(SPLIT_GROUPS) * 6
+
+
 def test_wild_swap_both_sides_trivial():
     # the induced wild action leaves the coinvariants torsion free, so
     # both torsors collapse even at the residue characteristic
@@ -161,8 +216,10 @@ def test_equal_cardinality_across_catalog():
 
 
 def test_tame_entries_are_trivial_at_every_prime():
+    # entries whose inertia permutes the standard basis, wild ones included
     for name, e in catalog().items():
-        if e.tame_witness is None:
+        if not is_induced(e.datum.inertia_matrices,
+                          IntMatrix.identity(e.datum.rank)):
             continue
         for p in PRIMES:
             r = bijection_check(e.datum, p)

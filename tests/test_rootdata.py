@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from blockatlas.abelian import IntMatrix
+from blockatlas.abelian import FGAbelianGroup, IntMatrix, coinvariants
 from blockatlas.errors import InvalidDatum, InvalidWitness, ParseError
 from blockatlas.rootdata import (
     RootDatumWithAction,
+    _matrix_group_closure,
     catalog,
     datum_from_dict,
     datum_to_dict,
@@ -140,7 +141,13 @@ def test_catalog_names_are_stable():
     for name, entry in cat.items():
         assert entry.name == name
     assert not cat["gl2_inner_twist"].quasi_split
-    assert cat["norm_one_wild"].residue_chars == (2,)
+    # the wild entries model residue characteristic 2 only: their wild
+    # image has 2-power order
+    assert {name: len(_matrix_group_closure(e.datum.wild_matrices,
+                                            e.datum.rank))
+            for name, e in cat.items() if e.datum.wild} == {
+        "norm_one_wild": 2, "wild_swap_rank2": 2, "wild_induced_rank2": 2,
+        "wild_plus_tame_rank2": 2}
 
 
 def test_catalog_pi1_structures():
@@ -198,10 +205,17 @@ def test_catalog_kottwitz_structures():
 
 
 def test_tame_witnesses_really_are_permuted():
-    for entry in catalog().values():
-        if entry.tame_witness is None:
-            continue
-        assert is_induced(entry.datum.inertia_matrices, entry.tame_witness)
+    # inertia permutes the standard basis of all but three entries, and
+    # those permutation lattices have torsion-free inertia coinvariants
+    permuted = {name for name, e in catalog().items()
+                if is_induced(e.datum.inertia_matrices,
+                              IntMatrix.identity(e.datum.rank))}
+    assert set(catalog()) - permuted == {
+        "norm_one_ramified", "norm_one_wild", "wild_plus_tame_rank2"}
+    for name in permuted:
+        datum = catalog()[name].datum
+        assert coinvariants(FGAbelianGroup.free(datum.rank),
+                            datum.inertia_matrices).torsion().is_trivial, name
 
 
 def test_induced_witnesses_cover_the_wild_part():
