@@ -21,10 +21,19 @@ add ``limits``, ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
 ``dseries-check`` and ``defect-bounds`` also ``fusion`` (and ``exceptional``
 with a plugin); ``pi1`` adds ``abelian`` and ``rootdata``, the datum checks
 also ``langlands``; ``grid`` runs those of its configured command.
+
+``main`` runs in one of two modes.  As a library call, ``main(argv)``
+returns the exit code and leaves the garbage collector as it was.  As the
+program, ``main()`` (the console script's body) reads ``sys.argv`` and
+freezes the collector once the command has ended, on every exit path: the
+report is written and the process is about to end, so the full collections
+of interpreter shutdown need not trace every object still alive, which
+took about a tenth of a lattice grid invocation.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import lru_cache, partial
@@ -503,7 +512,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    """Run one command and return its exit code.
+
+    ``main(argv)`` is a library call and leaves the garbage collector alone,
+    so tests and tracers keep a live one.  ``main()`` is the program
+    (``sys.exit(main())``): it reads ``sys.argv`` and, however the command
+    ends, freezes the collector, so the collections of interpreter shutdown
+    skip every object still alive; atexit callbacks still run and stdio is
+    still flushed."""
+    if argv is not None:
+        return _run(list(argv))
+    try:
+        return _run(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _run(argv: list) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -136,32 +136,36 @@ class RootDatumWithAction:
             raise InvalidDatum("wild labels must be inertia labels")
         if self.frobenius not in known:
             raise InvalidDatum(f"frobenius label {self.frobenius!r} is not declared")
+        coroots = IntMatrix.from_columns(self.coroots, self.rank)
+        roots = IntMatrix.from_columns(self.roots, self.rank)
         for label, mat in self.galois:
             if mat.rows != self.rank or mat.cols != self.rank:
                 raise InvalidDatum(f"operator {label!r} is not {self.rank}x{self.rank}")
             if not mat.is_unimodular():
                 raise InvalidDatum(f"operator {label!r} is not unimodular")
-            self._check_permutes(label, mat)
+            self._check_permutes(label, mat, coroots, roots)
         if self.induced_witness is not None:
             w = self.induced_witness
             if w.rows != self.rank or w.cols != self.rank or not w.is_unimodular():
                 raise InvalidDatum("induced_witness must be a unimodular basis matrix")
         self._check_frobenius_normalizes()
 
-    def _check_permutes(self, label: str, mat: IntMatrix) -> None:
-        """The operator must permute the coroots; the inverse transpose must
-        permute the roots by the same index permutation."""
+    def _check_permutes(self, label: str, mat: IntMatrix, coroots: IntMatrix,
+                        roots: IntMatrix) -> None:
+        """The operator M must permute the coroots, and its inverse
+        transpose the roots by the same index permutation: M·a∨_i = a∨_j
+        together with Mᵀ·a_j = a_i, which needs no inverse.  One product
+        per side; ``coroots`` and ``roots`` hold the vectors as columns."""
         if not self.coroots:
             return
         index = {v: i for i, v in enumerate(self.coroots)}
-        dual = mat.inverse_unimodular().transpose()
-        for i, (a, av) in enumerate(zip(self.roots, self.coroots)):
-            image = _apply(mat, av)
+        pulled = (mat.transpose() @ roots).columns()
+        for i, image in enumerate((mat @ coroots).columns()):
             j = index.get(image)
             if j is None:
-                raise InvalidDatum(
-                    f"operator {label!r} moves coroot {av} outside the coroot set")
-            if _apply(dual, a) != self.roots[j]:
+                raise InvalidDatum(f"operator {label!r} moves coroot "
+                                   f"{self.coroots[i]} outside the coroot set")
+            if pulled[j] != self.roots[i]:
                 raise InvalidDatum(
                     f"operator {label!r} does not permute the roots compatibly")
 

@@ -19,7 +19,9 @@ or SeriesPartition.  The rank bounds of :mod:`limits` are checked by the
 enumerators that build a label table; a build that raises is not cached, so
 it raises again on the next call.  The label table is built in
 ``UnipotentLabel.sort_key`` order, checked once when it is built, so a
-series keeps each block's members in table order.  Cores
+series keeps each block's members in table order; a symbol family's table
+must also have the length of Lusztig's closed form, computed from
+partition counts.  Cores
 are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
 the canonical symbol core per (symbol, d), so B and C share theirs, and
 equal symbol cores are one object, so dict lookups on them stop at
@@ -221,6 +223,26 @@ class SeriesPartition(NamedTuple):
             raise InvariantViolation("blocks do not cover the label set")
 
 
+def _symbol_label_count(family: str, n: int) -> int:
+    """Lusztig's closed form for the number of unipotent characters of the
+    symbol family at rank n, from partition counts alone: p(m) partitions
+    and p2(m) bipartitions of m; a degenerate D-symbol counts twice."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    p2 = [sum(p[i] * p[m - i] for i in range(m + 1)) for m in range(n + 1)]
+
+    def over(costs):
+        return sum(p2[n - c] for c in costs if c <= n)
+    if family == "D":
+        half = p[n // 2] if n % 2 == 0 else 0
+        return (p2[n] + 3 * half) // 2 + over(4 * k * k for k in range(1, n + 1))
+    if family == "2D":
+        return over((2 * k + 1) ** 2 for k in range(n + 1))
+    return over(s * (s + 1) for s in range(n + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _labels(group_type: GroupTypeTag) -> tuple:
     """The type's label table, strictly increasing in sort_key order."""
@@ -239,6 +261,11 @@ def _labels(group_type: GroupTypeTag) -> tuple:
             f"family {family} has no built-in label table; supply plugin data")
     out = [UnipotentLabel(group_type, payload, marker, _measure(payload))
            for payload, marker in entries]
+    if family in _SYMBOL_DEFECTS:
+        expected = _symbol_label_count(family, n)
+        if len(out) != expected:
+            raise InvariantViolation(f"{group_type} has {len(out)} labels, "
+                                     f"Lusztig's count is {expected}")
     keys = [lab.sort_key() for lab in out]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise InvariantViolation(f"{group_type} labels are not in sort_key order")

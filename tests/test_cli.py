@@ -3,6 +3,7 @@
 Every emitted document is validated against the shipped report_v1 schema.
 """
 import fcntl
+import gc
 import json
 import os
 import signal
@@ -352,10 +353,12 @@ def test_unknown_command_is_structured(capsys):
     assert check(out)["error"]["code"] == "UsageError"
 
 
+def _synthetic_defect(args):
+    raise InvariantViolation("synthetic defect")
+
+
 def test_invariant_violation_exits_1(capsys, monkeypatch):
-    def broken(args):
-        raise InvariantViolation("synthetic defect")
-    monkeypatch.setitem(cli._HANDLERS, "zsygmondy", broken)
+    monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
     code, out = run(capsys, "zsygmondy", "--q", "2", "--d", "3")
     doc = check(out)
     assert code == 1
@@ -366,6 +369,55 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
+
+
+# The console script's body, writing the collector's frozen object count to
+# stderr once main() has returned; BROKEN=1 swaps in _synthetic_defect.
+_FREEZE_PROBE = (
+    "import gc, os, sys\n"
+    "from blockatlas import cli\n"
+    "from blockatlas.errors import InvariantViolation\n"
+    "def broken(args):\n"
+    "    raise InvariantViolation('synthetic defect')\n"
+    "if os.environ.get('BROKEN'):\n"
+    "    cli._HANDLERS['zsygmondy'] = broken\n"
+    "code = cli.main()\n"
+    "sys.stderr.write(str(gc.get_freeze_count()))\n"
+    "sys.exit(code)\n")
+
+_EXIT_CASES = [
+    (["zsygmondy", "--q", "4", "--d", "3"], False, 0),
+    (["zsygmondy", "--q", "2", "--d", "3"], True, 1),
+    (["fusion", "--type", "B"], False, 2),
+    (["pi1", "--datum", "catalog:nope"], False, 2),
+]
+
+
+@pytest.mark.parametrize("argv,broken,code", _EXIT_CASES,
+                         ids=["ok", "invariant", "usage", "parse"])
+def test_program_mode_freezes_the_collector(capsys, monkeypatch, argv, broken,
+                                            code):
+    # main() returns the library call's exit code and bytes, with every
+    # live object frozen, so interpreter shutdown skips tracing them
+    env = fresh_env(BROKEN="1") if broken else fresh_env()
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert int(proc.stderr) > 0
+    if broken:
+        monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
+    assert run(capsys, *argv) == (code, proc.stdout.decode())
+
+
+def test_library_mode_leaves_the_collector_alone(capsys, monkeypatch):
+    # tests and tracers call main(argv) and keep a live collector
+    frozen = gc.get_freeze_count()
+    codes = [cli.main(argv) for argv, _broken, _code in _EXIT_CASES]
+    monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
+    codes.append(cli.main(_EXIT_CASES[1][0]))
+    capsys.readouterr()
+    assert codes == [0, 0, 2, 2, 1]
+    assert gc.get_freeze_count() == frozen
 
 
 # ------------------------------------------------------------------- datums

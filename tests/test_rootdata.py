@@ -1,6 +1,7 @@
 """Root-datum construction, validation, lattice functors, and the catalog."""
 
 import json
+import random
 
 import pytest
 
@@ -54,6 +55,94 @@ def test_operator_must_move_roots_compatibly():
         RootDatumWithAction(2, coroots=((1, 0), (-1, 0)),
                             roots=((2, 1), (-2, -1)),
                             galois=(("F", g),))
+
+
+def _datum_error(coroots, roots, *operators):
+    try:
+        RootDatumWithAction(
+            2, coroots=coroots, roots=roots,
+            galois=[(f"g{i}", g) for i, g in enumerate(operators)]
+            + [("F", IntMatrix.identity(2))])
+    except InvalidDatum as exc:
+        return str(exc)
+    return None
+
+
+# diag(-1, 1) sends coroot 0 to coroot 1, which Mᵀ sends to (2, 1) != a_0;
+# it sends the coroot (1, 1) outside the set
+_FLIP = ((-1, 0), (0, 1))
+_ROOT_FAILURE = ((1, 0), (2, 1))
+_COROOT_FAILURE = ((1, 1), (1, 1))
+_PAIR = ((-1, 0), (-2, -1))
+
+
+def test_permutation_check_messages_and_first_failure():
+    def error(*pairs):
+        return _datum_error([av for av, _ in pairs], [a for _, a in pairs],
+                            _FLIP)
+    coroot = "operator 'g0' moves coroot (1, 1) outside the coroot set"
+    roots = "operator 'g0' does not permute the roots compatibly"
+    assert error(_COROOT_FAILURE, _ROOT_FAILURE, _PAIR) == coroot
+    assert error(_ROOT_FAILURE, _PAIR, _COROOT_FAILURE) == roots
+    assert error(_PAIR, _ROOT_FAILURE, _COROOT_FAILURE) == roots
+    assert error(_ROOT_FAILURE, _PAIR) == roots
+    assert error(((1, 0), (2, 0)), ((-1, 0), (-2, 0))) is None
+    # a rotation of order four: Mᵀ·a_j = a_i holds, Mᵀ·a_i = a_j does not
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    assert _datum_error(axes, [(2 * x, 2 * y) for x, y in axes],
+                        ((0, -1), (1, 0))) is None
+    # operators are checked in their order
+    assert _datum_error([(1, 0), (-1, 0)], [(2, 1), (-2, -1)], SWAP,
+                        _FLIP) == "operator 'g0' moves coroot (1, 0) " \
+                                  "outside the coroot set"
+
+
+def _vector_by_vector(coroots, roots, operators):
+    """The permutation check one vector at a time, through the inverse:
+    M·a∨_i = a∨_j and (M⁻¹)ᵀ·a_i = a_j."""
+    index = {v: i for i, v in enumerate(coroots)}
+    for k, g in enumerate(operators):
+        dual = IntMatrix(g).inverse_unimodular().transpose().entries
+        for i, (a, av) in enumerate(zip(roots, coroots)):
+            j = index.get(tuple(sum(x * y for x, y in zip(row, av))
+                                for row in g))
+            if j is None:
+                return f"operator 'g{k}' moves coroot {av} outside the " \
+                       f"coroot set"
+            if tuple(sum(x * y for x, y in zip(row, a))
+                     for row in dual) != roots[j]:
+                return f"operator 'g{k}' does not permute the roots " \
+                       f"compatibly"
+    return None
+
+
+_A2 = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
+_B2 = _A2 + [(1, -1), (-1, 1)]
+# every small root that pairs to 2 with the coroot
+_PARTNERS = {av: [(x, y) for x in range(-3, 4) for y in range(-3, 4)
+                  if x * av[0] + y * av[1] == 2] for av in _B2}
+
+
+def test_permutation_check_matches_the_vector_by_vector_check():
+    # subsets of the rank-2 coroot systems A2 and B2 with random roots that
+    # pair to 2, under the eight signed permutations and three shears: the
+    # first failure and its message agree
+    rng = random.Random(7)
+    operators = [((s, 0), (0, t)) for s in (1, -1) for t in (1, -1)]
+    operators += [((0, s), (t, 0)) for s in (1, -1) for t in (1, -1)]
+    operators += [((1, 1), (0, 1)), ((1, 0), (-1, 1)), ((2, 1), (1, 1))]
+    seen = set()
+    for coroots in (_A2, _B2):
+        for _ in range(60):
+            chosen = rng.sample(coroots, rng.randint(1, len(coroots)))
+            roots = [rng.choice(_PARTNERS[av]) for av in chosen]
+            if len(set(roots)) < len(roots):
+                continue
+            ops = rng.sample(operators, 2)
+            expected = _vector_by_vector(chosen, roots, ops)
+            assert _datum_error(chosen, roots, *ops) == expected
+            seen.add(expected and expected.split()[-1])
+    assert {"set", "compatibly"} <= seen
 
 
 def test_label_bookkeeping():

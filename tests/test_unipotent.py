@@ -97,6 +97,18 @@ def test_label_counts_follow_the_closed_forms(family):
         assert len(enumerate_labels(tag)) == lusztig_label_count(family, n), n
 
 
+@pytest.mark.parametrize("family", ("B", "C", "D", "2D"))
+def test_a_table_that_loses_a_symbol_fails_its_count(monkeypatch, family):
+    # _labels compares the table's length with Lusztig's count from
+    # partition counts, so an enumeration that drops a symbol raises
+    real = unipotent.enumerate_symbols
+    monkeypatch.setattr(unipotent, "enumerate_symbols",
+                        lambda n, defects: real(n, defects)[:-1])
+    unipotent._labels.cache_clear()
+    with pytest.raises(InvariantViolation, match="Lusztig's count is"):
+        enumerate_labels(GroupTypeTag(family, 4))
+
+
 def test_degenerate_markers():
     labs = enumerate_labels(D2)
     marked = [lab for lab in labs if lab.marker]
