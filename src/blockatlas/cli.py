@@ -22,13 +22,21 @@ add ``limits``, ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
 with a plugin); ``pi1`` adds ``abelian`` and ``rootdata``, the datum checks
 also ``langlands``; ``grid`` runs those of its configured command.
 
+An argv that starts with a subcommand builds that subcommand's parser
+alone (``build_parser(command)``); any other argv (``-h``, none, an unknown
+command) builds all of them, because the parent's help and errors list
+every subcommand.  Help texts, namespaces and usage errors are the same
+either way.
+
 ``main`` runs in one of two modes.  As a library call, ``main(argv)``
 returns the exit code and leaves the garbage collector as it was.  As the
-program, ``main()`` (the console script's body) reads ``sys.argv`` and
-freezes the collector once the command has ended, on every exit path: the
-report is written and the process is about to end, so the full collections
-of interpreter shutdown need not trace every object still alive, which
-took about a tenth of a lattice grid invocation.
+program, ``main()`` (the console script's body) reads ``sys.argv``, runs
+the command with the collector off and freezes it once the command has
+ended, on every exit path.  A command leaves about a hundred unreachable
+cyclic objects, so collections during it would trace live objects for
+nothing; and once the report is written the process is about to end, so
+the full collections of interpreter shutdown need not trace every object
+still alive, which took about a tenth of a lattice grid invocation.
 """
 from __future__ import annotations
 
@@ -444,70 +452,72 @@ def _emit(doc: dict, pretty: bool) -> None:
     binary.flush()
 
 
-def build_parser() -> _Parser:
+def _required_int(flag: str) -> tuple:
+    return flag, {"required": True, "type": int}
+
+
+_TYPED = (("--type", {"required": True, "metavar": "FAMILY",
+                      "help": "family token, e.g. B or 2A"}),
+          _required_int("--rank"))
+_DATUM = ("--datum", {"required": True,
+                      "help": "catalog:NAME or a JSON datum file"})
+
+# Every subcommand once, in ``_HANDLERS``' order: its help line and its
+# arguments as (flag, add_argument options) after ``--pretty``.
+_COMMANDS = {
+    "unipotent": ("list the unipotent labels of a classical type", _TYPED),
+    "series": ("partition the labels into d-series",
+               _TYPED + (_required_int("--d"),)),
+    "blocks": ("partition the labels into ell-blocks at q",
+               _TYPED + (_required_int("--q"), _required_int("--ell"))),
+    "fusion": ("close the d-series under all admissible d", _TYPED + (
+        _required_int("--q"),
+        ("--dmax", {"type": int,
+                    "help": "largest d to consider (default 2(rank+1))"}),
+        ("--plugin", {"metavar": "FILE", "help": "exceptional_v1 data file "
+                                                 "for non-classical types"}))),
+    "dseries-check": ("is the join of the given d-series a single class",
+                      _TYPED + (("--D", {"required": True, "nargs": "+",
+                                         "metavar": "D",
+                                         "help": "d values, space or comma "
+                                                 "separated"}),
+                                ("--plugin", {"metavar": "FILE"}))),
+    "defect-bounds": ("defect bounds for every occurring 1-series core",
+                      _TYPED),
+    "zsygmondy": ("smallest odd prime at which q has order exactly d",
+                  (_required_int("--q"), _required_int("--d"))),
+    "pi1": ("fundamental group and its arithmetic target",
+            (_DATUM, ("--p", {"type": int}))),
+    "components": ("component-group route comparisons at p",
+                   (_DATUM, _required_int("--p"))),
+    "bijection": ("group-side vs dual-side torsor orders at p",
+                  (_DATUM, _required_int("--p"))),
+    "cornqs": ("triviality criterion for the p-part of pi1",
+               (_DATUM, _required_int("--p"))),
+    "grid": ("run grid cells in expansion order on one thread",
+             (("--config", {"required": True, "metavar": "FILE",
+                            "help": "flat key = value grid description"}),)),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``blockatlas`` parser with every subparser, or with ``command``'s
+    alone.  A subcommand's help, namespace and usage errors are the same
+    either way; the parent's help and its errors (no command, an unknown
+    one) list every subcommand, so they need the full parser."""
     parser = _Parser(
         prog="blockatlas",
         description="Series/block combinatorics and torsor checks, "
                     "reported as report_v1 JSON documents.")
-    pretty = argparse.ArgumentParser(add_help=False)
-    pretty.add_argument("--pretty", action="store_true",
-                        help="indent the report (still key-sorted)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-
-    def typed(name, help_text, **extra):
-        p = sub.add_parser(name, parents=[pretty], help=help_text, **extra)
-        p.add_argument("--type", required=True, metavar="FAMILY",
-                       help="family token, e.g. B or 2A")
-        p.add_argument("--rank", required=True, type=int)
-        return p
-
-    typed("unipotent", "list the unipotent labels of a classical type")
-
-    p = typed("series", "partition the labels into d-series")
-    p.add_argument("--d", required=True, type=int)
-
-    p = typed("blocks", "partition the labels into ell-blocks at q")
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--ell", required=True, type=int)
-
-    p = typed("fusion", "close the d-series under all admissible d")
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--dmax", type=int, default=None,
-                   help="largest d to consider (default 2(rank+1))")
-    p.add_argument("--plugin", default=None, metavar="FILE",
-                   help="exceptional_v1 data file for non-classical types")
-
-    p = typed("dseries-check", "is the join of the given d-series a single class")
-    p.add_argument("--D", required=True, nargs="+", metavar="D",
-                   help="d values, space or comma separated")
-    p.add_argument("--plugin", default=None, metavar="FILE")
-
-    typed("defect-bounds", "defect bounds for every occurring 1-series core")
-
-    p = sub.add_parser("zsygmondy", parents=[pretty],
-                       help="smallest odd prime at which q has order exactly d")
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
-
-    def datum(name, help_text, p_required=True):
-        p = sub.add_parser(name, parents=[pretty], help=help_text)
-        p.add_argument("--datum", required=True,
-                       help="catalog:NAME or a JSON datum file")
-        p.add_argument("--p", type=int, required=p_required, default=None)
-        return p
-
-    datum("pi1", "fundamental group and its arithmetic target",
-          p_required=False)
-    datum("components", "component-group route comparisons at p")
-    datum("bijection", "group-side vs dual-side torsor orders at p")
-    datum("cornqs", "triviality criterion for the p-part of pi1")
-
-    p = sub.add_parser("grid", parents=[pretty],
-                       help="run grid cells in expansion order on one thread")
-    p.add_argument("--config", required=True, metavar="FILE",
-                   help="flat key = value grid description")
-
+    for name in (command,) if command else _COMMANDS:
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--pretty", action="store_true",
+                       help="indent the report (still key-sorted)")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -516,12 +526,15 @@ def main(argv=None) -> int:
 
     ``main(argv)`` is a library call and leaves the garbage collector alone,
     so tests and tracers keep a live one.  ``main()`` is the program
-    (``sys.exit(main())``): it reads ``sys.argv`` and, however the command
-    ends, freezes the collector, so the collections of interpreter shutdown
-    skip every object still alive; atexit callbacks still run and stdio is
-    still flushed."""
+    (``sys.exit(main())``): it reads ``sys.argv``, disables the collector
+    for the command and, however the command ends, freezes it, so the
+    collections of interpreter shutdown skip every object still alive;
+    atexit callbacks still run and stdio is still flushed.  Either mode
+    builds one subparser when the argv starts with a subcommand and the
+    full parser otherwise (see ``build_parser``)."""
     if argv is not None:
         return _run(list(argv))
+    gc.disable()
     try:
         return _run(sys.argv[1:])
     finally:
@@ -529,7 +542,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _Usage as exc:

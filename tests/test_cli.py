@@ -2,6 +2,7 @@
 
 Every emitted document is validated against the shipped report_v1 schema.
 """
+import argparse
 import fcntl
 import gc
 import json
@@ -371,16 +372,108 @@ def test_help_exits_zero(capsys):
     assert info.value.code == 0
 
 
-# The console script's body, writing the collector's frozen object count to
-# stderr once main() has returned; BROKEN=1 swaps in _synthetic_defect.
+# A valid argv per subcommand, in _HANDLERS' order.
+_VALID_ARGV = {
+    "unipotent": ["--type", "B", "--rank", "2"],
+    "series": ["--type", "B", "--rank", "2", "--d", "2", "--pretty"],
+    "blocks": ["--type", "A", "--rank", "3", "--q", "2", "--ell", "3"],
+    "fusion": ["--type", "B", "--rank", "2", "--q", "3", "--dmax", "6",
+               "--plugin", "x.json"],
+    "dseries-check": ["--type", "D", "--rank", "4", "--D", "1,2", "4"],
+    "defect-bounds": ["--type", "C", "--rank", "3"],
+    "zsygmondy": ["--q", "4", "--d", "3"],
+    "pi1": ["--datum", "catalog:pgl3_split"],
+    "components": ["--datum", "catalog:pgl3_split", "--p", "3"],
+    "bijection": ["--datum", "x.json", "--p", "2"],
+    "cornqs": ["--datum", "catalog:pgl3_split", "--p", "5"],
+    "grid": ["--config", "grid.cfg", "--pretty"],
+}
+
+
+def _subparsers(parser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _usage_message(parser, argv) -> str:
+    with pytest.raises(cli._Usage) as info:
+        parser.parse_args(argv)
+    return str(info.value)
+
+
+def test_every_subcommand_has_a_handler_and_one_description():
+    assert list(cli._COMMANDS) == list(cli._HANDLERS) == list(_VALID_ARGV)
+    assert list(_subparsers(cli.build_parser())) == list(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("name", list(_VALID_ARGV))
+def test_one_subparser_parses_as_the_full_parser(name):
+    # the parser built for one subcommand holds it alone, with the help,
+    # namespace and usage errors that the full parser gives it
+    full, alone = cli.build_parser(), cli.build_parser(name)
+    assert list(_subparsers(alone)) == [name]
+    assert (_subparsers(alone)[name].format_help()
+            == _subparsers(full)[name].format_help())
+    argv = [name, *_VALID_ARGV[name]]
+    assert alone.parse_args(argv) == full.parse_args(argv)
+    # a missing required flag, an unknown flag or token, and a non-integer
+    # --rank, --q or --p
+    bad = [[name], [*argv, "--bogus"], [name, "extra", *argv[1:]]]
+    bad += [argv[:argv.index(flag) + 1] + ["x"] + argv[argv.index(flag) + 2:]
+            for flag in ("--rank", "--q", "--p") if flag in argv]
+    for case in bad:
+        assert _usage_message(alone, case) == _usage_message(full, case), case
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], [], ["frobnicate"],
+                                  ["--pretty"], ["fusion", "-h"],
+                                  ["zsygmondy", "--q", "x", "--d", "3"]],
+                         ids=["h", "help", "empty", "unknown", "flag",
+                              "sub-h", "sub-usage"])
+def test_parser_built_for_each_argv(capsys, monkeypatch, argv):
+    # the parent's help and errors list every subcommand, so only an argv
+    # that starts with a subcommand builds that subparser alone; the bytes
+    # are those of the full parser either way
+    build, built = cli.build_parser, []
+
+    def recording(command=None):
+        parser = build(command)
+        built.append(list(_subparsers(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    full = build()
+    if "-h" in argv or "--help" in argv:
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        target = _subparsers(full)[argv[0]] if len(argv) > 1 else full
+        assert capsys.readouterr().out == target.format_help()
+    else:
+        assert cli.main(argv) == 2
+        error = check(capsys.readouterr().out)["error"]
+        assert error["code"] == "UsageError"
+        assert error["message"] == _usage_message(full, argv)
+    subcommand = argv[:1] if argv[:1] and argv[0] in cli._HANDLERS else None
+    assert built == [subcommand or list(cli._HANDLERS)]
+
+
+# The console script's body.  The invoked command's handler (or, with
+# BROKEN=1, _synthetic_defect in its place) first writes whether the
+# collector is enabled to stderr; once main() has returned, the frozen
+# object count follows.
 _FREEZE_PROBE = (
     "import gc, os, sys\n"
     "from blockatlas import cli\n"
     "from blockatlas.errors import InvariantViolation\n"
     "def broken(args):\n"
     "    raise InvariantViolation('synthetic defect')\n"
-    "if os.environ.get('BROKEN'):\n"
-    "    cli._HANDLERS['zsygmondy'] = broken\n"
+    "command = sys.argv[1]\n"
+    "handler = broken if os.environ.get('BROKEN') else cli._HANDLERS[command]\n"
+    "def probe(args):\n"
+    "    sys.stderr.write(f'{gc.isenabled()} ')\n"
+    "    return handler(args)\n"
+    "cli._HANDLERS[command] = probe\n"
     "code = cli.main()\n"
     "sys.stderr.write(str(gc.get_freeze_count()))\n"
     "sys.exit(code)\n")
@@ -397,13 +490,18 @@ _EXIT_CASES = [
                          ids=["ok", "invariant", "usage", "parse"])
 def test_program_mode_freezes_the_collector(capsys, monkeypatch, argv, broken,
                                             code):
-    # main() returns the library call's exit code and bytes, with every
-    # live object frozen, so interpreter shutdown skips tracing them
+    # main() returns the library call's exit code and bytes; the command
+    # runs with the collector off, and once it ends every live object is
+    # frozen, so interpreter shutdown skips tracing them
     env = fresh_env(BROKEN="1") if broken else fresh_env()
     proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == code, proc.stderr
-    assert int(proc.stderr) > 0
+    *enabled, frozen = proc.stderr.decode().split()
+    # a usage error ends before any handler runs
+    usage = check(proc.stdout.decode()).get("error", {}).get("code")
+    assert enabled == ([] if usage == "UsageError" else ["False"])
+    assert int(frozen) > 0
     if broken:
         monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
     assert run(capsys, *argv) == (code, proc.stdout.decode())
@@ -418,6 +516,7 @@ def test_library_mode_leaves_the_collector_alone(capsys, monkeypatch):
     capsys.readouterr()
     assert codes == [0, 0, 2, 2, 1]
     assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
 
 
 # ------------------------------------------------------------------- datums
