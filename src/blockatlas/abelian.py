@@ -209,6 +209,26 @@ def smith_normal_form(M: IntMatrix) -> tuple:
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
 
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(i, j, q):  # row i -= q * row j
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
+
+    def col_sub(i, j, q):  # col i -= q * col j
+        for row in A:
+            row[i] -= q * row[j]
+        for row in V:
+            row[i] -= q * row[j]
+
     t = 0
     while t < min(r, c):
         # re-select the minimal pivot on every round: remainder steps then
@@ -222,52 +242,34 @@ def smith_normal_form(M: IntMatrix) -> tuple:
         if best is None:
             break
         _, pi, pj = best
-        if pi != t:                       # swap rows t and pi
-            A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
-        if pj != t:                       # swap columns t and pj
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-            for row in V:
-                row[t], row[pj] = row[pj], row[t]
-        At, Ut = A[t], U[t]               # row t; column steps update At
-        p = At[t]
-        # row i -= q * row t, or col j -= q * col t
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        p = A[t][t]
         i = next((i for i in range(t + 1, r) if A[i][t] % p), None)
-        if i is not None:                 # leaves |remainder| < |p|
-            q = A[i][t] // p
-            A[i] = [x - q * y for x, y in zip(A[i], At)]
-            U[i] = [x - q * y for x, y in zip(U[i], Ut)]
+        if i is not None:
+            row_sub(i, t, A[i][t] // p)   # leaves |remainder| < |p|
             continue
-        j = next((j for j in range(t + 1, c) if At[j] % p), None)
+        j = next((j for j in range(t + 1, c) if A[t][j] % p), None)
         if j is not None:
-            q = At[j] // p
-            for row in A:
-                row[j] -= q * row[t]
-            for row in V:
-                row[j] -= q * row[t]
+            col_sub(j, t, A[t][j] // p)
             continue
         for i in range(t + 1, r):         # exact elimination
             if A[i][t]:
-                q = A[i][t] // p
-                A[i] = [x - q * y for x, y in zip(A[i], At)]
-                U[i] = [x - q * y for x, y in zip(U[i], Ut)]
+                row_sub(i, t, A[i][t] // p)
         for j in range(t + 1, c):
-            if At[j]:
-                q = At[j] // p
-                for row in A:
-                    row[j] -= q * row[t]
-                for row in V:
-                    row[j] -= q * row[t]
+            if A[t][j]:
+                col_sub(j, t, A[t][j] // p)
         bad = next((i for i in range(t + 1, r)
                     for j in range(t + 1, c) if A[i][j] % p), None)
         if bad is not None:
-            A[t] = [x + y for x, y in zip(At, A[bad])]
-            U[t] = [x + y for x, y in zip(Ut, U[bad])]
+            A[t] = [x + y for x, y in zip(A[t], A[bad])]
+            U[t] = [x + y for x, y in zip(U[t], U[bad])]
             continue
         if p < 0:
-            A[t] = [-x for x in At]
-            U[t] = [-x for x in Ut]
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
     return (IntMatrix._of(tuple(map(tuple, U)), r, r),
             IntMatrix._of(tuple(map(tuple, A)), r, c),

@@ -387,22 +387,6 @@ def _cmd_grid(args) -> dict:
 
 # ----------------------------------------------------------------- plumbing
 
-_HANDLERS = {
-    "unipotent": _cmd_unipotent,
-    "series": _cmd_series,
-    "blocks": _cmd_blocks,
-    "fusion": _cmd_fusion,
-    "dseries-check": _cmd_dseries_check,
-    "defect-bounds": _cmd_defect_bounds,
-    "zsygmondy": _cmd_zsygmondy,
-    "pi1": _cmd_pi1,
-    "components": _cmd_datum_check,
-    "bijection": _cmd_datum_check,
-    "cornqs": _cmd_datum_check,
-    "grid": _cmd_grid,
-}
-
-
 def _report(command: str, inputs: dict, **outcome) -> dict:
     return {
         "schema": "report_v1",
@@ -462,39 +446,46 @@ _TYPED = (("--type", {"required": True, "metavar": "FAMILY",
 _DATUM = ("--datum", {"required": True,
                       "help": "catalog:NAME or a JSON datum file"})
 
-# Every subcommand once, in ``_HANDLERS``' order: its help line and its
-# arguments as (flag, add_argument options) after ``--pretty``.
+# Every subcommand once: its handler, its help line and its arguments as
+# (flag, add_argument options) after ``--pretty``.
 _COMMANDS = {
-    "unipotent": ("list the unipotent labels of a classical type", _TYPED),
-    "series": ("partition the labels into d-series",
+    "unipotent": (_cmd_unipotent,
+                  "list the unipotent labels of a classical type", _TYPED),
+    "series": (_cmd_series, "partition the labels into d-series",
                _TYPED + (_required_int("--d"),)),
-    "blocks": ("partition the labels into ell-blocks at q",
+    "blocks": (_cmd_blocks, "partition the labels into ell-blocks at q",
                _TYPED + (_required_int("--q"), _required_int("--ell"))),
-    "fusion": ("close the d-series under all admissible d", _TYPED + (
-        _required_int("--q"),
-        ("--dmax", {"type": int,
-                    "help": "largest d to consider (default 2(rank+1))"}),
-        ("--plugin", {"metavar": "FILE", "help": "exceptional_v1 data file "
-                                                 "for non-classical types"}))),
-    "dseries-check": ("is the join of the given d-series a single class",
+    "fusion": (_cmd_fusion, "close the d-series under all admissible d",
+               _TYPED + (
+                   _required_int("--q"),
+                   ("--dmax", {"type": int, "help": "largest d to consider "
+                                                    "(default 2(rank+1))"}),
+                   ("--plugin", {"metavar": "FILE",
+                                 "help": "exceptional_v1 data file for "
+                                         "non-classical types"}))),
+    "dseries-check": (_cmd_dseries_check,
+                      "is the join of the given d-series a single class",
                       _TYPED + (("--D", {"required": True, "nargs": "+",
                                          "metavar": "D",
                                          "help": "d values, space or comma "
                                                  "separated"}),
                                 ("--plugin", {"metavar": "FILE"}))),
-    "defect-bounds": ("defect bounds for every occurring 1-series core",
+    "defect-bounds": (_cmd_defect_bounds,
+                      "defect bounds for every occurring 1-series core",
                       _TYPED),
-    "zsygmondy": ("smallest odd prime at which q has order exactly d",
+    "zsygmondy": (_cmd_zsygmondy,
+                  "smallest odd prime at which q has order exactly d",
                   (_required_int("--q"), _required_int("--d"))),
-    "pi1": ("fundamental group and its arithmetic target",
+    "pi1": (_cmd_pi1, "fundamental group and its arithmetic target",
             (_DATUM, ("--p", {"type": int}))),
-    "components": ("component-group route comparisons at p",
+    "components": (_cmd_datum_check, "component-group route comparisons at p",
                    (_DATUM, _required_int("--p"))),
-    "bijection": ("group-side vs dual-side torsor orders at p",
+    "bijection": (_cmd_datum_check,
+                  "group-side vs dual-side torsor orders at p",
                   (_DATUM, _required_int("--p"))),
-    "cornqs": ("triviality criterion for the p-part of pi1",
+    "cornqs": (_cmd_datum_check, "triviality criterion for the p-part of pi1",
                (_DATUM, _required_int("--p"))),
-    "grid": ("run grid cells in expansion order on one thread",
+    "grid": (_cmd_grid, "run grid cells in expansion order on one thread",
              (("--config", {"required": True, "metavar": "FILE",
                             "help": "flat key = value grid description"}),)),
 }
@@ -512,7 +503,7 @@ def build_parser(command: str | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
     for name in (command,) if command else _COMMANDS:
-        help_text, arguments = _COMMANDS[name]
+        _handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--pretty", action="store_true",
                        help="indent the report (still key-sorted)")
@@ -549,7 +540,7 @@ def _run(argv: list) -> int:
         _emit(_error_report(argv[0] if argv else "", {"argv": argv},
                             "UsageError", str(exc)), pretty=False)
         return 2
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         result = handler(args)
     except InvariantViolation as exc:

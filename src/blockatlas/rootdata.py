@@ -170,7 +170,7 @@ class RootDatumWithAction:
                     f"operator {label!r} does not permute the roots compatibly")
 
     def _check_frobenius_normalizes(self) -> None:
-        gens = self.inertia_matrices
+        gens = [self.matrix(label) for label in self.inertia]
         if not gens:
             return
         closure = _matrix_group_closure(gens, self.rank)
@@ -183,11 +183,11 @@ class RootDatumWithAction:
         # the wild image must be normal in the full weil action: conjugation
         # by inertia or frobenius has to stay inside it, or the coinvariant
         # towers built on the wild quotient are not even well posed
-        wild_gens = self.wild_matrices
+        wild_gens = [self.matrix(label) for label in self.wild]
         if not wild_gens:
             return
         wild_closure = _matrix_group_closure(wild_gens, self.rank)
-        for outer in gens + (f,):
+        for outer in gens + [f]:
             inv = outer.inverse_unimodular()
             for w in wild_gens:
                 if (outer @ w @ inv).entries not in wild_closure:
@@ -225,20 +225,18 @@ def tame_quotient_order(datum: RootDatumWithAction) -> int:
     The ratio of the two closure sizes; the wild image is normal in the
     inertia image (validated at construction), so this is a group order.
     """
-    gens = datum.inertia_matrices
+    gens = list(datum.inertia_matrices)
     if not gens:
         return 1
     total = len(_matrix_group_closure(gens, datum.rank))
-    wild_gens = datum.wild_matrices
+    wild_gens = list(datum.wild_matrices)
     if not wild_gens:
         return total
     return total // len(_matrix_group_closure(wild_gens, datum.rank))
 
 
-@functools.lru_cache(maxsize=None)
-def _matrix_group_closure(gens: tuple, dim: int) -> frozenset:
-    """Entry tuples of the group generated by `gens` under multiplication,
-    enumerated once per generator tuple and process.
+def _matrix_group_closure(gens: Sequence[IntMatrix], dim: int) -> set:
+    """Entry tuples of the group generated by `gens` under multiplication.
 
     Generators of infinite order overflow the cap and raise InvalidDatum;
     for finite matrix groups the multiplicative closure already contains
@@ -258,7 +256,7 @@ def _matrix_group_closure(gens: tuple, dim: int) -> frozenset:
                     seen.add(prod.entries)
                     fresh.append(prod)
         frontier = fresh
-    return frozenset(seen)
+    return seen
 
 
 # --------------------------------------------------------------- functors

