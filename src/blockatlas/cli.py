@@ -543,23 +543,16 @@ def _run(argv: list) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         result = handler(args)
-    except InvariantViolation as exc:
-        _emit(_error_report(args.command, _inputs_echo(args),
-                            "InvariantViolation", str(exc)), args.pretty)
-        return 1
-    except ParseError as exc:
+    except (InvariantViolation, BlockatlasError, ValueError, OSError) as exc:
         context = {}
-        if exc.line is not None:
-            context["line"] = exc.line
-        if exc.column is not None:
-            context["column"] = exc.column
-        _emit(_error_report(args.command, _inputs_echo(args), "ParseError",
-                            str(exc), context or None), args.pretty)
-        return 2
-    except (BlockatlasError, ValueError, OSError) as exc:
+        if isinstance(exc, ParseError):
+            context = {key: value for key, value in
+                       (("line", exc.line), ("column", exc.column))
+                       if value is not None}
         _emit(_error_report(args.command, _inputs_echo(args),
-                            type(exc).__name__, str(exc)), args.pretty)
-        return 2
+                            type(exc).__name__, str(exc), context),
+              args.pretty)
+        return 1 if isinstance(exc, InvariantViolation) else 2
     _emit(_report(args.command, _inputs_echo(args), status="ok", result=result),
           args.pretty)
     return 0

@@ -46,10 +46,6 @@ class InvalidDatum(BlockatlasError):
     """A root datum fails its structural invariants."""
 
 
-class InvalidWitness(BlockatlasError):
-    """A claimed permuted basis is not a basis or is not permuted."""
-
-
 class ParseError(BlockatlasError):
     """Malformed input file; carries location information when available."""
 

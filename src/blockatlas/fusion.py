@@ -255,39 +255,44 @@ def _occurring_1series(group_type: GroupTypeTag) -> dict[str, int]:
     return out
 
 
-def defect_bound_report(group_type: GroupTypeTag) -> DefectBoundReport:
-    """The family's defect bound, checked for every occurring 1-series."""
+def _primary_bound(family: str, k: int, n: int) -> tuple:
+    if family in ("A", "2A"):
+        return k * (k + 1), 2 * (n + 1), False     # k(k+1)/2 <= n+1
+    if family in ("B", "C"):
+        return k * k - 1, 4 * n, False             # (k^2-1)/4 <= n
+    return k * k, 4 * n, False                     # k^2/4 <= n
+
+
+def _derived_bound(family: str, k: int, n: int) -> tuple:
+    base = k <= 2
+    if family in ("A", "2A"):
+        return k * k - 3 * k + 2, 2 * (n - 2), base  # /2 <= n-2
+    if family in ("B", "C"):
+        return k * k - 4 * k + 3, 4 * (n - 2), base  # /4 <= n-2
+    return k * k - 4 * k + 4, 4 * (n - 2), base      # /4 <= n-2
+
+
+def _bound_report(group_type: GroupTypeTag, kind: str,
+                  bound) -> DefectBoundReport:
+    """One row per occurring 1-series core, in core order, from
+    ``bound(family, k, rank) -> (lhs, rhs, base_case)``; a base case holds."""
     if not group_type.is_classical:
         raise NotSupported("defect bounds are defined for classical families")
-    n = group_type.rank
     rows = []
     for core, k in sorted(_occurring_1series(group_type).items()):
-        if group_type.family in ("A", "2A"):
-            lhs, rhs = k * (k + 1), 2 * (n + 1)      # k(k+1)/2 <= n+1
-        elif group_type.family in ("B", "C"):
-            lhs, rhs = k * k - 1, 4 * n              # (k^2-1)/4 <= n
-        else:
-            lhs, rhs = k * k, 4 * n                  # k^2/4 <= n
-        rows.append(DefectBoundRow(core, k, lhs, rhs, lhs <= rhs))
-    return DefectBoundReport(group_type, "primary", tuple(rows))
+        lhs, rhs, base = bound(group_type.family, k, group_type.rank)
+        rows.append(DefectBoundRow(core, k, lhs, rhs, base or lhs <= rhs,
+                                   base))
+    return DefectBoundReport(group_type, kind, tuple(rows))
+
+
+def defect_bound_report(group_type: GroupTypeTag) -> DefectBoundReport:
+    """The family's defect bound, checked for every occurring 1-series."""
+    return _bound_report(group_type, "primary", _primary_bound)
 
 
 def derived_inequality_check(group_type: GroupTypeTag) -> DefectBoundReport:
     """The sharpened rank-(n−2) inequality; k ≤ 2 are base cases."""
-    if not group_type.is_classical:
-        raise NotSupported("defect bounds are defined for classical families")
-    n = group_type.rank
-    if n < 2:
+    if group_type.is_classical and group_type.rank < 2:
         raise ValueError("derived inequality needs rank >= 2")
-    rows = []
-    for core, k in sorted(_occurring_1series(group_type).items()):
-        if group_type.family in ("A", "2A"):
-            lhs, rhs = k * k - 3 * k + 2, 2 * (n - 2)    # /2 <= n-2
-        elif group_type.family in ("B", "C"):
-            lhs, rhs = k * k - 4 * k + 3, 4 * (n - 2)    # /4 <= n-2
-        else:
-            lhs, rhs = k * k - 4 * k + 4, 4 * (n - 2)    # /4 <= n-2
-        base = k <= 2
-        rows.append(DefectBoundRow(core, k, lhs, rhs,
-                                   True if base else lhs <= rhs, base))
-    return DefectBoundReport(group_type, "derived", tuple(rows))
+    return _bound_report(group_type, "derived", _derived_bound)

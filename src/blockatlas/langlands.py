@@ -12,9 +12,9 @@ that and reports both structures.
 :func:`cornqs_check` evaluates the triviality criterion for the p-part of
 the arithmetic fundamental group of the group itself: p must not divide the
 order of the fundamental group of the derived subgroup, and the wild action
-on the abelianized cocharacter lattice must permute a basis.  Both
-hypotheses, the exactness transfer they rely on, and the conclusion are
-computed independently so the implication itself is observable.
+on the abelianized cocharacter lattice must permute its standard basis.
+Both hypotheses, the exactness transfer they rely on, and the conclusion
+are computed independently so the implication itself is observable.
 
 :func:`component_lemma_checks` verifies the three mechanizable claims of
 the component-group lemma: torsion created by the wild quotient is p-local,
@@ -25,20 +25,20 @@ and after taking Frobenius fixed points.
 
 The modules these checks read that do not depend on p are computed once per
 datum value and process, each on first use, by the caches that build them:
-``pi1``, ``kottwitz_target``, ``derived_and_abelianized`` and
-``tame_quotient_order`` in :mod:`rootdata`, and ``coinvariants`` and
-``fixed_points`` in :mod:`abelian` for the inertia and wild coinvariants and
-the Frobenius fixed points.  Per p only the p-torsion, the maps between the
-p-parts, H^1 on them and the cardinality check remain.
+``pi1``, ``kottwitz_target`` and ``derived_and_abelianized`` in
+:mod:`rootdata`, and ``coinvariants`` and ``fixed_points`` in :mod:`abelian`
+for the inertia and wild coinvariants and the Frobenius fixed points; the
+tame quotient's order is stored on the datum when it is validated.  Per p
+only the p-torsion, the maps between the p-parts, H^1 on them and the
+cardinality check remain.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .abelian import (
     FGAbelianGroup,
-    IntMatrix,
     SubquotientMap,
     coinvariants,
     fixed_points,
@@ -50,10 +50,9 @@ from .errors import InvariantViolation
 from .rootdata import (
     RootDatumWithAction,
     derived_and_abelianized,
-    is_induced,
     kottwitz_target,
+    permutes_standard_basis,
     pi1,
-    tame_quotient_order,
 )
 
 REGIME_PROVED = "proved"
@@ -141,13 +140,14 @@ class CriterionReport(NamedTuple):
     """Both hypotheses of the triviality criterion, and its conclusion.
 
     ``hypothesis_a``: p does not divide the order of the fundamental group
-    of the derived subgroup.  ``hypothesis_b``: the wild operators permute a
-    basis of the abelianized cocharacter lattice, and (the consequence
-    actually used) the inertia coinvariants of that lattice have no
-    p-torsion.  ``conclusion``: the p-part of the arithmetic fundamental
-    group vanishes.  The implication A and B => conclusion is a theorem in
-    the proved regime; every field is computed independently so the report
-    can also exhibit hypothesis failures.
+    of the derived subgroup.  ``hypothesis_b``: the wild operators permute
+    the standard basis of the abelianized cocharacter lattice
+    (``wild_ab_induced``), and (the consequence actually used) the inertia
+    coinvariants of that lattice have no p-torsion.  ``conclusion``: the
+    p-part of the arithmetic fundamental group vanishes.  The implication A
+    and B => conclusion is a theorem in the proved regime; every field is
+    computed independently so the report can also exhibit hypothesis
+    failures.
     """
 
     p: int
@@ -189,15 +189,9 @@ def _subgroups_equal(a: FGAbelianGroup, b: FGAbelianGroup) -> bool:
 
 
 def cornqs_check(datum: RootDatumWithAction, p: int,
-                 ab_witness: Optional[IntMatrix] = None,
                  quasi_split: bool = True) -> CriterionReport:
     """Evaluate the triviality criterion for the p-part of the arithmetic
-    fundamental group.
-
-    ``ab_witness`` optionally names the basis of the abelianized lattice the
-    wild operators are claimed to permute; the standard basis is tried when
-    it is omitted.  A malformed witness raises InvalidWitness.
-    """
+    fundamental group."""
     _check_prime(p)
     da = derived_and_abelianized(datum)
     der_order = da.pi1_der.order()
@@ -206,10 +200,8 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     hypothesis_a = der_order % p != 0
 
     ab_ops = dict(da.ab_action)
-    wild_ab = [ab_ops[label] for label in datum.wild]
-    witness = ab_witness if ab_witness is not None \
-        else IntMatrix.identity(da.ab_rank)
-    wild_ab_induced = is_induced(wild_ab, witness)
+    wild_ab_induced = permutes_standard_basis(
+        [ab_ops[label] for label in datum.wild])
 
     inert = datum.inertia_matrices
     ab_torsion = coinvariants(da.cochar_ab, inert).p_torsion(p)
@@ -313,10 +305,9 @@ def component_lemma_checks(datum: RootDatumWithAction,
                            fixed_points(pi1_part, frob))
     injects_fixed = fixed.well_defined() and fixed.injective()
 
-    tame_order = tame_quotient_order(datum)
     return ComponentLemmaReport(
-        p=p, tame_action_order=tame_order,
-        tame_order_coprime=tame_order % p != 0,
+        p=p, tame_action_order=datum.tame_order,
+        tame_order_coprime=datum.tame_order % p != 0,
         wild_torsion_p_local=p_local,
         h1_agree_cochar=h1_cochar, h1_agree_pi1=h1_pi1,
         torsion_injects=injects, torsion_injects_fixed=injects_fixed)

@@ -13,10 +13,12 @@ lattice modulo the coroot lattice), its arithmetic form (inertia
 coinvariants followed by Frobenius fixed points), and the two ends of the
 derived-subgroup sequence: the fundamental group of the derived subgroup and
 the cocharacter lattice of the abelianization.  Each of these functors
-(``pi1``, ``kottwitz_target``, ``derived_and_abelianized``, and
-``tame_quotient_order``) is an ``lru_cache`` function of the immutable
-datum, so it runs once per datum value and process; a call that raises is
-not cached.
+(``pi1``, ``kottwitz_target`` and ``derived_and_abelianized``) is an
+``lru_cache`` function of the immutable datum, so it runs once per datum
+value and process; a call that raises is not cached.  The order of the
+tame quotient of the inertia image is stored on the datum itself
+(``tame_order``), from the one enumeration of the inertia and wild images
+that validation makes.
 
 ``catalog()`` returns a fixed library of small worked examples used by the
 tests and the command-line tools.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .abelian import (
     FGAbelianGroup,
@@ -38,7 +40,7 @@ from .abelian import (
     lattice_sum,
     smith_normal_form,
 )
-from .errors import InvalidDatum, InvalidWitness, InvariantViolation, ParseError
+from .errors import InvalidDatum, InvariantViolation, ParseError
 
 # Enumerating the inertia image stops here; bigger images cannot be verified.
 _CLOSURE_CAP = 4096
@@ -55,25 +57,22 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _apply(m: IntMatrix, v: Sequence[int]) -> tuple:
-    return tuple(_dot(row, v) for row in m.entries)
-
-
 class RootDatumWithAction:
     """Cocharacter lattice with coroots, roots, and a labeled Galois action.
 
     ``galois`` is a tuple of ``(label, matrix)`` pairs; ``inertia`` and
     ``wild`` list the labels generated by (wild) inertia, and ``frobenius``
     names the Frobenius lift.  Construction validates the structure and
-    raises InvalidDatum on any defect.
+    raises InvalidDatum on any defect.  ``tame_order``, the order of the
+    tame quotient of the inertia image, is derived during validation and is
+    not a field: equality and hashing read the fields alone.
     """
 
     __slots__ = ("rank", "coroots", "roots", "galois", "inertia", "wild",
-                 "frobenius", "induced_witness")
+                 "frobenius", "tame_order")
 
     def __init__(self, rank: int, coroots=(), roots=(), galois=(),
-                 inertia=(), wild=(), frobenius: str = "F",
-                 induced_witness: Optional[IntMatrix] = None):
+                 inertia=(), wild=(), frobenius: str = "F"):
         if rank < 0:
             raise InvalidDatum("rank must be nonnegative")
         object.__setattr__(self, "rank", int(rank))
@@ -93,9 +92,6 @@ class RootDatumWithAction:
         object.__setattr__(self, "inertia", tuple(inertia))
         object.__setattr__(self, "wild", tuple(wild))
         object.__setattr__(self, "frobenius", frobenius)
-        if induced_witness is not None and not isinstance(induced_witness, IntMatrix):
-            induced_witness = IntMatrix(induced_witness)
-        object.__setattr__(self, "induced_witness", induced_witness)
         self._validate()
 
     def __setattr__(self, name, value):
@@ -103,7 +99,7 @@ class RootDatumWithAction:
 
     def _fields(self) -> tuple:
         return (self.rank, self.coroots, self.roots, self.galois, self.inertia,
-                self.wild, self.frobenius, self.induced_witness)
+                self.wild, self.frobenius)
 
     def __eq__(self, other):
         return (type(other) is RootDatumWithAction
@@ -144,11 +140,7 @@ class RootDatumWithAction:
             if not mat.is_unimodular():
                 raise InvalidDatum(f"operator {label!r} is not unimodular")
             self._check_permutes(label, mat, coroots, roots)
-        if self.induced_witness is not None:
-            w = self.induced_witness
-            if w.rows != self.rank or w.cols != self.rank or not w.is_unimodular():
-                raise InvalidDatum("induced_witness must be a unimodular basis matrix")
-        self._check_frobenius_normalizes()
+        object.__setattr__(self, "tame_order", self._check_normal_images())
 
     def _check_permutes(self, label: str, mat: IntMatrix, coroots: IntMatrix,
                         roots: IntMatrix) -> None:
@@ -169,10 +161,14 @@ class RootDatumWithAction:
                 raise InvalidDatum(
                     f"operator {label!r} does not permute the roots compatibly")
 
-    def _check_frobenius_normalizes(self) -> None:
+    def _check_normal_images(self) -> int:
+        """Frobenius must normalize the inertia image, and inertia and
+        Frobenius the wild image.  Returns the order of the tame quotient,
+        the ratio of the two image sizes: a group order, because the wild
+        image is normal.  Each image is enumerated once."""
         gens = [self.matrix(label) for label in self.inertia]
         if not gens:
-            return
+            return 1
         closure = _matrix_group_closure(gens, self.rank)
         f = self.matrix(self.frobenius)
         finv = f.inverse_unimodular()
@@ -185,7 +181,7 @@ class RootDatumWithAction:
         # towers built on the wild quotient are not even well posed
         wild_gens = [self.matrix(label) for label in self.wild]
         if not wild_gens:
-            return
+            return len(closure)
         wild_closure = _matrix_group_closure(wild_gens, self.rank)
         for outer in gens + [f]:
             inv = outer.inverse_unimodular()
@@ -193,6 +189,7 @@ class RootDatumWithAction:
                 if (outer @ w @ inv).entries not in wild_closure:
                     raise InvalidDatum(
                         "wild image must be normal under inertia and frobenius")
+        return len(closure) // len(wild_closure)
 
     # ------------------------------------------------------------ accessors
 
@@ -216,23 +213,6 @@ class RootDatumWithAction:
 
     def coroot_matrix(self) -> IntMatrix:
         return IntMatrix.from_columns(self.coroots, self.rank)
-
-
-@functools.lru_cache(maxsize=None)
-def tame_quotient_order(datum: RootDatumWithAction) -> int:
-    """Order of the tame quotient of the inertia image.
-
-    The ratio of the two closure sizes; the wild image is normal in the
-    inertia image (validated at construction), so this is a group order.
-    """
-    gens = list(datum.inertia_matrices)
-    if not gens:
-        return 1
-    total = len(_matrix_group_closure(gens, datum.rank))
-    wild_gens = list(datum.wild_matrices)
-    if not wild_gens:
-        return total
-    return total // len(_matrix_group_closure(wild_gens, datum.rank))
 
 
 def _matrix_group_closure(gens: Sequence[IntMatrix], dim: int) -> set:
@@ -346,27 +326,15 @@ def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
     return DerivedAbelianized(pi1_der, cochar_ab, ab_rank, tuple(action))
 
 
-def is_induced(operators: Sequence[IntMatrix], witness: IntMatrix) -> bool:
-    """Do the operators permute the columns of the witness basis?
+def permutes_standard_basis(operators: Sequence[IntMatrix]) -> bool:
+    """Is every column of every operator a standard basis vector?
 
-    The witness must be a square unimodular matrix of the operators'
-    dimension (InvalidWitness otherwise).  A lattice with such a witness is
-    a permutation module for the group the operators generate, so its
-    coinvariants are torsion-free.
+    Then the operators permute the standard basis: the lattice is a
+    permutation module for the group they generate, so its coinvariants are
+    torsion-free.
     """
-    if witness.rows != witness.cols:
-        raise InvalidWitness("witness must be square")
-    if not witness.is_unimodular():
-        raise InvalidWitness("witness columns are not a lattice basis")
-    for mat in operators:
-        if mat.rows != witness.rows or mat.cols != witness.rows:
-            raise InvalidWitness("witness dimension does not match the operators")
-    basis = set(witness.columns())
-    for mat in operators:
-        for col in basis:
-            if _apply(mat, col) not in basis:
-                return False
-    return True
+    return all(col.count(1) == 1 and col.count(0) == len(col) - 1
+               for mat in operators for col in mat.columns())
 
 
 # ---------------------------------------------------------------- catalog
@@ -432,13 +400,11 @@ def _catalog_entries() -> tuple:
         CatalogEntry(
             "wild_swap_rank2",
             RootDatumWithAction(2, galois=(("w", _SWAP), ("F", _ID2)),
-                                inertia=("w",), wild=("w",), frobenius="F",
-                                induced_witness=_ID2)),
+                                inertia=("w",), wild=("w",), frobenius="F")),
         CatalogEntry(
             "wild_induced_rank2",
             RootDatumWithAction(2, galois=(("w", _SWAP), ("F", _NEG2)),
-                                inertia=("w",), wild=("w",), frobenius="F",
-                                induced_witness=_ID2)),
+                                inertia=("w",), wild=("w",), frobenius="F")),
         CatalogEntry(
             "wild_plus_tame_rank2",
             RootDatumWithAction(2, galois=(("w", _NEG2), ("t", _ROT3), ("F", _ID2)),
@@ -477,7 +443,7 @@ def _catalog_entries() -> tuple:
 
 def datum_to_dict(datum: RootDatumWithAction) -> dict:
     """The JSON object of a datum file; ``datum_from_dict`` inverts it."""
-    out = {
+    return {
         "rank": datum.rank,
         "coroots": [list(v) for v in datum.coroots],
         "roots": [list(v) for v in datum.roots],
@@ -487,9 +453,6 @@ def datum_to_dict(datum: RootDatumWithAction) -> dict:
         "wild": list(datum.wild),
         "frobenius": datum.frobenius,
     }
-    if datum.induced_witness is not None:
-        out["induced_witness"] = [list(row) for row in datum.induced_witness.entries]
-    return out
 
 
 def _require(obj: dict, key: str, kind, what: str):
@@ -502,6 +465,8 @@ def _require(obj: dict, key: str, kind, what: str):
 
 
 def datum_from_dict(obj) -> RootDatumWithAction:
+    """The datum of a datum file's JSON object; keys it does not name are
+    ignored."""
     if not isinstance(obj, dict):
         raise ParseError("datum must be a JSON object")
     rank = _require(obj, "rank", int, "datum")
@@ -521,12 +486,10 @@ def datum_from_dict(obj) -> RootDatumWithAction:
     for name, seq in (("inertia", inertia), ("wild", wild)):
         if not isinstance(seq, list) or not all(isinstance(x, str) for x in seq):
             raise ParseError(f"{name!r} must be a list of labels")
-    witness = obj.get("induced_witness")
     try:
         return RootDatumWithAction(
             rank, coroots=coroots, roots=roots, galois=galois,
-            inertia=inertia, wild=wild, frobenius=frobenius,
-            induced_witness=witness)
+            inertia=inertia, wild=wild, frobenius=frobenius)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed datum: {exc}") from exc
 

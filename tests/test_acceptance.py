@@ -31,7 +31,7 @@ from blockatlas.fusion import (
     derived_inequality_check,
     is_single_D_series,
 )
-from blockatlas.rootdata import catalog, is_induced
+from blockatlas.rootdata import catalog, permutes_standard_basis
 from blockatlas.symbols import (
     DEFECT_ANY,
     DEFECT_ODD,
@@ -332,8 +332,7 @@ def test_criterion_7_torsor_bijection(grids):
     g = grids["bijection"]
     jobs = _jobs(g)
     permutation = {name for name, e in catalog().items()
-                   if is_induced(e.datum.inertia_matrices,
-                                 IntMatrix.identity(e.datum.rank))}
+                   if permutes_standard_basis(e.datum.inertia_matrices)}
     problems = []
     for job in jobs:
         key = job["key"]

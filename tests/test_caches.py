@@ -32,8 +32,7 @@ def test_helper_covers_every_library_cache():
             "_label_set", "_blocks", "label_renders",
             "series_renders", "_core_symbol"} <= names
     # the p-independent functors of a root datum
-    assert {"pi1", "kottwitz_target", "derived_and_abelianized",
-            "tame_quotient_order"} <= names
+    assert {"pi1", "kottwitz_target", "derived_and_abelianized"} <= names
 
 
 def test_clear_process_caches_leaves_every_cache_empty(capsys):

@@ -21,7 +21,7 @@ from conftest import clear_process_caches
 from jsonschema import Draft202012Validator
 
 import blockatlas
-from blockatlas import abelian, cli, langlands
+from blockatlas import abelian, cli, langlands, rootdata
 from blockatlas.errors import InvalidDatum, InvariantViolation
 from blockatlas.rootdata import catalog, datum_to_dict
 
@@ -750,6 +750,43 @@ def test_readme_grid_configs_parse():
     assert blocks
     for block in blocks:
         cli.parse_grid_config(block.split("```", 1)[0])
+
+
+def test_readme_datum_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Root datum inputs\n", 1)[1].split("\n### ")[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    datum = rootdata.load_datum(example)
+    assert datum == catalog()["norm_one_ramified"].datum
+    assert datum.tame_order == 2
+
+
+# A rank-2 datum whose wild operator swaps the basis (1,0), (1,1) but not
+# the standard one; the criterion reads only the standard basis.
+_SWAPS_ANOTHER_BASIS = {
+    "rank": 2, "coroots": [], "roots": [],
+    "galois": [{"label": "w", "matrix": [[1, 0], [1, -1]]},
+               {"label": "F", "matrix": [[1, 0], [0, 1]]}],
+    "inertia": ["w"], "wild": ["w"], "frobenius": "F",
+}
+
+
+@pytest.mark.parametrize("command", ["cornqs", "bijection", "components"])
+def test_datum_file_witness_key_changes_no_byte(capsys, tmp_path, command):
+    path = tmp_path / "datum.json"
+    outputs = []
+    for extra in ({"induced_witness": [[1, 1], [0, 1]]},   # a valid basis
+                  {"induced_witness": [[2, 0], [0, 1]]},   # not a basis
+                  {}):
+        path.write_text(json.dumps({**_SWAPS_ANOTHER_BASIS, **extra}),
+                        encoding="utf-8")
+        code, out = run(capsys, command, "--datum", str(path), "--p", "2")
+        assert code == 0, out
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command == "cornqs":
+        assert not check(outputs[0])["result"]["wild_ab_induced"]
 
 
 def test_grid_error_context_has_line(capsys, tmp_path):

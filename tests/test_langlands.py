@@ -19,7 +19,6 @@ from blockatlas.abelian import (
     coinvariants,
     fixed_points,
 )
-from blockatlas.errors import InvalidWitness
 from blockatlas.langlands import (
     REGIME_CONJECTURAL,
     REGIME_PROVED,
@@ -34,10 +33,9 @@ from blockatlas.rootdata import (
     RootDatumWithAction,
     catalog,
     derived_and_abelianized,
-    is_induced,
     kottwitz_target,
+    permutes_standard_basis,
     pi1,
-    tame_quotient_order,
 )
 
 PRIMES = (2, 3, 5)
@@ -218,8 +216,7 @@ def test_equal_cardinality_across_catalog():
 def test_tame_entries_are_trivial_at_every_prime():
     # entries whose inertia permutes the standard basis, wild ones included
     for name, e in catalog().items():
-        if not is_induced(e.datum.inertia_matrices,
-                          IntMatrix.identity(e.datum.rank)):
+        if not permutes_standard_basis(e.datum.inertia_matrices):
             continue
         for p in PRIMES:
             r = bijection_check(e.datum, p)
@@ -296,14 +293,6 @@ def test_criterion_wild_entries():
     assert not cornqs_check(entry("wild_plus_tame_rank2").datum, 2).wild_ab_induced
     swap = cornqs_check(entry("wild_swap_rank2").datum, 2)
     assert swap.wild_ab_induced and swap.hypothesis_b and swap.conclusion
-
-
-def test_criterion_explicit_witness():
-    datum = entry("wild_swap_rank2").datum
-    ok = cornqs_check(datum, 2, ab_witness=IntMatrix.identity(2))
-    assert ok.wild_ab_induced
-    with pytest.raises(InvalidWitness):
-        cornqs_check(datum, 2, ab_witness=IntMatrix(((2, 0), (0, 1))))
 
 
 def test_criterion_holds_across_catalog():
@@ -418,8 +407,7 @@ def test_checks_agree_with_and_without_warm_modules(name):
         cold[command, p] = checks[command](p).as_dict()
     # one sweep in reverse order warms the datum's caches with the other
     # primes and commands; a second sweep then reads every module from them
-    for cache in (pi1, kottwitz_target, derived_and_abelianized,
-                  tame_quotient_order):
+    for cache in (pi1, kottwitz_target, derived_and_abelianized):
         cache.cache_clear()
     for sweep in (cells[::-1], cells):
         for command, p in sweep:

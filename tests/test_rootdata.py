@@ -6,7 +6,7 @@ import random
 import pytest
 
 from blockatlas.abelian import FGAbelianGroup, IntMatrix, coinvariants
-from blockatlas.errors import InvalidDatum, InvalidWitness, ParseError
+from blockatlas.errors import InvalidDatum, ParseError
 from blockatlas.rootdata import (
     RootDatumWithAction,
     _matrix_group_closure,
@@ -14,9 +14,9 @@ from blockatlas.rootdata import (
     datum_from_dict,
     datum_to_dict,
     derived_and_abelianized,
-    is_induced,
     kottwitz_target,
     load_datum,
+    permutes_standard_basis,
     pi1,
 )
 
@@ -192,12 +192,36 @@ def test_wild_image_must_be_normal():
 
 
 def test_tame_quotient_order():
-    from blockatlas.rootdata import tame_quotient_order
     cat = catalog()
-    assert tame_quotient_order(cat["norm_one_ramified"].datum) == 2
-    assert tame_quotient_order(cat["norm_one_wild"].datum) == 1
-    assert tame_quotient_order(cat["wild_plus_tame_rank2"].datum) == 3
-    assert tame_quotient_order(cat["sl2_split"].datum) == 1
+    assert cat["norm_one_ramified"].datum.tame_order == 2
+    assert cat["norm_one_wild"].datum.tame_order == 1
+    assert cat["wild_plus_tame_rank2"].datum.tame_order == 3
+    assert cat["sl2_split"].datum.tame_order == 1
+    # derived, not a field: equal data hash alike and compare equal
+    again = datum_from_dict(datum_to_dict(cat["wild_plus_tame_rank2"].datum))
+    assert again == cat["wild_plus_tame_rank2"].datum and again.tame_order == 3
+    assert "tame_order" not in datum_to_dict(again)
+
+
+def test_each_image_is_enumerated_once(monkeypatch):
+    from blockatlas import rootdata
+    from blockatlas.langlands import component_lemma_checks
+    enumerated = []
+
+    def counted(gens, dim):
+        enumerated.append(tuple(g.entries for g in gens))
+        return closure(gens, dim)
+
+    closure = rootdata._matrix_group_closure
+    monkeypatch.setattr(rootdata, "_matrix_group_closure", counted)
+    sign, rot3 = ((-1, 0), (0, -1)), ((0, -1), (1, -1))
+    datum = RootDatumWithAction(
+        2, galois=(("w", sign), ("t", rot3), ("F", IntMatrix.identity(2))),
+        inertia=("w", "t"), wild=("w",), frobenius="F")
+    for p in (2, 3, 5):
+        component_lemma_checks(datum, p)
+    assert enumerated == [(sign, rot3), (sign,)]
+    assert datum.tame_order == 3
 
 
 def test_infinite_inertia_image_is_rejected():
@@ -205,13 +229,6 @@ def test_infinite_inertia_image_is_rejected():
     with pytest.raises(InvalidDatum, match="too large"):
         RootDatumWithAction(2, galois=(("s", shear), ("F", IntMatrix.identity(2))),
                             inertia=("s",), frobenius="F")
-
-
-def test_witness_shape_is_checked():
-    bad = IntMatrix(((2, 0), (0, 1)))
-    with pytest.raises(InvalidDatum, match="induced_witness"):
-        RootDatumWithAction(2, galois=(("F", IntMatrix.identity(2)),),
-                            frobenius="F", induced_witness=bad)
 
 
 # ------------------------------------------------------------------ catalog
@@ -297,8 +314,7 @@ def test_tame_witnesses_really_are_permuted():
     # inertia permutes the standard basis of all but three entries, and
     # those permutation lattices have torsion-free inertia coinvariants
     permuted = {name for name, e in catalog().items()
-                if is_induced(e.datum.inertia_matrices,
-                              IntMatrix.identity(e.datum.rank))}
+                if permutes_standard_basis(e.datum.inertia_matrices)}
     assert set(catalog()) - permuted == {
         "norm_one_ramified", "norm_one_wild", "wild_plus_tame_rank2"}
     for name in permuted:
@@ -308,11 +324,11 @@ def test_tame_witnesses_really_are_permuted():
 
 
 def test_induced_witnesses_cover_the_wild_part():
-    for entry in catalog().values():
-        if entry.datum.induced_witness is None:
-            continue
-        assert is_induced(entry.datum.wild_matrices,
-                          entry.datum.induced_witness)
+    # the standard basis is the one witness: the wild swaps permute it, the
+    # wild signs do not
+    induced = {name for name, e in catalog().items() if e.datum.wild
+               and permutes_standard_basis(e.datum.wild_matrices)}
+    assert induced == {"wild_swap_rank2", "wild_induced_rank2"}
 
 
 # --------------------------------------------------------- derived sequence
@@ -356,27 +372,13 @@ def test_torus_has_no_derived_part():
 
 
 def test_is_induced_basics():
-    eye = IntMatrix.identity(2)
-    assert is_induced([IntMatrix(SWAP)], eye)
-    assert not is_induced([IntMatrix(((-1, 0), (0, 1)))], eye)
-    assert is_induced([], eye)
-
-
-def test_is_induced_nonstandard_basis():
+    assert permutes_standard_basis([IntMatrix(SWAP)])
+    assert permutes_standard_basis([IntMatrix(SWAP), IntMatrix.identity(2)])
+    assert not permutes_standard_basis([IntMatrix(((-1, 0), (0, 1)))])
     # g swaps the basis (1,0), (1,1) but not the standard one
-    g = IntMatrix(((1, 0), (1, -1)))
-    witness = IntMatrix(((1, 1), (0, 1)))
-    assert is_induced([g], witness)
-    assert not is_induced([g], IntMatrix.identity(2))
-
-
-def test_is_induced_rejects_bad_witnesses():
-    with pytest.raises(InvalidWitness, match="square"):
-        is_induced([], IntMatrix(((1,), (0,))))
-    with pytest.raises(InvalidWitness, match="basis"):
-        is_induced([], IntMatrix(((2, 0), (0, 1))))
-    with pytest.raises(InvalidWitness, match="dimension"):
-        is_induced([IntMatrix.identity(3)], IntMatrix.identity(2))
+    assert not permutes_standard_basis([IntMatrix(((1, 0), (1, -1)))])
+    assert permutes_standard_basis([])
+    assert permutes_standard_basis([IntMatrix.identity(0)])
 
 
 # -------------------------------------------------------------------- JSON
@@ -419,7 +421,8 @@ def test_semantic_errors_stay_invalid_datum():
         load_datum(blob)
 
 
-def test_witness_survives_round_trip():
+def test_unnamed_keys_are_ignored_on_load():
     datum = catalog()["wild_swap_rank2"].datum
-    again = datum_from_dict(datum_to_dict(datum))
-    assert again.induced_witness == IntMatrix.identity(2)
+    for extra in ({"induced_witness": [[1, 0], [0, 1]]},
+                  {"induced_witness": [[2, 0]]}, {"note": None}):
+        assert datum_from_dict({**datum_to_dict(datum), **extra}) == datum
