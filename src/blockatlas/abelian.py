@@ -10,14 +10,14 @@ of M @ V, and a unimodular M has inverse V @ U.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
 Pure functions of immutable values are memoized with ``functools.lru_cache``:
-``smith_normal_form``, ``lattice_basis``, ``solve_in_lattice`` (and so
-``lattice_contains``) and ``kernel_basis`` on their frozen matrices, and
-``IntMatrix.identity`` on n, so each distinct matrix is factored once per
-process.  ``FGAbelianGroup`` is an immutable value built once per
-(n, lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
-``coinvariants`` (on the tuple of operators), ``fixed_points``,
-``h1_cyclic`` and the operator check are memoized on the group and their
-operator or prime.  A call that raises is not cached and raises again.
+``smith_normal_form``, ``lattice_basis`` and ``solve_in_lattice`` (and so
+``lattice_contains``) on their frozen matrices, and ``IntMatrix.identity``
+on n, so each distinct matrix is factored once per process;
+``kernel_basis`` reads the cached factorization.  ``FGAbelianGroup`` is an
+immutable value built once per (n, lattice_basis(K), lattice_basis(L));
+``torsion``, ``p_torsion``, ``coinvariants`` (on the tuple of operators),
+``fixed_points``, ``h1_cyclic`` and the operator check are memoized on the
+group and their operator or prime.  A call that raises is not cached and raises again.
 
 Two exact shortcuts skip elimination where its answer is known.  A product
 with an identity factor is the other factor, and the SNF of an identity is
@@ -311,7 +311,6 @@ def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
     return V @ IntMatrix._of(tuple(map(tuple, Y)), B.cols, targets.cols)
 
 
-@functools.lru_cache(maxsize=None)
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of {x : M @ x = 0}."""
     _U, S, V = smith_normal_form(M)

@@ -107,11 +107,7 @@ def _bounds_json(report) -> dict:
     return {
         "kind": report.kind,
         "all_ok": report.all_ok,
-        "rows": [
-            {"core": row.core, "defect": row.defect, "lhs": row.lhs,
-             "rhs": row.rhs, "satisfied": row.satisfied,
-             "base_case": row.base_case}
-            for row in report.rows],
+        "rows": [row._asdict() for row in report.rows],
     }
 
 

@@ -169,19 +169,8 @@ class CriterionReport(NamedTuple):
         return not (self.hypothesis_a and self.hypothesis_b) or self.conclusion
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "regime": self.regime,
-            "derived_pi1_order": self.derived_pi1_order,
-            "hypothesis_a": self.hypothesis_a,
-            "wild_ab_induced": self.wild_ab_induced,
-            "ab_coinvariants_p_free": self.ab_coinvariants_p_free,
-            "hypothesis_b": self.hypothesis_b,
-            "sequence_exact_on_p_part": self.sequence_exact_on_p_part,
-            "pi1_coinvariants_p_free": self.pi1_coinvariants_p_free,
-            "conclusion": self.conclusion,
-            "implication_holds": self.implication_holds,
-        }
+        return {**self._asdict(), "hypothesis_b": self.hypothesis_b,
+                "implication_holds": self.implication_holds}
 
 
 def _subgroups_equal(a: FGAbelianGroup, b: FGAbelianGroup) -> bool:
@@ -256,17 +245,7 @@ class ComponentLemmaReport(NamedTuple):
                 and self.torsion_injects_fixed)
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "tame_action_order": self.tame_action_order,
-            "tame_order_coprime": self.tame_order_coprime,
-            "wild_torsion_p_local": self.wild_torsion_p_local,
-            "h1_agree_cochar": self.h1_agree_cochar,
-            "h1_agree_pi1": self.h1_agree_pi1,
-            "torsion_injects": self.torsion_injects,
-            "torsion_injects_fixed": self.torsion_injects_fixed,
-            "all_ok": self.all_ok,
-        }
+        return {**self._asdict(), "all_ok": self.all_ok}
 
 
 def _is_p_power(n: int, p: int) -> bool:

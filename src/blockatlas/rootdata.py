@@ -441,20 +441,6 @@ def _catalog_entries() -> tuple:
 # ------------------------------------------------------------------- JSON
 
 
-def datum_to_dict(datum: RootDatumWithAction) -> dict:
-    """The JSON object of a datum file; ``datum_from_dict`` inverts it."""
-    return {
-        "rank": datum.rank,
-        "coroots": [list(v) for v in datum.coroots],
-        "roots": [list(v) for v in datum.roots],
-        "galois": [{"label": label, "matrix": [list(row) for row in mat.entries]}
-                   for label, mat in datum.galois],
-        "inertia": list(datum.inertia),
-        "wild": list(datum.wild),
-        "frobenius": datum.frobenius,
-    }
-
-
 def _require(obj: dict, key: str, kind, what: str):
     if key not in obj:
         raise ParseError(f"{what} is missing the {key!r} field")

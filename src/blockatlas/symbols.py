@@ -8,8 +8,9 @@ never 0 in both rows — but keep their row order as constructed; identity
 questions at the class level go through `class_key`/`same_class`, and
 `canonical` picks the distinguished representative (larger row first, ties by
 lexicographically smaller row).  Each instance hashes its rows once, when it
-is built.  Enumeration builds one table per (rank, defect residues mod 4),
-from β-sets that are already clean, and returns a fresh list of it.
+is built.  Enumeration builds its table from β-sets that are already
+clean and keeps nothing: the label tables of :mod:`unipotent` are cached,
+and each reads its table once.
 
 Moves:
   * d-hook at x: x and x−d in the same row, x−d absent there; replace.
@@ -210,17 +211,11 @@ def _symbol_from_pair(alpha, beta, defect: int) -> Symbol:
 def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
     """All reduced symbols of rank n with defect ≡ r (mod 4) for some r in
     the filter, one canonical representative per swap class, sorted by
-    (defect, rows)."""
+    (defect, rows); each weight's partitions are read once."""
     if n < 0:
         raise ValueError("rank must be >= 0")
     check_symbol_rank(n)
-    return list(_symbols(n, frozenset(r % 4 for r in defect_filter)))
-
-
-@functools.lru_cache(maxsize=None)
-def _symbols(n: int, residues: frozenset) -> tuple:
-    """The table of enumerate_symbols, built once per (rank, residues), so
-    types B and C share one; each weight's partitions are read once."""
+    residues = {r % 4 for r in defect_filter}
     seen = {}
     defect = 0
     while defect ** 2 // 4 <= n:
@@ -234,5 +229,4 @@ def _symbols(n: int, residues: frozenset) -> tuple:
                         assert sym.rank == n and sym.defect == defect
                         seen.setdefault((sym.row_s, sym.row_t), sym)
         defect += 1
-    return tuple(sorted(seen.values(),
-                        key=lambda s: (s.defect, s.row_s, s.row_t)))
+    return sorted(seen.values(), key=lambda s: (s.defect, s.row_s, s.row_t))

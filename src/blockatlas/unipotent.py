@@ -13,9 +13,11 @@ Each grouping drops the payload's measure by one removal step at a time, so
 members differ from their core by a multiple of the step size (d, the ennola
 image, or d/2 respectively) — validated on every constructed partition.
 
-Each type's labels and each (type, d) series are built once per process,
-the series validated before they are kept, and each call gets its own list
-or SeriesPartition.  The rank bounds of :mod:`limits` are checked by the
+Each type's label table is one cached record per process: the labels,
+their renders, their frozenset and whether a label is degenerate.  Each
+(type, d) series is one cached record too: its blocks, validated before
+they are kept, and each block's member renders.  Each call gets its own
+list or SeriesPartition.  The rank bounds of :mod:`limits` are checked by the
 enumerators that build a label table; a build that raises is not cached, so
 it raises again on the next call.  The label table is built in
 ``UnipotentLabel.sort_key`` order, checked once when it is built, so a
@@ -28,16 +30,14 @@ equal symbol cores are one object, so dict lookups on them stop at
 identity instead of calling ``Symbol.__eq__``.  An odd-d symbol core is
 built from the cached β-set cores of its rows.  A series
 groups its labels by the value of their core and renders each distinct core
-once.  Each label keeps the measure its table computed for it when the table
-was built.  Validation looks up every label's core again, renders and
-measures each distinct core once more, checks each label's stored measure
-against it, and compares coverage with one frozenset per type.  Two render
-caches serve the fusion merge: ``label_renders`` holds one tuple of label
-renders per type and ``series_renders`` one tuple of member renders per
-block of each (type, d) series, both built from the tables above, and
-``has_degenerate_labels`` one flag per type.  C_n has the labels and series
-of B_n, and 2A_n the labels of A_n with the d-series of A_n at
-ennola_dual(d), so these three answer C and 2A from the tables of B and A:
+once.  Each label measures its payload once, when it is built.
+Validation looks up every label's core again, renders and measures each
+distinct core once more, checks each label's stored measure against it,
+and compares coverage with the frozenset of the type's table.  The fusion
+merge reads ``label_renders``, ``has_degenerate_labels`` and
+``series_renders`` from these records.  C_n has the labels and series of
+B_n, and 2A_n the labels of A_n with the d-series of A_n at
+ennola_dual(d), so these three read C and 2A from the records of B and A:
 a fusion run builds no C or 2A label table or series.  The 1-series also
 feeds the defect bounds in :mod:`fusion`.
 """
@@ -73,14 +73,12 @@ class UnipotentLabel:
                  "_hash")
 
     def __init__(self, group_type: GroupTypeTag,
-                 payload: Union[tuple, Symbol], marker: str = "",
-                 measure: Optional[int] = None):
+                 payload: Union[tuple, Symbol], marker: str = ""):
         object.__setattr__(self, "group_type", group_type)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "marker", marker)
-        # the payload's size or rank as the type's table measured it, or
-        # None for a label built outside a table; not a field
-        object.__setattr__(self, "measure", measure)
+        # the payload's size or rank, measured once; not a field
+        object.__setattr__(self, "measure", _measure(payload))
         # labels live as long as the per-type cache, so each renders once
         object.__setattr__(self, "_text", _render(payload) + marker)
         object.__setattr__(self, "_hash", hash((group_type, payload, marker)))
@@ -210,16 +208,13 @@ class SeriesPartition(NamedTuple):
                 if known[0] != key:
                     raise InvariantViolation(
                         f"label {lab} keyed {key!r} but core differs")
-                measure = lab.measure
-                if measure is None:
-                    measure = _measure(lab.payload)
-                drop = measure - known[1]
+                drop = lab.measure - known[1]
                 if drop < 0 or drop % step != 0:
                     raise InvariantViolation(
                         f"label {lab}: drop {drop} not a multiple of {step}")
         if len({key for key, _ in self.blocks}) != len(self.blocks):
             raise InvariantViolation("two blocks share a core")
-        if seen != _label_set(self.group_type):
+        if seen != _labels(self.group_type).members:
             raise InvariantViolation("blocks do not cover the label set")
 
 
@@ -243,11 +238,35 @@ def _symbol_label_count(family: str, n: int) -> int:
     return over(s * (s + 1) for s in range(n + 1))
 
 
+# C_n has the labels and series of B_n, and 2A_n the labels of A_n with
+# the d-series of A_n at ennola_dual(d): their tables take the twin's
+# payloads, and their renders are the twin's
+_TWINS = {"C": "B", "2A": "A"}
+
+
+def _twin(group_type: GroupTypeTag) -> GroupTypeTag:
+    family = _TWINS.get(group_type.family)
+    if family is None:
+        return group_type
+    return GroupTypeTag(family, group_type.rank)
+
+
+class _LabelTable(NamedTuple):
+    labels: tuple       # in sort_key order
+    renders: tuple      # each label's render, in that order
+    members: frozenset  # the labels, for the coverage check of a series
+    degenerate: bool    # whether a label carries a ′/″ marker
+
+
 @functools.lru_cache(maxsize=None)
-def _labels(group_type: GroupTypeTag) -> tuple:
+def _labels(group_type: GroupTypeTag) -> _LabelTable:
     """The type's label table, strictly increasing in sort_key order."""
     family, n = group_type.family, group_type.rank
-    if family in ("A", "2A"):
+    twin = _twin(group_type)
+    if twin is not group_type:
+        # C's symbols are B's objects: B and C share their cores' entries
+        entries = [(lab.payload, lab.marker) for lab in _labels(twin).labels]
+    elif family == "A":
         entries = [(lam, "") for lam in partitions_of(n + 1)]
     elif family in _SYMBOL_DEFECTS:
         entries = []
@@ -259,8 +278,8 @@ def _labels(group_type: GroupTypeTag) -> tuple:
     else:
         raise NotSupported(
             f"family {family} has no built-in label table; supply plugin data")
-    out = [UnipotentLabel(group_type, payload, marker, _measure(payload))
-           for payload, marker in entries]
+    out = tuple(UnipotentLabel(group_type, payload, marker)
+                for payload, marker in entries)
     if family in _SYMBOL_DEFECTS:
         expected = _symbol_label_count(family, n)
         if len(out) != expected:
@@ -269,74 +288,56 @@ def _labels(group_type: GroupTypeTag) -> tuple:
     keys = [lab.sort_key() for lab in out]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise InvariantViolation(f"{group_type} labels are not in sort_key order")
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _label_set(group_type: GroupTypeTag) -> frozenset:
-    return frozenset(_labels(group_type))
+    return _LabelTable(out, tuple(lab.render() for lab in out),
+                       frozenset(out), any(lab.marker for lab in out))
 
 
 def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
     """Complete, duplicate-free, deterministically ordered label list."""
-    return list(_labels(group_type))
+    return list(_labels(group_type).labels)
 
 
-# C_n has the labels and series of B_n, and 2A_n the labels of A_n with the
-# d-series of A_n at ennola_dual(d): their render tables are those of the twin
-_TWINS = {"C": "B", "2A": "A"}
-
-
-def _twin(group_type: GroupTypeTag) -> GroupTypeTag:
-    family = _TWINS.get(group_type.family)
-    if family is None:
-        return group_type
-    return GroupTypeTag(family, group_type.rank)
-
-
-@functools.lru_cache(maxsize=None)
 def label_renders(group_type: GroupTypeTag) -> tuple:
     """Each label's render, in the order of enumerate_labels."""
-    twin = _twin(group_type)
-    if twin is not group_type:
-        return label_renders(twin)
-    return tuple(lab.render() for lab in _labels(group_type))
+    return _labels(_twin(group_type)).renders
 
 
-@functools.lru_cache(maxsize=None)
 def has_degenerate_labels(group_type: GroupTypeTag) -> bool:
     """Whether a label of the type carries a ′/″ marker."""
-    return any(lab.marker for lab in _labels(_twin(group_type)))
+    return _labels(_twin(group_type)).degenerate
+
+
+class _Series(NamedTuple):
+    blocks: tuple   # ((core render, (labels...)), ...) sorted by core render
+    renders: tuple  # each block's member renders, in the same order
 
 
 @functools.lru_cache(maxsize=None)
-def _blocks(group_type: GroupTypeTag, d: int) -> tuple:
+def _blocks(group_type: GroupTypeTag, d: int) -> _Series:
     core_of, arg = _core_rule(group_type.family, d)
     groups: dict = {}  # core value -> labels, in table (sort_key) order
-    for lab in _labels(group_type):
+    for lab in _labels(group_type).labels:
         groups.setdefault(core_of(lab.payload, arg), []).append(lab)
     # sorted by core text, which is the order reports list the blocks in
     blocks = tuple(sorted(
         ((_render(core), tuple(members)) for core, members in groups.items()),
         key=lambda block: block[0]))
     SeriesPartition(group_type, d, blocks, {}).validate()
-    return blocks
+    return _Series(blocks, tuple(tuple(lab.render() for lab in members)
+                                 for _key, members in blocks))
 
 
-@functools.lru_cache(maxsize=None)
 def series_renders(group_type: GroupTypeTag, d: int) -> tuple:
     """Each block's member renders, blocks and members in d_series order."""
-    twin = _twin(group_type)
-    if twin is not group_type:
-        return series_renders(twin, d if twin.family == "B" else ennola_dual(d))
-    return tuple(tuple(lab.render() for lab in members)
-                 for _key, members in _blocks(group_type, d))
+    if group_type.family == "2A":
+        d = ennola_dual(d)
+    return _blocks(_twin(group_type), d).renders
 
 
 def d_series(group_type: GroupTypeTag, d: int,
              context: Optional[dict] = None) -> SeriesPartition:
     ctx = context if context is not None else {"kind": "d_series", "d": d}
-    return SeriesPartition(group_type, d, _blocks(group_type, d), ctx)
+    return SeriesPartition(group_type, d, _blocks(group_type, d).blocks, ctx)
 
 
 def ell_blocks(group_type: GroupTypeTag, q: PrimePower, ell: int) -> SeriesPartition:

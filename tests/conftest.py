@@ -38,6 +38,23 @@ def clear_process_caches() -> None:
         cache.cache_clear()
 
 
+# ------------------------------------------------------------ datum files
+
+def datum_to_dict(datum) -> dict:
+    """The JSON object of a datum file; ``rootdata.datum_from_dict``
+    inverts it."""
+    return {
+        "rank": datum.rank,
+        "coroots": [list(v) for v in datum.coroots],
+        "roots": [list(v) for v in datum.roots],
+        "galois": [{"label": label, "matrix": [list(row) for row in mat.entries]}
+                   for label, mat in datum.galois],
+        "inertia": list(datum.inertia),
+        "wild": list(datum.wild),
+        "frobenius": datum.frobenius,
+    }
+
+
 # ------------------------------------------------------ seeded lattice data
 
 def _block_diag(blocks) -> list:

@@ -277,7 +277,7 @@ def memoized_calls(rng, rows, cols):
     basis = lattice_basis.__wrapped__(m)
     inside = basis @ shaped_matrix(rng, basis.cols, 2)
     return [(smith_normal_form, (m,)), (lattice_basis, (m,)),
-            (kernel_basis, (m,)), (solve_in_lattice, (basis, inside)),
+            (solve_in_lattice, (basis, inside)),
             (solve_in_lattice, (basis, shaped_matrix(rng, rows, 2)))]
 
 
@@ -301,7 +301,6 @@ def test_constructor_and_trusted_matrices_share_cache_entries():
         for fn, first, second in [
                 (smith_normal_form, (public,), (trusted,)),
                 (lattice_basis, (public,), (trusted,)),
-                (kernel_basis, (public,), (trusted,)),
                 (solve_in_lattice, (public, target),
                  (trusted, IntMatrix([[x] for x in range(rows)],
                                      rows=rows, cols=1)))]:
@@ -317,7 +316,7 @@ def test_equal_entries_with_other_shapes_do_not_collide():
     assert IntMatrix.zeros(0, 2).entries == IntMatrix.zeros(0, 3).entries
     clear_process_caches()
     for a, b in [((0, 2), (0, 3)), ((2, 0), (3, 0))]:
-        for fn in (smith_normal_form, lattice_basis, kernel_basis):
+        for fn in (smith_normal_form, lattice_basis):
             for shape in (a, b):
                 m = IntMatrix.zeros(*shape)
                 assert fn(m) == fn.__wrapped__(m), (fn.__name__, shape)
@@ -327,7 +326,7 @@ def test_equal_entries_with_other_shapes_do_not_collide():
                 kernel_basis(IntMatrix.zeros(*b)).cols) == (a[1], b[1])
         assert (lattice_basis(IntMatrix.zeros(*a)).rows,
                 lattice_basis(IntMatrix.zeros(*b)).rows) == (a[0], b[0])
-    for fn in (smith_normal_form, lattice_basis, kernel_basis):
+    for fn in (smith_normal_form, lattice_basis):
         assert fn.cache_info().currsize == 4, fn.__name__
 
 

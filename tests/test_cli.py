@@ -17,13 +17,13 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from conftest import clear_process_caches
+from conftest import clear_process_caches, datum_to_dict
 from jsonschema import Draft202012Validator
 
 import blockatlas
 from blockatlas import abelian, cli, langlands, rootdata
 from blockatlas.errors import InvalidDatum, InvariantViolation
-from blockatlas.rootdata import catalog, datum_to_dict
+from blockatlas.rootdata import catalog
 
 GOLDEN = Path(__file__).parent / "golden"
 

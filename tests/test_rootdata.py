@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import datum_to_dict
 
 from blockatlas.abelian import FGAbelianGroup, IntMatrix, coinvariants
 from blockatlas.errors import InvalidDatum, ParseError
@@ -12,7 +13,6 @@ from blockatlas.rootdata import (
     _matrix_group_closure,
     catalog,
     datum_from_dict,
-    datum_to_dict,
     derived_and_abelianized,
     kottwitz_target,
     load_datum,

@@ -21,7 +21,6 @@ from blockatlas.symbols import (
     DEFECT_MOD4_2,
     DEFECT_ODD,
     Symbol,
-    _symbols,
     cohook_core,
     enumerate_symbols,
     hook_core,
@@ -390,24 +389,19 @@ def test_enumerate_bound():
         enumerate_symbols(11, DEFECT_ODD)
 
 
-def test_symbol_tables_equal_uncached_and_are_shared():
+def test_symbol_tables_depend_only_on_the_residues_mod_4():
+    # a defect filter names residues mod 4: every set naming the same ones
+    # gives an equal table, and the table of several residues is the
+    # sorted union of their single tables
     for n in range(8):
-        for residues in (DEFECT_ODD, DEFECT_MOD4_0, DEFECT_MOD4_2, DEFECT_ANY):
-            assert _symbols(n, residues) == _symbols.__wrapped__(n, residues)
-        # one table per (rank, residues mod 4), whatever set names them
-        odd = enumerate_symbols(n, DEFECT_ODD)
-        again = enumerate_symbols(n, {5, 3, 7})
-        assert len(odd) == len(again)
-        assert all(a is b for a, b in zip(odd, again))
-
-
-def test_mutating_a_returned_symbol_list_leaves_the_cache_intact():
-    syms = enumerate_symbols(3, DEFECT_ODD)
-    expected = list(syms)
-    syms.clear()
-    assert enumerate_symbols(3, DEFECT_ODD) == expected
-    assert enumerate_symbols(3, DEFECT_ODD) == \
-        list(_symbols.__wrapped__(3, DEFECT_ODD))
+        for residues, again in ((DEFECT_ODD, {5, 3, 7}),
+                                (DEFECT_MOD4_0, {4, 8}), (DEFECT_MOD4_2, {6}),
+                                (DEFECT_ANY, set(range(4, 8)))):
+            table = enumerate_symbols(n, residues)
+            assert enumerate_symbols(n, again) == table, (n, residues)
+            assert table == sorted(
+                (sym for r in residues for sym in enumerate_symbols(n, {r})),
+                key=lambda s: (s.defect, s.row_s, s.row_t)), (n, residues)
 
 
 def test_enumerate_bound_env(monkeypatch):

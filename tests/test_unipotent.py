@@ -17,7 +17,6 @@ from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
     _blocks,
-    _label_set,
     _labels,
     _measure,
     _core_symbol,
@@ -142,8 +141,8 @@ def test_cached_labels_and_series_respect_rank_bound(monkeypatch, capsys):
     labels = enumerate_labels(b8)
     expected = list(labels)
     labels.clear()
-    labels.append(UnipotentLabel(b8, "tampered"))
-    assert labels[0].measure is None
+    labels.append(UnipotentLabel(b8, expected[0].payload, "′"))
+    assert labels[0].measure == 8
     assert enumerate_labels(b8) == expected
     part = d_series(b8, 3)
     part.context["tampered"] = True
@@ -342,14 +341,12 @@ def test_label_table_out_of_order_raises(monkeypatch, source, tag):
 def test_series_caches_equal_uncached():
     for family in FAMILIES:
         for tag in tags(family, 6):
-            assert _labels(tag) == _labels.__wrapped__(tag)
-            assert _label_set(tag) == _label_set.__wrapped__(tag)
-            assert label_renders(tag) == label_renders.__wrapped__(tag)
+            table = _labels(tag)
+            assert table == _labels.__wrapped__(tag)
+            assert table.members == frozenset(table.labels)
             for d in range(1, 2 * tag.rank + 4):
                 assert _blocks(tag, d) == _blocks.__wrapped__(tag, d)
-                assert series_renders(tag, d) == \
-                    series_renders.__wrapped__(tag, d)
-                for lab in _labels(tag):
+                for lab in table.labels:
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
                             _symbol_core.__wrapped__(lab.payload, d)
@@ -369,7 +366,7 @@ def test_equal_symbol_cores_are_one_object(monkeypatch):
         for tag in tags(family, 6):
             for d in range(1, 2 * tag.rank + 4):
                 d_series(tag, d)
-                for lab in _labels(tag):
+                for lab in _labels(tag).labels:
                     core = _symbol_core(lab.payload, d)
                     key = (core.row_s, core.row_t)
                     assert cores.setdefault(key, core) is core, (tag, d)
@@ -401,7 +398,7 @@ def test_render_tables_follow_the_label_table_and_series():
 def test_each_label_stores_its_measure():
     for family in FAMILIES:
         for tag in tags(family, 8):
-            for lab in _labels(tag):
+            for lab in _labels(tag).labels:
                 assert lab.measure == _measure(lab.payload), (str(tag), lab)
 
 
