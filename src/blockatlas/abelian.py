@@ -11,13 +11,18 @@ fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
 Pure functions of immutable values are memoized with ``functools.lru_cache``:
 ``smith_normal_form``, ``lattice_basis`` and ``solve_in_lattice`` (and so
-``lattice_contains``) on their frozen matrices, and ``IntMatrix.identity``
-on n, so each distinct matrix is factored once per process;
-``kernel_basis`` reads the cached factorization.  ``FGAbelianGroup`` is an
-immutable value built once per (n, lattice_basis(K), lattice_basis(L));
-``torsion``, ``p_torsion``, ``coinvariants`` (on the tuple of operators),
-``fixed_points``, ``h1_cyclic`` and the operator check are memoized on the
-group and their operator or prime.  A call that raises is not cached and raises again.
+``lattice_contains`` and ``lattice_equal``) on their frozen matrices, and
+``IntMatrix.identity`` on n, so each distinct matrix is factored once per
+process; ``kernel_basis`` reads the cached factorization.
+``FGAbelianGroup`` is an immutable value built once per (n,
+lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
+``coinvariants`` (on the tuple of operators), ``fixed_points``,
+``h1_cyclic`` and the operator check are memoized on the group and their
+operator or prime.  A call that raises is not cached and raises again.
+One preimage routine, the x in K whose image under a map lies in a lattice,
+read from one kernel, gives the Frobenius fixed points, the injectivity
+test of ``h1_cyclic``, and the kernel and injectivity of a
+``SubquotientMap``.
 
 Two exact shortcuts skip elimination where its answer is known.  A product
 with an identity factor is the other factor, and the SNF of an identity is
@@ -327,9 +332,15 @@ def lattice_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return lattice_basis(A.hstack(B))
 
 
-def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    ker = kernel_basis(A.hstack(-B))
-    return lattice_basis(A @ ker._first_rows(A.cols))
+def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
+    return lattice_contains(A, B) and lattice_contains(B, A)
+
+
+def _preimage(sub: IntMatrix, image: IntMatrix, target: IntMatrix) -> IntMatrix:
+    """Basis of the sub @ x whose image @ x lies in the lattice of
+    ``target``; ``sub`` and ``image`` have one column per coordinate of x."""
+    top = kernel_basis(image.hstack(-target))._first_rows(sub.cols)
+    return sub @ lattice_basis(top)
 
 
 class FGAbelianGroup:
@@ -350,11 +361,6 @@ class FGAbelianGroup:
     def free(cls, n: int) -> "FGAbelianGroup":
         return cls(n, IntMatrix.identity(n), IntMatrix.zeros(n, 0))
 
-    @classmethod
-    def from_presentation(cls, relations: IntMatrix) -> "FGAbelianGroup":
-        """Z^rows modulo the column span of `relations`."""
-        return cls(relations.rows, IntMatrix.identity(relations.rows), relations)
-
     @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
@@ -374,9 +380,6 @@ class FGAbelianGroup:
 
     def __repr__(self) -> str:
         return f"FGAbelianGroup({self.describe()})"
-
-    def same_ambient(self, other: "FGAbelianGroup") -> bool:
-        return self.ambient_dim == other.ambient_dim
 
     # ------------------------------------------------------------ functors
 
@@ -434,7 +437,8 @@ def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
 
 
 def cokernel(M: IntMatrix) -> FGAbelianGroup:
-    return FGAbelianGroup.from_presentation(M)
+    """Z^rows modulo the column span of M."""
+    return FGAbelianGroup(M.rows, IntMatrix.identity(M.rows), M)
 
 
 def coinvariants(A: FGAbelianGroup, gens: Sequence[IntMatrix]) -> FGAbelianGroup:
@@ -461,10 +465,8 @@ def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     A._check_compatible(f)
     if A.is_trivial:
         return A
-    one = IntMatrix.identity(A.ambient_dim)
-    stacked = ((f - one) @ A.sub).hstack(-A.rel)
-    top = kernel_basis(stacked)._first_rows(A.sub.cols)
-    return FGAbelianGroup(A.ambient_dim, A.sub @ lattice_basis(top), A.rel)
+    moved = (f - IntMatrix.identity(A.ambient_dim)) @ A.sub
+    return FGAbelianGroup(A.ambient_dim, _preimage(A.sub, moved, A.rel), A.rel)
 
 
 @functools.lru_cache(maxsize=None)
@@ -476,9 +478,8 @@ def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     A._check_compatible(f)
     if A.is_trivial:
         return A
-    top = kernel_basis((f @ A.sub).hstack(-A.rel))._first_rows(A.sub.cols)
     injective = FGAbelianGroup(
-        A.ambient_dim, A.sub @ lattice_basis(top), A.rel).is_trivial
+        A.ambient_dim, _preimage(A.sub, f @ A.sub, A.rel), A.rel).is_trivial
     if not injective:
         raise NotAutomorphism("operator is not injective on the module")
     return coinvariants(A, [f])
@@ -488,7 +489,7 @@ class SubquotientMap:
     """Map K1/L1 -> K2/L2 induced by the identity of the shared ambient."""
 
     def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup):
-        if not source.same_ambient(target):
+        if source.ambient_dim != target.ambient_dim:
             raise ValueError("map needs a shared ambient lattice")
         self.source, self.target = source, target
 
@@ -500,7 +501,7 @@ class SubquotientMap:
     def injective(self) -> bool:
         if self.source.is_trivial:
             return True
-        meet = lattice_intersection(self.source.sub, self.target.rel)
+        meet = _preimage(self.source.sub, self.source.sub, self.target.rel)
         return meet.cols == 0 or lattice_contains(self.source.rel, meet)
 
     def surjective(self) -> bool:
@@ -517,7 +518,7 @@ class SubquotientMap:
         """The kernel, as a subgroup of the source."""
         if self.source.is_trivial:
             return self.source
-        meet = lattice_intersection(self.source.sub, self.target.rel)
+        meet = _preimage(self.source.sub, self.source.sub, self.target.rel)
         return FGAbelianGroup(
             self.source.ambient_dim,
             lattice_sum(meet, self.source.rel), self.source.rel)

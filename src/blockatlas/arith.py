@@ -7,7 +7,7 @@ order d at q.  Such primes witness that the d-series refine into actual
 
 Primitive primes are located by factoring the cyclotomic value Φ_d(q),
 which carries exactly the primes of order d (plus possibly the largest
-prime factor of d, filtered out by an explicit order check).  Factoring is
+prime factor of d, filtered out because it divides d).  Factoring is
 plain trial division; powers beyond 63 bits are rejected rather than
 silently promoted, which keeps the search at desk scale.  ``is_prime`` is a
 deterministic Miller–Rabin test, exact below 3.3·10²⁴ and BoundExceeded
@@ -300,13 +300,6 @@ def mult_order(q: int, ell: int) -> int:
     return order
 
 
-def _order_equals(q: int, ell: int, d: int) -> bool:
-    # order is exactly d iff q^d = 1 and q^(d/p) != 1 for primes p | d
-    if pow(q, d, ell) != 1:
-        return False
-    return all(pow(q, d // p, ell) != 1 for p in prime_factors(d))
-
-
 def checked_power(q: int, d: int) -> int:
     """q**d, rejected when it exceeds the native 63-bit budget."""
     if q < 2 or d < 1:
@@ -332,9 +325,14 @@ def _cyclotomic_value(q: int, d: int) -> int:
 def primitive_prime(q: int, d: int,
                     excluded: frozenset = frozenset()) -> Optional[int]:
     """Smallest prime of multiplicative order exactly d at q that is not in
-    ``excluded``, or None when no such prime exists."""
+    ``excluded``, or None when no such prime exists.
+
+    A prime ell of Phi_d(q) has an order at q that divides d.  If ell does
+    not divide d, x^d - 1 is separable mod ell, so q is a root of Phi_d
+    alone and the order is d; if ell divides d, the order divides ell - 1,
+    prime to ell, so it is not d."""
     for ell in prime_factors(_cyclotomic_value(q, d)):
-        if ell not in excluded and _order_equals(q, ell, d):
+        if ell not in excluded and d % ell:
             return ell
     return None
 

@@ -28,9 +28,9 @@ datum value and process, each on first use, by the caches that build them:
 ``pi1``, ``kottwitz_target`` and ``derived_and_abelianized`` in
 :mod:`rootdata`, and ``coinvariants`` and ``fixed_points`` in :mod:`abelian`
 for the inertia and wild coinvariants and the Frobenius fixed points; the
-tame quotient's order is stored on the datum when it is validated.  Per p
-only the p-torsion, the maps between the p-parts, H^1 on them and the
-cardinality check remain.
+operators and the tame quotient's order are stored on the datum when it is
+validated.  Per p only the p-torsion, the maps between the p-parts, H^1 on
+them and the cardinality check remain.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .abelian import (
     coinvariants,
     fixed_points,
     h1_cyclic,
-    lattice_contains,
+    lattice_equal,
 )
 from .arith import is_prime
 from .errors import InvariantViolation
@@ -98,10 +98,6 @@ class TorsorReport(NamedTuple):
     group_side: FGAbelianGroup
     dual_side: FGAbelianGroup
 
-    @property
-    def order(self) -> int:
-        return self.group_side.order()
-
     def as_dict(self) -> dict:
         return {
             "p": self.p,
@@ -122,7 +118,6 @@ def bijection_check(datum: RootDatumWithAction, p: int,
     quasi-split, where the simply transitive actions on both sides are
     established, or an inner twist, where the comparison is conjectural.
     """
-    _check_prime(p)
     group = group_side_torsor(datum, p)
     dual = dual_side_torsor(datum, p)
     if group.order() != dual.order():
@@ -173,10 +168,6 @@ class CriterionReport(NamedTuple):
                 "implication_holds": self.implication_holds}
 
 
-def _subgroups_equal(a: FGAbelianGroup, b: FGAbelianGroup) -> bool:
-    return (lattice_contains(a.sub, b.sub) and lattice_contains(b.sub, a.sub))
-
-
 def cornqs_check(datum: RootDatumWithAction, p: int,
                  quasi_split: bool = True) -> CriterionReport:
     """Evaluate the triviality criterion for the p-part of the arithmetic
@@ -200,7 +191,7 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     right = SubquotientMap(pi1_torsion, ab_torsion)
     sequence_exact = (left.well_defined() and right.well_defined()
                       and right.surjective()
-                      and _subgroups_equal(left.image(), right.kernel()))
+                      and lattice_equal(left.image().sub, right.kernel().sub))
 
     conclusion = kottwitz_target(datum).p_torsion(p).is_trivial
     regime = REGIME_PROVED if quasi_split else REGIME_CONJECTURAL
@@ -262,8 +253,7 @@ def component_lemma_checks(datum: RootDatumWithAction,
     lattice = FGAbelianGroup.free(datum.rank)
 
     wild_lattice = coinvariants(lattice, datum.wild_matrices)
-    p_local = all(_is_p_power(d, p)
-                  for d in wild_lattice.torsion().invariant_factors)
+    p_local = all(_is_p_power(d, p) for d in wild_lattice.invariant_factors)
 
     torus_part = coinvariants(lattice, inert).p_torsion(p)
     fundamental = pi1(datum)

@@ -15,10 +15,11 @@ derived-subgroup sequence: the fundamental group of the derived subgroup and
 the cocharacter lattice of the abelianization.  Each of these functors
 (``pi1``, ``kottwitz_target`` and ``derived_and_abelianized``) is an
 ``lru_cache`` function of the immutable datum, so it runs once per datum
-value and process; a call that raises is not cached.  The order of the
-tame quotient of the inertia image is stored on the datum itself
-(``tame_order``), from the one enumeration of the inertia and wild images
-that validation makes.
+value and process; a call that raises is not cached.  Validation stores
+what it resolves on the datum itself: the coroot matrix, the inertia, wild
+and Frobenius operators looked up from their labels once, and the order of
+the tame quotient of the inertia image (``tame_order``), from the one
+enumeration of the inertia and wild images that validation makes.
 
 ``catalog()`` returns a fixed library of small worked examples used by the
 tests and the command-line tools.
@@ -37,6 +38,7 @@ from .abelian import (
     coinvariants,
     fixed_points,
     lattice_contains,
+    lattice_equal,
     lattice_sum,
     smith_normal_form,
 )
@@ -63,13 +65,17 @@ class RootDatumWithAction:
     ``galois`` is a tuple of ``(label, matrix)`` pairs; ``inertia`` and
     ``wild`` list the labels generated by (wild) inertia, and ``frobenius``
     names the Frobenius lift.  Construction validates the structure and
-    raises InvalidDatum on any defect.  ``tame_order``, the order of the
-    tame quotient of the inertia image, is derived during validation and is
-    not a field: equality and hashing read the fields alone.
+    raises InvalidDatum on any defect.  Validation also derives
+    ``coroot_matrix`` (the coroots as columns), ``inertia_matrices``,
+    ``wild_matrices`` and ``frobenius_matrix`` (the operators those labels
+    name) and ``tame_order``, the order of the tame quotient of the inertia
+    image.  Derived values are not fields: equality and hashing read the
+    fields alone.
     """
 
     __slots__ = ("rank", "coroots", "roots", "galois", "inertia", "wild",
-                 "frobenius", "tame_order")
+                 "frobenius", "coroot_matrix", "inertia_matrices",
+                 "wild_matrices", "frobenius_matrix", "tame_order")
 
     def __init__(self, rank: int, coroots=(), roots=(), galois=(),
                  inertia=(), wild=(), frobenius: str = "F"):
@@ -140,6 +146,13 @@ class RootDatumWithAction:
             if not mat.is_unimodular():
                 raise InvalidDatum(f"operator {label!r} is not unimodular")
             self._check_permutes(label, mat, coroots, roots)
+        ops = dict(self.galois)
+        object.__setattr__(self, "coroot_matrix", coroots)
+        object.__setattr__(self, "inertia_matrices",
+                           tuple(ops[label] for label in self.inertia))
+        object.__setattr__(self, "wild_matrices",
+                           tuple(ops[label] for label in self.wild))
+        object.__setattr__(self, "frobenius_matrix", ops[self.frobenius])
         object.__setattr__(self, "tame_order", self._check_normal_images())
 
     def _check_permutes(self, label: str, mat: IntMatrix, coroots: IntMatrix,
@@ -166,11 +179,11 @@ class RootDatumWithAction:
         Frobenius the wild image.  Returns the order of the tame quotient,
         the ratio of the two image sizes: a group order, because the wild
         image is normal.  Each image is enumerated once."""
-        gens = [self.matrix(label) for label in self.inertia]
+        gens = self.inertia_matrices
         if not gens:
             return 1
         closure = _matrix_group_closure(gens, self.rank)
-        f = self.matrix(self.frobenius)
+        f = self.frobenius_matrix
         finv = f.inverse_unimodular()
         for g in gens:
             if (f @ g @ finv).entries not in closure:
@@ -179,40 +192,17 @@ class RootDatumWithAction:
         # the wild image must be normal in the full weil action: conjugation
         # by inertia or frobenius has to stay inside it, or the coinvariant
         # towers built on the wild quotient are not even well posed
-        wild_gens = [self.matrix(label) for label in self.wild]
+        wild_gens = self.wild_matrices
         if not wild_gens:
             return len(closure)
         wild_closure = _matrix_group_closure(wild_gens, self.rank)
-        for outer in gens + [f]:
+        for outer in gens + (f,):
             inv = outer.inverse_unimodular()
             for w in wild_gens:
                 if (outer @ w @ inv).entries not in wild_closure:
                     raise InvalidDatum(
                         "wild image must be normal under inertia and frobenius")
         return len(closure) // len(wild_closure)
-
-    # ------------------------------------------------------------ accessors
-
-    def matrix(self, label: str) -> IntMatrix:
-        for known, mat in self.galois:
-            if known == label:
-                return mat
-        raise InvalidDatum(f"no operator labeled {label!r}")
-
-    @property
-    def inertia_matrices(self) -> tuple:
-        return tuple(self.matrix(label) for label in self.inertia)
-
-    @property
-    def wild_matrices(self) -> tuple:
-        return tuple(self.matrix(label) for label in self.wild)
-
-    @property
-    def frobenius_matrix(self) -> IntMatrix:
-        return self.matrix(self.frobenius)
-
-    def coroot_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.coroots, self.rank)
 
 
 def _matrix_group_closure(gens: Sequence[IntMatrix], dim: int) -> set:
@@ -250,7 +240,7 @@ def pi1(datum: RootDatumWithAction) -> FGAbelianGroup:
     descends to the quotient; the permutation check at construction time
     guarantees this, but the invariant is re-verified here.
     """
-    coroot_lattice = datum.coroot_matrix()
+    coroot_lattice = datum.coroot_matrix
     for label, mat in datum.galois:
         if coroot_lattice.cols and not lattice_contains(
                 coroot_lattice, mat @ coroot_lattice):
@@ -287,7 +277,7 @@ class DerivedAbelianized(NamedTuple):
 def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
     rank = datum.rank
     ambient = IntMatrix.identity(rank)
-    coroot_lattice = datum.coroot_matrix()
+    coroot_lattice = datum.coroot_matrix
     full = FGAbelianGroup(rank, ambient, coroot_lattice)
     saturation = full.torsion().sub  # ambient vectors with a multiple in the coroot lattice
     pi1_der = FGAbelianGroup(rank, saturation, coroot_lattice)
@@ -301,9 +291,7 @@ def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
         raise InvariantViolation("abelianized part is not a quotient")
     # exactness in the middle: the kernel lattice of the quotient map is the
     # saturation, which must coincide with the image lattice of the embedding
-    image = lattice_sum(coroot_lattice, saturation)
-    if not (lattice_contains(saturation, image)
-            and lattice_contains(image, saturation)):
+    if not lattice_equal(saturation, lattice_sum(coroot_lattice, saturation)):
         raise InvariantViolation("sequence fails exactness in the middle")
 
     s = saturation.cols

@@ -113,15 +113,6 @@ class UnipotentLabel:
         return self.render()
 
 
-def series_step(family: str, d: int) -> int:
-    """Measure dropped by one removal in the d-series rule."""
-    if family == "A":
-        return d
-    if family == "2A":
-        return ennola_dual(d)
-    return d if d % 2 == 1 else d // 2
-
-
 @functools.lru_cache(maxsize=None)
 def _symbol_core(sym: Symbol, d: int) -> Symbol:
     """The canonical d-hook core for odd d, (d/2)-cohook core for even d.
@@ -143,21 +134,22 @@ def _core_symbol(row_s: tuple, row_t: tuple) -> Symbol:
 
 
 def _core_rule(family: str, d: int) -> tuple:
-    """(core function, its step argument) of the family's d-rule, resolved
-    once per series rather than once per label."""
+    """(core function, its argument, the measure one removal drops) of the
+    family's d-rule, resolved once per series rather than once per label."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if family == "A":
-        return d_core, d
+        return d_core, d, d
     if family == "2A":
-        return d_core, ennola_dual(d)
-    return _symbol_core, d
+        e = ennola_dual(d)
+        return d_core, e, e
+    return _symbol_core, d, d if d % 2 == 1 else d // 2
 
 
 def series_core(label: UnipotentLabel, d: int):
     """The label's core under the family's d-rule: a partition, or the
     canonical Symbol of the core's swap class."""
-    core_of, arg = _core_rule(label.group_type.family, d)
+    core_of, arg, _step = _core_rule(label.group_type.family, d)
     return core_of(label.payload, arg)
 
 
@@ -190,9 +182,7 @@ class SeriesPartition(NamedTuple):
         """Recompute every invariant; raise InvariantViolation on failure."""
         seen = set()
         cores: dict = {}  # core -> (text, measure), once per distinct core
-        family = self.group_type.family
-        core_of, arg = _core_rule(family, self.d)
-        step = series_step(family, self.d)
+        core_of, arg, step = _core_rule(self.group_type.family, self.d)
         for key, members in self.blocks:
             if not members:
                 raise InvariantViolation(f"empty block {key!r}")
@@ -314,7 +304,7 @@ class _Series(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _blocks(group_type: GroupTypeTag, d: int) -> _Series:
-    core_of, arg = _core_rule(group_type.family, d)
+    core_of, arg, _step = _core_rule(group_type.family, d)
     groups: dict = {}  # core value -> labels, in table (sort_key) order
     for lab in _labels(group_type).labels:
         groups.setdefault(core_of(lab.payload, arg), []).append(lab)

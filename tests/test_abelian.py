@@ -19,7 +19,6 @@ from blockatlas.abelian import (
     kernel_basis,
     lattice_basis,
     lattice_contains,
-    lattice_intersection,
     lattice_sum,
     smith_normal_form,
     solve_in_lattice,
@@ -28,6 +27,13 @@ from blockatlas.errors import IncompatibleAction, NotAutomorphism, NotFinite
 
 
 # --------------------------------------------------------------- oracles
+
+def lattice_meet(a, b):
+    """Basis of the intersection of the lattices of a and b: the a @ x of
+    the kernel vectors (x, y) of [a | -b]."""
+    ker = kernel_basis(a.hstack(-b))
+    return lattice_basis(a @ ker._first_rows(a.cols))
+
 
 def perm_sign(perm):
     sign, seen = 1, set()
@@ -537,7 +543,7 @@ def test_kernel_basis_annihilates():
 def test_lattice_sum_and_intersection():
     a = IntMatrix.from_columns([(2, 0), (0, 3)], 2)
     b = IntMatrix.from_columns([(1, 1)], 2)
-    meet = lattice_intersection(a, b)
+    meet = lattice_meet(a, b)
     assert meet.cols == 1
     assert lattice_contains(meet, IntMatrix.from_columns([(6, 6)], 2))
     assert lattice_contains(b, meet) and lattice_contains(a, meet)
@@ -1065,12 +1071,12 @@ def general_h1_cyclic(group, f):
 
 
 def general_injective(source, target):
-    meet = lattice_intersection(source.sub, target.rel)
+    meet = lattice_meet(source.sub, target.rel)
     return meet.cols == 0 or lattice_contains(source.rel, meet)
 
 
 def general_kernel(source, target):
-    meet = lattice_intersection(source.sub, target.rel)
+    meet = lattice_meet(source.sub, target.rel)
     return FGAbelianGroup(source.ambient_dim, lattice_sum(meet, source.rel),
                           source.rel)
 

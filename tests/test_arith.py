@@ -399,18 +399,26 @@ EXCEPTIONAL_RANKS = {"G2": 2, "F4": 4, "3D4": 4, "E6": 6, "2E6": 6, "E7": 7,
                      "E8": 8}
 
 
+# (q, d_max): small q up to d = 12, and the zsygmondy range of every prime
+# power q <= 64 up to d = 24, cut where q^d passes 2^44 so that factoring
+# each cyclotomic value by trial division stays cheap
+BRUTE_FORCE_RANGE = tuple((q, 12) for q in (2, 3, 4, 5, 7, 8, 9)) + tuple(
+    (q, max(d for d in range(1, 25) if q ** d <= 2 ** 44))
+    for q in range(2, 65) if len(list(prime_factors(q))) == 1)
+
+
 @pytest.mark.parametrize("family", CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES)
 def test_admissible_d_matches_brute_force_filter(family):
     tag = GroupTypeTag(family, EXCEPTIONAL_RANKS.get(family, 3))
-    for q in (2, 3, 4, 5, 7, 8, 9):
+    for q, d_max in BRUTE_FORCE_RANGE:
         expected = {}
-        for d in range(1, 13):
+        for d in range(1, d_max + 1):
             ells = [ell for ell in prime_factors(oracle_cyclotomic(q, d))
                     if ell % 2 and is_good(ell, tag)
                     and oracle_has_order(q, ell, d)]
             if ells:
                 expected[d] = min(ells)
-        assert admissible_d(tag, PrimePower.from_q(q), 12) == expected, q
+        assert admissible_d(tag, PrimePower.from_q(q), d_max) == expected, q
 
 
 def test_classical_families_share_one_witness_search_per_d():

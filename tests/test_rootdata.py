@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from conftest import datum_to_dict
+from conftest import catalog_sum, datum_to_dict
 
 from blockatlas.abelian import FGAbelianGroup, IntMatrix, coinvariants
 from blockatlas.errors import InvalidDatum, ParseError
@@ -201,6 +201,37 @@ def test_tame_quotient_order():
     again = datum_from_dict(datum_to_dict(cat["wild_plus_tame_rank2"].datum))
     assert again == cat["wild_plus_tame_rank2"].datum and again.tame_order == 3
     assert "tame_order" not in datum_to_dict(again)
+
+
+def test_validation_stores_the_labeled_operators():
+    # every catalog datum and a datum file whose labels are not in galois
+    # order: the stored operators are the ones their labels name, resolved
+    # once, and as derived values they leave equality and hashing alone
+    wild_sum = catalog_sum(["wild_plus_tame_rank2", "sl2_split",
+                            "tame_induced_rank2"])
+    blob = json.dumps({**datum_to_dict(wild_sum),
+                       "inertia": list(reversed(wild_sum.inertia))})
+    data = [entry.datum for entry in catalog().values()] + [load_datum(blob)]
+    for datum in data:
+        ops = dict(datum.galois)
+        assert datum.inertia_matrices == tuple(ops[x] for x in datum.inertia)
+        assert datum.wild_matrices == tuple(ops[x] for x in datum.wild)
+        assert datum.frobenius_matrix == ops[datum.frobenius]
+        assert datum.coroot_matrix == IntMatrix.from_columns(datum.coroots,
+                                                             datum.rank)
+        for name in ("inertia_matrices", "wild_matrices", "frobenius_matrix",
+                     "coroot_matrix"):
+            assert getattr(datum, name) is getattr(datum, name), name
+        assert all(a is ops[x]
+                   for a, x in zip(datum.inertia_matrices, datum.inertia))
+        assert datum.frobenius_matrix is ops[datum.frobenius]
+        again = RootDatumWithAction(
+            datum.rank, coroots=datum.coroots, roots=datum.roots,
+            galois=datum.galois, inertia=datum.inertia, wild=datum.wild,
+            frobenius=datum.frobenius)
+        assert again == datum and hash(again) == hash(datum)
+    assert data[-1].inertia != wild_sum.inertia
+    assert data[-1].inertia_matrices == wild_sum.inertia_matrices[::-1]
 
 
 def test_each_image_is_enumerated_once(monkeypatch):

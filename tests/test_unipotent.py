@@ -17,6 +17,7 @@ from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
     _blocks,
+    _core_rule,
     _labels,
     _measure,
     _core_symbol,
@@ -28,7 +29,6 @@ from blockatlas.unipotent import (
     label_renders,
     series_core,
     series_renders,
-    series_step,
 )
 
 A1 = GroupTypeTag("A", 1)
@@ -235,7 +235,7 @@ def relative_weyl_rank(family, d):
     # the e of G(e, 1, w): a d-series of weight w has as many members as
     # G(e, 1, w) has irreducible characters
     if family in ("A", "2A"):
-        return series_step(family, d)
+        return _core_rule(family, d)[2]
     return 2 * d if d % 2 == 1 else d
 
 
@@ -249,7 +249,7 @@ def test_block_sizes_count_e_multipartitions(family):
     for rank in range(2, 9):
         tag = GroupTypeTag(family, rank)
         for d in range(1, 9):
-            step, e = series_step(family, d), relative_weyl_rank(family, d)
+            step, e = _core_rule(family, d)[2], relative_weyl_rank(family, d)
             for key, members in d_series(tag, d).blocks:
                 lab = members[0]
                 core = series_core(lab, d)
@@ -311,7 +311,7 @@ def test_series_validation_rejects_a_wrong_drop(monkeypatch):
     # a core rule that drops one box at d = 2, keyed consistently: only the
     # drop check can see it
     monkeypatch.setattr(unipotent, "_core_rule",
-                        lambda family, d: (lambda lam, _: (2,), d))
+                        lambda family, d: (lambda lam, _: (2,), d, d))
     bad = SeriesPartition(A2, 2, (("(2)", tuple(enumerate_labels(A2))),), {})
     with pytest.raises(InvariantViolation, match="drop 1 not a multiple of 2"):
         bad.validate()
