@@ -37,7 +37,9 @@ from typing import Iterator, Optional
 from .errors import BoundExceeded, DividesModulus
 
 CLASSICAL_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
-EXCEPTIONAL_FAMILIES = ("G2", "F4", "3D4", "E6", "2E6", "E7", "E8")
+EXCEPTIONAL_RANKS = {"G2": 2, "F4": 4, "3D4": 4, "E6": 6, "2E6": 6, "E7": 7,
+                     "E8": 8}
+EXCEPTIONAL_FAMILIES = tuple(EXCEPTIONAL_RANKS)
 
 _BAD_PRIMES = {
     "A": frozenset(), "2A": frozenset(),
@@ -74,6 +76,9 @@ class GroupTypeTag:
             raise ValueError("rank must be >= 1")
         if family in ("D", "2D") and rank < 2:
             raise ValueError(f"family {family} needs rank >= 2")
+        if EXCEPTIONAL_RANKS.get(family, rank) != rank:
+            raise ValueError(f"family {family} has rank "
+                             f"{EXCEPTIONAL_RANKS[family]}, not {rank}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_hash", hash((family, rank)))

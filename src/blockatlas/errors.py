@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one JSON reader.
 
 Precondition violations raise subclasses of BlockatlasError; internal
 consistency failures raise InvariantViolation (the CLI maps the former to
 exit code 2 and the latter to exit code 1).
 """
+
+import json
 
 
 class BlockatlasError(Exception):
@@ -63,3 +65,14 @@ class ParseError(BlockatlasError):
 
 class InvariantViolation(Exception):
     """An internal cross-check failed; this is a defect, not a usage error."""
+
+
+def parse_json(text: str):
+    """The value of a JSON input file; malformed JSON reports line and
+    column, and nesting too deep for the decoder is a ParseError too."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON is nested too deeply to decode") from exc

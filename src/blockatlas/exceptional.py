@@ -28,9 +28,7 @@ singletons.  No data ships with the package.
 """
 from __future__ import annotations
 
-import json
-
-from .errors import NotSupported, ParseError
+from .errors import NotSupported, ParseError, parse_json
 
 SCHEMA_TAG = "exceptional_v1"
 
@@ -75,11 +73,7 @@ class ExceptionalPlugin:
 
     @classmethod
     def loads(cls, text: str) -> "ExceptionalPlugin":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text))
 
     @classmethod
     def load(cls, path) -> "ExceptionalPlugin":

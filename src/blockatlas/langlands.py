@@ -25,9 +25,11 @@ and after taking Frobenius fixed points.
 
 The modules these checks read that do not depend on p are computed once per
 datum value and process, each on first use, by the caches that build them:
-``pi1``, ``kottwitz_target`` and ``derived_and_abelianized`` in
-:mod:`rootdata`, and ``coinvariants`` and ``fixed_points`` in :mod:`abelian`
-for the inertia and wild coinvariants and the Frobenius fixed points; the
+the interned groups of :mod:`abelian` (``pi1`` and its torsion, the
+saturation), its ``coinvariants`` and ``fixed_points`` for the inertia and
+wild coinvariants and the Frobenius fixed points (so ``kottwitz_target``
+too), and ``derived_and_abelianized`` in :mod:`rootdata` for the change of
+basis onto the abelianized lattice; the
 operators and the tame quotient's order are stored on the datum when it is
 validated.  Per p only the p-torsion, the maps between the p-parts, H^1 on
 them and the cardinality check remain.
@@ -175,8 +177,6 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     _check_prime(p)
     da = derived_and_abelianized(datum)
     der_order = da.pi1_der.order()
-    if der_order is None:
-        raise InvariantViolation("derived fundamental group must be finite")
     hypothesis_a = der_order % p != 0
 
     ab_ops = dict(da.ab_action)

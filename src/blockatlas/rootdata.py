@@ -12,14 +12,15 @@ From a datum the module derives the algebraic fundamental group (cocharacter
 lattice modulo the coroot lattice), its arithmetic form (inertia
 coinvariants followed by Frobenius fixed points), and the two ends of the
 derived-subgroup sequence: the fundamental group of the derived subgroup and
-the cocharacter lattice of the abelianization.  Each of these functors
-(``pi1``, ``kottwitz_target`` and ``derived_and_abelianized``) is an
-``lru_cache`` function of the immutable datum, so it runs once per datum
-value and process; a call that raises is not cached.  Validation stores
-what it resolves on the datum itself: the coroot matrix, the inertia, wild
-and Frobenius operators looked up from their labels once, and the order of
-the tame quotient of the inertia image (``tame_order``), from the one
-enumeration of the inertia and wild images that validation makes.
+the cocharacter lattice of the abelianization.  ``pi1`` and
+``kottwitz_target`` return groups that :mod:`abelian` interns and caches;
+``derived_and_abelianized`` is an ``lru_cache`` function of the immutable
+datum.  None of them re-checks what validation proved, so ``pi1`` cannot
+raise.  Validation stores what it resolves on the datum itself: the coroot
+matrix, the inertia, wild and Frobenius operators looked up from their
+labels once, and the order of the tame quotient of the inertia image
+(``tame_order``), from the one enumeration of the inertia and wild images
+that validation makes.
 
 ``catalog()`` returns a fixed library of small worked examples used by the
 tests and the command-line tools.
@@ -28,21 +29,16 @@ tests and the command-line tools.
 from __future__ import annotations
 
 import functools
-import json
 from typing import NamedTuple, Sequence
 
 from .abelian import (
     FGAbelianGroup,
     IntMatrix,
-    SubquotientMap,
     coinvariants,
     fixed_points,
-    lattice_contains,
-    lattice_equal,
-    lattice_sum,
     smith_normal_form,
 )
-from .errors import InvalidDatum, InvariantViolation, ParseError
+from .errors import InvalidDatum, ParseError, parse_json
 
 # Enumerating the inertia image stops here; bigger images cannot be verified.
 _CLOSURE_CAP = 4096
@@ -232,25 +228,16 @@ def _matrix_group_closure(gens: Sequence[IntMatrix], dim: int) -> set:
 # --------------------------------------------------------------- functors
 
 
-@functools.lru_cache(maxsize=None)
 def pi1(datum: RootDatumWithAction) -> FGAbelianGroup:
     """Cocharacter lattice modulo the coroot lattice, in ambient Z^rank.
 
-    Every declared operator must preserve the coroot lattice so that it
-    descends to the quotient; the permutation check at construction time
-    guarantees this, but the invariant is re-verified here.
+    Every operator descends to it: validation proved that each permutes the
+    coroots.
     """
-    coroot_lattice = datum.coroot_matrix
-    for label, mat in datum.galois:
-        if coroot_lattice.cols and not lattice_contains(
-                coroot_lattice, mat @ coroot_lattice):
-            raise InvalidDatum(
-                f"operator {label!r} does not preserve the coroot lattice")
     return FGAbelianGroup(datum.rank, IntMatrix.identity(datum.rank),
-                          coroot_lattice)
+                          datum.coroot_matrix)
 
 
-@functools.lru_cache(maxsize=None)
 def kottwitz_target(datum: RootDatumWithAction) -> FGAbelianGroup:
     """Frobenius fixed points of the inertia coinvariants of pi1."""
     descended = coinvariants(pi1(datum), datum.inertia_matrices)
@@ -275,42 +262,26 @@ class DerivedAbelianized(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
+    """The saturation of the coroots is the torsion of pi1, so it contains
+    them and its Smith form is the identity: U maps it onto the first s
+    coordinates.  Each operator permutes the coroots, so it preserves the
+    saturation and U·M·U⁻¹ is block upper triangular; its lower-right block
+    is the action on cochar_ab."""
     rank = datum.rank
-    ambient = IntMatrix.identity(rank)
-    coroot_lattice = datum.coroot_matrix
-    full = FGAbelianGroup(rank, ambient, coroot_lattice)
-    saturation = full.torsion().sub  # ambient vectors with a multiple in the coroot lattice
-    pi1_der = FGAbelianGroup(rank, saturation, coroot_lattice)
-    cochar_ab = FGAbelianGroup(rank, ambient, saturation)
-
-    into = SubquotientMap(pi1_der, full)
-    onto = SubquotientMap(full, cochar_ab)
-    if not (into.well_defined() and into.injective()):
-        raise InvariantViolation("derived part does not embed")
-    if not (onto.well_defined() and onto.surjective()):
-        raise InvariantViolation("abelianized part is not a quotient")
-    # exactness in the middle: the kernel lattice of the quotient map is the
-    # saturation, which must coincide with the image lattice of the embedding
-    if not lattice_equal(saturation, lattice_sum(coroot_lattice, saturation)):
-        raise InvariantViolation("sequence fails exactness in the middle")
-
+    saturation = pi1(datum).torsion().sub
+    pi1_der = FGAbelianGroup(rank, saturation, datum.coroot_matrix)
+    cochar_ab = FGAbelianGroup(rank, IntMatrix.identity(rank), saturation)
     s = saturation.cols
     ab_rank = rank - s
     if s == 0:
-        action = tuple((label, mat) for label, mat in datum.galois)
-        return DerivedAbelianized(pi1_der, cochar_ab, ab_rank, action)
-    U, S, _V = smith_normal_form(saturation)
-    if any(S.entries[i][i] != 1 for i in range(s)):
-        raise InvariantViolation("saturation is not saturated")
+        return DerivedAbelianized(pi1_der, cochar_ab, ab_rank, datum.galois)
+    U, _S, _V = smith_normal_form(saturation)
     uinv = U.inverse_unimodular()
     action = []
     for label, mat in datum.galois:
-        h = U @ mat @ uinv
-        if any(h.entries[i][j] != 0 for i in range(s, rank) for j in range(s)):
-            raise InvalidDatum(
-                f"operator {label!r} does not descend to the abelianization")
-        block = [[h.entries[i][j] for j in range(s, rank)] for i in range(s, rank)]
-        action.append((label, IntMatrix(block, rows=ab_rank, cols=ab_rank)))
+        h = (U @ mat @ uinv).entries
+        action.append((label, IntMatrix._of(
+            tuple(row[s:] for row in h[s:]), ab_rank, ab_rank)))
     return DerivedAbelianized(pi1_der, cochar_ab, ab_rank, tuple(action))
 
 
@@ -438,11 +409,22 @@ def _require(obj: dict, key: str, kind, what: str):
     return value
 
 
+# induced_witness, a key of older files, is accepted and ignored
+_DATUM_KEYS = ("rank", "coroots", "roots", "galois", "inertia", "wild",
+               "frobenius", "induced_witness")
+
+
+def _only_keys(obj: dict, known: tuple, what: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"{what} has the unknown key {key!r}")
+
+
 def datum_from_dict(obj) -> RootDatumWithAction:
-    """The datum of a datum file's JSON object; keys it does not name are
-    ignored."""
+    """The datum of a datum file's JSON object; an unknown key is an error."""
     if not isinstance(obj, dict):
         raise ParseError("datum must be a JSON object")
+    _only_keys(obj, _DATUM_KEYS, "datum")
     rank = _require(obj, "rank", int, "datum")
     coroots = _require(obj, "coroots", list, "datum") if "coroots" in obj else []
     roots = _require(obj, "roots", list, "datum") if "roots" in obj else []
@@ -451,6 +433,7 @@ def datum_from_dict(obj) -> RootDatumWithAction:
     for item in galois_raw:
         if not isinstance(item, dict):
             raise ParseError("each galois item must be an object")
+        _only_keys(item, ("label", "matrix"), "galois item")
         label = _require(item, "label", str, "galois item")
         matrix = _require(item, "matrix", list, "galois item")
         galois.append((label, matrix))
@@ -470,8 +453,4 @@ def datum_from_dict(obj) -> RootDatumWithAction:
 
 def load_datum(text: str) -> RootDatumWithAction:
     """Parse a JSON datum; malformed JSON reports line and column."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return datum_from_dict(obj)
+    return datum_from_dict(parse_json(text))

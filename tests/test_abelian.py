@@ -1239,3 +1239,20 @@ def test_components_grid_factors_fewer_matrices(tmp_path, capsys):
     capsys.readouterr()
     assert smith_normal_form.cache_info().misses <= 40
     assert abelian._group.cache_info().misses <= 24
+
+
+def test_cornqs_grid_factors_fewer_matrices(tmp_path, capsys):
+    # a work counter: from cold caches, the cornqs grid over the catalog at
+    # p = 2, 3, 5 factors 51 distinct matrices and builds 24 distinct
+    # groups (61 and 24 while pi1 re-proved that each operator preserves
+    # the coroot lattice and the derived sequence re-checked its exactness)
+    from blockatlas.cli import main
+    from blockatlas.rootdata import catalog
+    cfg = tmp_path / "cornqs.cfg"
+    data = ", ".join(f"catalog:{name}" for name in sorted(catalog()))
+    cfg.write_text(f"command = cornqs\ndata = {data}\nprimes = 2, 3, 5\n")
+    clear_process_caches()
+    assert main(["grid", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert smith_normal_form.cache_info().misses <= 51
+    assert abelian._group.cache_info().misses <= 24

@@ -10,6 +10,7 @@ from blockatlas import arith
 from blockatlas.arith import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
+    EXCEPTIONAL_RANKS,
     GroupTypeTag,
     PrimePower,
     _integer_root,
@@ -344,6 +345,14 @@ def test_group_type_tag_validation():
     with pytest.raises(ValueError):
         GroupTypeTag("D", 1)
     assert str(GroupTypeTag("2A", 5)) == "2A5"
+    # an exceptional family takes its own rank and no other
+    for family, rank in EXCEPTIONAL_RANKS.items():
+        assert str(GroupTypeTag(family, rank)) == f"{family}{rank}"
+        for other in (1, rank - 1, rank + 1, 9):
+            if other != rank:
+                with pytest.raises(ValueError, match=f"has rank {rank}, "):
+                    GroupTypeTag(family, other)
+    assert set(EXCEPTIONAL_FAMILIES) == set(EXCEPTIONAL_RANKS)
 
 
 # ------------------------------------------------------------- admissible
@@ -393,10 +402,6 @@ def oracle_cyclotomic(q, d):
                 den *= q**e - 1
     assert num % den == 0
     return num // den
-
-
-EXCEPTIONAL_RANKS = {"G2": 2, "F4": 4, "3D4": 4, "E6": 6, "2E6": 6, "E7": 7,
-                     "E8": 8}
 
 
 # (q, d_max): small q up to d = 12, and the zsygmondy range of every prime

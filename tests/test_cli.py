@@ -544,6 +544,46 @@ def test_datum_parse_error_carries_line(capsys, tmp_path):
     assert doc["error"]["context"]["line"] == 2
 
 
+def test_datum_file_key_outside_the_format_exits_2(capsys, tmp_path):
+    # "wlid" for "wild" once loaded as a tame datum and reported all_ok false
+    wild = datum_to_dict(catalog()["norm_one_wild"].datum)
+    misspelt = {("wlid" if key == "wild" else key): value
+                for key, value in wild.items()}
+    item = {**wild, "galois": [{**wild["galois"][0], "lable": "w"},
+                               *wild["galois"][1:]]}
+    path = tmp_path / "datum.json"
+    for doc, key in ((misspelt, "wlid"), (item, "lable")):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, "components", "--datum", str(path), "--p", "2")
+        error = check(out)["error"]
+        assert code == 2
+        assert error["code"] == "ParseError"
+        assert f"unknown key {key!r}" in error["message"]
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    # deeper than the decoder's recursion limit: RecursionError, once an
+    # exit 1 with a traceback, and in a grid the end of the whole grid
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    expected = {"code": "ParseError",
+                "message": "JSON is nested too deeply to decode"}
+    for argv in (["pi1", "--datum", str(deep)],
+                 ["fusion", "--type", "G2", "--rank", "2", "--q", "2",
+                  "--plugin", str(deep)]):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert check(out)["error"] == expected, argv
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"command = cornqs\ndata = {deep}, catalog:sl2_split\n"
+                   "primes = 2\n", encoding="utf-8")
+    code, out = run(capsys, "grid", "--config", str(cfg))
+    jobs = check(out)["result"]["jobs"]
+    assert code == 0
+    assert [job["status"] for job in jobs] == ["error", "ok"]
+    assert jobs[0]["error"] == expected
+
+
 def test_pi1_without_p(capsys):
     code, out = run(capsys, "pi1", "--datum", "catalog:gl2_split")
     doc = check(out)
@@ -652,6 +692,17 @@ def test_exceptional_without_plugin_message(capsys, argv, message):
     code, out = run(capsys, argv[0], "--type", "G2", "--rank", "2", *argv[1:])
     assert code == 2
     assert check(out)["error"] == {"code": "NotSupported", "message": message}
+
+
+def test_exceptional_family_at_another_rank_exits_2(capsys, tmp_path):
+    # G2 at rank 7 once reported "G27" with d_max 16, outside the model
+    path = tmp_path / "exc.json"
+    path.write_text(json.dumps(PLUGIN_DOC), encoding="utf-8")
+    code, out = run(capsys, "fusion", "--type", "G2", "--rank", "7",
+                    "--q", "4", "--plugin", str(path))
+    assert code == 2
+    assert check(out)["error"] == {"code": "ValueError",
+                                   "message": "family G2 has rank 2, not 7"}
 
 
 # --------------------------------------------------------------------- grid

@@ -4,9 +4,16 @@ import json
 import random
 
 import pytest
-from conftest import catalog_sum, datum_to_dict
+from conftest import catalog_sum, datum_to_dict, seeded_catalog_sums
 
-from blockatlas.abelian import FGAbelianGroup, IntMatrix, coinvariants
+from blockatlas.abelian import (
+    FGAbelianGroup,
+    IntMatrix,
+    SubquotientMap,
+    coinvariants,
+    lattice_equal,
+    smith_normal_form,
+)
 from blockatlas.errors import InvalidDatum, ParseError
 from blockatlas.rootdata import (
     RootDatumWithAction,
@@ -399,6 +406,43 @@ def test_torus_has_no_derived_part():
     assert dict(da.ab_action)["F"] == IntMatrix.identity(2)
 
 
+def test_derived_sequence_is_exact_and_every_operator_descends():
+    # what derived_and_abelianized takes from validation instead of checking
+    # it on every datum: pi1_der embeds in pi1, pi1 maps onto cochar_ab, the
+    # image of the one is the kernel of the other, the saturation has the
+    # identity as Smith form, and each operator is block upper triangular in
+    # the basis U and acts on cochar_ab by its lower-right block
+    data = [(name, e.datum) for name, e in sorted(catalog().items())]
+    for seed in (1, 2):
+        data += [("+".join(names), datum)
+                 for names, datum in seeded_catalog_sums(seed)]
+    for name, datum in data:
+        da = derived_and_abelianized(datum)
+        full = pi1(datum)
+        into = SubquotientMap(da.pi1_der, full)
+        onto = SubquotientMap(full, da.cochar_ab)
+        assert into.well_defined() and into.injective(), name
+        assert onto.well_defined() and onto.surjective(), name
+        assert lattice_equal(into.image().sub, onto.kernel().sub), name
+        saturation = full.torsion().sub
+        rank, s = datum.rank, saturation.cols
+        assert da.ab_rank == rank - s, name
+        if s == 0:
+            assert da.ab_action == datum.galois, name
+            continue
+        U, S, _V = smith_normal_form(saturation)
+        assert [S.entries[i][i] for i in range(s)] == [1] * s, name
+        uinv = U.inverse_unimodular()
+        action = dict(da.ab_action)
+        assert list(action) == [label for label, _ in datum.galois], name
+        for label, mat in datum.galois:
+            h = (U @ mat @ uinv).entries
+            assert all(h[i][j] == 0
+                       for i in range(s, rank) for j in range(s)), (name, label)
+            assert action[label] == IntMatrix(
+                [row[s:] for row in h[s:]], rows=rank - s, cols=rank - s)
+
+
 # ----------------------------------------------------------------- induced
 
 
@@ -453,7 +497,16 @@ def test_semantic_errors_stay_invalid_datum():
 
 
 def test_unnamed_keys_are_ignored_on_load():
+    # only the retired induced_witness key is ignored; any other key the
+    # format does not name is a ParseError that names it
     datum = catalog()["wild_swap_rank2"].datum
     for extra in ({"induced_witness": [[1, 0], [0, 1]]},
-                  {"induced_witness": [[2, 0]]}, {"note": None}):
+                  {"induced_witness": [[2, 0]]}):
         assert datum_from_dict({**datum_to_dict(datum), **extra}) == datum
+    with pytest.raises(ParseError, match="datum has the unknown key 'note'"):
+        datum_from_dict({**datum_to_dict(datum), "note": None})
+    obj = datum_to_dict(datum)
+    obj["galois"][0]["induced_witness"] = []
+    with pytest.raises(ParseError,
+                       match="galois item has the unknown key 'induced_witness'"):
+        datum_from_dict(obj)
