@@ -12,8 +12,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 __version__ = "0.1.0"
 
 for _name in ("abelian", "arith", "errors", "exceptional", "fusion",
-              "langlands", "limits", "partitions", "rootdata", "symbols",
-              "unipotent"):
+              "langlands", "partitions", "rootdata", "symbols", "unipotent"):
     _spec = find_spec(f"{__name__}.{_name}")
     _spec.loader = LazyLoader(_spec.loader)
     globals()[_name] = sys.modules[_spec.name] = module_from_spec(_spec)

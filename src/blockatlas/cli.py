@@ -17,7 +17,7 @@ grid in expansion order on one thread and lists them in that order.
 Handlers reach the layers through the package's lazily run modules, so a
 process runs, and without a bytecode cache compiles, only its command's
 layers: ``zsygmondy`` runs ``arith``; ``unipotent``, ``series`` and ``blocks``
-add ``limits``, ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
+add ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
 ``dseries-check`` and ``defect-bounds`` also ``fusion`` (and ``exceptional``
 with a plugin); ``pi1`` adds ``abelian`` and ``rootdata``, the datum checks
 also ``langlands``; ``grid`` runs those of its configured command.
@@ -262,7 +262,11 @@ _INT_LIST_KEYS = ("ranks", "qs", "ds", "primes")
 _STR_LIST_KEYS = ("families", "data")
 _INT_KEYS = ("dmax",)
 _STR_KEYS = ("command", "plugin")
-_GRID_COMMANDS = ("fusion", "zsygmondy", "bijection", "cornqs", "components")
+# each grid-able command and the keys besides "command" that it reads
+_DATUM_GRID_KEYS = ("data", "primes")
+_GRID_KEYS = {"fusion": ("families", "ranks", "qs", "dmax", "plugin"),
+              "zsygmondy": ("qs", "ds"), "bijection": _DATUM_GRID_KEYS,
+              "cornqs": _DATUM_GRID_KEYS, "components": _DATUM_GRID_KEYS}
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -295,8 +299,10 @@ def _parse_int_list(value: str, lineno: int) -> list[int]:
 
 def parse_grid_config(text: str) -> dict:
     """Flat ``key = value`` lines; ``#`` starts a comment; lists use commas
-    and integer lists accept ``a-b`` ranges."""
+    and integer lists accept ``a-b`` ranges.  A key the configured command
+    does not read is an error."""
     cfg: dict = {}
+    lines: dict = {}  # key -> its line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -307,6 +313,7 @@ def parse_grid_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key in cfg:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
+        lines[key] = lineno
         if key in _INT_LIST_KEYS:
             cfg[key] = _parse_int_list(value, lineno)
         elif key in _STR_LIST_KEYS:
@@ -325,9 +332,14 @@ def parse_grid_config(text: str) -> dict:
             raise ParseError(f"unknown key {key!r}", line=lineno)
     if "command" not in cfg:
         raise ParseError('config must set "command"')
-    if cfg["command"] not in _GRID_COMMANDS:
-        raise ParseError(f"grid cannot run command {cfg['command']!r}; "
-                         f"choices: {', '.join(_GRID_COMMANDS)}")
+    command = cfg["command"]
+    if command not in _GRID_KEYS:
+        raise ParseError(f"grid cannot run command {command!r}; "
+                         f"choices: {', '.join(_GRID_KEYS)}")
+    for key in cfg:
+        if key != "command" and key not in _GRID_KEYS[command]:
+            raise ParseError(f"command {command!r} does not read key {key!r}",
+                             line=lines[key])
     return cfg
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one JSON reader.
+"""Exception types shared across the package, its one JSON reader, and
+the key check of its JSON loaders.
 
 Precondition violations raise subclasses of BlockatlasError; internal
 consistency failures raise InvariantViolation (the CLI maps the former to
@@ -76,3 +77,10 @@ def parse_json(text: str):
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("JSON is nested too deeply to decode") from exc
+
+
+def only_keys(obj: dict, known: tuple, what: str) -> None:
+    """Raise a ParseError naming the first key of obj outside known."""
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"{what} has the unknown key {key!r}")

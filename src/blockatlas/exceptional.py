@@ -24,11 +24,12 @@ Every ``members`` list must draw from the family's ``labels``, and within
 one value of ``d`` the blocks must be pairwise disjoint with distinct
 ``core`` keys.  Labels absent from every block of a given ``d`` are
 singletons for that ``d``; a ``d`` absent from ``series`` has only
-singletons.  No data ships with the package.
+singletons.  A key the format does not name is an error, at the top
+level, in a family and in a block.  No data ships with the package.
 """
 from __future__ import annotations
 
-from .errors import NotSupported, ParseError, parse_json
+from .errors import NotSupported, ParseError, only_keys, parse_json
 
 SCHEMA_TAG = "exceptional_v1"
 
@@ -59,6 +60,7 @@ class ExceptionalPlugin:
     def from_dict(cls, data) -> "ExceptionalPlugin":
         if not isinstance(data, dict):
             raise ParseError("top level must be an object")
+        only_keys(data, ("schema", "families"), "top level")
         if data.get("schema") != SCHEMA_TAG:
             raise ParseError(f'"schema" must be "{SCHEMA_TAG}"')
         families = data.get("families")
@@ -84,6 +86,7 @@ class ExceptionalPlugin:
     def _parse_family(name: str, body) -> tuple:
         if not isinstance(body, dict):
             raise ParseError(f"family {name!r} must be an object")
+        only_keys(body, ("labels", "series"), f"family {name!r}")
         labels = _require_str_list(body.get("labels"), f"family {name!r} labels")
         label_set = set(labels)
         series_raw = body.get("series", {})
@@ -107,6 +110,8 @@ class ExceptionalPlugin:
                 if not isinstance(block, dict):
                     raise ParseError(
                         f"family {name!r} series {key!r} blocks must be objects")
+                only_keys(block, ("core", "members"),
+                          f"family {name!r} series {key!r} block")
                 core = block.get("core")
                 if not isinstance(core, str) or not core:
                     raise ParseError(

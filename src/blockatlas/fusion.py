@@ -8,8 +8,9 @@ certificate and the admissible map (every witnessed d ≤ d_max) are the same
 as over every d, and every series that is built is still validated.  The
 closure and the D-series join share one merge loop, which reads each series
 as the process-wide tuples of member renders from :mod:`unipotent`, and
-each type's label renders and degenerate flag from its caches, so C and 2A
-read those of B and A; the defect bounds read the validated 1-series.
+each type's label renders and degenerate flag from its label table, so C
+and 2A read those of B and A; the defect bounds read the validated
+1-series.
 Certificates are replayed event by event; the witness of each distinct
 (d, ℓ) is checked once.  Processing order is fixed — d ascending, blocks by
 key, members in label order — so certificates are byte-reproducible.  A
@@ -25,13 +26,7 @@ from typing import NamedTuple, Optional
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
 from .errors import InvariantViolation, NotSupported
 from .partitions import staircase_parameter
-from .unipotent import (
-    d_series,
-    has_degenerate_labels,
-    label_renders,
-    series_core,
-    series_renders,
-)
+from .unipotent import d_series, label_table, series_core, series_renders
 
 
 class _UnionFind:
@@ -130,8 +125,8 @@ class _SeriesJoin:
 
     def __init__(self, group_type: GroupTypeTag, plugin, needs: str):
         if group_type.is_classical:
-            self.names = label_renders(group_type)
-            self.degenerate = has_degenerate_labels(group_type)
+            table = label_table(group_type)
+            self.names, self.degenerate = table.renders, table.degenerate
         elif plugin is None:
             raise NotSupported(
                 f"family {group_type.family} needs plugin data for {needs}")
@@ -244,7 +239,7 @@ def _occurring_1series(group_type: GroupTypeTag) -> dict[str, int]:
     """core render -> defect parameter k, over the type's 1-series."""
     out: dict[str, int] = {}
     for key, members in d_series(group_type, 1).blocks:
-        core = series_core(members[0], 1)
+        core = series_core(group_type, members[0], 1)
         if members[0].is_partition:
             k = staircase_parameter(core)
             if k is None:

@@ -179,9 +179,7 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     der_order = da.pi1_der.order()
     hypothesis_a = der_order % p != 0
 
-    ab_ops = dict(da.ab_action)
-    wild_ab_induced = permutes_standard_basis(
-        [ab_ops[label] for label in datum.wild])
+    wild_ab_induced = permutes_standard_basis(da.ab_wild)
 
     inert = datum.inertia_matrices
     ab_torsion = coinvariants(da.cochar_ab, inert).p_torsion(p)

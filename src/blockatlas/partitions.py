@@ -14,10 +14,10 @@ d-hook closed form: ``d_core`` reads it, and so do the d-hook cores of
 :mod:`symbols`, row by row, since a d-hook never leaves its row.
 
 Each size's partition table and each core is computed once per process:
-``partitions_of`` checks the size bound on every call and returns a fresh
-list copied from the size's table; ``beta_core`` caches each (β-set, d),
-so a symbol row shared by many symbols is slid once, and ``d_core`` each
-(λ, d), so the linear families A and 2A share their cores.
+``partitions_of`` checks the size bound ``MAX_PARTITION_SIZE`` on every
+call and returns a fresh list copied from the size's table; ``beta_core``
+caches each (β-set, d), so a symbol row shared by many symbols is slid
+once, and ``d_core`` each (λ, d).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from __future__ import annotations
 import functools
 from itertools import groupby
 
-from .errors import LengthTooShort
-from .limits import check_partition_size
+from .errors import BoundExceeded, LengthTooShort
+
+MAX_PARTITION_SIZE = 30  # the enumeration bound; no option moves it
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 BetaSet = tuple    # strictly increasing tuple of non-negative ints
@@ -49,7 +50,9 @@ def partitions_of(m: int) -> list[Partition]:
     """All partitions of m, largest-part-first lexicographic order."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    check_partition_size(m)
+    if m > MAX_PARTITION_SIZE:
+        raise BoundExceeded(f"partitions of {m} exceed the configured bound "
+                            f"{MAX_PARTITION_SIZE}")
     return list(_partitions(m))
 
 

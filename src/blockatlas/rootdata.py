@@ -38,7 +38,7 @@ from .abelian import (
     fixed_points,
     smith_normal_form,
 )
-from .errors import InvalidDatum, ParseError, parse_json
+from .errors import InvalidDatum, ParseError, only_keys, parse_json
 
 # Enumerating the inertia image stops here; bigger images cannot be verified.
 _CLOSURE_CAP = 4096
@@ -250,14 +250,13 @@ class DerivedAbelianized(NamedTuple):
     ``pi1_der`` is the fundamental group of the derived subgroup (saturation
     of the coroot lattice modulo the coroot lattice); ``cochar_ab`` is the
     cocharacter lattice of the abelianization (ambient modulo saturation).
-    ``ab_action`` carries each operator transported to coordinates on
-    Z^ab_rank for the quotient lattice.
+    ``ab_wild`` carries each wild operator, in the order of ``datum.wild``,
+    transported to coordinates on Z^r, r = ``cochar_ab.free_rank``.
     """
 
     pi1_der: FGAbelianGroup
     cochar_ab: FGAbelianGroup
-    ab_rank: int
-    ab_action: tuple  # (label, IntMatrix on Z^ab_rank) pairs
+    ab_wild: tuple  # IntMatrix on Z^r per wild label
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,23 +265,23 @@ def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
     them and its Smith form is the identity: U maps it onto the first s
     coordinates.  Each operator permutes the coroots, so it preserves the
     saturation and U·M·U⁻¹ is block upper triangular; its lower-right block
-    is the action on cochar_ab."""
+    is the action on cochar_ab.  Only the wild operators are transported:
+    the criterion reads no other, so without one U is not computed."""
     rank = datum.rank
     saturation = pi1(datum).torsion().sub
     pi1_der = FGAbelianGroup(rank, saturation, datum.coroot_matrix)
     cochar_ab = FGAbelianGroup(rank, IntMatrix.identity(rank), saturation)
     s = saturation.cols
-    ab_rank = rank - s
-    if s == 0:
-        return DerivedAbelianized(pi1_der, cochar_ab, ab_rank, datum.galois)
+    if s == 0 or not datum.wild:
+        return DerivedAbelianized(pi1_der, cochar_ab, datum.wild_matrices)
     U, _S, _V = smith_normal_form(saturation)
     uinv = U.inverse_unimodular()
-    action = []
-    for label, mat in datum.galois:
+    ab_wild = []
+    for mat in datum.wild_matrices:
         h = (U @ mat @ uinv).entries
-        action.append((label, IntMatrix._of(
-            tuple(row[s:] for row in h[s:]), ab_rank, ab_rank)))
-    return DerivedAbelianized(pi1_der, cochar_ab, ab_rank, tuple(action))
+        ab_wild.append(IntMatrix._of(
+            tuple(row[s:] for row in h[s:]), rank - s, rank - s))
+    return DerivedAbelianized(pi1_der, cochar_ab, tuple(ab_wild))
 
 
 def permutes_standard_basis(operators: Sequence[IntMatrix]) -> bool:
@@ -414,17 +413,11 @@ _DATUM_KEYS = ("rank", "coroots", "roots", "galois", "inertia", "wild",
                "frobenius", "induced_witness")
 
 
-def _only_keys(obj: dict, known: tuple, what: str) -> None:
-    for key in obj:
-        if key not in known:
-            raise ParseError(f"{what} has the unknown key {key!r}")
-
-
 def datum_from_dict(obj) -> RootDatumWithAction:
     """The datum of a datum file's JSON object; an unknown key is an error."""
     if not isinstance(obj, dict):
         raise ParseError("datum must be a JSON object")
-    _only_keys(obj, _DATUM_KEYS, "datum")
+    only_keys(obj, _DATUM_KEYS, "datum")
     rank = _require(obj, "rank", int, "datum")
     coroots = _require(obj, "coroots", list, "datum") if "coroots" in obj else []
     roots = _require(obj, "roots", list, "datum") if "roots" in obj else []
@@ -433,7 +426,7 @@ def datum_from_dict(obj) -> RootDatumWithAction:
     for item in galois_raw:
         if not isinstance(item, dict):
             raise ParseError("each galois item must be an object")
-        _only_keys(item, ("label", "matrix"), "galois item")
+        only_keys(item, ("label", "matrix"), "galois item")
         label = _require(item, "label", str, "galois item")
         matrix = _require(item, "matrix", list, "galois item")
         galois.append((label, matrix))

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import functools
 
-from .limits import check_symbol_rank
+from .errors import BoundExceeded
 from .partitions import beta_core, partitions_of, to_beta_set
+
+MAX_SYMBOL_RANK = 10  # the enumeration bound; no option moves it
 
 DEFECT_ODD = frozenset({1, 3})      # types B and C
 DEFECT_MOD4_0 = frozenset({0})      # type D
@@ -214,7 +216,9 @@ def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
     (defect, rows); each weight's partitions are read once."""
     if n < 0:
         raise ValueError("rank must be >= 0")
-    check_symbol_rank(n)
+    if n > MAX_SYMBOL_RANK:
+        raise BoundExceeded(f"rank {n} exceeds the configured bound "
+                            f"{MAX_SYMBOL_RANK}")
     residues = {r % 4 for r in defect_filter}
     seen = {}
     defect = 0

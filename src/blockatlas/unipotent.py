@@ -7,39 +7,37 @@ carry ′/″ markers but share every core invariant, so they always land in the
 same series — reports flag their presence because the split pair cannot be
 separated at this combinatorial level.
 
-Series rule: family A groups by d-core, 2A by the ennola_dual(d)-core, and
-the symbol families by d-hook-core for odd d or (d/2)-cohook-core for even d.
-Each grouping drops the payload's measure by one removal step at a time, so
-members differ from their core by a multiple of the step size (d, the ennola
-image, or d/2 respectively) — validated on every constructed partition.
+Series rule: family A groups by d-core and the symbol families by
+d-hook-core for odd d or (d/2)-cohook-core for even d.  Each grouping drops
+the payload's measure by one removal step at a time, so members differ from
+their core by a multiple of the step size (d or d/2) — validated on every
+constructed partition.
 
-Each type's label table is one cached record per process: the labels,
-their renders, their frozenset and whether a label is degenerate.  Each
-(type, d) series is one cached record too: its blocks, validated before
-they are kept, and each block's member renders.  Each call gets its own
-list or SeriesPartition.  The rank bounds of :mod:`limits` are checked by the
-enumerators that build a label table; a build that raises is not cached, so
-it raises again on the next call.  The label table is built in
+``_model`` is the one place that knows the twin rule: C_n has the labels
+and d-series of B_n, and 2A_n those of A_n at ennola_dual(d).  Every entry
+point resolves its type through it, so the label tables and series are
+built for A, B, D and 2D only, and a label carries no type: a C or 2A
+label is its model's label.  Each model type's label table is one cached
+record per process: the labels, their renders, their frozenset and whether
+a label is degenerate (``label_table`` reads it).  Each model (type, d)
+series is one cached record too: its blocks, validated before they are
+kept, and each block's member renders (``series_renders`` reads them).
+Each call gets its own list or SeriesPartition.  The enumerators that
+build a label table check their rank bounds; a build that raises is not
+cached, so it raises again on the next call.  The label table is built in
 ``UnipotentLabel.sort_key`` order, checked once when it is built, so a
 series keeps each block's members in table order; a symbol family's table
 must also have the length of Lusztig's closed form, computed from
-partition counts.  Cores
-are cached per (payload, d): ``d_core`` per (λ, d), so 2A reuses A's, and
-the canonical symbol core per (symbol, d), so B and C share theirs, and
-equal symbol cores are one object, so dict lookups on them stop at
-identity instead of calling ``Symbol.__eq__``.  An odd-d symbol core is
-built from the cached β-set cores of its rows.  A series
-groups its labels by the value of their core and renders each distinct core
-once.  Each label measures its payload once, when it is built.
-Validation looks up every label's core again, renders and measures each
-distinct core once more, checks each label's stored measure against it,
-and compares coverage with the frozenset of the type's table.  The fusion
-merge reads ``label_renders``, ``has_degenerate_labels`` and
-``series_renders`` from these records.  C_n has the labels and series of
-B_n, and 2A_n the labels of A_n with the d-series of A_n at
-ennola_dual(d), so these three read C and 2A from the records of B and A:
-a fusion run builds no C or 2A label table or series.  The 1-series also
-feeds the defect bounds in :mod:`fusion`.
+partition counts.  Cores are cached per (payload, d): ``d_core`` per
+(λ, d), and the canonical symbol core per (symbol, d), and equal symbol
+cores are one object, so dict lookups on them stop at identity instead of
+calling ``Symbol.__eq__``.  An odd-d symbol core is built from the cached
+β-set cores of its rows.  A series groups its labels by the value of their
+core and renders each distinct core once.  Each label measures its payload
+once, when it is built.  Validation looks up every label's core again,
+renders and measures each distinct core once more, checks each label's
+stored measure against it, and compares coverage with the frozenset of the
+model's table.  The 1-series also feeds the defect bounds in :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -64,31 +62,40 @@ from .symbols import (
 PRIME_MARK = "′"         # ′
 DOUBLE_PRIME_MARK = "″"  # ″
 
-_SYMBOL_DEFECTS = {"B": DEFECT_ODD, "C": DEFECT_ODD,
-                   "D": DEFECT_MOD4_0, "2D": DEFECT_MOD4_2}
+_SYMBOL_DEFECTS = {"B": DEFECT_ODD, "D": DEFECT_MOD4_0, "2D": DEFECT_MOD4_2}
+
+
+def _model(group_type: GroupTypeTag, d: int = 1) -> tuple:
+    """(model type, degree): the type and d whose label table and d-series
+    the type has.  C_n has those of B_n, and 2A_n those of A_n at
+    ennola_dual(d) (Broué–Malle–Michel); every other type is its own."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    family = group_type.family
+    if family == "C":
+        return GroupTypeTag("B", group_type.rank), d
+    if family == "2A":
+        return GroupTypeTag("A", group_type.rank), ennola_dual(d)
+    return group_type, d
 
 
 class UnipotentLabel:
-    __slots__ = ("group_type", "payload", "marker", "measure", "_text",
-                 "_hash")
+    __slots__ = ("payload", "marker", "measure", "_text", "_hash")
 
-    def __init__(self, group_type: GroupTypeTag,
-                 payload: Union[tuple, Symbol], marker: str = ""):
-        object.__setattr__(self, "group_type", group_type)
+    def __init__(self, payload: Union[tuple, Symbol], marker: str = ""):
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "marker", marker)
         # the payload's size or rank, measured once; not a field
         object.__setattr__(self, "measure", _measure(payload))
         # labels live as long as the per-type cache, so each renders once
         object.__setattr__(self, "_text", _render(payload) + marker)
-        object.__setattr__(self, "_hash", hash((group_type, payload, marker)))
+        object.__setattr__(self, "_hash", hash((payload, marker)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentLabel is immutable")
 
     def __eq__(self, other):
         return (type(other) is UnipotentLabel
-                and self.group_type == other.group_type
                 and self.payload == other.payload
                 and self.marker == other.marker)
 
@@ -134,23 +141,18 @@ def _core_symbol(row_s: tuple, row_t: tuple) -> Symbol:
 
 
 def _core_rule(family: str, d: int) -> tuple:
-    """(core function, its argument, the measure one removal drops) of the
-    family's d-rule, resolved once per series rather than once per label."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    """(core function, the measure one removal drops) of a model family's
+    d-rule, resolved once per series rather than once per label."""
     if family == "A":
-        return d_core, d, d
-    if family == "2A":
-        e = ennola_dual(d)
-        return d_core, e, e
-    return _symbol_core, d, d if d % 2 == 1 else d // 2
+        return d_core, d
+    return _symbol_core, d if d % 2 == 1 else d // 2
 
 
-def series_core(label: UnipotentLabel, d: int):
-    """The label's core under the family's d-rule: a partition, or the
+def series_core(group_type: GroupTypeTag, label: UnipotentLabel, d: int):
+    """The label's core under the type's d-rule: a partition, or the
     canonical Symbol of the core's swap class."""
-    core_of, arg, _step = _core_rule(label.group_type.family, d)
-    return core_of(label.payload, arg)
+    model, d = _model(group_type, d)
+    return _core_rule(model.family, d)[0](label.payload, d)
 
 
 def _render(value) -> str:
@@ -182,7 +184,8 @@ class SeriesPartition(NamedTuple):
         """Recompute every invariant; raise InvariantViolation on failure."""
         seen = set()
         cores: dict = {}  # core -> (text, measure), once per distinct core
-        core_of, arg, step = _core_rule(self.group_type.family, self.d)
+        model, d = _model(self.group_type, self.d)
+        core_of, step = _core_rule(model.family, d)
         for key, members in self.blocks:
             if not members:
                 raise InvariantViolation(f"empty block {key!r}")
@@ -191,7 +194,7 @@ class SeriesPartition(NamedTuple):
                 seen.add(lab)
                 if len(seen) == size:
                     raise InvariantViolation(f"label {lab} in two blocks")
-                core = core_of(lab.payload, arg)
+                core = core_of(lab.payload, d)
                 known = cores.get(core)
                 if known is None:
                     known = cores[core] = (_render(core), _measure(core))
@@ -204,7 +207,7 @@ class SeriesPartition(NamedTuple):
                         f"label {lab}: drop {drop} not a multiple of {step}")
         if len({key for key, _ in self.blocks}) != len(self.blocks):
             raise InvariantViolation("two blocks share a core")
-        if seen != _labels(self.group_type).members:
+        if seen != _labels(model).members:
             raise InvariantViolation("blocks do not cover the label set")
 
 
@@ -228,19 +231,6 @@ def _symbol_label_count(family: str, n: int) -> int:
     return over(s * (s + 1) for s in range(n + 1))
 
 
-# C_n has the labels and series of B_n, and 2A_n the labels of A_n with
-# the d-series of A_n at ennola_dual(d): their tables take the twin's
-# payloads, and their renders are the twin's
-_TWINS = {"C": "B", "2A": "A"}
-
-
-def _twin(group_type: GroupTypeTag) -> GroupTypeTag:
-    family = _TWINS.get(group_type.family)
-    if family is None:
-        return group_type
-    return GroupTypeTag(family, group_type.rank)
-
-
 class _LabelTable(NamedTuple):
     labels: tuple       # in sort_key order
     renders: tuple      # each label's render, in that order
@@ -250,13 +240,9 @@ class _LabelTable(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _labels(group_type: GroupTypeTag) -> _LabelTable:
-    """The type's label table, strictly increasing in sort_key order."""
+    """A model type's label table, strictly increasing in sort_key order."""
     family, n = group_type.family, group_type.rank
-    twin = _twin(group_type)
-    if twin is not group_type:
-        # C's symbols are B's objects: B and C share their cores' entries
-        entries = [(lab.payload, lab.marker) for lab in _labels(twin).labels]
-    elif family == "A":
+    if family == "A":
         entries = [(lam, "") for lam in partitions_of(n + 1)]
     elif family in _SYMBOL_DEFECTS:
         entries = []
@@ -268,8 +254,7 @@ def _labels(group_type: GroupTypeTag) -> _LabelTable:
     else:
         raise NotSupported(
             f"family {family} has no built-in label table; supply plugin data")
-    out = tuple(UnipotentLabel(group_type, payload, marker)
-                for payload, marker in entries)
+    out = tuple(UnipotentLabel(payload, marker) for payload, marker in entries)
     if family in _SYMBOL_DEFECTS:
         expected = _symbol_label_count(family, n)
         if len(out) != expected:
@@ -282,19 +267,14 @@ def _labels(group_type: GroupTypeTag) -> _LabelTable:
                        frozenset(out), any(lab.marker for lab in out))
 
 
+def label_table(group_type: GroupTypeTag) -> _LabelTable:
+    """The type's label table: that of its model type."""
+    return _labels(_model(group_type)[0])
+
+
 def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
     """Complete, duplicate-free, deterministically ordered label list."""
-    return list(_labels(group_type).labels)
-
-
-def label_renders(group_type: GroupTypeTag) -> tuple:
-    """Each label's render, in the order of enumerate_labels."""
-    return _labels(_twin(group_type)).renders
-
-
-def has_degenerate_labels(group_type: GroupTypeTag) -> bool:
-    """Whether a label of the type carries a ′/″ marker."""
-    return _labels(_twin(group_type)).degenerate
+    return list(label_table(group_type).labels)
 
 
 class _Series(NamedTuple):
@@ -304,10 +284,11 @@ class _Series(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _blocks(group_type: GroupTypeTag, d: int) -> _Series:
-    core_of, arg, _step = _core_rule(group_type.family, d)
+    """A model type's d-series."""
+    core_of = _core_rule(group_type.family, d)[0]
     groups: dict = {}  # core value -> labels, in table (sort_key) order
     for lab in _labels(group_type).labels:
-        groups.setdefault(core_of(lab.payload, arg), []).append(lab)
+        groups.setdefault(core_of(lab.payload, d), []).append(lab)
     # sorted by core text, which is the order reports list the blocks in
     blocks = tuple(sorted(
         ((_render(core), tuple(members)) for core, members in groups.items()),
@@ -319,15 +300,14 @@ def _blocks(group_type: GroupTypeTag, d: int) -> _Series:
 
 def series_renders(group_type: GroupTypeTag, d: int) -> tuple:
     """Each block's member renders, blocks and members in d_series order."""
-    if group_type.family == "2A":
-        d = ennola_dual(d)
-    return _blocks(_twin(group_type), d).renders
+    return _blocks(*_model(group_type, d)).renders
 
 
 def d_series(group_type: GroupTypeTag, d: int,
              context: Optional[dict] = None) -> SeriesPartition:
     ctx = context if context is not None else {"kind": "d_series", "d": d}
-    return SeriesPartition(group_type, d, _blocks(group_type, d).blocks, ctx)
+    return SeriesPartition(group_type, d, _blocks(*_model(group_type, d)).blocks,
+                           ctx)
 
 
 def ell_blocks(group_type: GroupTypeTag, q: PrimePower, ell: int) -> SeriesPartition:

@@ -17,7 +17,7 @@ from blockatlas.fusion import (
     fusion_closure,
     is_single_D_series,
 )
-from blockatlas.limits import MAX_PARTITION_SIZE
+from blockatlas.partitions import MAX_PARTITION_SIZE
 from blockatlas.unipotent import d_series, enumerate_labels
 
 
@@ -273,8 +273,14 @@ def test_merge_loop_stops_once_one_class_is_left():
     assert plugin.asked == [3]
 
 
+_TWIN_COMMANDS = (["unipotent"], ["series", "--d", "4"],
+                  ["blocks", "--q", "4", "--ell", "5"], ["defect-bounds"],
+                  ["dseries-check", "--D", "1,2,3"], ["fusion", "--q", "3"])
+
+
 @pytest.mark.parametrize("first,twin", [("B", "C"), ("A", "2A")])
-def test_twin_families_build_no_label_table(capsys, first, twin):
+def test_twin_families_build_no_label_table(monkeypatch, capsys, first,
+                                            twin):
     # C answers from B's label table and series, 2A from A's label table
     # and A's series at ennola_dual(d): after the first family's run, the
     # twin's run builds no label table (and C's no series either)
@@ -289,6 +295,19 @@ def test_twin_families_build_no_label_table(capsys, first, twin):
         assert unipotent._labels.cache_info().currsize == labels
         if twin == "C":
             assert unipotent._blocks.cache_info().currsize == blocks
+    # no command on the twin asks either cache for a key of its family:
+    # every label table and series it reads is the first family's
+    clear_process_caches()
+    asked = set()
+    for name in ("_labels", "_blocks"):
+        cache = getattr(unipotent, name)
+        monkeypatch.setattr(unipotent, name, lambda tag, *rest, cache=cache:
+                            asked.add(tag.family) or cache(tag, *rest))
+    for rank in (2, 5, 8):
+        for command, *options in _TWIN_COMMANDS:
+            assert main([command, "--type", twin, "--rank", str(rank),
+                         *options]) == 0, (command, rank)
+            assert asked == {first}, command
     capsys.readouterr()
 
 

@@ -372,20 +372,42 @@ def test_induced_witnesses_cover_the_wild_part():
 # --------------------------------------------------------- derived sequence
 
 
+def ab_blocks(datum) -> dict:
+    """label -> the operator's action on cochar_ab, computed here for every
+    operator: in the basis U of the saturation's Smith form, U·M·U⁻¹ is
+    block upper triangular and its lower-right block is that action."""
+    saturation = pi1(datum).torsion().sub
+    rank, s = datum.rank, saturation.cols
+    if s == 0:
+        return dict(datum.galois)
+    U, S, _V = smith_normal_form(saturation)
+    assert [S.entries[i][i] for i in range(s)] == [1] * s
+    uinv = U.inverse_unimodular()
+    out = {}
+    for label, mat in datum.galois:
+        h = (U @ mat @ uinv).entries
+        assert all(h[i][j] == 0 for i in range(s, rank) for j in range(s)), \
+            label
+        out[label] = IntMatrix([row[s:] for row in h[s:]],
+                               rows=rank - s, cols=rank - s)
+    return out
+
+
 def test_derived_and_abelianized_gl2():
-    da = derived_and_abelianized(catalog()["gl2_split"].datum)
+    datum = catalog()["gl2_split"].datum
+    da = derived_and_abelianized(datum)
     assert da.pi1_der.is_trivial
-    assert da.ab_rank == 1
     assert da.cochar_ab.free_rank == 1 and not da.cochar_ab.invariant_factors
-    assert dict(da.ab_action)["F"] == IntMatrix.identity(1)
+    assert ab_blocks(datum)["F"] == IntMatrix.identity(1)
+    assert da.ab_wild == ()
 
 
 def test_derived_and_abelianized_semisimple():
     da = derived_and_abelianized(catalog()["pgl2_split"].datum)
     assert da.pi1_der.describe() == "Z/2"
-    assert da.ab_rank == 0
+    assert da.cochar_ab.free_rank == 0
     da = derived_and_abelianized(catalog()["sl3_split"].datum)
-    assert da.pi1_der.is_trivial and da.ab_rank == 0
+    assert da.pi1_der.is_trivial and da.cochar_ab.free_rank == 0
 
 
 def test_abelianized_action_descends():
@@ -393,17 +415,19 @@ def test_abelianized_action_descends():
     # center direction, so the descended operator is the identity
     datum = RootDatumWithAction(
         2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1)),
-        galois=(("F", SWAP),), frobenius="F")
+        galois=(("F", SWAP),), inertia=("F",), wild=("F",), frobenius="F")
     da = derived_and_abelianized(datum)
-    assert da.ab_rank == 1
-    assert dict(da.ab_action)["F"] == IntMatrix.identity(1)
+    assert da.cochar_ab.free_rank == 1
+    assert da.ab_wild == (IntMatrix.identity(1),)
+    assert ab_blocks(datum)["F"] == IntMatrix.identity(1)
 
 
 def test_torus_has_no_derived_part():
-    da = derived_and_abelianized(catalog()["split_torus_rank2"].datum)
+    datum = catalog()["split_torus_rank2"].datum
+    da = derived_and_abelianized(datum)
     assert da.pi1_der.is_trivial
-    assert da.ab_rank == 2
-    assert dict(da.ab_action)["F"] == IntMatrix.identity(2)
+    assert da.cochar_ab.free_rank == 2
+    assert ab_blocks(datum)["F"] == IntMatrix.identity(2)
 
 
 def test_derived_sequence_is_exact_and_every_operator_descends():
@@ -411,7 +435,8 @@ def test_derived_sequence_is_exact_and_every_operator_descends():
     # it on every datum: pi1_der embeds in pi1, pi1 maps onto cochar_ab, the
     # image of the one is the kernel of the other, the saturation has the
     # identity as Smith form, and each operator is block upper triangular in
-    # the basis U and acts on cochar_ab by its lower-right block
+    # the basis U and acts on cochar_ab by its lower-right block; the wild
+    # operators' blocks are the ones stored
     data = [(name, e.datum) for name, e in sorted(catalog().items())]
     for seed in (1, 2):
         data += [("+".join(names), datum)
@@ -424,23 +449,11 @@ def test_derived_sequence_is_exact_and_every_operator_descends():
         assert into.well_defined() and into.injective(), name
         assert onto.well_defined() and onto.surjective(), name
         assert lattice_equal(into.image().sub, onto.kernel().sub), name
-        saturation = full.torsion().sub
-        rank, s = datum.rank, saturation.cols
-        assert da.ab_rank == rank - s, name
-        if s == 0:
-            assert da.ab_action == datum.galois, name
-            continue
-        U, S, _V = smith_normal_form(saturation)
-        assert [S.entries[i][i] for i in range(s)] == [1] * s, name
-        uinv = U.inverse_unimodular()
-        action = dict(da.ab_action)
-        assert list(action) == [label for label, _ in datum.galois], name
-        for label, mat in datum.galois:
-            h = (U @ mat @ uinv).entries
-            assert all(h[i][j] == 0
-                       for i in range(s, rank) for j in range(s)), (name, label)
-            assert action[label] == IntMatrix(
-                [row[s:] for row in h[s:]], rows=rank - s, cols=rank - s)
+        assert da.cochar_ab.free_rank == \
+            datum.rank - full.torsion().sub.cols, name
+        blocks = ab_blocks(datum)
+        assert da.ab_wild == tuple(blocks[label] for label in datum.wild), \
+            name
 
 
 # ----------------------------------------------------------------- induced

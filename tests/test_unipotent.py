@@ -20,13 +20,13 @@ from blockatlas.unipotent import (
     _core_rule,
     _labels,
     _measure,
+    _model,
     _core_symbol,
     _symbol_core,
     d_series,
     ell_blocks,
     enumerate_labels,
-    has_degenerate_labels,
-    label_renders,
+    label_table,
     series_core,
     series_renders,
 )
@@ -141,7 +141,7 @@ def test_cached_labels_and_series_respect_rank_bound(monkeypatch, capsys):
     labels = enumerate_labels(b8)
     expected = list(labels)
     labels.clear()
-    labels.append(UnipotentLabel(b8, expected[0].payload, "′"))
+    labels.append(UnipotentLabel(expected[0].payload, "′"))
     assert labels[0].measure == 8
     assert enumerate_labels(b8) == expected
     part = d_series(b8, 3)
@@ -156,7 +156,7 @@ def test_cached_labels_and_series_respect_rank_bound(monkeypatch, capsys):
         with pytest.raises(BoundExceeded):
             d_series(b11, 3)
         with pytest.raises(BoundExceeded):
-            label_renders(b11)
+            label_table(b11)
         with pytest.raises(BoundExceeded):
             series_renders(b11, 3)
     # the bound is a constant: no environment variable lowers it
@@ -235,7 +235,7 @@ def relative_weyl_rank(family, d):
     # the e of G(e, 1, w): a d-series of weight w has as many members as
     # G(e, 1, w) has irreducible characters
     if family in ("A", "2A"):
-        return _core_rule(family, d)[2]
+        return _model(GroupTypeTag(family, 1), d)[1]
     return 2 * d if d % 2 == 1 else d
 
 
@@ -249,10 +249,12 @@ def test_block_sizes_count_e_multipartitions(family):
     for rank in range(2, 9):
         tag = GroupTypeTag(family, rank)
         for d in range(1, 9):
-            step, e = _core_rule(family, d)[2], relative_weyl_rank(family, d)
+            model, model_d = _model(tag, d)
+            step = _core_rule(model.family, model_d)[1]
+            e = relative_weyl_rank(family, d)
             for key, members in d_series(tag, d).blocks:
                 lab = members[0]
-                core = series_core(lab, d)
+                core = series_core(tag, lab, d)
                 if lab.is_partition:
                     drop = sum(lab.payload) - sum(core)
                 else:
@@ -311,7 +313,7 @@ def test_series_validation_rejects_a_wrong_drop(monkeypatch):
     # a core rule that drops one box at d = 2, keyed consistently: only the
     # drop check can see it
     monkeypatch.setattr(unipotent, "_core_rule",
-                        lambda family, d: (lambda lam, _: (2,), d, d))
+                        lambda family, d: (lambda lam, _: (2,), d))
     bad = SeriesPartition(A2, 2, (("(2)", tuple(enumerate_labels(A2))),), {})
     with pytest.raises(InvariantViolation, match="drop 1 not a multiple of 2"):
         bad.validate()
@@ -341,11 +343,13 @@ def test_label_table_out_of_order_raises(monkeypatch, source, tag):
 def test_series_caches_equal_uncached():
     for family in FAMILIES:
         for tag in tags(family, 6):
-            table = _labels(tag)
-            assert table == _labels.__wrapped__(tag)
+            model = _model(tag)[0]
+            table = _labels(model)
+            assert table == _labels.__wrapped__(model)
             assert table.members == frozenset(table.labels)
             for d in range(1, 2 * tag.rank + 4):
-                assert _blocks(tag, d) == _blocks.__wrapped__(tag, d)
+                assert _blocks(*_model(tag, d)) == \
+                    _blocks.__wrapped__(*_model(tag, d))
                 for lab in table.labels:
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
@@ -366,7 +370,7 @@ def test_equal_symbol_cores_are_one_object(monkeypatch):
         for tag in tags(family, 6):
             for d in range(1, 2 * tag.rank + 4):
                 d_series(tag, d)
-                for lab in _labels(tag).labels:
+                for lab in label_table(tag).labels:
                     core = _symbol_core(lab.payload, d)
                     key = (core.row_s, core.row_t)
                     assert cores.setdefault(key, core) is core, (tag, d)
@@ -384,9 +388,10 @@ def test_render_tables_follow_the_label_table_and_series():
               for family in ("C", "2A") for rank in (7, 8)]
     for tag, ds in cells:
         labels = enumerate_labels(tag)
-        assert label_renders(tag) == tuple(lab.render() for lab in labels)
-        assert label_renders(tag) is label_renders(tag)
-        assert has_degenerate_labels(tag) == any(lab.marker for lab in labels)
+        table = label_table(tag)
+        assert table.renders == tuple(lab.render() for lab in labels)
+        assert table is label_table(tag)
+        assert table.degenerate == any(lab.marker for lab in labels)
         for d in ds:
             assert series_renders(tag, d) == tuple(
                 tuple(lab.render() for lab in members)
@@ -398,7 +403,7 @@ def test_render_tables_follow_the_label_table_and_series():
 def test_each_label_stores_its_measure():
     for family in FAMILIES:
         for tag in tags(family, 8):
-            for lab in _labels(tag).labels:
+            for lab in label_table(tag).labels:
                 assert lab.measure == _measure(lab.payload), (str(tag), lab)
 
 

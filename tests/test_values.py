@@ -31,7 +31,7 @@ def _datum(frobenius_matrix):
 
 
 def _label(symbol, marker):
-    return UnipotentLabel(GroupTypeTag("D", 4), symbol((1,), (1,)), marker)
+    return UnipotentLabel(symbol((1,), (1,)), marker)
 
 
 # (field, a factory, another call of it, the object with one field changed)
@@ -78,7 +78,7 @@ def test_equal_fields_equal_values(name):
 
 # the fields each hashed-once type hashes, and every path that builds one
 HASHED_FIELDS = {Symbol: ("row_s", "row_t"),
-                 UnipotentLabel: ("group_type", "payload", "marker"),
+                 UnipotentLabel: ("payload", "marker"),
                  GroupTypeTag: ("family", "rank")}
 BUILT_BY = {
     "Symbol": lambda: Symbol((1, 2), (0,)),
