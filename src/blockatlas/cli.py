@@ -11,8 +11,12 @@ when stdout is unbuffered and a write returns short (see ``_emit``).
 
 Root data are addressed either as ``catalog:NAME`` (built-in examples,
 which carry their own quasi-splitness metadata) or as a path to a JSON
-datum file (treated as quasi-split).  ``grid`` runs the cells of a parameter
-grid in expansion order on one thread and lists them in that order.
+datum file (treated as quasi-split).
+
+``_COMMANDS`` drives both the parser and ``grid``.  A grid runs the cells
+of a command's list keys, expanded in argument order, one after another on
+one thread; each cell calls the command's handler on the namespace of its
+standalone run, so a cell's result is the standalone result.
 
 Handlers reach the layers through the package's lazily run modules, so a
 process runs, and without a bytecode cache compiles, only its command's
@@ -42,9 +46,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import (__version__, arith, exceptional, fusion, langlands, rootdata,
                unipotent)
@@ -83,23 +88,6 @@ def _series_json(part) -> dict:
         "blocks": [
             {"core": key, "members": [lab.render() for lab in members]}
             for key, members in part.blocks],
-    }
-
-
-def _fusion_json(res) -> dict:
-    return {
-        "type": str(res.group_type),
-        "q": res.q.q,
-        "d_max": res.d_max,
-        "admissible": {str(d): ell for d, ell in sorted(res.admissible.items())},
-        "class_count": res.class_count,
-        "verdict": res.verdict,
-        "classes": [list(cls) for cls in res.classes],
-        "certificate": [
-            {"a": ev.label_a, "b": ev.label_b, "d": ev.d, "ell": ev.ell}
-            for ev in res.certificate],
-        "touches_degenerate": res.touches_degenerate,
-        "plugin_type": res.plugin_type,
     }
 
 
@@ -151,33 +139,6 @@ def _int_tokens(tokens) -> list[int]:
     return out
 
 
-# ------------------------------------------------------- command payloads
-# Shared by the single commands and by grid jobs so that a grid cell is
-# byte-identical to the standalone run.
-
-def _fusion_payload(family: str, rank: int, q: int, dmax, plugin) -> dict:
-    tag = arith.GroupTypeTag(family, rank)
-    res = fusion.fusion_closure(tag, arith.PrimePower.from_q(q), d_max=dmax,
-                                plugin=plugin)
-    return _fusion_json(res)
-
-
-def _zsygmondy_payload(q: int, d: int) -> dict:
-    witness = arith.primitive_prime(q, d, frozenset({2}))
-    return {"q": q, "d": d, "witness": witness, "exists": witness is not None}
-
-
-def _datum_payload(command: str, ref: str, p: int) -> dict:
-    datum, quasi = _resolve_datum(ref)
-    if command == "bijection":
-        body = langlands.bijection_check(datum, p, quasi_split=quasi).as_dict()
-    elif command == "cornqs":
-        body = langlands.cornqs_check(datum, p, quasi_split=quasi).as_dict()
-    else:
-        body = langlands.component_lemma_checks(datum, p).as_dict()
-    return {"datum": ref, **body}
-
-
 # ---------------------------------------------------------------- handlers
 
 def _cmd_unipotent(args) -> dict:
@@ -206,9 +167,25 @@ def _plugin(path):
     return exceptional.ExceptionalPlugin.load(path) if path else None
 
 
-def _cmd_fusion(args) -> dict:
-    return _fusion_payload(args.type, args.rank, args.q, args.dmax,
-                           _plugin(args.plugin))
+def _fusion_payload(args) -> dict:
+    plugin = _plugin(args.plugin)
+    tag = arith.GroupTypeTag(args.type, args.rank)
+    res = fusion.fusion_closure(tag, arith.PrimePower.from_q(args.q),
+                                d_max=args.dmax, plugin=plugin)
+    return {
+        "type": str(res.group_type),
+        "q": res.q.q,
+        "d_max": res.d_max,
+        "admissible": {str(d): ell for d, ell in sorted(res.admissible.items())},
+        "class_count": res.class_count,
+        "verdict": res.verdict,
+        "classes": [list(cls) for cls in res.classes],
+        "certificate": [
+            {"a": ev.label_a, "b": ev.label_b, "d": ev.d, "ell": ev.ell}
+            for ev in res.certificate],
+        "touches_degenerate": res.touches_degenerate,
+        "plugin_type": res.plugin_type,
+    }
 
 
 def _cmd_dseries_check(args) -> dict:
@@ -232,8 +209,10 @@ def _cmd_defect_bounds(args) -> dict:
     return {"type": str(tag), "primary": primary, "derived": derived}
 
 
-def _cmd_zsygmondy(args) -> dict:
-    return _zsygmondy_payload(args.q, args.d)
+def _zsygmondy_payload(args) -> dict:
+    witness = arith.primitive_prime(args.q, args.d, frozenset({2}))
+    return {"q": args.q, "d": args.d, "witness": witness,
+            "exists": witness is not None}
 
 
 def _cmd_pi1(args) -> dict:
@@ -252,22 +231,19 @@ def _cmd_pi1(args) -> dict:
     return result
 
 
-def _cmd_datum_check(args) -> dict:
-    return _datum_payload(args.command, args.datum, args.p)
+def _datum_payload(args) -> dict:
+    """``bijection``, ``cornqs`` and ``components``."""
+    datum, quasi = _resolve_datum(args.datum)
+    if args.command == "bijection":
+        body = langlands.bijection_check(datum, args.p, quasi_split=quasi)
+    elif args.command == "cornqs":
+        body = langlands.cornqs_check(datum, args.p, quasi_split=quasi)
+    else:
+        body = langlands.component_lemma_checks(datum, args.p)
+    return {"datum": args.datum, **body.as_dict()}
 
 
 # -------------------------------------------------------------------- grid
-
-_INT_LIST_KEYS = ("ranks", "qs", "ds", "primes")
-_STR_LIST_KEYS = ("families", "data")
-_INT_KEYS = ("dmax",)
-_STR_KEYS = ("command", "plugin")
-# each grid-able command and the keys besides "command" that it reads
-_DATUM_GRID_KEYS = ("data", "primes")
-_GRID_KEYS = {"fusion": ("families", "ranks", "qs", "dmax", "plugin"),
-              "zsygmondy": ("qs", "ds"), "bijection": _DATUM_GRID_KEYS,
-              "cornqs": _DATUM_GRID_KEYS, "components": _DATUM_GRID_KEYS}
-
 
 def _parse_int(token: str, lineno: int) -> int:
     try:
@@ -297,10 +273,23 @@ def _parse_int_list(value: str, lineno: int) -> list[int]:
     return sorted(set(out))
 
 
+def _grid_commands() -> list:
+    """The commands whose every argument has a grid key."""
+    return [name for name, (_handler, _help, arguments) in _COMMANDS.items()
+            if all(grid for _flag, _options, grid in arguments)]
+
+
 def parse_grid_config(text: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` starts a comment; lists use commas
-    and integer lists accept ``a-b`` ranges.  A key the configured command
-    does not read is an error."""
+    """Flat ``key = value`` lines; ``#`` starts a comment.  The keys are
+    ``command`` and the grid keys of the arguments in ``_COMMANDS``: a list
+    key (commas, and ``a-b`` ranges for integers) where the argument varies
+    per cell, one value where it holds for the whole grid, integers where
+    the flag has ``type=int``.  A key the configured command does not read
+    is an error, and so is a list key it reads that the config omits."""
+    kinds = {grid[0]: (len(grid) == 2, options.get("type") is int)
+             for _handler, _help, arguments in _COMMANDS.values()
+             for _flag, options, grid in arguments if grid}
+    kinds["command"] = (False, False)  # key -> (list key, integer)
     cfg: dict = {}
     lines: dict = {}  # key -> its line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -313,75 +302,70 @@ def parse_grid_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key in cfg:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
+        if key not in kinds:
+            raise ParseError(f"unknown key {key!r}", line=lineno)
         lines[key] = lineno
-        if key in _INT_LIST_KEYS:
+        listed, integer = kinds[key]
+        if listed and integer:
             cfg[key] = _parse_int_list(value, lineno)
-        elif key in _STR_LIST_KEYS:
+        elif listed:
             items = [t.strip() for t in value.split(",") if t.strip()]
             if not items:
                 raise ParseError(f"{key} must list at least one item",
                                  line=lineno)
             cfg[key] = items
-        elif key in _INT_KEYS:
+        elif integer:
             cfg[key] = _parse_int(value, lineno)
-        elif key in _STR_KEYS:
-            if not value:
-                raise ParseError(f"{key} must not be empty", line=lineno)
-            cfg[key] = value
+        elif not value:
+            raise ParseError(f"{key} must not be empty", line=lineno)
         else:
-            raise ParseError(f"unknown key {key!r}", line=lineno)
+            cfg[key] = value
     if "command" not in cfg:
         raise ParseError('config must set "command"')
     command = cfg["command"]
-    if command not in _GRID_KEYS:
+    runnable = _grid_commands()
+    if command not in runnable:
         raise ParseError(f"grid cannot run command {command!r}; "
-                         f"choices: {', '.join(_GRID_KEYS)}")
+                         f"choices: {', '.join(runnable)}")
+    arguments = _COMMANDS[command][2]
+    read = {grid[0] for _flag, _options, grid in arguments}
     for key in cfg:
-        if key != "command" and key not in _GRID_KEYS[command]:
+        if key != "command" and key not in read:
             raise ParseError(f"command {command!r} does not read key {key!r}",
                              line=lines[key])
+    for _flag, _options, grid in arguments:
+        if len(grid) == 2 and grid[0] not in cfg:
+            raise ParseError(f"command {command!r} needs key {grid[0]!r}")
     return cfg
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ParseError(f"command {cfg['command']!r} needs key {key!r}")
-    return cfg[key]
-
-
 def _grid_jobs(cfg: dict) -> list:
-    """[(key dict, thunk), ...] in deterministic expansion order."""
-    command = cfg["command"]
-    jobs = []
-    if command == "fusion":
-        plugin = _plugin(cfg.get("plugin"))
-        for family in _need(cfg, "families"):
-            for rank in _need(cfg, "ranks"):
-                for q in _need(cfg, "qs"):
-                    jobs.append((
-                        {"family": family, "rank": rank, "q": q},
-                        partial(_fusion_payload, family, rank, q,
-                                cfg.get("dmax"), plugin)))
-    elif command == "zsygmondy":
-        for q in _need(cfg, "qs"):
-            for d in _need(cfg, "ds"):
-                jobs.append(({"q": q, "d": d},
-                             partial(_zsygmondy_payload, q, d)))
-    else:
-        for ref in _need(cfg, "data"):
-            for p in _need(cfg, "primes"):
-                jobs.append(({"datum": ref, "p": p},
-                             partial(_datum_payload, command, ref, p)))
-    return jobs
+    """[(cell key, namespace), ...]: the product of the command's list keys
+    in argument order, each cell with the namespace its standalone run
+    parses to."""
+    fixed = {"command": cfg["command"], "pretty": False}
+    dests, cells, values = [], [], []
+    for flag, _options, grid in _COMMANDS[cfg["command"]][2]:
+        if len(grid) == 2:
+            dests.append(flag[2:])
+            cells.append(grid[1])
+            values.append(cfg[grid[0]])
+        else:
+            fixed[flag[2:]] = cfg.get(grid[0])
+    return [(dict(zip(cells, cell)),
+             argparse.Namespace(**fixed, **dict(zip(dests, cell))))
+            for cell in itertools.product(*values)]
 
 
 def _cmd_grid(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as handle:
         cfg = parse_grid_config(handle.read())
+    handler = _COMMANDS[cfg["command"]][0]
     entries = []
-    for key, thunk in _grid_jobs(cfg):
+    for key, cell in _grid_jobs(cfg):
         try:
-            entries.append({"key": key, "status": "ok", "result": thunk()})
+            entries.append({"key": key, "status": "ok",
+                            "result": handler(cell)})
         except (BlockatlasError, ValueError, OSError) as exc:
             entries.append({"key": key, "status": "error",
                             "error": {"code": type(exc).__name__,
@@ -444,58 +428,64 @@ def _emit(doc: dict, pretty: bool) -> None:
     binary.flush()
 
 
-def _required_int(flag: str) -> tuple:
-    return flag, {"required": True, "type": int}
+def _required_int(flag: str, *grid: str) -> tuple:
+    return flag, {"required": True, "type": int}, grid
 
 
-_TYPED = (("--type", {"required": True, "metavar": "FAMILY",
-                      "help": "family token, e.g. B or 2A"}),
-          _required_int("--rank"))
-_DATUM = ("--datum", {"required": True,
-                      "help": "catalog:NAME or a JSON datum file"})
+_TYPED = (("--type", {"required": True, "metavar": "FAMILY", "help":
+                      "family token, e.g. B or 2A"}, ("families", "family")),
+          _required_int("--rank", "ranks", "rank"))
+_DATUM = ("--datum", {"required": True, "help": "catalog:NAME or a JSON "
+                      "datum file"}, ("data", "datum"))
+_DATUM_AT_P = (_DATUM, _required_int("--p", "primes", "p"))
 
 # Every subcommand once: its handler, its help line and its arguments as
-# (flag, add_argument options) after ``--pretty``.
+# (flag, add_argument options, grid key) after ``--pretty``.  The grid key
+# is (list key, cell key) for an argument a grid varies per cell, (key,)
+# for one it holds for the whole grid, and () where a grid cannot give it;
+# a grid can run a command whose every argument has a grid key.
 _COMMANDS = {
     "unipotent": (_cmd_unipotent,
                   "list the unipotent labels of a classical type", _TYPED),
     "series": (_cmd_series, "partition the labels into d-series",
-               _TYPED + (_required_int("--d"),)),
+               _TYPED + (_required_int("--d", "ds", "d"),)),
     "blocks": (_cmd_blocks, "partition the labels into ell-blocks at q",
-               _TYPED + (_required_int("--q"), _required_int("--ell"))),
-    "fusion": (_cmd_fusion, "close the d-series under all admissible d",
+               _TYPED + (_required_int("--q", "qs", "q"),
+                         _required_int("--ell", "ells", "ell"))),
+    "fusion": (_fusion_payload, "close the d-series under all admissible d",
                _TYPED + (
-                   _required_int("--q"),
+                   _required_int("--q", "qs", "q"),
                    ("--dmax", {"type": int, "help": "largest d to consider "
-                                                    "(default 2(rank+1))"}),
-                   ("--plugin", {"metavar": "FILE",
-                                 "help": "exceptional_v1 data file for "
-                                         "non-classical types"}))),
+                               "(default 2(rank+1))"}, ("dmax",)),
+                   ("--plugin", {"metavar": "FILE", "help": "exceptional_v1 "
+                                 "data file for non-classical types"},
+                    ("plugin",)))),
     "dseries-check": (_cmd_dseries_check,
                       "is the join of the given d-series a single class",
                       _TYPED + (("--D", {"required": True, "nargs": "+",
                                          "metavar": "D",
                                          "help": "d values, space or comma "
-                                                 "separated"}),
-                                ("--plugin", {"metavar": "FILE"}))),
+                                                 "separated"}, ()),
+                                ("--plugin", {"metavar": "FILE"},
+                                 ("plugin",)))),
     "defect-bounds": (_cmd_defect_bounds,
                       "defect bounds for every occurring 1-series core",
                       _TYPED),
-    "zsygmondy": (_cmd_zsygmondy,
+    "zsygmondy": (_zsygmondy_payload,
                   "smallest odd prime at which q has order exactly d",
-                  (_required_int("--q"), _required_int("--d"))),
+                  (_required_int("--q", "qs", "q"),
+                   _required_int("--d", "ds", "d"))),
     "pi1": (_cmd_pi1, "fundamental group and its arithmetic target",
-            (_DATUM, ("--p", {"type": int}))),
-    "components": (_cmd_datum_check, "component-group route comparisons at p",
-                   (_DATUM, _required_int("--p"))),
-    "bijection": (_cmd_datum_check,
-                  "group-side vs dual-side torsor orders at p",
-                  (_DATUM, _required_int("--p"))),
-    "cornqs": (_cmd_datum_check, "triviality criterion for the p-part of pi1",
-               (_DATUM, _required_int("--p"))),
+            (_DATUM, ("--p", {"type": int}, ("primes", "p")))),
+    "components": (_datum_payload, "component-group route comparisons at p",
+                   _DATUM_AT_P),
+    "bijection": (_datum_payload,
+                  "group-side vs dual-side torsor orders at p", _DATUM_AT_P),
+    "cornqs": (_datum_payload, "triviality criterion for the p-part of pi1",
+               _DATUM_AT_P),
     "grid": (_cmd_grid, "run grid cells in expansion order on one thread",
-             (("--config", {"required": True, "metavar": "FILE",
-                            "help": "flat key = value grid description"}),)),
+             (("--config", {"required": True, "metavar": "FILE", "help":
+                            "flat key = value grid description"}, ()),)),
 }
 
 
@@ -515,7 +505,7 @@ def build_parser(command: str | None = None) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--pretty", action="store_true",
                        help="indent the report (still key-sorted)")
-        for flag, options in arguments:
+        for flag, options, _grid in arguments:
             p.add_argument(flag, **options)
     return parser
 

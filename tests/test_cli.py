@@ -7,6 +7,7 @@ import fcntl
 import gc
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -376,6 +377,19 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
+
+
+def test_help_pages_match_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    pages = []
+    for argv in [[]] + [[name] for name in cli._COMMANDS]:
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--help"])
+        assert info.value.code == 0
+        pages.append(f"$ {' '.join(['blockatlas', *argv, '--help'])}\n"
+                     + capsys.readouterr().out)
+    assert "\n".join(pages) == (GOLDEN / "help.txt").read_text(
+        encoding="utf-8")
 
 
 # A valid argv per subcommand.
@@ -773,7 +787,7 @@ def test_grid_captures_job_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("text,fragment", [
     ("families = B\n", "command"),                      # no command
-    ("command = series\n", "cannot run"),               # not grid-able
+    ("command = dseries-check\n", "cannot run"),        # not grid-able
     ("command = fusion\nbogus = 3\n", "unknown key"),   # unknown key
     ("command = fusion\nranks = 5-3\nfamilies = B\nqs = 2\n", "empty range"),
     ("command = fusion\nranks = x\nfamilies = B\nqs = 2\n", "integer"),
@@ -799,6 +813,111 @@ def test_grid_config_errors(capsys, tmp_path, text, fragment):
     assert code == 2
     assert doc["error"]["code"] == "ParseError"
     assert fragment in doc["error"]["message"]
+
+
+# Per grid-able command: a two-cell config and each cell's standalone argv.
+_GRID_CELLS = {
+    "unipotent": ("families = B, 2A\nranks = 3\n",
+                  [["--type", "B", "--rank", "3"],
+                   ["--type", "2A", "--rank", "3"]]),
+    "series": ("families = D\nranks = 4\nds = 1, 2\n",
+               [["--type", "D", "--rank", "4", "--d", "1"],
+                ["--type", "D", "--rank", "4", "--d", "2"]]),
+    "blocks": ("families = A\nranks = 3\nqs = 2\nells = 3, 5\n",
+               [["--type", "A", "--rank", "3", "--q", "2", "--ell", "3"],
+                ["--type", "A", "--rank", "3", "--q", "2", "--ell", "5"]]),
+    "fusion": ("families = B\nranks = 2\nqs = 2, 3\ndmax = 4\n",
+               [["--type", "B", "--rank", "2", "--q", "2", "--dmax", "4"],
+                ["--type", "B", "--rank", "2", "--q", "3", "--dmax", "4"]]),
+    "defect-bounds": ("families = C\nranks = 1-2\n",
+                      [["--type", "C", "--rank", "1"],
+                       ["--type", "C", "--rank", "2"]]),
+    "zsygmondy": ("qs = 2\nds = 6, 7\n",
+                  [["--q", "2", "--d", "6"], ["--q", "2", "--d", "7"]]),
+    "pi1": ("data = catalog:pgl2_split\nprimes = 2, 3\n",
+            [["--datum", "catalog:pgl2_split", "--p", "2"],
+             ["--datum", "catalog:pgl2_split", "--p", "3"]]),
+    "components": ("data = catalog:norm_one_wild\nprimes = 2, 3\n",
+                   [["--datum", "catalog:norm_one_wild", "--p", "2"],
+                    ["--datum", "catalog:norm_one_wild", "--p", "3"]]),
+    "bijection": ("data = catalog:norm_one_ramified, catalog:pgl3_split\n"
+                  "primes = 3\n",
+                  [["--datum", "catalog:norm_one_ramified", "--p", "3"],
+                   ["--datum", "catalog:pgl3_split", "--p", "3"]]),
+    "cornqs": ("data = catalog:pgl2_split, catalog:pgl3_split\nprimes = 3\n",
+               [["--datum", "catalog:pgl2_split", "--p", "3"],
+                ["--datum", "catalog:pgl3_split", "--p", "3"]]),
+}
+
+
+@pytest.mark.parametrize("command", cli._grid_commands())
+def test_grid_cell_is_the_standalone_run(capsys, tmp_path, command):
+    body, argvs = _GRID_CELLS[command]
+    text = f"command = {command}\n{body}"
+    cells = cli._grid_jobs(cli.parse_grid_config(text))
+    assert [cell for _key, cell in cells] == [
+        cli.build_parser(command).parse_args([command, *argv])
+        for argv in argvs]
+    code, out = run(capsys, "grid", "--config", write_cfg(tmp_path, text))
+    jobs = check(out)["result"]["jobs"]
+    assert code == 0 and len(jobs) == len(argvs) == 2
+    for job, argv in zip(jobs, argvs):
+        code, alone = run(capsys, command, *argv)
+        assert code == 0 and job["status"] == "ok", job
+        assert job["result"] == check(alone)["result"]
+
+
+def test_grid_reads_the_plugin_per_cell(capsys, tmp_path):
+    # as the standalone command does: a missing or malformed plugin file is
+    # an error in every cell, not in the grid
+    plugin = tmp_path / "exc.json"
+    cfg = write_cfg(tmp_path, "command = fusion\nfamilies = B, G2\n"
+                              f"ranks = 2\nqs = 3\nplugin = {plugin}\n")
+    argv = ["--rank", "2", "--q", "3", "--plugin", str(plugin)]
+    for text in (None, "{", json.dumps(PLUGIN_DOC)):
+        if text is not None:
+            plugin.write_text(text, encoding="utf-8")
+        code, out = run(capsys, "grid", "--config", cfg)
+        jobs = check(out)["result"]["jobs"]
+        assert code == 0 and len(jobs) == 2
+        for job, family in zip(jobs, ("B", "G2")):
+            code, alone = run(capsys, "fusion", "--type", family, *argv)
+            doc = check(alone)
+            if text is None or text == "{":
+                assert code == 2 and job["status"] == "error"
+                assert job["error"] == {key: doc["error"][key]
+                                        for key in ("code", "message")}
+            else:
+                assert code == 0 and job["result"] == doc["result"]
+
+
+def _grid_section() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return readme.split("### Grids\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_each_grid_command_and_its_keys():
+    section = _grid_section()
+    listed = re.findall(r"^\* `([\w-]+)`: (.+)$", section, re.M)
+    expected, flags, cells = [], {}, {}
+    for command in cli._grid_commands():
+        arguments = cli._COMMANDS[command][2]
+        varied = ", ".join(f"`{grid[0]}`" for _flag, _options, grid
+                           in arguments if len(grid) == 2)
+        whole = ", ".join(f"`{grid[0]}`" for _flag, _options, grid
+                          in arguments if len(grid) == 1)
+        expected.append((command,
+                         varied + (f"; optional {whole}" if whole else "")))
+        for flag, _options, grid in arguments:
+            if len(grid) == 2:
+                flags[grid[0]], cells[grid[0]] = flag, grid[1]
+    assert listed == expected
+    prose = " ".join(section.split())
+    given = re.findall(r"`(\w+)` of `(--\w+)`", prose)
+    assert dict(given) == flags
+    named = prose.split("names its values ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", named) == [cells[key] for key, _ in given]
 
 
 def test_readme_grid_configs_parse():
@@ -890,13 +1009,14 @@ def test_grid_cell_invariant_violation_aborts_the_grid(capsys, tmp_path,
                                                       monkeypatch):
     # an internal defect in one cell is not a cell error: the whole grid
     # stops with exit 1 and an InvariantViolation report
-    payload = cli._datum_payload
+    handler, *parser_spec = cli._COMMANDS["bijection"]
 
-    def broken_cell(command, ref, p):
-        if p == 3:
+    def broken_cell(args):
+        if args.p == 3:
             raise InvariantViolation("synthetic defect in one cell")
-        return payload(command, ref, p)
-    monkeypatch.setattr(cli, "_datum_payload", broken_cell)
+        return handler(args)
+    monkeypatch.setitem(cli._COMMANDS, "bijection",
+                        (broken_cell, *parser_spec))
     cfg = write_cfg(tmp_path, "command = bijection\n"
                               "data = catalog:pgl2_split\nprimes = 2, 3, 5\n")
     code, out = run(capsys, "grid", "--config", cfg)

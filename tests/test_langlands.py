@@ -16,6 +16,7 @@ from blockatlas import langlands
 from blockatlas.abelian import (
     FGAbelianGroup,
     IntMatrix,
+    SubquotientMap,
     coinvariants,
     fixed_points,
 )
@@ -34,6 +35,7 @@ from blockatlas.rootdata import (
     catalog,
     derived_and_abelianized,
     permutes_standard_basis,
+    pi1,
 )
 
 PRIMES = (2, 3, 5)
@@ -375,6 +377,41 @@ def test_lemma_injectivity_fails_off_the_quasi_split_axis():
     # the torsor comparison itself is indifferent to the failure
     both = bijection_check(datum, 2)
     assert both.group_side.describe() == both.dual_side.describe() == "Z/2"
+
+
+def _check_maps(datum, p):
+    """The four maps between p-parts that cornqs_check and
+    component_lemma_checks compare, built as they build them."""
+    inert, frob = datum.inertia_matrices, datum.frobenius_matrix
+    da = derived_and_abelianized(datum)
+    pi1_torsion = coinvariants(pi1(datum), inert).p_torsion(p)
+    torus_part = coinvariants(FGAbelianGroup.free(datum.rank),
+                              inert).p_torsion(p)
+    return {
+        "left": SubquotientMap(coinvariants(da.pi1_der, inert).p_torsion(p),
+                               pi1_torsion),
+        "right": SubquotientMap(
+            pi1_torsion, coinvariants(da.cochar_ab, inert).p_torsion(p)),
+        "plain": SubquotientMap(torus_part, pi1_torsion),
+        "fixed": SubquotientMap(fixed_points(torus_part, frob),
+                                fixed_points(pi1_torsion, frob)),
+    }
+
+
+def test_check_maps_are_well_defined():
+    # the checks do not test these inclusions: on a validated datum each
+    # target's relation lattice contains its source's
+    data = [(name, e.datum) for name, e in sorted(catalog().items())]
+    for p in PRIMES:
+        cases = data + [
+            ((name, m), weil_restriction(name, m, p))
+            for name in SPLIT_GROUPS for m in range(1, 7)] + [
+            ((name, m, summands), weil_restriction(name, m, p, summands))
+            for name, m in zip(SPLIT_GROUPS, (2, 3, 3, 2, 3, 2))
+            for summands in SHARED_TORI]
+        for what, datum in cases:
+            for name, arrow in _check_maps(datum, p).items():
+                assert arrow.well_defined(), (what, p, name)
 
 
 def test_lemma_report_dict():
