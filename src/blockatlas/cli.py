@@ -16,7 +16,13 @@ datum file (treated as quasi-split).
 ``_COMMANDS`` drives both the parser and ``grid``.  A grid runs the cells
 of a command's list keys, expanded in argument order, one after another on
 one thread; each cell calls the command's handler on the namespace of its
-standalone run, so a cell's result is the standalone result.
+standalone run.  One path, ``_outcome``, turns a handler call into the
+report's ``status`` with its ``result`` or ``error`` object, for a
+standalone run and for each grid cell alike, so a cell reports what its
+standalone run reports, errors and their context included.  An
+``InvariantViolation`` is a defect, not an outcome: it ends the run, a
+grid's included, with exit 1.  ``dseries-check --D`` reads its tokens as
+one grid integer list, ``a-b`` ranges included.
 
 Handlers reach the layers through the package's lazily run modules, so a
 process runs, and without a bytecode cache compiles, only its command's
@@ -26,21 +32,8 @@ add ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
 with a plugin); ``pi1`` adds ``abelian`` and ``rootdata``, the datum checks
 also ``langlands``; ``grid`` runs those of its configured command.
 
-An argv that starts with a subcommand builds that subcommand's parser
-alone (``build_parser(command)``); any other argv (``-h``, none, an unknown
-command) builds all of them, because the parent's help and errors list
-every subcommand.  Help texts, namespaces and usage errors are the same
-either way.
-
-``main`` runs in one of two modes.  As a library call, ``main(argv)``
-returns the exit code and leaves the garbage collector as it was.  As the
-program, ``main()`` (the console script's body) reads ``sys.argv``, runs
-the command with the collector off and freezes it once the command has
-ended, on every exit path.  A command leaves about a hundred unreachable
-cyclic objects, so collections during it would trace live objects for
-nothing; and once the report is written the process is about to end, so
-the full collections of interpreter shutdown need not trace every object
-still alive, which took about a tenth of a lattice grid invocation.
+Which parser an argv builds: see ``build_parser``.  How ``main`` treats
+the garbage collector as a library call and as the program: see ``main``.
 """
 from __future__ import annotations
 
@@ -125,18 +118,34 @@ def _resolve_datum(ref: str):
     return _load_datum_text(text), True
 
 
-def _int_tokens(tokens) -> list[int]:
+def _parse_int(token: str, lineno: int | None) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}",
+                         line=lineno) from None
+
+
+def _parse_int_list(value: str, lineno: int | None = None) -> list[int]:
+    """The sorted distinct integers of comma-separated tokens and ``a-b``
+    inclusive ranges: a grid's integer list, and ``--D``."""
     out = []
-    for token in tokens:
-        for piece in str(token).split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                out.append(int(piece))
-            except ValueError:
-                raise ValueError(f"expected an integer, got {piece!r}") from None
-    return out
+    for token in value.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "-" in token[1:]:  # "a-b" inclusive range; negatives never occur
+            lo_s, _, hi_s = token.partition("-")
+            lo = _parse_int(lo_s.strip(), lineno)
+            hi = _parse_int(hi_s.strip(), lineno)
+            if hi < lo:
+                raise ParseError(f"empty range {token!r}", line=lineno)
+            out.extend(range(lo, hi + 1))
+        else:
+            out.append(_parse_int(token, lineno))
+    if not out:
+        raise ParseError("expected at least one integer", line=lineno)
+    return sorted(set(out))
 
 
 # ---------------------------------------------------------------- handlers
@@ -190,7 +199,7 @@ def _fusion_payload(args) -> dict:
 
 def _cmd_dseries_check(args) -> dict:
     tag = arith.GroupTypeTag(args.type, args.rank)
-    join = fusion.is_single_D_series(tag, _int_tokens(args.D),
+    join = fusion.is_single_D_series(tag, _parse_int_list(",".join(args.D)),
                                      plugin=_plugin(args.plugin))
     return {
         "type": str(tag),
@@ -244,34 +253,6 @@ def _datum_payload(args) -> dict:
 
 
 # -------------------------------------------------------------------- grid
-
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}",
-                         line=lineno) from None
-
-
-def _parse_int_list(value: str, lineno: int) -> list[int]:
-    out = []
-    for token in value.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "-" in token[1:]:  # "a-b" inclusive range; negatives never occur
-            lo_s, _, hi_s = token.partition("-")
-            lo = _parse_int(lo_s.strip(), lineno)
-            hi = _parse_int(hi_s.strip(), lineno)
-            if hi < lo:
-                raise ParseError(f"empty range {token!r}", line=lineno)
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(_parse_int(token, lineno))
-    if not out:
-        raise ParseError("expected at least one integer", line=lineno)
-    return sorted(set(out))
-
 
 def _grid_commands() -> list:
     """The commands whose every argument has a grid key."""
@@ -361,15 +342,8 @@ def _cmd_grid(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as handle:
         cfg = parse_grid_config(handle.read())
     handler = _COMMANDS[cfg["command"]][0]
-    entries = []
-    for key, cell in _grid_jobs(cfg):
-        try:
-            entries.append({"key": key, "status": "ok",
-                            "result": handler(cell)})
-        except (BlockatlasError, ValueError, OSError) as exc:
-            entries.append({"key": key, "status": "error",
-                            "error": {"code": type(exc).__name__,
-                                      "message": str(exc)}})
+    entries = [{"key": key, **_outcome(handler, cell)}
+               for key, cell in _grid_jobs(cfg)]
     counts = {
         "ok": sum(1 for e in entries if e["status"] == "ok"),
         "error": sum(1 for e in entries if e["status"] == "error"),
@@ -390,12 +364,27 @@ def _report(command: str, inputs: dict, **outcome) -> dict:
     }
 
 
-def _error_report(command: str, inputs: dict, code: str, message: str,
-                  context: dict | None = None) -> dict:
-    error = {"code": code, "message": message}
-    if context:
-        error["context"] = context
-    return _report(command, inputs, status="error", error=error)
+def _failure(exc: Exception, code: str | None = None) -> dict:
+    """The error outcome of ``exc``: its class name (or ``code``) and its
+    message, and the line and column a ParseError names."""
+    error = {"code": code or type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ParseError):
+        context = {key: value for key, value in
+                   (("line", exc.line), ("column", exc.column))
+                   if value is not None}
+        if context:
+            error["context"] = context
+    return {"status": "error", "error": error}
+
+
+def _outcome(handler, args) -> dict:
+    """``handler(args)`` as ``{"status": "ok", "result": ...}``, or as the
+    error outcome of the precondition failure it raised.  An
+    InvariantViolation is a defect, not an outcome, so it propagates."""
+    try:
+        return {"status": "ok", "result": handler(args)}
+    except (BlockatlasError, ValueError, OSError) as exc:
+        return _failure(exc)
 
 
 def _inputs_echo(args) -> dict:
@@ -535,25 +524,16 @@ def _run(argv: list) -> int:
     try:
         args = parser.parse_args(argv)
     except _Usage as exc:
-        _emit(_error_report(argv[0] if argv else "", {"argv": argv},
-                            "UsageError", str(exc)), pretty=False)
+        _emit(_report(argv[0] if argv else "", {"argv": argv},
+                      **_failure(exc, "UsageError")), pretty=False)
         return 2
-    handler = _COMMANDS[args.command][0]
     try:
-        result = handler(args)
-    except (InvariantViolation, BlockatlasError, ValueError, OSError) as exc:
-        context = {}
-        if isinstance(exc, ParseError):
-            context = {key: value for key, value in
-                       (("line", exc.line), ("column", exc.column))
-                       if value is not None}
-        _emit(_error_report(args.command, _inputs_echo(args),
-                            type(exc).__name__, str(exc), context),
-              args.pretty)
-        return 1 if isinstance(exc, InvariantViolation) else 2
-    _emit(_report(args.command, _inputs_echo(args), status="ok", result=result),
-          args.pretty)
-    return 0
+        outcome = _outcome(_COMMANDS[args.command][0], args)
+        code = 0 if outcome["status"] == "ok" else 2
+    except InvariantViolation as exc:
+        outcome, code = _failure(exc), 1
+    _emit(_report(args.command, _inputs_echo(args), **outcome), args.pretty)
+    return code
 
 
 if __name__ == "__main__":

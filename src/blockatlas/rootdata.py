@@ -134,11 +134,14 @@ class RootDatumWithAction:
             raise InvalidDatum("wild labels must be inertia labels")
         if self.frobenius not in known:
             raise InvalidDatum(f"frobenius label {self.frobenius!r} is not declared")
-        coroots = IntMatrix.from_columns(self.coroots, self.rank)
-        roots = IntMatrix.from_columns(self.roots, self.rank)
+        # shapes before any rank-sized matrix, so a declared rank far above
+        # the operators' size fails in time proportional to the input
         for label, mat in self.galois:
             if mat.rows != self.rank or mat.cols != self.rank:
                 raise InvalidDatum(f"operator {label!r} is not {self.rank}x{self.rank}")
+        coroots = IntMatrix.from_columns(self.coroots, self.rank)
+        roots = IntMatrix.from_columns(self.roots, self.rank)
+        for label, mat in self.galois:
             if not mat.is_unimodular():
                 raise InvalidDatum(f"operator {label!r} is not unimodular")
             self._check_permutes(label, mat, coroots, roots)
@@ -403,9 +406,18 @@ def _require(obj: dict, key: str, kind, what: str):
     if key not in obj:
         raise ParseError(f"{what} is missing the {key!r} field")
     value = obj[key]
-    if not isinstance(value, kind):
+    if type(value) is not kind:  # a JSON boolean is no int
         raise ParseError(f"{key!r} must be a {kind.__name__}")
     return value
+
+
+def _int_rows(rows: list, what: str) -> list:
+    """``rows`` once each is a list of JSON integers: a boolean, float or
+    string entry, which ``int()`` would read or truncate, is a ParseError."""
+    for row in rows:
+        if type(row) is not list or any(type(x) is not int for x in row):
+            raise ParseError(f"{what} must be a list of integer lists")
+    return rows
 
 
 # induced_witness, a key of older files, is accepted and ignored
@@ -419,8 +431,8 @@ def datum_from_dict(obj) -> RootDatumWithAction:
         raise ParseError("datum must be a JSON object")
     only_keys(obj, _DATUM_KEYS, "datum")
     rank = _require(obj, "rank", int, "datum")
-    coroots = _require(obj, "coroots", list, "datum") if "coroots" in obj else []
-    roots = _require(obj, "roots", list, "datum") if "roots" in obj else []
+    coroots, roots = (_int_rows(_require(obj, key, list, "datum"), repr(key))
+                      if key in obj else [] for key in ("coroots", "roots"))
     galois_raw = _require(obj, "galois", list, "datum")
     galois = []
     for item in galois_raw:
@@ -428,7 +440,8 @@ def datum_from_dict(obj) -> RootDatumWithAction:
             raise ParseError("each galois item must be an object")
         only_keys(item, ("label", "matrix"), "galois item")
         label = _require(item, "label", str, "galois item")
-        matrix = _require(item, "matrix", list, "galois item")
+        matrix = _int_rows(_require(item, "matrix", list, "galois item"),
+                           f"the matrix of {label!r}")
         galois.append((label, matrix))
     inertia = obj.get("inertia", [])
     wild = obj.get("wild", [])

@@ -558,6 +558,35 @@ def test_datum_parse_error_carries_line(capsys, tmp_path):
     assert doc["error"]["context"]["line"] == 2
 
 
+def test_datum_file_with_non_integers_exits_2(capsys, tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(
+        {"rank": 1, "galois": [{"label": "F", "matrix": [[1.5]]}],
+         "coroots": [["1"]], "roots": [[2.9]], "frobenius": "F"}),
+        encoding="utf-8")
+    code, out = run(capsys, "pi1", "--datum", str(path))
+    assert code == 2
+    assert check(out)["error"] == {
+        "code": "ParseError",
+        "message": "'coroots' must be a list of integer lists"}
+
+
+def test_datum_file_rank_far_above_its_operators_fails_fast(tmp_path):
+    # the operators' shapes are checked before any rank-sized matrix is
+    # built; in a fresh interpreter with a deadline, so a regression costs
+    # seconds rather than memory for 10**12 rows
+    path = tmp_path / "datum.json"
+    path.write_text('{"rank": 1000000000000, "galois": [{"label": "F", '
+                    '"matrix": [[1]]}], "frobenius": "F"}', encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, "pi1", "--datum",
+                           str(path)], capture_output=True, text=True,
+                          env=fresh_env(), timeout=5)
+    assert proc.returncode == 2, proc.stderr
+    assert check(proc.stdout)["error"] == {
+        "code": "InvalidDatum",
+        "message": "operator 'F' is not 1000000000000x1000000000000"}
+
+
 def test_datum_file_key_outside_the_format_exits_2(capsys, tmp_path):
     # "wlid" for "wild" once loaded as a tame datum and reported all_ok false
     wild = datum_to_dict(catalog()["norm_one_wild"].datum)
@@ -647,6 +676,32 @@ def test_dseries_check_token_forms_agree(capsys):
                     "--D", "1", "6")
     assert check(comma)["result"] == check(spaced)["result"]
     assert check(comma)["result"]["single"] is True
+
+
+def test_dseries_check_reads_a_grid_integer_list(capsys):
+    # --D takes the integer lists of a grid config: commas, spaces and
+    # a-b ranges all name the same set
+    results = []
+    for tokens in (["1-3"], ["1,2,3"], ["1", "2", "3"], ["3", "1-2", "2"]):
+        code, out = run(capsys, "dseries-check", "--type", "B", "--rank", "3",
+                        "--D", *tokens)
+        assert code == 0
+        results.append(check(out)["result"])
+    assert all(result == results[0] for result in results)
+    assert results[0]["D"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("token,message", [
+    ("x", "expected an integer, got 'x'"),
+    ("3-1", "empty range '3-1'"),
+    ("1-y", "expected an integer, got 'y'"),
+    (",", "expected at least one integer"),
+])
+def test_dseries_check_bad_token_is_a_parse_error(capsys, token, message):
+    code, out = run(capsys, "dseries-check", "--type", "B", "--rank", "3",
+                    "--D", token)
+    assert code == 2
+    assert check(out)["error"] == {"code": "ParseError", "message": message}
 
 
 def test_defect_bounds_shapes(capsys):
@@ -885,10 +940,29 @@ def test_grid_reads_the_plugin_per_cell(capsys, tmp_path):
             doc = check(alone)
             if text is None or text == "{":
                 assert code == 2 and job["status"] == "error"
-                assert job["error"] == {key: doc["error"][key]
-                                        for key in ("code", "message")}
+                assert job["error"] == doc["error"]
             else:
                 assert code == 0 and job["result"] == doc["result"]
+
+
+def test_grid_cell_error_is_the_standalone_error(capsys, tmp_path):
+    # a datum file with a JSON syntax error: each cell reports the
+    # standalone run's error object, its line and column included
+    path = tmp_path / "broken.json"
+    path.write_text('{\n  "rank": 1,\n  "roots" [[2]]\n}', encoding="utf-8")
+    for command in ("pi1", "bijection"):
+        cfg = write_cfg(tmp_path, f"command = {command}\ndata = {path}\n"
+                                  "primes = 2, 3\n")
+        code, out = run(capsys, "grid", "--config", cfg)
+        jobs = check(out)["result"]["jobs"]
+        assert code == 0 and len(jobs) == 2
+        for job in jobs:
+            code, alone = run(capsys, command, "--datum", str(path),
+                              "--p", str(job["key"]["p"]))
+            error = check(alone)["error"]
+            assert code == 2 and job["status"] == "error"
+            assert job["error"] == error
+            assert error["context"] == {"line": 3, "column": 11}
 
 
 def _grid_section() -> str:

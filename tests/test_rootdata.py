@@ -498,6 +498,31 @@ def test_load_datum_field_errors():
                    ' "galois": [{"label": "F", "matrix": [[1]]}]}')
 
 
+_RANK_ONE = {"rank": 1, "coroots": [[2]], "roots": [[1]],
+             "galois": [{"label": "F", "matrix": [[1]]}], "frobenius": "F"}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("rank", True, "'rank' must be a int"),
+    ("rank", "1", "'rank' must be a int"),
+    ("coroots", [["2"]], "'coroots' must be a list of integer lists"),
+    ("coroots", [2], "'coroots' must be a list of integer lists"),
+    ("roots", [[1.9]], "'roots' must be a list of integer lists"),
+    ("roots", [[True]], "'roots' must be a list of integer lists"),
+    ("galois", [{"label": "F", "matrix": [[1.5]]}],
+     "the matrix of 'F' must be a list of integer lists"),
+    ("galois", [{"label": "F", "matrix": [[True]]}],
+     "the matrix of 'F' must be a list of integer lists"),
+])
+def test_non_integers_are_parse_errors(field, value, message):
+    # int() would read each of these as an integer: True and "1" as 1,
+    # 1.9 as 1
+    assert datum_from_dict(_RANK_ONE).rank == 1
+    with pytest.raises(ParseError) as info:
+        datum_from_dict({**_RANK_ONE, field: value})
+    assert str(info.value) == message
+
+
 def test_semantic_errors_stay_invalid_datum():
     blob = json.dumps({
         "rank": 1,
