@@ -126,23 +126,33 @@ def _parse_int(token: str, lineno: int | None) -> int:
                          line=lineno) from None
 
 
+MAX_INT_LIST = 65_536  # values one integer list may name; no option moves it
+
+
 def _parse_int_list(value: str, lineno: int | None = None) -> list[int]:
     """The sorted distinct integers of comma-separated tokens and ``a-b``
-    inclusive ranges: a grid's integer list, and ``--D``."""
+    inclusive ranges: a grid's integer list, and ``--D``.  The values are
+    counted, repeats included, from each range's endpoints before it is
+    expanded; past ``MAX_INT_LIST`` the list is a ParseError."""
     out = []
     for token in value.split(","):
         token = token.strip()
         if not token:
             continue
-        if "-" in token[1:]:  # "a-b" inclusive range; negatives never occur
+        if "-" in token[1:]:  # "a-b" inclusive range; "-5" is a single token
             lo_s, _, hi_s = token.partition("-")
             lo = _parse_int(lo_s.strip(), lineno)
             hi = _parse_int(hi_s.strip(), lineno)
             if hi < lo:
                 raise ParseError(f"empty range {token!r}", line=lineno)
-            out.extend(range(lo, hi + 1))
+            count = hi - lo + 1
         else:
-            out.append(_parse_int(token, lineno))
+            lo = hi = _parse_int(token, lineno)
+            count = 1
+        if len(out) + count > MAX_INT_LIST:
+            raise ParseError(f"integer list names more than {MAX_INT_LIST} "
+                             f"values", line=lineno)
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ParseError("expected at least one integer", line=lineno)
     return sorted(set(out))

@@ -13,11 +13,14 @@ every removal order.  ``beta_core`` is that slide, the one home of the
 d-hook closed form: ``d_core`` reads it, and so do the d-hook cores of
 :mod:`symbols`, row by row, since a d-hook never leaves its row.
 
-Each size's partition table and each core is computed once per process:
-``partitions_of`` checks the size bound ``MAX_PARTITION_SIZE`` on every
-call and returns a fresh list copied from the size's table; ``beta_core``
-caches each (β-set, d), so a symbol row shared by many symbols is slid
-once, and ``d_core`` each (λ, d).
+Each size's partition table, each β-set and each core is computed once
+per process: ``partitions_of`` checks the size bound ``MAX_PARTITION_SIZE``
+on every call and returns a fresh list copied from the size's table;
+``to_beta_set`` caches each (λ, length), so a label table reads each β-set
+once and the symbols built from one β-set share its row tuple;
+``beta_core`` caches each (β-set, d), so a symbol row shared by many
+symbols is slid once, and ``d_core`` each (λ, d).  The cached readers take
+a partition as a tuple; a list is unhashable and raises TypeError.
 """
 
 from __future__ import annotations
@@ -74,10 +77,11 @@ def _partitions(m: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def to_beta_set(lam: Partition, length: int) -> BetaSet:
     if length < len(lam):
         raise LengthTooShort(f"length {length} < {len(lam)} parts")
-    padded = tuple(lam) + (0,) * (length - len(lam))
+    padded = lam + (0,) * (length - len(lam))
     return tuple(sorted(padded[i] + (length - 1 - i) for i in range(length)))
 
 

@@ -21,19 +21,23 @@ Cores are the fixed points of these moves, computed in closed form on the
 abacus (James–Kerber §2.7): a d-hook slides a bead one level down its
 d-runner within its row, and a cohook slides a bead one level down a chain
 that alternates between the rows, so a core packs every runner or chain onto
-its lowest levels.  A hook core is therefore each row's β-set core, read
-from the cache of ``partitions.beta_core`` (``_hook_rows``); the cohook
-chains are packed here (``_packed_core``).  Either returns the symbol
-itself when nothing moves.  ``hook_core`` and ``cohook_core`` cache the
-closed form per (symbol, d); the series cores of :mod:`unipotent` have
-their own cache and call the closed form directly.  The move-by-move
-recursion lives in the test suite, which checks confluence on it and that
-the closed forms agree with it row for row.
+its lowest levels.  Both closed forms start from per-row data: a hook
+core's rows are each row's β-set core, from the cache of
+``partitions.beta_core`` (``_hook_rows``); a cohook core's rows come in two
+steps (``_cohook_rows``), each row's chain runners, cached per (row, d,
+row side) in ``_runners``, added, and that runner multiset packed once,
+cached per (runners, d) in ``_packed``.  ``hook_core`` and ``cohook_core``
+cache the core per (symbol, d) and return the symbol itself when nothing
+moves; the series cores of :mod:`unipotent` read the same row data and
+have their own caches.  The move-by-move recursion lives in the test
+suite, which checks confluence on it and that the closed forms and the
+two cohook steps agree with it row for row.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import groupby
 
 from .errors import BoundExceeded
 from .partitions import beta_core, partitions_of, to_beta_set
@@ -156,49 +160,59 @@ def phi(sym: Symbol) -> Symbol:
 
 # ------------------------------------------------------------------- cores
 
-def _hook_rows(sym: Symbol, d: int) -> Symbol:
-    """The d-hook core row by row: a d-hook slides a bead one level down
-    its d-runner within its row, so each row goes to its beta-set core.  A
-    symbol with no move left is its own core and keeps its object."""
-    s, t = beta_core(sym.row_s, d), beta_core(sym.row_t, d)
-    if s == sym.row_s and t == sym.row_t:
-        return sym
-    return _reduced(s, t)
+def _hook_rows(sym: Symbol, d: int) -> tuple:
+    """The d-hook core's rows: a d-hook slides a bead one level down its
+    d-runner within its row, so each row goes to its beta-set core."""
+    return beta_core(sym.row_s, d), beta_core(sym.row_t, d)
 
 
-def _packed_core(sym: Symbol, d: int) -> Symbol:
-    """The d-cohook core: slide every bead to the lowest free level of its
-    runner.  A bead at x = r + k·d in row a lies on runner (r, (a + k) mod
-    2), whose level k sits in row (c + k) mod 2 for runner (r, c), so a
-    d-cohook moves a bead one level down into the other row.  A symbol with
-    no move left is its own core and keeps its object."""
+@functools.lru_cache(maxsize=None)
+def _runners(row: tuple, d: int, side: int) -> tuple:
+    """The d-cohook runner of each bead of one row, sorted with repeats, so
+    a runner's repeats count the row's beads on it and two rows' counts add
+    by merging their tuples.  A bead at x = r + k·d in row ``side`` lies on
+    runner (r, (side + k) mod 2), written 2·r + c, whose level k sits in
+    row (c + k) mod 2 for runner (r, c), so a d-cohook moves a bead one
+    level down into the other row."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    levels: dict = {}  # runner (r, c) as 2·r + c -> beads on it
-    for a, row in ((0, sym.row_s), (1, sym.row_t)):
-        for x in row:
-            k, r = divmod(x, d)
-            runner = 2 * r + (a + k) % 2
-            levels[runner] = levels.get(runner, 0) + 1
+    return tuple(sorted(2 * (x % d) + (side + x // d) % 2 for x in row))
+
+
+@functools.lru_cache(maxsize=None)
+def _packed(runners: tuple, d: int) -> tuple:
+    """The rows of the d-cohook core with beads on these runners: every
+    runner's beads packed onto its lowest levels."""
     rows = ([], [])
-    for runner, n in levels.items():
+    for runner, beads in groupby(runners):
         r, c = divmod(runner, 2)
-        for k in range(n):
+        for k, _ in enumerate(beads):
             rows[(c + k) % 2].append(r + k * d)
-    s, t = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
-    if s == sym.row_s and t == sym.row_t:
+    return tuple(sorted(rows[0])), tuple(sorted(rows[1]))
+
+
+def _cohook_rows(sym: Symbol, d: int) -> tuple:
+    """The d-cohook core's rows: both rows' runner counts, added, packed."""
+    return _packed(tuple(sorted(_runners(sym.row_s, d, 0)
+                                + _runners(sym.row_t, d, 1))), d)
+
+
+def _core(sym: Symbol, rows: tuple) -> Symbol:
+    """The core with these rows; a symbol with no move left is its own core
+    and keeps its object."""
+    if rows == (sym.row_s, sym.row_t):
         return sym
-    return _reduced(s, t)
+    return _reduced(*rows)
 
 
 @functools.lru_cache(maxsize=None)
 def hook_core(sym: Symbol, d: int) -> Symbol:
-    return _hook_rows(sym, d)
+    return _core(sym, _hook_rows(sym, d))
 
 
 @functools.lru_cache(maxsize=None)
 def cohook_core(sym: Symbol, d: int) -> Symbol:
-    return _packed_core(sym, d)
+    return _core(sym, _cohook_rows(sym, d))
 
 
 # ------------------------------------------------------------- enumeration

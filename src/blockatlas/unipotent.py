@@ -29,15 +29,20 @@ cached, so it raises again on the next call.  The label table is built in
 series keeps each block's members in table order; a symbol family's table
 must also have the length of Lusztig's closed form, computed from
 partition counts.  Cores are cached per (payload, d): ``d_core`` per
-(λ, d), and the canonical symbol core per (symbol, d), and equal symbol
-cores are one object, so dict lookups on them stop at identity instead of
-calling ``Symbol.__eq__``.  An odd-d symbol core is built from the cached
-β-set cores of its rows.  A series groups its labels by the value of their
-core and renders each distinct core once.  Each label measures its payload
-once, when it is built.  Validation looks up every label's core again,
-renders and measures each distinct core once more, checks each label's
-stored measure against it, and compares coverage with the frozenset of the
-model's table.  The 1-series also feeds the defect bounds in :mod:`fusion`.
+(λ, d), and the canonical symbol core per (symbol, d) in ``_symbol_core``.
+That core is read from per-row data: for odd d the pair of the rows' β-set
+cores (``partitions.beta_core``), for even d the packed rows of the (d/2)-
+cohook runners (``symbols._packed``).  ``_rows_core`` caches the core per
+pair of rows, so the shift reduction, the choice of row order and the
+interning run once per distinct pair; ``_core_symbol`` interns it per
+canonical rows, so equal symbol cores are one object and dict lookups on
+them stop at identity instead of calling ``Symbol.__eq__``.  A series
+groups its labels by the value of their core and renders each distinct
+core once.  Each label measures its payload once, when it is built.
+Validation looks up every label's core again, renders and measures each
+distinct core once more, checks each label's stored measure against it,
+and compares coverage with the frozenset of the model's table.  The
+1-series also feeds the defect bounds in :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ from .symbols import (
     DEFECT_ODD,
     Symbol,
     _built,
+    _cohook_rows,
     _hook_rows,
-    _packed_core,
+    _reduced,
     enumerate_symbols,
 )
 
@@ -122,13 +128,19 @@ class UnipotentLabel:
 
 @functools.lru_cache(maxsize=None)
 def _symbol_core(sym: Symbol, d: int) -> Symbol:
-    """The canonical d-hook core for odd d, (d/2)-cohook core for even d.
-    Computed by the closed form itself: this cache asks for each (sym, d)
-    once, so the caches of hook_core and cohook_core would only miss."""
+    """The canonical d-hook core for odd d, (d/2)-cohook core for even d,
+    read from the row data of the closed forms: the β-set cores of both
+    rows, or the packing of both rows' cohook runners."""
     if d % 2 == 1:
-        core = _hook_rows(sym, d).canonical()
-    else:
-        core = _packed_core(sym, d // 2).canonical()
+        return _rows_core(*_hook_rows(sym, d))
+    return _rows_core(*_cohook_rows(sym, d // 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _rows_core(row_s: tuple, row_t: tuple) -> Symbol:
+    """The interned canonical core of the symbol with these rows: shift
+    reduction and the choice of row order run once per distinct pair."""
+    core = _reduced(row_s, row_t).canonical()
     return _core_symbol(core.row_s, core.row_t)
 
 

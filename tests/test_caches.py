@@ -33,6 +33,10 @@ def test_helper_covers_every_library_cache():
     # one record per label table and per series, and the series cores
     assert {"_partitions", "d_core", "_symbol_core", "_labels", "_blocks",
             "_core_symbol"} <= names
+    # the per-row data the series cores are read from: β-sets, each row's
+    # cohook runners, their packing, and the core of each pair of rows
+    assert {"to_beta_set", "beta_core", "_runners", "_packed",
+            "_rows_core"} <= names
     # the derived sequence of a root datum; pi1 and kottwitz_target read
     # the interned groups and the coinvariants and fixed-point caches
     assert "derived_and_abelianized" in names
@@ -52,8 +56,8 @@ def test_clear_process_caches_leaves_every_cache_empty(capsys):
 
 
 # hook_core and cohook_core are the closed forms' public caches: the series
-# cores call the closed form directly, so no command reaches them, but the
-# benchmark's tracer names them and keys them by argument
+# cores read the closed forms' row data directly, so no command reaches
+# them, but the benchmark's tracer names them and keys them by argument
 NEVER_HIT_BY_A_COMMAND = {"hook_core", "cohook_core"}
 
 

@@ -704,6 +704,38 @@ def test_dseries_check_bad_token_is_a_parse_error(capsys, token, message):
     assert check(out)["error"] == {"code": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize("tokens", [["1-1000000"], ["1-100000000"],
+                                    ["1-65536", "0"], ["-5", "1-65536"]])
+def test_integer_list_bound_is_checked_before_expanding(capsys, tokens):
+    # a range counts from its endpoints, so a list past the bound fails
+    # at once instead of being built first
+    start = time.perf_counter()
+    code, out = run(capsys, "dseries-check", "--type", "B", "--rank", "2",
+                    "--D", *tokens)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert check(out)["error"] == {
+        "code": "ParseError",
+        "message": f"integer list names more than {cli.MAX_INT_LIST} values"}
+
+
+def test_integer_list_bound_admits_its_limit_and_negatives():
+    assert len(cli._parse_int_list(f"1-{cli.MAX_INT_LIST}")) == cli.MAX_INT_LIST
+    # a leading "-" makes a negative single token, not a range
+    assert cli._parse_int_list("-5, 2-3") == [-5, 2, 3]
+
+
+def test_grid_integer_list_bound_names_its_line(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "command = zsygmondy\nqs = 2\n"
+                              "ds = 3, 1-100000000\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "grid", "--config", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert check(out)["error"]["message"] == \
+        f"line 3: integer list names more than {cli.MAX_INT_LIST} values"
+
+
 def test_defect_bounds_shapes(capsys):
     _, out = run(capsys, "defect-bounds", "--type", "B", "--rank", "1")
     result = check(out)["result"]

@@ -165,6 +165,16 @@ def test_beta_set_length_too_short():
         to_beta_set((2, 1, 1), 2)
 
 
+def test_cached_readers_take_partition_tuples_only():
+    # to_beta_set and d_core are caches keyed on the partition, so a list
+    # is unhashable and raises rather than being copied
+    with pytest.raises(TypeError):
+        to_beta_set([2, 1], 2)
+    with pytest.raises(TypeError):
+        d_core([2, 1], 2)
+    assert to_beta_set((2, 1), 3) is to_beta_set((2, 1), 3)
+
+
 # ---------------------------------------------------------------- d-cores
 
 def test_d_core_frozen():

@@ -21,6 +21,8 @@ from blockatlas.symbols import (
     DEFECT_MOD4_2,
     DEFECT_ODD,
     Symbol,
+    _packed,
+    _runners,
     cohook_core,
     enumerate_symbols,
     hook_core,
@@ -130,6 +132,17 @@ def oracle_moves(rows, d, cohook):
             if x >= d and (x - d) not in t:
                 out.append((s, (t - {x}) | {x - d}))
     return [(frozenset(a), frozenset(b)) for a, b in out]
+
+
+def oracle_cohook_rows(sym, d):
+    """The rows left by removing d-cohooks one at a time, with no shift
+    between moves."""
+    rows = (frozenset(sym.row_s), frozenset(sym.row_t))
+    while True:
+        moves = oracle_moves(rows, d, cohook=True)
+        if not moves:
+            return tuple(sorted(rows[0])), tuple(sorted(rows[1]))
+        rows = moves[0]
 
 
 def oracle_reduce(rows):
@@ -290,6 +303,26 @@ def test_closed_form_cores_equal_move_by_move_cores(n):
                     assert (got.row_s, got.row_t) == (want.row_s, want.row_t), \
                         (core.__name__, x.render(), d)
                     assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cohook_core_steps_equal_move_by_move_rows(n):
+    # cohook_core's two steps: each row's runners, read per (row, d, side)
+    # and added, are the runners of the move-by-move core's rows, since a
+    # cohook keeps a bead on its runner; packing them gives those rows.
+    # Every defect the rank allows occurs, so rows of unequal length too.
+    defects = set()
+    for sym in enumerate_symbols(n, DEFECT_ANY):
+        defects.add(sym.defect)
+        for x in (sym, sym.swap()):
+            for d in range(1, 2 * n + 4):
+                want = oracle_cohook_rows(x, d)
+                runners = tuple(sorted(_runners(x.row_s, d, 0)
+                                       + _runners(x.row_t, d, 1)))
+                assert runners == tuple(sorted(_runners(want[0], d, 0)
+                                               + _runners(want[1], d, 1)))
+                assert _packed(runners, d) == want, (x.render(), d)
+    assert defects == {k for k in range(2 * n + 3) if k * k // 4 <= n}
 
 
 @pytest.mark.parametrize("core", [hook_core, cohook_core])

@@ -12,7 +12,7 @@ from blockatlas.errors import (
     NotSupported,
 )
 from blockatlas.partitions import d_core
-from blockatlas.symbols import Symbol
+from blockatlas.symbols import Symbol, cohook_core, hook_core
 from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
@@ -354,6 +354,18 @@ def test_series_caches_equal_uncached():
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
                             _symbol_core.__wrapped__(lab.payload, d)
+    # the series core, read from per-row data, is the interned canonical
+    # form of the closed-form core: hook_core for odd d, cohook_core at
+    # d/2 for even d
+    for family in ("B", "D", "2D"):
+        for tag in tags(family, 8):
+            for d in range(1, 2 * (tag.rank + 1) + 1):
+                for lab in label_table(tag).labels:
+                    sym = lab.payload
+                    core = (hook_core(sym, d) if d % 2 else
+                            cohook_core(sym, d // 2))
+                    assert _symbol_core(sym, d) is \
+                        _core_symbol(*core.class_key()), (sym.render(), d)
 
 
 def test_equal_symbol_cores_are_one_object(monkeypatch):
