@@ -300,7 +300,9 @@ def parse_grid_config(text: str) -> dict:
         if listed and integer:
             cfg[key] = _parse_int_list(value, lineno)
         elif listed:
-            items = [t.strip() for t in value.split(",") if t.strip()]
+            # repeats dropped, first occurrence kept, as integer lists do
+            items = list(dict.fromkeys(
+                t.strip() for t in value.split(",") if t.strip()))
             if not items:
                 raise ParseError(f"{key} must list at least one item",
                                  line=lineno)

@@ -1,16 +1,16 @@
 """Cross-prime closure of d-series, D-series joins, and defect bounds.
 
 The closure engine merges the d-series partitions for every admissible d
-(those witnessed by an odd good prime not dividing q) with a union-find,
-recording one certificate event per effective merge.  The loop stops once a
-single class remains, because no later series can merge anything: the
-certificate and the admissible map (every witnessed d ≤ d_max) are the same
-as over every d, and every series that is built is still validated.  The
-closure and the D-series join share one merge loop, which reads each series
-as the process-wide tuples of member renders from :mod:`unipotent`, and
-each type's label renders and degenerate flag from its label table, so C
-and 2A read those of B and A; the defect bounds read the validated
-1-series.
+(those witnessed by an odd good prime not dividing q) in a union-find, a
+plain ``parent`` dict, recording one certificate event per effective merge.
+The loop stops once a single class remains, because no later series can
+merge anything: the certificate and the admissible map (every witnessed
+d ≤ d_max) are the same as over every d, and every series that is built is
+still validated.  The closure and the D-series join share one merge loop
+and one label source, which reads each series as the process-wide tuples
+of member renders from :mod:`unipotent`, and each type's label renders and
+degenerate flag from its label table, so C and 2A read those of B and A;
+the defect bounds read the validated 1-series.
 Certificates are replayed event by event; the witness of each distinct
 (d, ℓ) is checked once.  Processing order is fixed — d ascending, blocks by
 key, members in label order — so certificates are byte-reproducible.  A
@@ -21,6 +21,7 @@ a refutation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
@@ -29,43 +30,34 @@ from .partitions import staircase_parameter
 from .unipotent import d_series, label_table, series_core, series_renders
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _find(parent: dict, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _roots(parent: dict, items) -> list:
+    """The root of each item; one at most one step below its root is read
+    without the call."""
+    out = []
+    for x in items:
+        top = parent[x]
+        if parent[top] != top:
+            top = _find(parent, x)
+        out.append(top)
+    return out
 
-    def roots(self, items) -> list:
-        """find of each item; an item at most one step below its root is
-        read without the call."""
-        parent, find, out = self.parent, self.find, []
-        for x in items:
-            top = parent[x]
-            if parent[top] != top:
-                top = find(x)
-            out.append(top)
-        return out
 
-    def classes(self, order) -> tuple:
-        by_root: dict = {}
-        for x, root in zip(order, self.roots(order)):
-            by_root.setdefault(root, []).append(x)
-        return tuple(tuple(members) for members in
-                     sorted(by_root.values(), key=lambda ms: ms[0]))
+def _classes(parent: dict, order) -> tuple:
+    """The classes of ``order``, members in its order, by first member."""
+    by_root: dict = {}
+    for x, root in zip(order, _roots(parent, order)):
+        by_root.setdefault(root, []).append(x)
+    return tuple(tuple(members) for members in
+                 sorted(by_root.values(), key=lambda ms: ms[0]))
 
 
 class MergeEvent(NamedTuple):
@@ -102,70 +94,66 @@ class FusionResult(NamedTuple):
                 raise InvariantViolation(f"witness {ev.ell} fails hypotheses")
             if self.q.q % ev.ell == 0 or mult_order(self.q.q, ev.ell) != ev.d:
                 raise InvariantViolation(f"witness {ev.ell} has wrong order")
-        labels = [lab for cls in self.classes for lab in cls]
-        uf = _UnionFind(labels)
+        parent = {lab: lab for cls in self.classes for lab in cls}
         for ev in self.certificate:
-            if not uf.union(ev.label_a, ev.label_b):
+            root_a = _find(parent, ev.label_a)
+            root_b = _find(parent, ev.label_b)
+            if root_a == root_b:
                 raise InvariantViolation(f"event {ev} merges nothing")
+            parent[root_b] = root_a
         # the replayed classes are the stated ones when each stated class
         # lies in one replayed class and no two share one: the stated
         # classes hold every label the union-find holds
         seen: set = set()
         for cls in self.classes:
-            roots = set(uf.roots(cls))
+            roots = set(_roots(parent, cls))
             if len(roots) != 1 or roots & seen:
                 raise InvariantViolation(
                     "certificate replay does not reproduce classes")
             seen |= roots
 
 
-class _SeriesJoin:
-    """A type's label renders and the union of its d-series.  Built before
-    the caller computes its d values, so label-set errors come first."""
+def _labels(group_type: GroupTypeTag, plugin, needs: str) -> tuple:
+    """(label renders, degenerate flag, d -> the d-series' member-render
+    blocks) of a type.  Read before the caller computes its d values, so
+    label-set errors come first."""
+    if group_type.is_classical:
+        table = label_table(group_type)
+        return (table.renders, table.degenerate,
+                partial(series_renders, group_type))
+    if plugin is None:
+        raise NotSupported(
+            f"family {group_type.family} needs plugin data for {needs}")
+    family = group_type.family
+    return (plugin.labels(family), False,
+            lambda d: [members for _key, members
+                       in plugin.series_blocks(family, d)])
 
-    def __init__(self, group_type: GroupTypeTag, plugin, needs: str):
-        if group_type.is_classical:
-            table = label_table(group_type)
-            self.names, self.degenerate = table.renders, table.degenerate
-        elif plugin is None:
-            raise NotSupported(
-                f"family {group_type.family} needs plugin data for {needs}")
-        else:
-            self.names, self.degenerate = plugin.labels(group_type.family), False
-        self.group_type, self.plugin = group_type, plugin
-        self.uf = _UnionFind(self.names)
 
-    def merge(self, ds) -> list[tuple]:
-        """Union each d-series, d ascending, blocks by key, every member onto
-        its block's first; returns the effective merges (a, b, d).  Stops
-        before the next d once one class is left: no later series can merge
-        anything, so the merges returned are the same as over every d."""
-        gt, merges = self.group_type, []
-        find, parent = self.uf.find, self.uf.parent
-        single = len(parent) - 1
-        for d in sorted(ds):
-            if len(merges) == single:
-                break
-            if gt.is_classical:
-                blocks = series_renders(gt, d)
-            else:
-                blocks = [members for _key, members
-                          in self.plugin.series_blocks(gt.family, d)]
-            for block in blocks:
-                # the anchor's root stays the root of every class merged
-                # into it, as union(anchor, other) would keep it
-                anchor = block[0]
-                root = find(anchor)
-                for other in block[1:]:
-                    # find(other), read without the call when other is at
-                    # most one step below its root, as roots() does
-                    other_root = parent[other]
-                    if parent[other_root] != other_root:
-                        other_root = find(other)
-                    if other_root != root:
-                        parent[other_root] = root
-                        merges.append((anchor, other, d))
-        return merges
+def _merge(names, series, ds) -> tuple:
+    """Union each d-series, d ascending, blocks by key, every member onto
+    its block's first; returns the parent dict and the effective merges
+    (a, b, d).  Stops before the next d once one class is left: no later
+    series can merge anything, so the merges are the same as over every d."""
+    parent = {x: x for x in names}
+    merges: list = []
+    single = len(parent) - 1
+    for d in sorted(ds):
+        if len(merges) == single:
+            break
+        for block in series(d):
+            # the anchor's root stays the root of every class merged into it
+            anchor = block[0]
+            root = _find(parent, anchor)
+            for other in block[1:]:
+                # other's root, read as _roots reads it
+                other_root = parent[other]
+                if parent[other_root] != other_root:
+                    other_root = _find(parent, other)
+                if other_root != root:
+                    parent[other_root] = root
+                    merges.append((anchor, other, d))
+    return parent, merges
 
 
 def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
@@ -175,16 +163,16 @@ def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
         d_max = 2 * (group_type.rank + 1)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    join = _SeriesJoin(group_type, plugin, "fusion")
+    names, degenerate, series = _labels(group_type, plugin, "fusion")
     witnesses = admissible_d(group_type, q, d_max)
-    events = tuple(MergeEvent(a, b, d, witnesses[d])
-                   for a, b, d in join.merge(witnesses))
-    classes = join.uf.classes(join.names)
+    parent, merges = _merge(names, series, witnesses)
+    events = tuple(MergeEvent(a, b, d, witnesses[d]) for a, b, d in merges)
+    classes = _classes(parent, names)
     result = FusionResult(
         group_type=group_type, q=q, d_max=d_max, admissible=witnesses,
         classes=classes, certificate=events,
         verdict="single_class" if len(classes) == 1 else "inconclusive",
-        touches_degenerate=join.degenerate,
+        touches_degenerate=degenerate,
         plugin_type=None if group_type.is_classical else group_type.family)
     result.validate()
     return result
@@ -205,9 +193,9 @@ def is_single_D_series(group_type: GroupTypeTag, D, plugin=None) -> DSeriesJoin:
     ds = tuple(sorted(set(int(d) for d in D)))
     if not ds or any(d < 1 for d in ds):
         raise ValueError("D must be a non-empty set of positive integers")
-    join = _SeriesJoin(group_type, plugin, "D-series checks")
-    join.merge(ds)
-    classes = join.uf.classes(join.names)
+    names, _degenerate, series = _labels(group_type, plugin,
+                                         "D-series checks")
+    classes = _classes(_merge(names, series, ds)[0], names)
     return DSeriesJoin(group_type, ds, len(classes) == 1, classes)
 
 

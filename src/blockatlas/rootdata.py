@@ -126,6 +126,9 @@ class RootDatumWithAction:
         labels = [label for label, _ in self.galois]
         if len(set(labels)) != len(labels):
             raise InvalidDatum("duplicate operator label")
+        for kind, named in (("inertia", self.inertia), ("wild", self.wild)):
+            if len(set(named)) != len(named):
+                raise InvalidDatum(f"duplicate {kind} label")
         known = set(labels)
         for label in self.inertia:
             if label not in known:

@@ -835,6 +835,23 @@ qs = 2, 4
                for j in result["jobs"])
 
 
+@pytest.mark.parametrize("body,config,keys", [
+    ("command = fusion\nfamilies = B, A, B, A\nranks = 1\nqs = 2, 2\n",
+     {"families": ["B", "A"], "qs": [2]}, [{"family": "B", "rank": 1, "q": 2},
+                                          {"family": "A", "rank": 1, "q": 2}]),
+    ("command = pi1\ndata = catalog:sl2_split, catalog:sl2_split\n"
+     "primes = 2\n", {"data": ["catalog:sl2_split"]},
+     [{"datum": "catalog:sl2_split", "p": 2}]),
+], ids=["families", "data"])
+def test_grid_string_list_drops_repeats(capsys, tmp_path, body, config, keys):
+    # first occurrence kept, as integer lists drop their repeats
+    code, out = run(capsys, "grid", "--config", write_cfg(tmp_path, body))
+    result = check(out)["result"]
+    assert code == 0
+    assert result["config"].items() >= config.items()
+    assert [job["key"] for job in result["jobs"]] == keys
+
+
 def test_grid_rerun_byte_identical(capsys, tmp_path):
     cfg = write_cfg(tmp_path,
                     "command = zsygmondy\nqs = 2-4\nds = 3-5\n")

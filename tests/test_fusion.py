@@ -11,7 +11,6 @@ from blockatlas.errors import BoundExceeded, InvariantViolation, NotSupported
 from blockatlas.fusion import (
     FusionResult,
     MergeEvent,
-    _UnionFind,
     defect_bound_report,
     derived_inequality_check,
     fusion_closure,
@@ -128,14 +127,21 @@ def test_series_after_one_class_merge_nothing(family):
             res = fusion_closure(tag, q)
             witnesses = admissible_d(tag, q, 2 * (rank + 1))
             assert res.admissible == witnesses
-            uf, merges = _UnionFind(names), []
+            # a union-find of its own: each label's class as a shared list
+            cls, merges = {name: [name] for name in names}, []
             for d in sorted(witnesses):
                 for _key, members in d_series(tag, d).blocks:
                     anchor, *others = [lab.render() for lab in members]
                     for other in others:
-                        if uf.union(anchor, other):
+                        if cls[other] is not cls[anchor]:
+                            cls[anchor].extend(cls[other])
+                            for name in cls[other]:
+                                cls[name] = cls[anchor]
                             merges.append((anchor, other, d))
-            assert uf.classes(names) == res.classes, (tag, qv)
+            classes = {id(c): c for c in cls.values()}.values()
+            order = {name: i for i, name in enumerate(names)}
+            assert sorted(tuple(sorted(c, key=order.get)) for c in classes) \
+                == list(res.classes), (tag, qv)
             assert merges == [(ev.label_a, ev.label_b, ev.d)
                               for ev in res.certificate], (tag, qv)
 
@@ -170,17 +176,18 @@ def test_validate_rejects_tampering():
 
     dropped = FusionResult(res.group_type, res.q, res.d_max, res.admissible,
                            res.classes, res.certificate[:-1], res.verdict)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="does not reproduce"):
         dropped.validate()
 
+    # both labels already sit in the class of ({0,1},{2}) after d = 2
     extra = res.certificate + (MergeEvent("({2},{})", "({0,2},{1})", 2, 3),)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="merges nothing"):
         FusionResult(res.group_type, res.q, res.d_max, res.admissible,
                      res.classes, extra, res.verdict).validate()
 
     forged = tuple(MergeEvent(e.label_a, e.label_b, e.d, 11)
                    for e in res.certificate)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="not backed"):
         FusionResult(res.group_type, res.q, res.d_max, res.admissible,
                      res.classes, forged, res.verdict).validate()
 
@@ -215,6 +222,30 @@ def test_validate_rejects_a_split_class():
     split = (("(3)",), ("(2,1)", "(1,1,1)"))
     with pytest.raises(InvariantViolation, match="does not reproduce"):
         res._replace(classes=split).validate()
+
+
+@pytest.mark.parametrize("family,rank,qv,d,ell", [
+    ("A", 1, 3, 1, 2),    # even, though A has no bad prime
+    ("B", 2, 3, 1, 2),    # even and bad
+    ("D", 3, 5, 1, 2),
+    ("G2", 2, 2, 2, 3),   # odd and bad: 3 is bad for G2
+], ids=["A-even", "B-even", "D-even", "G2-bad"])
+def test_validate_rejects_a_witness_that_fails_hypotheses(family, rank, qv,
+                                                           d, ell):
+    """One event joining the first two labels, backed by a witness of the
+    right order prime to q: only the hypothesis check rejects it."""
+    tag, q = GroupTypeTag(family, rank), PrimePower.from_q(qv)
+    plugin = _FakePlugin() if family == "G2" else None
+    names = (plugin.labels(family) if plugin
+             else [lab.render() for lab in enumerate_labels(tag)])
+    assert arith.mult_order(qv, ell) == d and qv % ell != 0
+    res = fusion_closure(tag, q, plugin=plugin)
+    forged = res._replace(
+        admissible={d: ell},
+        classes=((names[0], names[1]),) + tuple((n,) for n in names[2:]),
+        certificate=(MergeEvent(names[0], names[1], d, ell),))
+    with pytest.raises(InvariantViolation, match="fails hypotheses"):
+        forged.validate()
 
 
 def test_exceptional_family_needs_plugin():

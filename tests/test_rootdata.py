@@ -164,6 +164,12 @@ def test_label_bookkeeping():
     with pytest.raises(InvalidDatum, match="not declared"):
         RootDatumWithAction(1, galois=(("F", eye),), inertia=("s",),
                             frobenius="F")
+    with pytest.raises(InvalidDatum, match="duplicate inertia label"):
+        RootDatumWithAction(1, galois=(("s", eye), ("F", eye)),
+                            inertia=("s", "s"), frobenius="F")
+    with pytest.raises(InvalidDatum, match="duplicate wild label"):
+        RootDatumWithAction(1, galois=(("s", eye), ("F", eye)),
+                            inertia=("s",), wild=("s", "s"), frobenius="F")
 
 
 def test_operators_must_be_unimodular():
