@@ -35,6 +35,11 @@ zero kernel.  Each result spans the same lattices K and L as the general
 path's, possibly on another basis, so every invariant and every report is
 unchanged.
 
+``smith_normal_form`` does not reduce its transforms, and the bases read
+from U and V feed the next factorization, so on some conjugated data the
+entries grow without end; past ``MAX_SNF_BITS`` bits in its input or in U,
+S or V it raises BoundExceeded, so the datum commands fail fast there.
+
 The public ``IntMatrix`` constructor validates its input: it converts every
 entry with ``int()`` and rejects ragged rows.  Matrices that this module
 computes from other matrices (products, sums, stacks, transposes, the Smith
@@ -49,7 +54,10 @@ from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from .arith import is_prime
-from .errors import IncompatibleAction, NotAutomorphism, NotFinite
+from .errors import (BoundExceeded, IncompatibleAction, NotAutomorphism,
+                     NotFinite)
+
+MAX_SNF_BITS = 4096  # per entry of an SNF's input and factors; no option moves it
 
 
 class IntMatrix:
@@ -204,12 +212,14 @@ def smith_normal_form(M: IntMatrix) -> tuple:
     """(U, S, V) with U @ M @ V = S diagonal, d_1 | d_2 | ..., d_i > 0.
 
     U and V are unimodular.  Pivot choice is (|value|, row, col)-minimal,
-    making the whole decomposition deterministic.
+    making the whole decomposition deterministic.  An entry of M, U, S or V
+    past ``MAX_SNF_BITS`` bits raises BoundExceeded.
     """
     r, c = M.rows, M.cols
     one = IntMatrix.identity(r)
     if M == one:
         return one, M, one
+    _check_bits(M.entries, r, c)
     A = [list(row) for row in M.entries]
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
@@ -276,9 +286,17 @@ def smith_normal_form(M: IntMatrix) -> tuple:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
+    _check_bits(U + A + V, r, c)
     return (IntMatrix._of(tuple(map(tuple, U)), r, r),
             IntMatrix._of(tuple(map(tuple, A)), r, c),
             IntMatrix._of(tuple(map(tuple, V)), c, c))
+
+
+def _check_bits(rows, r: int, c: int) -> None:
+    limit = 1 << MAX_SNF_BITS
+    if not all(-limit < min(row) and max(row) < limit for row in rows if row):
+        raise BoundExceeded(f"Smith normal form of a {r}x{c} matrix: an "
+                            f"entry exceeds {MAX_SNF_BITS} bits")
 
 
 def _snf_diagonal(S: IntMatrix) -> list:

@@ -24,7 +24,9 @@ prime out of ℓ − 1 while the quotient is still a multiple of the order, so
 it never walks the divisors of ℓ − 1.  ``admissible_d``
 excludes 2 and the family's bad primes, so the six classical families share
 one witness search per (q, d) with each other and with ``zsygmondy``, which
-excludes only 2.
+excludes only 2; it builds one map per (q, d_max, excluded primes), so the
+six families share one map per (q, d_max) too, and hands each caller its
+own copy.
 """
 
 from __future__ import annotations
@@ -345,7 +347,13 @@ def primitive_prime(q: int, d: int,
 def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[int, int]:
     """Map d -> smallest witnessing odd good prime, for 1 <= d <= d_max.
 
-    A q**d_max past the power cap raises BoundExceeded before any search."""
+    A q**d_max past the power cap raises BoundExceeded before any search.
+    Each call gets its own dict."""
+    return dict(_admissible(q.q, d_max, _BAD_PRIMES[group_type.family] | {2}))
+
+
+@functools.lru_cache(maxsize=None)
+def _admissible(q: int, d_max: int, excluded: frozenset) -> dict[int, int]:
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     # q >= 2, so q**d > _POWER_LIMIT for every d past this one
@@ -355,11 +363,10 @@ def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[in
                             f"d > {limit} exceeds the supported range")
     # fail before any search, at the first d whose power the search rejects
     for d in range(1, d_max + 1):
-        checked_power(q.q, d)
-    excluded = _BAD_PRIMES[group_type.family] | {2}
+        checked_power(q, d)
     out: dict[int, int] = {}
     for d in range(1, d_max + 1):
-        ell = primitive_prime(q.q, d, excluded)
+        ell = primitive_prime(q, d, excluded)
         if ell is not None:
             out[d] = ell
     return out

@@ -32,15 +32,17 @@ add ``partitions``, ``symbols`` and ``unipotent``; ``fusion``,
 with a plugin); ``pi1`` adds ``abelian`` and ``rootdata``, the datum checks
 also ``langlands``; ``grid`` runs those of its configured command.
 
-Which parser an argv builds: see ``build_parser``.  How ``main`` treats
-the garbage collector as a library call and as the program: see ``main``.
+Which parser an argv builds: see ``build_parser``.  How ``main`` ends as
+a library call and as the program: see ``main``.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import itertools
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -409,11 +411,13 @@ def _emit(doc: dict, pretty: bool) -> None:
     (``python -u``), stdout's text layer sits on a raw file whose write can
     return short, e.g. when a stop signal interrupts a write blocked on a
     full pipe, and the text layer drops the rest; so the bytes go to the
-    binary layer until all are taken.  A text-only stream gets one write."""
+    binary layer until all are taken.  A text-only stream gets one write.
+    A report is a tree, so the encoder skips its circular-reference check."""
     if pretty:
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = json.dumps(doc, sort_keys=True, indent=2, check_circular=False)
     else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
     out = sys.stdout
     binary = getattr(out, "buffer", None)
     if binary is None:
@@ -512,23 +516,28 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code.
+    """Run one command; ``main(argv)`` returns its exit code.
 
-    ``main(argv)`` is a library call and leaves the garbage collector alone,
-    so tests and tracers keep a live one.  ``main()`` is the program
-    (``sys.exit(main())``): it reads ``sys.argv``, disables the collector
-    for the command and, however the command ends, freezes it, so the
-    collections of interpreter shutdown skip every object still alive;
-    atexit callbacks still run and stdio is still flushed.  Either mode
-    builds one subparser when the argv starts with a subcommand and the
-    full parser otherwise (see ``build_parser``)."""
+    ``main(argv)`` is a library call: it leaves the garbage collector alone
+    and returns, so tests and tracers keep a live collector and their
+    process.  ``main()`` is the program (``sys.exit(main())``): it reads
+    ``sys.argv`` and runs the command with the collector disabled.  Once the
+    report is written (``_emit`` flushes it) it does what interpreter
+    shutdown would do for the program, in its order: run the atexit
+    callbacks, then flush stdout and stderr.  Then it ends the process with
+    ``os._exit`` and the exit code, so it never returns and no module or
+    object is torn down.  An exception that escapes the command,
+    ``--help``'s ``SystemExit`` included, leaves the normal way.  Either
+    mode builds one subparser when the argv starts with a subcommand and
+    the full parser otherwise (see ``build_parser``)."""
     if argv is not None:
         return _run(list(argv))
     gc.disable()
-    try:
-        return _run(sys.argv[1:])
-    finally:
-        gc.freeze()
+    code = _run(sys.argv[1:])
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 def _run(argv: list) -> int:

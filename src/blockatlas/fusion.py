@@ -11,6 +11,11 @@ and one label source, which reads each series as the process-wide tuples
 of member renders from :mod:`unipotent`, and each type's label renders and
 degenerate flag from its label table, so C and 2A read those of B and A;
 the defect bounds read the validated 1-series.
+C_n has the labels and d-series of B_n (``unipotent._model``) and the same
+bad primes, so its closure is B_n's: ``fusion_closure`` keeps one validated
+B_n result per (rank, q, d_max), the default d_max resolved first, and
+hands B_n and C_n each a copy with its own type, so a process closes the
+pair once.
 Certificates are replayed event by event; the witness of each distinct
 (d, ℓ) is checked once.  Processing order is fixed — d ascending, blocks by
 key, members in label order — so certificates are byte-reproducible.  A
@@ -21,7 +26,7 @@ a refutation.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
@@ -158,11 +163,28 @@ def _merge(names, series, ds) -> tuple:
 
 def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
                    d_max: Optional[int] = None, plugin=None) -> FusionResult:
-    """Union-find closure of the d-series over all admissible d ≤ d_max."""
+    """Union-find closure of the d-series over all admissible d ≤ d_max.
+
+    B_n and C_n read one cached B_n result; each call gets its own
+    admissible dict."""
     if d_max is None:
         d_max = 2 * (group_type.rank + 1)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
+    if group_type.family not in ("B", "C"):
+        return _closure(group_type, q, d_max, plugin)
+    result = _b_closure(group_type.rank, q, d_max)
+    return result._replace(group_type=group_type,
+                           admissible=dict(result.admissible))
+
+
+@lru_cache(maxsize=None)
+def _b_closure(rank: int, q: PrimePower, d_max: int) -> FusionResult:
+    return _closure(GroupTypeTag("B", rank), q, d_max, None)
+
+
+def _closure(group_type: GroupTypeTag, q: PrimePower, d_max: int,
+             plugin) -> FusionResult:
     names, degenerate, series = _labels(group_type, plugin, "fusion")
     witnesses = admissible_d(group_type, q, d_max)
     parent, merges = _merge(names, series, witnesses)

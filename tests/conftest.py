@@ -105,6 +105,37 @@ def catalog_sum(names):
                                frobenius="F")
 
 
+def conjugated_permutation_datum(n: int, seed: int) -> dict:
+    """The datum file of a rank-n torus whose operators are block-cycle
+    permutations conjugated by a seeded unimodular U: U is 5n row
+    operations row i += c·row j on the identity, (i, j) from
+    ``rng.sample(range(n), 2)`` and c from ``rng.randint(-3, 3)``; inertia
+    = wild = ⟨s⟩ with s = U·P₄·U⁻¹, Frobenius F = U·P₂·U⁻¹, where P_k
+    cycles each run of k consecutive coordinates and fixes the rest.  It is
+    isomorphic to the permutation datum, but the SNF transforms of its
+    lattices grow with n."""
+    rng = random.Random(seed)
+    u, u_inv = _eye(n), _eye(n)
+    for _ in range(5 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:       # the inverse: column j -= c·column i
+            row[j] -= c * row[i]
+
+    def conjugated(k):
+        blocks = [_permutation_block(k)] * (n // k) + [[[1]]] * (n % k)
+        middle = _block_diag(blocks)
+        return [[sum(u[i][a] * middle[a][b] * u_inv[b][j]
+                     for a in range(n) for b in range(n) if middle[a][b])
+                 for j in range(n)] for i in range(n)]
+
+    return {"rank": n, "coroots": [], "roots": [],
+            "galois": [{"label": "s", "matrix": conjugated(4)},
+                       {"label": "F", "matrix": conjugated(2)}],
+            "inertia": ["s"], "wild": ["s"], "frobenius": "F"}
+
+
 def seeded_catalog_sums(seed: int, count: int = 6) -> list:
     """count sums of 2-4 catalog entries each, at most one of them wild,
     of total rank 3-8."""

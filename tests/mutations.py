@@ -1,7 +1,7 @@
 """Mutation kill list: each entry breaks the library on purpose, and the
 tier-1 tests it names must fail.
 
-Run from the repository root (about 3 s; not collected by pytest, since
+Run from the repository root (about 7 s; not collected by pytest, since
 the name does not start with ``test_``)::
 
     python3 tests/mutations.py
@@ -40,6 +40,33 @@ MUTATIONS = [
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
      ["tests/test_arith.py::test_is_prime_is_deterministic_up_to_its_bound"]),
+    ("p_torsion divides out one p, not the p-part", "abelian.py",
+     "            while v % p == 0:\n                v //= p",
+     "            if v % p == 0:\n                v //= p",
+     ["tests/test_abelian.py::test_subquotient_and_p_torsion",
+      "tests/test_abelian.py::test_functors_match_element_oracle"]),
+    ("coinvariants drop the first operator's relations", "abelian.py",
+     "    for g in gens:\n        rel = rel.hstack(",
+     "    for g in gens[1:]:\n        rel = rel.hstack(",
+     ["tests/test_abelian.py::test_coinvariants_frozen",
+      "tests/test_abelian.py::test_functors_match_element_oracle"]),
+    ("SubquotientMap.injective always true", "abelian.py",
+     "    def injective(self) -> bool:\n        if self.source.is_trivial:",
+     "    def injective(self) -> bool:\n        if True:",
+     ["tests/test_abelian.py::test_injective_and_kernel_on_nonzero_sources",
+      "tests/test_abelian.py::test_subquotient_maps_match_the_element_oracle"]),
+    ("SNF pivot sign flipped", "abelian.py",
+     "        if p < 0:\n            A[t] = [-x for x in A[t]]",
+     "        if p > 0:\n            A[t] = [-x for x in A[t]]",
+     ["tests/test_abelian.py::test_snf_frozen_diag_4_6",
+      "tests/test_abelian.py::test_snf_roundtrip_random"]),
+    ("C served from the closure of D, not of its model B", "fusion.py",
+     "result = _b_closure(group_type.rank, q, d_max)",
+     "result = (_b_closure(group_type.rank, q, d_max)\n"
+     "              if group_type.family == \"B\" else\n"
+     "              _closure(GroupTypeTag(\"D\", group_type.rank), q, d_max,\n"
+     "                       None))",
+     ["tests/test_fusion.py::test_c_reports_are_b_reports_but_for_the_type"]),
 ]
 
 KILLS = ("AssertionError", "InvariantViolation", "DID NOT RAISE")

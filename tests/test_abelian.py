@@ -23,7 +23,8 @@ from blockatlas.abelian import (
     smith_normal_form,
     solve_in_lattice,
 )
-from blockatlas.errors import IncompatibleAction, NotAutomorphism, NotFinite
+from blockatlas.errors import (BoundExceeded, IncompatibleAction,
+                               NotAutomorphism, NotFinite)
 
 
 # --------------------------------------------------------------- oracles
@@ -201,6 +202,19 @@ def test_snf_empty_shapes():
         u, s, v = smith_normal_form(m)
         assert (s.rows, s.cols) == shape
         assert u @ m @ v == s
+
+
+def test_snf_rejects_entries_past_the_bit_bound():
+    # every entry of the input and of U, S and V has at most MAX_SNF_BITS
+    # bits; the input is checked before any elimination
+    limit = 2 ** abelian.MAX_SNF_BITS
+    for entry in (limit - 1, 1 - limit):
+        _u, s, _v = smith_normal_form(IntMatrix([[entry, 0], [0, 1]]))
+        assert s == IntMatrix([[1, 0], [0, limit - 1]])
+    for entries in ([[limit]], [[-limit]], [[1, 0], [0, limit]]):
+        with pytest.raises(BoundExceeded, match=f"exceeds "
+                           f"{abelian.MAX_SNF_BITS} bits$"):
+            smith_normal_form(IntMatrix(entries))
 
 
 # ------------------------------------- internal results vs the public path

@@ -427,16 +427,37 @@ def test_admissible_d_matches_brute_force_filter(family):
 
 
 def test_classical_families_share_one_witness_search_per_d():
-    # a work counter: the cache key is the question, not the group type, so
-    # all six families at all ranks search once per distinct d
+    # work counters: the cache keys are the question, not the group type, so
+    # all six families at all ranks search once per distinct d and build
+    # one admissible map per distinct (q, d_max)
     q = PrimePower.from_q(4)
     primitive_prime.cache_clear()
-    ds = set()
+    arith._admissible.cache_clear()
+    ds, d_maxes, calls = set(), set(), 0
     for family in CLASSICAL_FAMILIES:
         for rank in range(2 if family in ("D", "2D") else 1, 9):
             d_max = 2 * (rank + 1)   # the fusion closure's default
             admissible_d(GroupTypeTag(family, rank), q, d_max)
             ds.update(range(1, d_max + 1))
+            d_maxes.add(d_max)
+            calls += 1
     info = primitive_prime.cache_info()
     assert info.misses == len(ds) == 18, info
-    assert info.hits > 10 * info.misses, info
+    maps = arith._admissible.cache_info()
+    assert maps.misses == len(d_maxes) == 8, maps
+    assert maps.hits == calls - maps.misses, maps
+
+
+def test_admissible_maps_are_equal_but_independent():
+    # the six classical families exclude the same primes, so they read one
+    # map; each caller gets its own dict, which it may change freely
+    q = PrimePower.from_q(4)
+    maps = [admissible_d(GroupTypeTag(family, 3), q, 8)
+            for family in CLASSICAL_FAMILIES]
+    expected = {1: 3, 2: 5, 3: 7, 4: 17, 5: 11, 6: 13, 7: 43, 8: 257}
+    assert maps == [expected] * 6
+    assert len({id(m) for m in maps}) == 6
+    for family, mine in zip(CLASSICAL_FAMILIES, maps):
+        mine[1] = 99
+        del mine[2]
+        assert admissible_d(GroupTypeTag(family, 3), q, 8) == expected

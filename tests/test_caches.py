@@ -41,6 +41,9 @@ def test_helper_covers_every_library_cache():
     # the interned groups and the coinvariants and fixed-point caches
     assert "derived_and_abelianized" in names
     assert not {"pi1", "kottwitz_target"} & names
+    # one admissible map per (q, d_max, excluded primes), and one B_n
+    # closure per (rank, q, d_max), which C_n reads too
+    assert {"_admissible", "_b_closure"} <= names
 
 
 def test_clear_process_caches_leaves_every_cache_empty(capsys):

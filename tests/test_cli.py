@@ -18,7 +18,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from conftest import clear_process_caches, datum_to_dict
+from conftest import (clear_process_caches, conjugated_permutation_datum,
+                      datum_to_dict)
 from jsonschema import Draft202012Validator
 
 import blockatlas
@@ -475,10 +476,11 @@ def test_parser_built_for_each_argv(capsys, monkeypatch, argv):
 
 # The console script's body.  The invoked command's handler (or, with
 # BROKEN=1, _synthetic_defect in its place) first writes whether the
-# collector is enabled to stderr; once main() has returned, the frozen
-# object count follows.
-_FREEZE_PROBE = (
-    "import gc, os, sys\n"
+# collector is enabled to stderr.  An atexit callback writes a last line to
+# stdout, so it must run, and after the whole report; a main() that returns
+# writes "returned" to stderr.
+_PROGRAM_PROBE = (
+    "import atexit, gc, os, sys\n"
     "from blockatlas import cli\n"
     "from blockatlas.errors import InvariantViolation\n"
     "def broken(args):\n"
@@ -490,8 +492,9 @@ _FREEZE_PROBE = (
     "    sys.stderr.write(f'{gc.isenabled()} ')\n"
     "    return handler(args)\n"
     "cli._COMMANDS[command] = (probe, *parser_spec)\n"
+    "atexit.register(sys.stdout.write, 'atexit ran\\n')\n"
     "code = cli.main()\n"
-    "sys.stderr.write(str(gc.get_freeze_count()))\n"
+    "sys.stderr.write('returned')\n"
     "sys.exit(code)\n")
 
 _EXIT_CASES = [
@@ -506,21 +509,23 @@ _EXIT_CASES = [
                          ids=["ok", "invariant", "usage", "parse"])
 def test_program_mode_freezes_the_collector(capsys, monkeypatch, argv, broken,
                                             code):
-    # main() returns the library call's exit code and bytes; the command
-    # runs with the collector off, and once it ends every live object is
-    # frozen, so interpreter shutdown skips tracing them
+    # main() runs the command with the collector off, runs the atexit
+    # callbacks once the report is out and exits with the library call's
+    # exit code, without returning and without interpreter teardown; the
+    # report bytes are the library call's
     env = fresh_env(BROKEN="1") if broken else fresh_env()
-    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", _PROGRAM_PROBE, *argv],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == code, proc.stderr
-    *enabled, frozen = proc.stderr.decode().split()
+    report, _, tail = proc.stdout.decode().partition("\n")
+    assert tail == "atexit ran\n"
     # a usage error ends before any handler runs
-    usage = check(proc.stdout.decode()).get("error", {}).get("code")
-    assert enabled == ([] if usage == "UsageError" else ["False"])
-    assert int(frozen) > 0
+    usage = check(report).get("error", {}).get("code")
+    assert proc.stderr.decode().split() == (
+        [] if usage == "UsageError" else ["False"])
     if broken:
         _break_zsygmondy(monkeypatch)
-    assert run(capsys, *argv) == (code, proc.stdout.decode())
+    assert run(capsys, *argv) == (code, report + "\n")
 
 
 def test_library_mode_leaves_the_collector_alone(capsys, monkeypatch):
@@ -585,6 +590,39 @@ def test_datum_file_rank_far_above_its_operators_fails_fast(tmp_path):
     assert check(proc.stdout)["error"] == {
         "code": "InvalidDatum",
         "message": "operator 'F' is not 1000000000000x1000000000000"}
+
+
+def test_datum_past_the_snf_bound_fails_fast(capsys, tmp_path):
+    # at rank 16, seed 1 the unreduced SNF transforms carry entries of
+    # hundreds of thousands of bits into later factorizations, and
+    # bijection and cornqs ran past 60 s; past MAX_SNF_BITS each datum
+    # command exits 2 within 5 s, in a fresh interpreter
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(conjugated_permutation_datum(16, 1)),
+                    encoding="utf-8")
+    error = {"code": "BoundExceeded",
+             "message": f"Smith normal form of a 16x16 matrix: an entry "
+                        f"exceeds {abelian.MAX_SNF_BITS} bits"}
+    for command in ("bijection", "cornqs", "components"):
+        proc = subprocess.run([sys.executable, "-c", _ENTRY, command,
+                               "--datum", str(path), "--p", "2"],
+                              capture_output=True, text=True,
+                              env=fresh_env(), timeout=5)
+        assert proc.returncode == 2, proc.stderr
+        assert check(proc.stdout)["error"] == error
+    # per cell in a grid
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"command = cornqs\ndata = {path}, catalog:sl2_split\n"
+                      f"primes = 2\n", encoding="utf-8")
+    code, out = run(capsys, "grid", "--config", str(config))
+    jobs = check(out)["result"]["jobs"]
+    assert code == 0 and [job["status"] for job in jobs] == ["error", "ok"]
+    assert jobs[0]["error"] == error
+    # at rank 8 the transforms stay far below the bound
+    path.write_text(json.dumps(conjugated_permutation_datum(8, 0)),
+                    encoding="utf-8")
+    for command in ("bijection", "cornqs", "components"):
+        assert run(capsys, command, "--datum", str(path), "--p", "2")[0] == 0
 
 
 def test_datum_file_key_outside_the_format_exits_2(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -340,6 +341,38 @@ def test_twin_families_build_no_label_table(monkeypatch, capsys, first,
                          *options]) == 0, (command, rank)
             assert asked == {first}, command
     capsys.readouterr()
+
+
+def _fusion_report(capsys, family: str, rank: int, q: int) -> tuple:
+    code = main(["fusion", "--type", family, "--rank", str(rank),
+                 "--q", str(q)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("order", ["cold", "C first", "B first"])
+def test_c_reports_are_b_reports_but_for_the_type(capsys, order):
+    # C_n has the labels, d-series and bad primes of B_n, so its report is
+    # B_n's with "type" changed, error reports included, whichever family a
+    # warm process closes first; "cold" empties every cache before each run
+    clear_process_caches()
+    families = ("C", "B") if order == "C first" else ("B", "C")
+    errors = []
+    for rank in range(1, 11):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            runs = {}
+            for family in families:
+                if order == "cold":
+                    clear_process_caches()
+                runs[family] = _fusion_report(capsys, family, rank, q)
+            code, report = runs["B"]
+            report["inputs"]["type"] = "C"
+            if code == 0:
+                report["result"]["type"] = f"C{rank}"
+            else:
+                errors.append((rank, q))
+            assert runs["C"] == (code, report), (rank, q)
+    # q**d_max past the power cap: 9**20, 8**21 and 9**20
+    assert errors == [(9, 9), (10, 8), (10, 9)]
 
 
 def test_bound_errors_come_before_any_witness_search(monkeypatch):
