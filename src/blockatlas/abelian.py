@@ -147,18 +147,12 @@ class IntMatrix:
                   for row in self.entries),
             self.rows, other.cols)
 
-    def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix._of(tuple(tuple(map(op, ra, rb)) for ra, rb
+        return IntMatrix._of(tuple(tuple(map(sub, ra, rb)) for ra, rb
                                    in zip(self.entries, other.entries)),
                              self.rows, self.cols)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._entrywise(add, other)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._entrywise(sub, other)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of(tuple(tuple(map(neg, row)) for row in self.entries),
@@ -454,11 +448,6 @@ def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
     return group
 
 
-def cokernel(M: IntMatrix) -> FGAbelianGroup:
-    """Z^rows modulo the column span of M."""
-    return FGAbelianGroup(M.rows, IntMatrix.identity(M.rows), M)
-
-
 def coinvariants(A: FGAbelianGroup, gens: Sequence[IntMatrix]) -> FGAbelianGroup:
     """A / <(g-1)a : g in gens>, for ambient operators preserving K and L."""
     return _coinvariants(A, tuple(gens))
@@ -510,11 +499,6 @@ class SubquotientMap:
         if source.ambient_dim != target.ambient_dim:
             raise ValueError("map needs a shared ambient lattice")
         self.source, self.target = source, target
-
-    def well_defined(self) -> bool:
-        return (lattice_contains(self.target.sub, self.source.sub)
-                and (self.source.rel.cols == 0
-                     or lattice_contains(self.target.rel, self.source.rel)))
 
     def injective(self) -> bool:
         if self.source.is_trivial:

@@ -443,6 +443,8 @@ _TYPED = (("--type", {"required": True, "metavar": "FAMILY", "help":
 _DATUM = ("--datum", {"required": True, "help": "catalog:NAME or a JSON "
                       "datum file"}, ("data", "datum"))
 _DATUM_AT_P = (_DATUM, _required_int("--p", "primes", "p"))
+_PLUGIN = ("--plugin", {"metavar": "FILE", "help": "exceptional_v1 data file "
+                        "for non-classical types"}, ("plugin",))
 
 # Every subcommand once: its handler, its help line and its arguments as
 # (flag, add_argument options, grid key) after ``--pretty``.  The grid key
@@ -462,17 +464,14 @@ _COMMANDS = {
                    _required_int("--q", "qs", "q"),
                    ("--dmax", {"type": int, "help": "largest d to consider "
                                "(default 2(rank+1))"}, ("dmax",)),
-                   ("--plugin", {"metavar": "FILE", "help": "exceptional_v1 "
-                                 "data file for non-classical types"},
-                    ("plugin",)))),
+                   _PLUGIN)),
     "dseries-check": (_cmd_dseries_check,
                       "is the join of the given d-series a single class",
                       _TYPED + (("--D", {"required": True, "nargs": "+",
                                          "metavar": "D",
                                          "help": "d values, space or comma "
                                                  "separated"}, ()),
-                                ("--plugin", {"metavar": "FILE"},
-                                 ("plugin",)))),
+                                _PLUGIN)),
     "defect-bounds": (_cmd_defect_bounds,
                       "defect bounds for every occurring 1-series core",
                       _TYPED),

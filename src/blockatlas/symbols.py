@@ -4,11 +4,11 @@ and bounded enumeration.
 A symbol is a pair of strictly increasing rows of non-negative integers,
 considered up to simultaneous shift (prepend 0 to both rows, bump everything
 by one) and up to row swap.  Instances always store the shift-reduced form —
-never 0 in both rows — but keep their row order as constructed; identity
-questions at the class level go through `class_key`/`same_class`, and
-`canonical` picks the distinguished representative (larger row first, ties by
-lexicographically smaller row).  Each instance hashes its rows once, when it
-is built.  Enumeration builds its table from β-sets that are already
+never 0 in both rows — but keep their row order as constructed; `canonical`
+picks the distinguished representative of the swap class (larger row first,
+ties by lexicographically smaller row), so two symbols are in one class when
+their canonical forms are equal.  Each instance hashes its rows once, when
+it is built.  Enumeration builds its table from β-sets that are already
 clean and keeps nothing: the label tables of :mod:`unipotent` are cached,
 and each reads its table once.
 
@@ -47,7 +47,6 @@ MAX_SYMBOL_RANK = 10  # the enumeration bound; no option moves it
 DEFECT_ODD = frozenset({1, 3})      # types B and C
 DEFECT_MOD4_0 = frozenset({0})      # type D
 DEFECT_MOD4_2 = frozenset({2})      # type 2D
-DEFECT_ANY = frozenset({0, 1, 2, 3})
 
 
 def _clean_row(row) -> tuple:
@@ -105,13 +104,6 @@ class Symbol:
         if (len(b), a) > (len(a), b):  # larger row first; tie -> lex smaller
             return self.swap()
         return self
-
-    def class_key(self) -> tuple:
-        c = self.canonical()
-        return (c.row_s, c.row_t)
-
-    def same_class(self, other: "Symbol") -> bool:
-        return self.class_key() == other.class_key()
 
     def render(self) -> str:
         return ("({" + ",".join(map(str, self.row_s)) + "},{"

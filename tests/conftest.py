@@ -3,12 +3,20 @@
 ``clear_process_caches`` empties every ``functools.lru_cache`` of the
 library, so a test that wants a cold process gets one, whatever caches a
 later change adds.  ``tests/test_caches.py`` checks that it finds them all.
+The ``fresh_pass`` fixture runs ``tests/reach.py`` once per session.
 """
 import functools
 import importlib
+import json
 import math
+import os
 import pkgutil
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import blockatlas
 
@@ -36,6 +44,43 @@ def process_caches() -> list:
 def clear_process_caches() -> None:
     for cache in process_caches():
         cache.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def fresh_pass(tmp_path_factory) -> tuple:
+    """(manifest text, unreached names) of one run of ``tests/reach.py`` in
+    a fresh interpreter under another ``PYTHONHASHSEED``."""
+    out = tmp_path_factory.mktemp("reach")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(blockatlas.__file__).parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "reach.py", str(out)],
+                          cwd=Path(__file__).parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    unreached = json.loads((out / "unreached.json").read_text(encoding="utf-8"))
+    return proc.stdout, unreached
+
+
+# ------------------------------------------------------- test-only routines
+
+DEFECT_ANY = frozenset({0, 1, 2, 3})    # every defect residue mod 4
+
+
+def cokernel(m):
+    """Z^rows modulo the column span of the IntMatrix m."""
+    from blockatlas.abelian import FGAbelianGroup, IntMatrix
+    return FGAbelianGroup(m.rows, IntMatrix.identity(m.rows), m)
+
+
+def well_defined(f) -> bool:
+    """Does the SubquotientMap f, K1/L1 -> K2/L2, take K1 into K2 and L1
+    into L2?"""
+    from blockatlas.abelian import lattice_contains
+    return (lattice_contains(f.target.sub, f.source.sub)
+            and (f.source.rel.cols == 0
+                 or lattice_contains(f.target.rel, f.source.rel)))
 
 
 # ------------------------------------------------------------ datum files

@@ -507,8 +507,8 @@ _EXIT_CASES = [
 
 @pytest.mark.parametrize("argv,broken,code", _EXIT_CASES,
                          ids=["ok", "invariant", "usage", "parse"])
-def test_program_mode_freezes_the_collector(capsys, monkeypatch, argv, broken,
-                                            code):
+def test_program_mode_runs_atexit_flushes_and_exits_after_the_report(
+        capsys, monkeypatch, argv, broken, code):
     # main() runs the command with the collector off, runs the atexit
     # callbacks once the report is out and exits with the library call's
     # exit code, without returning and without interpreter teardown; the

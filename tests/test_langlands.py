@@ -10,6 +10,7 @@ from conftest import (
     torus,
     unitary,
     weil_restriction,
+    well_defined,
 )
 
 from blockatlas import langlands
@@ -411,7 +412,7 @@ def test_check_maps_are_well_defined():
             for summands in SHARED_TORI]
         for what, datum in cases:
             for name, arrow in _check_maps(datum, p).items():
-                assert arrow.well_defined(), (what, p, name)
+                assert well_defined(arrow), (what, p, name)
 
 
 def test_lemma_report_dict():

@@ -4,24 +4,22 @@ status, verdict or error code, and the sha256 of its report.
 ``golden/manifest.json`` holds it, one command per line.  The test builds
 it three ways and expects the committed bytes each time: cold, with every
 process cache emptied before each command; warm, in a shuffled order; and
-in a fresh interpreter under another ``PYTHONHASHSEED``.  So no cache and
-no hash order changes a report, and an intended change to a report shows
-as a diff of that file.  Running this module as a script rewrites it.
+in a fresh interpreter under another ``PYTHONHASHSEED``, which is the
+reach census's pass (``tests/reach.py``, read through the ``fresh_pass``
+fixture).  So no cache and no hash order changes a report, and an
+intended change to a report shows as a diff of that file.  Running this
+module as a script rewrites it.
 """
 import contextlib
 import hashlib
 import io
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 from conftest import clear_process_caches
 
-import blockatlas
 from blockatlas import cli
 from blockatlas.rootdata import catalog
 
@@ -101,21 +99,11 @@ def test_corpus_runs_every_command_but_grid():
     assert {argv[0] for argv in corpus()} == set(cli._COMMANDS) - {"grid"}
 
 
-def test_manifest_cold_warm_and_under_another_hash_seed():
+def test_manifest_cold_warm_and_under_another_hash_seed(fresh_pass):
     expected = MANIFEST.read_text(encoding="utf-8")
     assert build(cold=True) == expected
     assert build(shuffle=random.Random(17)) == expected
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    src = str(Path(blockatlas.__file__).parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from test_manifest import build; "
-                               "sys.stdout.write(build())"],
-        cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
-        timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected
+    assert fresh_pass[0] == expected
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ import json
 import random
 
 import pytest
-from conftest import catalog_sum, datum_to_dict, seeded_catalog_sums
+from conftest import (catalog_sum, datum_to_dict, seeded_catalog_sums,
+                      well_defined)
 
 from blockatlas.abelian import (
     FGAbelianGroup,
@@ -452,8 +453,8 @@ def test_derived_sequence_is_exact_and_every_operator_descends():
         full = pi1(datum)
         into = SubquotientMap(da.pi1_der, full)
         onto = SubquotientMap(full, da.cochar_ab)
-        assert into.well_defined() and into.injective(), name
-        assert onto.well_defined() and onto.surjective(), name
+        assert well_defined(into) and into.injective(), name
+        assert well_defined(onto) and onto.surjective(), name
         assert lattice_equal(into.image().sub, onto.kernel().sub), name
         assert da.cochar_ab.free_rank == \
             datum.rank - full.torsion().sub.cols, name

@@ -13,10 +13,10 @@ import itertools
 import random
 
 import pytest
+from conftest import DEFECT_ANY
 
 from blockatlas.errors import BoundExceeded
 from blockatlas.symbols import (
-    DEFECT_ANY,
     DEFECT_MOD4_0,
     DEFECT_MOD4_2,
     DEFECT_ODD,
@@ -216,7 +216,7 @@ def test_canonical_and_render():
     assert Symbol((0, 2), (1,)).render() == "({0,2},{1})"
     assert Symbol((1,), ()).render() == "({1},{})"
     assert Symbol((), ()).render() == "({},{})"
-    assert Symbol((2,), (0,)).same_class(Symbol((0,), (2,)))
+    assert Symbol((2,), (0,)).canonical() == Symbol((0,), (2,)).canonical()
 
 
 # -------------------------------------------------------------------- phi
@@ -232,7 +232,7 @@ def test_phi_involution_and_invariants():
             image = phi(sym)
             assert image.rank == sym.rank
             assert image.defect % 2 == sym.defect % 2
-            assert phi(image).same_class(sym)
+            assert phi(image).canonical() == sym.canonical()
 
 
 def test_phi_defect_jump_constant_on_mod4_fibers():
@@ -251,7 +251,7 @@ def test_phi_defect_jump_constant_on_mod4_fibers():
 
 def test_hook_core_frozen():
     assert hook_core(Symbol((1,), ()), 1) == Symbol((0,), ())
-    assert hook_core(Symbol((0, 1), (1,)), 1).same_class(Symbol((0,), ()))
+    assert hook_core(Symbol((0, 1), (1,)), 1).canonical() == Symbol((0,), ())
     for n in range(5):
         for sym in enumerate_symbols(n, DEFECT_ANY):
             # 1-hook-cores are the minimal-defect ladders ({0..k-1},{})
@@ -261,9 +261,9 @@ def test_hook_core_frozen():
 
 
 def test_cohook_core_frozen():
-    assert cohook_core(Symbol((2,), ()), 1).same_class(Symbol((0,), ()))
+    assert cohook_core(Symbol((2,), ()), 1).canonical() == Symbol((0,), ())
     assert cohook_core(Symbol((0, 2), (1,)), 1) == Symbol((0, 2), (1,))
-    assert cohook_core(Symbol((0, 2), (1,)), 2).same_class(Symbol((0,), ()))
+    assert cohook_core(Symbol((0, 2), (1,)), 2).canonical() == Symbol((0,), ())
 
 
 def test_removal_rank_and_defect_steps():

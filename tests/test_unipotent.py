@@ -11,8 +11,8 @@ from blockatlas.errors import (
     InvariantViolation,
     NotSupported,
 )
-from blockatlas.partitions import d_core
-from blockatlas.symbols import Symbol, cohook_core, hook_core
+from blockatlas.partitions import d_core, ennola_dual
+from blockatlas.symbols import Symbol, cohook_core, hook_core, phi
 from blockatlas.unipotent import (
     SeriesPartition,
     UnipotentLabel,
@@ -273,6 +273,35 @@ def test_degenerate_labels_travel_together():
             assert marks in (set(), {"′", "″"})
 
 
+def _series_through_phi(tag, d) -> dict:
+    """The d-series of tag with every core and member mapped by phi to its
+    canonical symbol: core render -> member payloads, markers dropped."""
+    return {phi(series_core(tag, members[0], d)).canonical().render():
+            frozenset(phi(lab.payload).canonical() for lab in members)
+            for _key, members in d_series(tag, d).blocks}
+
+
+def test_phi_maps_each_series_onto_its_ennola_partner():
+    # Ennola duality (Broué–Malle–Michel): phi carries the d-series of B_n,
+    # D_n and 2D_n onto the ennola_dual(d)-series of the partner type, which
+    # is the type itself for B and at even n, and swaps D and 2D at odd n.
+    # Odd d reads hook cores and its partner 2d cohook cores, so the two
+    # sides share core arithmetic only at 4 | d.
+    pairs = 0
+    for family, low in (("B", 1), ("D", 2), ("2D", 2)):
+        for n in range(low, 9):
+            partner = (family if family == "B" or n % 2 == 0 else
+                       {"D": "2D", "2D": "D"}[family])
+            for d in range(1, 2 * n + 3):
+                dual = d_series(GroupTypeTag(partner, n), ennola_dual(d))
+                want = {key: frozenset(lab.payload for lab in members)
+                        for key, members in dual.blocks}
+                got = _series_through_phi(GroupTypeTag(family, n), d)
+                assert got == want, (family, n, d)
+                pairs += 1
+    assert pairs == 256
+
+
 def test_series_validation_rejects_tampering():
     part = d_series(A2, 2)
     # swap a label into the wrong block
@@ -363,9 +392,9 @@ def test_series_caches_equal_uncached():
                 for lab in label_table(tag).labels:
                     sym = lab.payload
                     core = (hook_core(sym, d) if d % 2 else
-                            cohook_core(sym, d // 2))
+                            cohook_core(sym, d // 2)).canonical()
                     assert _symbol_core(sym, d) is \
-                        _core_symbol(*core.class_key()), (sym.render(), d)
+                        _core_symbol(core.row_s, core.row_t), (sym.render(), d)
 
 
 def test_equal_symbol_cores_are_one_object(monkeypatch):
