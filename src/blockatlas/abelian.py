@@ -16,13 +16,15 @@ Pure functions of immutable values are memoized with ``functools.lru_cache``:
 process; ``kernel_basis`` reads the cached factorization.
 ``FGAbelianGroup`` is an immutable value built once per (n,
 lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
-``coinvariants`` (on the tuple of operators), ``fixed_points``,
+``coinvariants`` (on a tuple of operators), ``fixed_points``,
 ``h1_cyclic`` and the operator check are memoized on the group and their
-operator or prime.  A call that raises is not cached and raises again.
+operators or prime.  A call that raises is not cached and raises again.
 One preimage routine, the x in K whose image under a map lies in a lattice,
-read from one kernel, gives the Frobenius fixed points, the injectivity
-test of ``h1_cyclic``, and the kernel and injectivity of a
-``SubquotientMap``.
+read from one kernel, gives the Frobenius fixed points, the one
+injectivity test, which ``h1_cyclic`` and ``injects`` share, and the
+kernel that ``exact`` compares with an image.  ``injects`` and ``exact``
+answer their question about the maps that the identity of the ambient
+lattice induces between subquotients; they build no group.
 
 Two exact shortcuts skip elimination where its answer is known.  A product
 with an identity factor is the other factor, and the SNF of an identity is
@@ -30,10 +32,10 @@ with an identity factor is the other factor, and the SNF of an identity is
 only zero sub- and quotient modules: ``p_torsion`` for a p that divides no
 invariant factor is L/L, ``coinvariants``, ``fixed_points`` and
 ``h1_cyclic`` of a zero module return it once every operator has passed
-the compatibility check, and a map from a zero module is injective with a
-zero kernel.  Each result spans the same lattices K and L as the general
-path's, possibly on another basis, so every invariant and every report is
-unchanged.
+the compatibility check, a map from a zero module is injective, and the
+kernel of a map out of a zero module is zero.  Each result spans the same
+lattices K and L as the general path's, possibly on another basis, so
+every invariant and every report is unchanged.
 
 ``smith_normal_form`` does not reduce its transforms, and the bases read
 from U and V feed the next factorization, so on some conjugated data the
@@ -448,13 +450,10 @@ def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
     return group
 
 
-def coinvariants(A: FGAbelianGroup, gens: Sequence[IntMatrix]) -> FGAbelianGroup:
-    """A / <(g-1)a : g in gens>, for ambient operators preserving K and L."""
-    return _coinvariants(A, tuple(gens))
-
-
 @functools.lru_cache(maxsize=None)
-def _coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
+def coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
+    """A / <(g-1)a : g in gens>, for a tuple of ambient operators preserving
+    K and L."""
     for g in gens:
         A._check_compatible(g)
     if A.is_trivial:
@@ -476,6 +475,15 @@ def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup(A.ambient_dim, _preimage(A.sub, moved, A.rel), A.rel)
 
 
+def _injective(A: FGAbelianGroup, image: IntMatrix, rel: IntMatrix) -> bool:
+    """Is a + L -> image(a) + rel injective on A = K/L?  ``image`` holds the
+    image of each column of K."""
+    if A.is_trivial:
+        return True
+    meet = _preimage(A.sub, image, rel)
+    return meet.cols == 0 or lattice_contains(A.rel, meet)
+
+
 @functools.lru_cache(maxsize=None)
 def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     """H^1 of the procyclic group generated by f, for finite A: the
@@ -483,44 +491,24 @@ def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     if not A.is_finite:
         raise NotFinite("H^1 of a procyclic group needs a finite module")
     A._check_compatible(f)
-    if A.is_trivial:
-        return A
-    injective = FGAbelianGroup(
-        A.ambient_dim, _preimage(A.sub, f @ A.sub, A.rel), A.rel).is_trivial
-    if not injective:
+    if not _injective(A, f @ A.sub, A.rel):
         raise NotAutomorphism("operator is not injective on the module")
-    return coinvariants(A, [f])
+    return coinvariants(A, (f,))
 
 
-class SubquotientMap:
-    """Map K1/L1 -> K2/L2 induced by the identity of the shared ambient."""
+# The maps below are induced by the identity of the shared ambient lattice,
+# from K1/L1 to K2/L2 with K1 ⊆ K2 and L1 ⊆ L2.
 
-    def __init__(self, source: FGAbelianGroup, target: FGAbelianGroup):
-        if source.ambient_dim != target.ambient_dim:
-            raise ValueError("map needs a shared ambient lattice")
-        self.source, self.target = source, target
+def injects(source: FGAbelianGroup, target: FGAbelianGroup) -> bool:
+    """Is the map source -> target injective?"""
+    return _injective(source, source.sub, target.rel)
 
-    def injective(self) -> bool:
-        if self.source.is_trivial:
-            return True
-        meet = _preimage(self.source.sub, self.source.sub, self.target.rel)
-        return meet.cols == 0 or lattice_contains(self.source.rel, meet)
 
-    def surjective(self) -> bool:
-        return lattice_contains(
-            lattice_sum(self.source.sub, self.target.rel), self.target.sub)
-
-    def image(self) -> FGAbelianGroup:
-        """The image, as a subgroup of the target."""
-        return FGAbelianGroup(
-            self.source.ambient_dim,
-            lattice_sum(self.source.sub, self.target.rel), self.target.rel)
-
-    def kernel(self) -> FGAbelianGroup:
-        """The kernel, as a subgroup of the source."""
-        if self.source.is_trivial:
-            return self.source
-        meet = _preimage(self.source.sub, self.source.sub, self.target.rel)
-        return FGAbelianGroup(
-            self.source.ambient_dim,
-            lattice_sum(meet, self.source.rel), self.source.rel)
+def exact(a: FGAbelianGroup, b: FGAbelianGroup, c: FGAbelianGroup) -> bool:
+    """Is a -> b -> c -> 0 exact: does b cover c, and is the image of a the
+    kernel of b -> c?"""
+    if not lattice_contains(lattice_sum(b.sub, c.rel), c.sub):
+        return False
+    kernel = (b.sub if b.is_trivial else
+              lattice_sum(_preimage(b.sub, b.sub, c.rel), b.rel))
+    return lattice_equal(lattice_sum(a.sub, b.rel), kernel)

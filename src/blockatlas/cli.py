@@ -45,6 +45,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from math import prod
 
 from . import (__version__, arith, exceptional, fusion, langlands, rootdata,
                unipotent)
@@ -128,7 +129,7 @@ def _parse_int(token: str, lineno: int | None) -> int:
                          line=lineno) from None
 
 
-MAX_INT_LIST = 65_536  # values one integer list may name; no option moves it
+MAX_INT_LIST = 65_536  # values per list, cells per grid; no option moves it
 
 
 def _parse_int_list(value: str, lineno: int | None = None) -> list[int]:
@@ -278,7 +279,8 @@ def parse_grid_config(text: str) -> dict:
     key (commas, and ``a-b`` ranges for integers) where the argument varies
     per cell, one value where it holds for the whole grid, integers where
     the flag has ``type=int``.  A key the configured command does not read
-    is an error, and so is a list key it reads that the config omits."""
+    is an error, and so is a list key it reads that the config omits, and
+    more than ``MAX_INT_LIST`` cells."""
     kinds = {grid[0]: (len(grid) == 2, options.get("type") is int)
              for _handler, _help, arguments in _COMMANDS.values()
              for _flag, options, grid in arguments if grid}
@@ -331,6 +333,10 @@ def parse_grid_config(text: str) -> dict:
     for _flag, _options, grid in arguments:
         if len(grid) == 2 and grid[0] not in cfg:
             raise ParseError(f"command {command!r} needs key {grid[0]!r}")
+    cells = prod(len(cfg[grid[0]]) for _flag, _options, grid in arguments
+                 if len(grid) == 2)
+    if cells > MAX_INT_LIST:
+        raise ParseError(f"grid names {cells} cells, more than {MAX_INT_LIST}")
     return cfg
 
 

@@ -206,18 +206,22 @@ class DSeriesJoin(NamedTuple):
     single: bool
     classes: tuple  # tuple of tuples of label renders
 
-    def __bool__(self) -> bool:
-        return self.single
-
 
 def is_single_D_series(group_type: GroupTypeTag, D, plugin=None) -> DSeriesJoin:
-    """Join (transitive common coarsening) of the d-series for d in D."""
+    """Join (transitive common coarsening) of the d-series for d in D.
+
+    Past d = 2(rank + 1) every classical d-series is the same partition,
+    discrete but for the degenerate pairs, so each larger d reads the
+    series at 2(rank + 1) + 1; a plugin type reads each d it is given."""
     ds = tuple(sorted(set(int(d) for d in D)))
     if not ds or any(d < 1 for d in ds):
         raise ValueError("D must be a non-empty set of positive integers")
     names, _degenerate, series = _labels(group_type, plugin,
                                          "D-series checks")
-    classes = _classes(_merge(names, series, ds)[0], names)
+    read = ds
+    if group_type.is_classical:
+        read = {min(d, 2 * (group_type.rank + 1) + 1) for d in ds}
+    classes = _classes(_merge(names, series, read)[0], names)
     return DSeriesJoin(group_type, ds, len(classes) == 1, classes)
 
 
@@ -240,9 +244,6 @@ class DefectBoundReport(NamedTuple):
     @property
     def all_ok(self) -> bool:
         return all(row.satisfied for row in self.rows)
-
-    def __bool__(self) -> bool:
-        return self.all_ok
 
 
 def _occurring_1series(group_type: GroupTypeTag) -> dict[str, int]:

@@ -37,15 +37,16 @@ them and the cardinality check remain.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 from .abelian import (
     FGAbelianGroup,
-    SubquotientMap,
     coinvariants,
+    exact,
     fixed_points,
     h1_cyclic,
-    lattice_equal,
+    injects,
 )
 from .arith import is_prime
 from .errors import InvariantViolation
@@ -81,7 +82,7 @@ def dual_side_torsor(datum: RootDatumWithAction, p: int) -> FGAbelianGroup:
     _check_prime(p)
     descent = coinvariants(FGAbelianGroup.free(datum.rank),
                            datum.inertia_matrices)
-    return coinvariants(descent.p_torsion(p), [datum.frobenius_matrix])
+    return coinvariants(descent.p_torsion(p), (datum.frobenius_matrix,))
 
 
 def _group_dict(group: FGAbelianGroup) -> dict:
@@ -184,13 +185,10 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     inert = datum.inertia_matrices
     ab_torsion = coinvariants(da.cochar_ab, inert).p_torsion(p)
     pi1_torsion = coinvariants(pi1(datum), inert).p_torsion(p)
-    left = SubquotientMap(coinvariants(da.pi1_der, inert).p_torsion(p),
-                          pi1_torsion)
-    right = SubquotientMap(pi1_torsion, ab_torsion)
     # well defined: each target's relations contain its source's, as the
     # coroots lie in the saturation and (g-1)Z^n in every target
-    sequence_exact = (right.surjective()
-                      and lattice_equal(left.image().sub, right.kernel().sub))
+    sequence_exact = exact(coinvariants(da.pi1_der, inert).p_torsion(p),
+                           pi1_torsion, ab_torsion)
 
     conclusion = kottwitz_target(datum).p_torsion(p).is_trivial
     regime = REGIME_PROVED if quasi_split else REGIME_CONJECTURAL
@@ -238,12 +236,6 @@ class ComponentLemmaReport(NamedTuple):
         return {**self._asdict(), "all_ok": self.all_ok}
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def component_lemma_checks(datum: RootDatumWithAction,
                            p: int) -> ComponentLemmaReport:
     _check_prime(p)
@@ -252,7 +244,9 @@ def component_lemma_checks(datum: RootDatumWithAction,
     lattice = FGAbelianGroup.free(datum.rank)
 
     wild_lattice = coinvariants(lattice, datum.wild_matrices)
-    p_local = all(_is_p_power(d, p) for d in wild_lattice.invariant_factors)
+    # the torsion is p-local when its p-part is all of it
+    p_local = (wild_lattice.p_torsion(p).order()
+               == prod(wild_lattice.invariant_factors))
 
     torus_part = coinvariants(lattice, inert).p_torsion(p)
     fundamental = pi1(datum)
@@ -267,16 +261,12 @@ def component_lemma_checks(datum: RootDatumWithAction,
     h1_pi1 = (h1_cyclic(pi1_part, frob).invariant_factors
               == through_wild(coinvariants(fundamental, datum.wild_matrices)))
 
-    # well defined: the relations of pi1_part contain those of torus_part
-    plain = SubquotientMap(torus_part, pi1_part)
-    injects = plain.injective()
-    fixed = SubquotientMap(fixed_points(torus_part, frob),
-                           fixed_points(pi1_part, frob))
-    injects_fixed = fixed.injective()
-
+    # both maps are well defined: pi1_part's relations contain torus_part's
     return ComponentLemmaReport(
         p=p, tame_action_order=datum.tame_order,
         tame_order_coprime=datum.tame_order % p != 0,
         wild_torsion_p_local=p_local,
         h1_agree_cochar=h1_cochar, h1_agree_pi1=h1_pi1,
-        torsion_injects=injects, torsion_injects_fixed=injects_fixed)
+        torsion_injects=injects(torus_part, pi1_part),
+        torsion_injects_fixed=injects(fixed_points(torus_part, frob),
+                                      fixed_points(pi1_part, frob)))

@@ -74,13 +74,13 @@ def cokernel(m):
     return FGAbelianGroup(m.rows, IntMatrix.identity(m.rows), m)
 
 
-def well_defined(f) -> bool:
-    """Does the SubquotientMap f, K1/L1 -> K2/L2, take K1 into K2 and L1
-    into L2?"""
+def well_defined(source, target) -> bool:
+    """Does the identity of the ambient lattice induce a map from source =
+    K1/L1 to target = K2/L2: does it take K1 into K2 and L1 into L2?"""
     from blockatlas.abelian import lattice_contains
-    return (lattice_contains(f.target.sub, f.source.sub)
-            and (f.source.rel.cols == 0
-                 or lattice_contains(f.target.rel, f.source.rel)))
+    return (lattice_contains(target.sub, source.sub)
+            and (source.rel.cols == 0
+                 or lattice_contains(target.rel, source.rel)))
 
 
 # ------------------------------------------------------------ datum files

@@ -288,7 +288,7 @@ def test_criterion_6_abelian_kernel():
                        for i in range(k)]))
         Fmat = IntMatrix(F)
         lib_ker = fixed_points(A, Fmat).order()
-        lib_coker = coinvariants(A, [Fmat]).order()
+        lib_coker = coinvariants(A, (Fmat,)).order()
         kernel = 0
         image = set()
         for x in iproduct(*[range(d) for d in ds]):

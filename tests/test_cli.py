@@ -774,6 +774,41 @@ def test_grid_integer_list_bound_names_its_line(capsys, tmp_path):
         f"line 3: integer list names more than {cli.MAX_INT_LIST} values"
 
 
+def test_grid_cell_bound_admits_its_limit_and_fails_fast_past_it(capsys,
+                                                                  tmp_path):
+    # the product of a grid's list lengths is bounded like one list: 256
+    # by 256 cells parse; 2 by 32,769 (65,537 is prime) and the 2^32 cells
+    # of two full lists are a ParseError before any cell is built
+    cfg = cli.parse_grid_config("command = zsygmondy\nqs = 2-257\n"
+                                "ds = 1-256\n")
+    assert len(cfg["qs"]) * len(cfg["ds"]) == cli.MAX_INT_LIST
+    for lists, cells in (("qs = 2, 3\nds = 1-32769\n", 65_538),
+                         ("qs = 2-65537\nds = 1-65536\n", 2**32)):
+        path = write_cfg(tmp_path, f"command = zsygmondy\n{lists}")
+        start = time.perf_counter()
+        code, out = run(capsys, "grid", "--config", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert check(out)["error"] == {
+            "code": "ParseError",
+            "message": f"grid names {cells} cells, more than "
+                       f"{cli.MAX_INT_LIST}"}
+
+
+def test_dseries_check_reads_one_series_past_2_rank_plus_2():
+    # every d past 2(rank+1) = 22 reads the series at 23, so 65,536 values
+    # of d read one series, and the report still echoes every d
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, "dseries-check", "--type", "B",
+         "--rank", "10", "--D", "100-65635"],
+        capture_output=True, text=True, env=fresh_env(), timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    result = check(proc.stdout)["result"]
+    assert result["D"] == list(range(100, 65636))
+    assert not result["single"]
+    assert all(len(cls) == 1 for cls in result["classes"])
+
+
 def test_defect_bounds_shapes(capsys):
     _, out = run(capsys, "defect-bounds", "--type", "B", "--rank", "1")
     result = check(out)["result"]

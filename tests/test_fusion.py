@@ -279,7 +279,7 @@ def test_plugin_drives_exceptional_fusion():
     )
     assert res.plugin_type == "G2"
     join = is_single_D_series(g2, {3}, plugin=_FakePlugin())
-    assert join.single and bool(join)
+    assert join.single and join.classes == (("x1", "x2", "x3"),)
 
 
 class _RecordingPlugin(_FakePlugin):
@@ -411,6 +411,30 @@ def test_D_series_join_argument_validation():
         is_single_D_series(GroupTypeTag("A", 2), set())
     with pytest.raises(ValueError):
         is_single_D_series(GroupTypeTag("A", 2), {0, 2})
+
+
+def test_series_past_2_rank_plus_2_are_one_partition():
+    # is_single_D_series reads the series at 2(n+1)+1 for every larger d:
+    # from there on each series is discrete but for the degenerate pairs
+    for family in ("A", "2A", "B", "C", "D", "2D"):
+        for n in range(2 if family in ("D", "2D") else 1, 9):
+            tag = GroupTypeTag(family, n)
+            top = 2 * (n + 1)
+            partitions = {frozenset(map(frozenset,
+                                        unipotent.series_renders(tag, d)))
+                          for d in range(top + 1, top + 5)}
+            assert len(partitions) == 1, tag
+            (blocks,) = partitions
+            labels = enumerate_labels(tag)
+            pairs = {frozenset(lab.render() for lab in labels
+                               if lab.payload == marked.payload)
+                     for marked in labels if marked.marker}
+            assert {b for b in blocks if len(b) > 1} == pairs, tag
+    # the echoed D keeps every d
+    join = is_single_D_series(GroupTypeTag("D", 4), {2, 10**9})
+    assert join.D == (2, 10**9)
+    assert join.classes == is_single_D_series(GroupTypeTag("D", 4),
+                                              {2, 11}).classes
 
 
 def test_defect_bounds_2a3_single_empty_core():

@@ -4,8 +4,9 @@
 under a profile hook and lists every module-level function and class
 method of ``blockatlas`` that no command called.  Each must be exempt:
 
-* a dunder other than an arithmetic operator, which Python calls on its own
-  (``__eq__``, ``__setattr__``, ``__str__``, …);
+* a dunder other than an arithmetic operator or ``__bool__``, which Python
+  calls on its own (``__eq__``, ``__setattr__``, ``__str__``, …); an
+  operator or a truth value that only tests use is test-only API;
 * a name that ``perfbench/tracer.py`` counts, serialises or wraps, read
   from its tables as ``test_tracer_contract.py`` reads them;
 * a name in ``ALLOWLIST``, with its reason.
@@ -18,11 +19,11 @@ from test_tracer_contract import NAMED
 
 TRACED = {f"{layer}.{qualname}" for layer, qualname in NAMED}
 
-ARITHMETIC = ({f"__{side}{op}__" for side in ("", "r", "i")
-               for op in ("add", "sub", "mul", "matmul", "truediv",
-                          "floordiv", "mod", "divmod", "pow", "lshift",
-                          "rshift", "and", "or", "xor")}
-              | {"__neg__", "__pos__", "__abs__", "__invert__"})
+COUNTED = ({f"__{side}{op}__" for side in ("", "r", "i")
+            for op in ("add", "sub", "mul", "matmul", "truediv",
+                       "floordiv", "mod", "divmod", "pow", "lshift",
+                       "rshift", "and", "or", "xor")}
+           | {"__neg__", "__pos__", "__abs__", "__invert__", "__bool__"})
 
 ALLOWLIST = {
     "symbols._clean_row": "only the validating Symbol constructor "
@@ -38,7 +39,7 @@ ALLOWLIST = {
 def exempt(name: str) -> bool:
     last = name.rsplit(".", 1)[1]
     dunder = last.startswith("__") and last.endswith("__")
-    return (dunder and last not in ARITHMETIC) or name in TRACED
+    return (dunder and last not in COUNTED) or name in TRACED
 
 
 def test_every_library_function_is_reached(fresh_pass):
