@@ -7,26 +7,29 @@ order d at q.  Such primes witness that the d-series refine into actual
 
 Primitive primes are located by factoring the cyclotomic value Φ_d(q),
 which carries exactly the primes of order d (plus possibly the largest
-prime factor of d, filtered out because it divides d).  Factoring is
-plain trial division; powers beyond 63 bits are rejected rather than
-silently promoted, which keeps the search at desk scale.  ``is_prime`` is a
-deterministic Miller–Rabin test, exact below 3.3·10²⁴ and BoundExceeded
-above, and ``PrimePower.from_q`` tries the 13 smallest primes, then exact
-integer roots whose base is prime, so neither divides up to √q.
+prime factor of d, filtered out because it divides d).  Factoring is one
+trial-division loop, ``prime_factors``: 2, 3, then the pairs 6k ± 1 up to
+the square root of what is left.  ``primitive_prime`` runs it to the end
+on Φ_d(q), ``mult_order`` on ℓ − 1 below a bound.  Powers beyond 63 bits
+are rejected rather than silently promoted, which keeps the search at desk
+scale.  ``is_prime`` is a deterministic Miller–Rabin test, exact below
+3.3·10²⁴ and BoundExceeded above, and ``PrimePower.from_q`` tries the 13
+smallest primes, then exact integer roots whose base is prime, so neither
+divides up to √q.
 
 ``primitive_prime`` is memoized on the question it answers: (q, d, the
 frozenset of primes the witness may not be), ``_cyclotomic_value`` on
 (q, d), and ``mult_order`` on (q, ℓ), so a fusion certificate replays its
 merge events with one order computation per distinct pair.  ``mult_order``
-factors ℓ − 1 (trial division below 1000, then Miller–Rabin and
-Pollard–Brent, at most 2²² steps, else BoundExceeded) and divides each
-prime out of ℓ − 1 while the quotient is still a multiple of the order, so
-it never walks the divisors of ℓ − 1.  ``admissible_d``
-excludes 2 and the family's bad primes, so the six classical families share
-one witness search per (q, d) with each other and with ``zsygmondy``, which
-excludes only 2; it builds one map per (q, d_max, excluded primes), so the
-six families share one map per (q, d_max) too, and hands each caller its
-own copy.
+factors ℓ − 1 (the loop's candidates below 1000, then Miller–Rabin on each
+value it yields and Pollard–Brent on composite ones, at most 2²² steps,
+else BoundExceeded) and divides each prime out of ℓ − 1 while the quotient
+is still a multiple of the order, so it never walks the divisors of ℓ − 1.
+``admissible_d`` excludes 2 and the family's bad primes, so the six
+classical families share one witness search per (q, d) with each other and
+with ``zsygmondy``, which excludes only 2; it builds one map per (q, d_max,
+excluded primes), so the six families share one map per (q, d_max) too,
+and hands each caller its own copy.
 """
 
 from __future__ import annotations
@@ -165,16 +168,6 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
-def _candidate_divisors() -> Iterator[int]:
-    yield 2
-    yield 3
-    c = 5
-    while True:
-        yield c
-        yield c + 2
-        c += 6
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller–Rabin on the first 13 prime bases, exact below
     3.3·10²⁴ (Sorenson–Webster, Math. Comp. 86, 2017); a larger n without a
@@ -204,15 +197,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> Iterator[int]:
-    """Distinct prime factors of n in increasing order."""
-    for c in _candidate_divisors():
-        if c * c > n:
+def prime_factors(n: int, bound: Optional[int] = None) -> Iterator[int]:
+    """Distinct prime factors of n >= 1 in increasing order: trial division
+    by 2, 3 and the pairs 6k - 1, 6k + 1 up to the square root of what is
+    left, which comes last when it exceeds 1.  With ``bound`` only
+    candidates below it are tried, so that last value may be composite."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: need n >= 1")
+    cap = n if bound is None else bound - 1  # the largest candidate
+    pair, c = (2, 3), 5
+    while True:
+        for f in pair:
+            if f <= cap and n % f == 0:
+                yield f
+                n //= f
+                while n % f == 0:
+                    n //= f
+        # scan pair by pair up to the square root: a c + 2 past it divides
+        # n only when it is n, and one past cap is skipped above
+        limit = min(math.isqrt(n), cap)
+        while c <= limit and n % c and n % (c + 2):
+            c += 6
+        if c > limit:
             break
-        if n % c == 0:
-            yield c
-            while n % c == 0:
-                n //= c
+        pair, c = (c, c + 2), c + 6
     if n > 1:
         yield n
 
@@ -268,21 +276,12 @@ def _pollard_brent(n: int, budget: int) -> tuple:
 
 def _prime_divisors(n: int) -> set:
     """The distinct primes of n >= 1: trial division below _TRIAL_LIMIT,
-    then is_prime on each cofactor and Pollard–Brent splits of composite
-    ones, at most _RHO_LIMIT steps in all."""
+    then is_prime on each value it yields and Pollard–Brent splits of
+    composite ones, at most _RHO_LIMIT steps in all."""
     primes = set()
-    for c in _candidate_divisors():
-        if c * c > n or c >= _TRIAL_LIMIT:
-            break
-        if n % c == 0:
-            primes.add(c)
-            while n % c == 0:
-                n //= c
-    parts, budget = [n], _RHO_LIMIT
+    parts, budget = list(prime_factors(n, _TRIAL_LIMIT)), _RHO_LIMIT
     while parts:
         m = parts.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             primes.add(m)
         else:

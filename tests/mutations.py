@@ -1,7 +1,7 @@
 """Mutation kill list: each entry breaks the library on purpose, and the
 tier-1 tests it names must fail.
 
-Run from the repository root (about 10 s; not collected by pytest, since
+Run from the repository root (about 16 s; not collected by pytest, since
 the name does not start with ``test_``)::
 
     python3 tests/mutations.py
@@ -36,6 +36,12 @@ MUTATIONS = [
      "if False:",
      ["tests/test_fusion.py::"
       "test_validate_rejects_a_witness_that_fails_hypotheses"]),
+    ("trial division skips the 6k + 1 candidates", "arith.py",
+     "while c <= limit and n % c and n % (c + 2):",
+     "while c <= limit and n % c:",
+     ["tests/test_arith.py::test_prime_factors_match_the_old_trial_division",
+      "tests/test_manifest.py::"
+      "test_manifest_cold_warm_and_under_another_hash_seed"]),
     ("one Miller-Rabin base dropped", "arith.py",
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",

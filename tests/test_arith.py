@@ -2,6 +2,7 @@
 consistency against an independent brute-force oracle."""
 
 import random
+import signal
 import time
 
 import pytest
@@ -49,6 +50,31 @@ def oracle_has_order(q, ell, d):
     return False
 
 
+def oracle_candidates():
+    yield 2
+    yield 3
+    c = 5
+    while True:
+        yield c
+        yield c + 2
+        c += 6
+
+
+def oracle_prime_factors(n, bound=None):
+    """The generator-based trial division that prime_factors replaced: each
+    candidate in turn while its square is at most what is left and, with a
+    bound, while it is below the bound; then what is left, when above 1."""
+    for c in oracle_candidates():
+        if c * c > n or (bound is not None and c >= bound):
+            break
+        if n % c == 0:
+            yield c
+            while n % c == 0:
+                n //= c
+    if n > 1:
+        yield n
+
+
 def oracle_primitive(q, d, limit=100_000):
     for ell in range(2, limit):
         if is_prime(ell) and q % ell != 0 and oracle_has_order(q, ell, d):
@@ -70,7 +96,7 @@ def test_is_prime_matches_trial_division():
     assert all(is_prime(n) == oracle(n) for n in range(-5, 5000))
     rng = random.Random(19)
     for n in [rng.randrange(5000, 10 ** 10) for _ in range(300)]:
-        assert is_prime(n) == (next(prime_factors(n)) == n), n
+        assert is_prime(n) == (next(oracle_prime_factors(n)) == n), n
 
 
 def test_is_prime_is_deterministic_up_to_its_bound():
@@ -120,6 +146,86 @@ def test_prime_factors_and_divisors():
     assert list(prime_factors(8191)) == [8191]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_prime_factors_rejects_n_below_one():
+    # the loop divides before it compares, so n = 0 would never end; an
+    # alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise AssertionError("prime_factors did not return at once")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for n in (0, -1, -360):
+            for bound in (None, 1000):
+                with pytest.raises(ValueError, match=f"^cannot factor {n}:"):
+                    list(prime_factors(n, bound))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert list(prime_factors(1)) == [] == list(prime_factors(1, 1000))
+
+
+def two_prime_products(rng, digits):
+    """Seeded p·q with p and q primes of the given numbers of digits."""
+    def prime(k):
+        while True:
+            n = rng.randrange(10 ** (k - 1), 10 ** k)
+            if is_prime(n):
+                return n
+    return [prime(a) * prime(b) for a in digits for b in digits if a <= b]
+
+
+# (lowest q, highest q, largest d) of perfbench's witness_grid rectangles
+WITNESS_RECTANGLES = ((2, 16, 14), (17, 64, 9), (65, 256, 7),
+                      (257, 2048, 5), (2049, 4096, 4))
+
+
+def test_prime_factors_match_the_old_trial_division():
+    # the same sequence as the generator it replaced: small n, random n
+    # below 10**13 at a random number of digits, products of two primes,
+    # prime powers, and Phi_d(q) at the corners of the witness_grid
+    # rectangles (lowest and highest prime power q, d = 3 and the largest)
+    rng = random.Random(38)
+    ns = list(range(1, 30_001))
+    ns += [rng.randrange(1, 10 ** rng.randint(1, 13)) for _ in range(1000)]
+    ns += two_prime_products(rng, (4, 5, 6))
+    ns += [p ** k for p in (2, 3, 5, 7, 11, 13, 101, 9973, 1000003)
+           for k in range(1, 7) if p ** k < 2 ** 63]
+    ns += [c * c for c in (25, 35, 49, 77, 91, 1001, 9973 * 9967)]
+    for lo, hi, d_max in WITNESS_RECTANGLES:
+        qs = [q for q in range(lo, hi + 1)
+              if len(list(oracle_prime_factors(q))) == 1]
+        ns += [oracle_cyclotomic(q, d) for q in (qs[0], qs[-1])
+               for d in (3, d_max)]
+    for n in ns:
+        assert list(prime_factors(n)) == list(oracle_prime_factors(n)), n
+
+
+def test_bounded_prime_factors_match_the_old_trial_division():
+    # the primes below the bound, then the cofactor; bounds at both members
+    # of a pair 6k - 1, 6k + 1 and between them, and the trial limit
+    rng = random.Random(1038)
+    ns = list(range(1, 3001)) + two_prime_products(rng, (2, 3, 4))
+    ns += [rng.randrange(1, 10 ** 9) for _ in range(300)]
+    for bound in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 29, 30, 31, 32, 97,
+                  arith._TRIAL_LIMIT):
+        for n in ns:
+            assert list(prime_factors(n, bound)) == list(
+                oracle_prime_factors(n, bound)), (n, bound)
+
+
+def test_prime_divisors_match_the_old_trial_division():
+    # every value the bounded loop yields goes through is_prime, and a
+    # composite cofactor of two primes above the trial limit through
+    # Pollard–Brent
+    rng = random.Random(2038)
+    ns = list(range(1, 5001)) + two_prime_products(rng, (3, 4, 5, 6))
+    ns += [2 ** 4 * 3 * 997 * n for n in two_prime_products(rng, (4, 5))]
+    ns += [rng.randrange(1, 10 ** 11) for _ in range(200)]
+    for n in ns:
+        assert arith._prime_divisors(n) == set(oracle_prime_factors(n)), n
 
 
 def test_prime_power_parsing():
@@ -409,7 +515,7 @@ def oracle_cyclotomic(q, d):
 # each cyclotomic value by trial division stays cheap
 BRUTE_FORCE_RANGE = tuple((q, 12) for q in (2, 3, 4, 5, 7, 8, 9)) + tuple(
     (q, max(d for d in range(1, 25) if q ** d <= 2 ** 44))
-    for q in range(2, 65) if len(list(prime_factors(q))) == 1)
+    for q in range(2, 65) if len(list(oracle_prime_factors(q))) == 1)
 
 
 @pytest.mark.parametrize("family", CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES)
@@ -418,7 +524,8 @@ def test_admissible_d_matches_brute_force_filter(family):
     for q, d_max in BRUTE_FORCE_RANGE:
         expected = {}
         for d in range(1, d_max + 1):
-            ells = [ell for ell in prime_factors(oracle_cyclotomic(q, d))
+            value = oracle_cyclotomic(q, d)
+            ells = [ell for ell in oracle_prime_factors(value)
                     if ell % 2 and is_good(ell, tag)
                     and oracle_has_order(q, ell, d)]
             if ells:
