@@ -16,13 +16,12 @@ Pure functions of immutable values are memoized with ``functools.lru_cache``:
 process; ``kernel_basis`` reads the cached factorization.
 ``FGAbelianGroup`` is an immutable value built once per (n,
 lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
-``coinvariants`` (on a tuple of operators), ``fixed_points``,
-``h1_cyclic`` and the operator check are memoized on the group and their
-operators or prime.  A call that raises is not cached and raises again.
+``coinvariants`` (on a tuple of operators) and ``fixed_points`` are
+memoized on the group and their operators or prime.  A call that raises is
+not cached and raises again.
 One preimage routine, the x in K whose image under a map lies in a lattice,
-read from one kernel, gives the Frobenius fixed points, the one
-injectivity test, which ``h1_cyclic`` and ``injects`` share, and the
-kernel that ``exact`` compares with an image.  ``injects`` and ``exact``
+read from one kernel, gives the Frobenius fixed points, the injectivity test
+of ``injects`` and the kernel that ``exact`` compares with an image.  Both
 answer their question about the maps that the identity of the ambient
 lattice induces between subquotients; they build no group.
 
@@ -30,12 +29,11 @@ Two exact shortcuts skip elimination where its answer is known.  A product
 with an identity factor is the other factor, and the SNF of an identity is
 (I, I, I), which the pivot loop would also produce.  A zero module K/K has
 only zero sub- and quotient modules: ``p_torsion`` for a p that divides no
-invariant factor is L/L, ``coinvariants``, ``fixed_points`` and
-``h1_cyclic`` of a zero module return it once every operator has passed
-the compatibility check, a map from a zero module is injective, and the
-kernel of a map out of a zero module is zero.  Each result spans the same
-lattices K and L as the general path's, possibly on another basis, so
-every invariant and every report is unchanged.
+invariant factor is L/L, ``coinvariants`` and ``fixed_points`` of a zero
+module return it, a map from a zero module is injective, and the kernel of
+a map out of a zero module is zero.  Each result spans the same lattices K
+and L as the general path's, possibly on another basis, so every invariant
+and every report is unchanged.
 
 ``smith_normal_form`` does not reduce its transforms, and the bases read
 from U and V feed the next factorization, so on some conjugated data the
@@ -56,8 +54,7 @@ from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from .arith import is_prime
-from .errors import (BoundExceeded, IncompatibleAction, NotAutomorphism,
-                     NotFinite)
+from .errors import BoundExceeded
 
 MAX_SNF_BITS = 4096  # per entry of an SNF's input and factors; no option moves it
 
@@ -398,16 +395,6 @@ class FGAbelianGroup:
     # ------------------------------------------------------------ functors
 
     @functools.lru_cache(maxsize=None)
-    def _check_compatible(self, g: IntMatrix) -> None:
-        if g.rows != self.ambient_dim or g.cols != self.ambient_dim:
-            raise IncompatibleAction(
-                f"operator must be {self.ambient_dim}x{self.ambient_dim}")
-        if not lattice_contains(self.sub, g @ self.sub):
-            raise IncompatibleAction("operator does not preserve the subgroup")
-        if self.rel.cols and not lattice_contains(self.rel, g @ self.rel):
-            raise IncompatibleAction("operator does not preserve the relations")
-
-    @functools.lru_cache(maxsize=None)
     def torsion(self) -> "FGAbelianGroup":
         """Subgroup of elements with m·x ∈ L for some m ≥ 1 (mod L)."""
         cols = tuple(tuple(x // d for x in col) for col, d in self._scaled_gens)
@@ -452,10 +439,11 @@ def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
 
 @functools.lru_cache(maxsize=None)
 def coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
-    """A / <(g-1)a : g in gens>, for a tuple of ambient operators preserving
-    K and L."""
-    for g in gens:
-        A._check_compatible(g)
+    """A / <(g-1)a : g in gens>.  Unchecked precondition: each g is n x n
+    and maps K and L into themselves.  Datum validation proves it for each
+    K and L built from a datum: every operator is unimodular and permutes
+    the coroots, Frobenius normalizes the inertia image, and the wild image
+    is normal under inertia and Frobenius."""
     if A.is_trivial:
         return A
     rel = A.rel
@@ -467,33 +455,12 @@ def coinvariants(A: FGAbelianGroup, gens: tuple) -> FGAbelianGroup:
 
 @functools.lru_cache(maxsize=None)
 def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
-    """{a in A : f(a) = a}, for an ambient operator preserving K and L."""
-    A._check_compatible(f)
+    """{a in A : f(a) = a}.  Unchecked precondition, proved by datum
+    validation as for ``coinvariants``: f is n x n and preserves K and L."""
     if A.is_trivial:
         return A
     moved = (f - IntMatrix.identity(A.ambient_dim)) @ A.sub
     return FGAbelianGroup(A.ambient_dim, _preimage(A.sub, moved, A.rel), A.rel)
-
-
-def _injective(A: FGAbelianGroup, image: IntMatrix, rel: IntMatrix) -> bool:
-    """Is a + L -> image(a) + rel injective on A = K/L?  ``image`` holds the
-    image of each column of K."""
-    if A.is_trivial:
-        return True
-    meet = _preimage(A.sub, image, rel)
-    return meet.cols == 0 or lattice_contains(A.rel, meet)
-
-
-@functools.lru_cache(maxsize=None)
-def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
-    """H^1 of the procyclic group generated by f, for finite A: the
-    coinvariants A_f.  Requires f to induce an automorphism of A."""
-    if not A.is_finite:
-        raise NotFinite("H^1 of a procyclic group needs a finite module")
-    A._check_compatible(f)
-    if not _injective(A, f @ A.sub, A.rel):
-        raise NotAutomorphism("operator is not injective on the module")
-    return coinvariants(A, (f,))
 
 
 # The maps below are induced by the identity of the shared ambient lattice,
@@ -501,7 +468,10 @@ def h1_cyclic(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
 
 def injects(source: FGAbelianGroup, target: FGAbelianGroup) -> bool:
     """Is the map source -> target injective?"""
-    return _injective(source, source.sub, target.rel)
+    if source.is_trivial:
+        return True
+    meet = _preimage(source.sub, source.sub, target.rel)
+    return meet.cols == 0 or lattice_contains(source.rel, meet)
 
 
 def exact(a: FGAbelianGroup, b: FGAbelianGroup, c: FGAbelianGroup) -> bool:

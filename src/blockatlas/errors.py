@@ -33,18 +33,6 @@ class BadPrimeHypothesis(BlockatlasError):
     """A block-theoretic hypothesis on the prime fails; the message names it."""
 
 
-class IncompatibleAction(BlockatlasError):
-    """A matrix does not act on the group it was paired with."""
-
-
-class NotFinite(BlockatlasError):
-    """The group is infinite where a finite one is required."""
-
-
-class NotAutomorphism(BlockatlasError):
-    """The endomorphism is not invertible on the module."""
-
-
 class InvalidDatum(BlockatlasError):
     """A root datum fails its structural invariants."""
 

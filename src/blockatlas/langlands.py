@@ -21,7 +21,10 @@ the component-group lemma: torsion created by the wild quotient is p-local,
 the unramified H^1 computed through the wild quotient agrees with the one
 computed directly from the inertia coinvariants, and p-torsion of the torus
 quotient injects into p-torsion of the fundamental-group quotient, before
-and after taking Frobenius fixed points.
+and after taking Frobenius fixed points.  H^1 of <F> on a finite p-part A
+is read as ``coinvariants(A, (F,))``, as on the dual side: F is unimodular
+and, by datum validation, maps each K and L here onto itself, so it is an
+automorphism of K/L.
 
 The modules these checks read that do not depend on p are computed once per
 datum value and process, each on first use, by the caches that build them:
@@ -45,7 +48,6 @@ from .abelian import (
     coinvariants,
     exact,
     fixed_points,
-    h1_cyclic,
     injects,
 )
 from .arith import is_prime
@@ -253,12 +255,12 @@ def component_lemma_checks(datum: RootDatumWithAction,
     pi1_part = coinvariants(fundamental, inert).p_torsion(p)
 
     def through_wild(wild_quotient: FGAbelianGroup) -> tuple:
-        staged = wild_quotient.p_torsion(p)
-        return h1_cyclic(coinvariants(staged, inert), frob).invariant_factors
+        staged = coinvariants(wild_quotient.p_torsion(p), inert)
+        return coinvariants(staged, (frob,)).invariant_factors
 
-    h1_cochar = (h1_cyclic(torus_part, frob).invariant_factors
+    h1_cochar = (coinvariants(torus_part, (frob,)).invariant_factors
                  == through_wild(wild_lattice))
-    h1_pi1 = (h1_cyclic(pi1_part, frob).invariant_factors
+    h1_pi1 = (coinvariants(pi1_part, (frob,)).invariant_factors
               == through_wild(coinvariants(fundamental, datum.wild_matrices)))
 
     # both maps are well defined: pi1_part's relations contain torus_part's

@@ -83,6 +83,17 @@ def well_defined(source, target) -> bool:
                  or lattice_contains(target.rel, source.rel)))
 
 
+def preserves(group, g) -> bool:
+    """Is the ambient operator g n x n, and does it map K and L of group =
+    K/L into themselves, so that it induces an endomorphism of K/L?"""
+    from blockatlas.abelian import lattice_contains
+    n = group.ambient_dim
+    return ((g.rows, g.cols) == (n, n)
+            and lattice_contains(group.sub, g @ group.sub)
+            and (group.rel.cols == 0
+                 or lattice_contains(group.rel, g @ group.rel)))
+
+
 # ------------------------------------------------------------ datum files
 
 def datum_to_dict(datum) -> dict:

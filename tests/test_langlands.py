@@ -1,11 +1,17 @@
 """Torsor comparison, triviality criterion, and component-lemma checks."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import (
     SPLIT_GROUPS,
     clear_process_caches,
+    conjugated_permutation_datum,
+    preserves,
+    seeded_catalog_sums,
     seeded_tori,
     torus,
     unitary,
@@ -13,12 +19,14 @@ from conftest import (
     well_defined,
 )
 
-from blockatlas import langlands
+from blockatlas import langlands, rootdata
 from blockatlas.abelian import (
     FGAbelianGroup,
     IntMatrix,
     coinvariants,
     fixed_points,
+    kernel_basis,
+    lattice_contains,
 )
 from blockatlas.langlands import (
     REGIME_CONJECTURAL,
@@ -33,7 +41,10 @@ from blockatlas.langlands import (
 from blockatlas.rootdata import (
     RootDatumWithAction,
     catalog,
+    datum_from_dict,
     derived_and_abelianized,
+    kottwitz_target,
+    load_datum,
     permutes_standard_basis,
     pi1,
 )
@@ -453,3 +464,64 @@ def test_bijection_check_rejects_composite_p_before_lattice_work(monkeypatch):
     monkeypatch.setattr(langlands, "fixed_points", no_lattice_work)
     with pytest.raises(ValueError, match="p = 4 is not prime"):
         bijection_check(entry("pgl2_split").datum, 4)
+
+
+# ------------------------------------- operators the functors take on trust
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def benchmark_sums(workdir, seed):
+    """The six direct-sum data of round 0 of the benchmark's lattice_grid
+    at this seed, read from the files its generator writes."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    refs = workloads.lattice_data(str(workdir), seed, 0)
+    return [load_datum((workdir / ref).read_text(encoding="utf-8"))
+            for ref in refs if not ref.startswith("catalog:")]
+
+
+def induces_injection(group, g):
+    """Is a + L -> g(a) + L injective on group = K/L: does every x in K
+    with g(x) in L lie in L?"""
+    k, rel = group.sub, group.rel
+    top = kernel_basis((g @ k).hstack(-rel))._first_rows(k.cols)
+    return top.cols == 0 or lattice_contains(rel, k @ top)
+
+
+def test_every_functor_operator_acts_bijectively(monkeypatch, tmp_path):
+    # coinvariants and fixed_points do not check their operators: on a
+    # validated datum every operator that langlands and rootdata pass them
+    # is n x n, maps K and L into themselves and is injective on K/L
+    data = [e.datum for _name, e in sorted(catalog().items())]
+    data += [d for seed in (1, 2) for _names, d in seeded_catalog_sums(seed)]
+    data += [d for seed in (2, 7) for d in benchmark_sums(tmp_path, seed)]
+    data += [datum_from_dict(conjugated_permutation_datum(n, 0))
+             for n in range(2, 9)]
+    calls = {}
+    for module in (langlands, rootdata):
+        for name in ("coinvariants", "fixed_points"):
+            seen = calls[module.__name__, name] = set()
+
+            def checked(group, ops, functor=getattr(module, name),
+                        seen=seen, name=name):
+                for g in ops if name == "coinvariants" else (ops,):
+                    if (group, g) not in seen:
+                        assert preserves(group, g), (name, group, g.entries)
+                        assert induces_injection(group, g), \
+                            (name, group, g.entries)
+                        seen.add((group, g))
+                return functor(group, ops)
+            monkeypatch.setattr(module, name, checked)
+    for datum in data:
+        for p in (2, 3, 5, 7):
+            bijection_check(datum, p)
+            cornqs_check(datum, p)
+            component_lemma_checks(datum, p)
+            pi1(datum).p_torsion(p)
+            kottwitz_target(datum).p_torsion(p)
+    # each functor met operators in both modules
+    assert all(calls.values()), {key: len(v) for key, v in calls.items()}
