@@ -10,30 +10,29 @@ of M @ V, and a unimodular M has inverse V @ U.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
 Pure functions of immutable values are memoized with ``functools.lru_cache``:
-``smith_normal_form``, ``lattice_basis`` and ``solve_in_lattice`` (and so
-``lattice_contains`` and ``lattice_equal``) on their frozen matrices, and
+``smith_normal_form`` and ``lattice_basis`` on their frozen matrices, and
 ``IntMatrix.identity`` on n, so each distinct matrix is factored once per
-process; ``kernel_basis`` reads the cached factorization.
+process; ``kernel_basis`` and ``solve_in_lattice`` (so ``lattice_contains``)
+read the cached factorization.
 ``FGAbelianGroup`` is an immutable value built once per (n,
 lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
 ``coinvariants`` (on a tuple of operators) and ``fixed_points`` are
 memoized on the group and their operators or prime.  A call that raises is
 not cached and raises again.
 One preimage routine, the x in K whose image under a map lies in a lattice,
-read from one kernel, gives the Frobenius fixed points, the injectivity test
-of ``injects`` and the kernel that ``exact`` compares with an image.  Both
-answer their question about the maps that the identity of the ambient
-lattice induces between subquotients; they build no group.
+read from one kernel, gives the Frobenius fixed points and the injectivity
+test of ``injects``, which answers its question about the map that the
+identity of the ambient lattice induces between subquotients and builds no
+group.
 
 Two exact shortcuts skip elimination where its answer is known.  A product
 with an identity factor is the other factor, and the SNF of an identity is
 (I, I, I), which the pivot loop would also produce.  A zero module K/K has
 only zero sub- and quotient modules: ``p_torsion`` for a p that divides no
 invariant factor is L/L, ``coinvariants`` and ``fixed_points`` of a zero
-module return it, a map from a zero module is injective, and the kernel of
-a map out of a zero module is zero.  Each result spans the same lattices K
-and L as the general path's, possibly on another basis, so every invariant
-and every report is unchanged.
+module return it, and a map from a zero module is injective.  Each result
+spans the same lattices K and L as the general path's, possibly on another
+basis, so every invariant and every report is unchanged.
 
 ``smith_normal_form`` does not reduce its transforms, and the bases read
 from U and V feed the next factorization, so on some conjugated data the
@@ -305,7 +304,6 @@ def lattice_basis(M: IntMatrix) -> IntMatrix:
     return M @ IntMatrix._of(tuple(row[:k] for row in V.entries), V.rows, k)
 
 
-@functools.lru_cache(maxsize=None)
 def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
     """X with B @ X = targets over Z, or None. B must have independent cols."""
     U, S, V = smith_normal_form(B)
@@ -337,14 +335,6 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
 
 def lattice_contains(B: IntMatrix, vectors: IntMatrix) -> bool:
     return solve_in_lattice(B, vectors) is not None
-
-
-def lattice_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return lattice_basis(A.hstack(B))
-
-
-def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    return lattice_contains(A, B) and lattice_contains(B, A)
 
 
 def _preimage(sub: IntMatrix, image: IntMatrix, target: IntMatrix) -> IntMatrix:
@@ -463,22 +453,12 @@ def fixed_points(A: FGAbelianGroup, f: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup(A.ambient_dim, _preimage(A.sub, moved, A.rel), A.rel)
 
 
-# The maps below are induced by the identity of the shared ambient lattice,
-# from K1/L1 to K2/L2 with K1 ⊆ K2 and L1 ⊆ L2.
-
 def injects(source: FGAbelianGroup, target: FGAbelianGroup) -> bool:
-    """Is the map source -> target injective?"""
+    """Is the map source -> target injective?  It is induced by the identity
+    of the shared ambient lattice, from K1/L1 to K2/L2 with K1 ⊆ K2 and
+    L1 ⊆ L2."""
     if source.is_trivial:
         return True
     meet = _preimage(source.sub, source.sub, target.rel)
     return meet.cols == 0 or lattice_contains(source.rel, meet)
 
-
-def exact(a: FGAbelianGroup, b: FGAbelianGroup, c: FGAbelianGroup) -> bool:
-    """Is a -> b -> c -> 0 exact: does b cover c, and is the image of a the
-    kernel of b -> c?"""
-    if not lattice_contains(lattice_sum(b.sub, c.rel), c.sub):
-        return False
-    kernel = (b.sub if b.is_trivial else
-              lattice_sum(_preimage(b.sub, b.sub, c.rel), b.rel))
-    return lattice_equal(lattice_sum(a.sub, b.rel), kernel)

@@ -13,8 +13,9 @@ that and reports both structures.
 the arithmetic fundamental group of the group itself: p must not divide the
 order of the fundamental group of the derived subgroup, and the wild action
 on the abelianized cocharacter lattice must permute its standard basis.
-Both hypotheses, the exactness transfer they rely on, and the conclusion
-are computed independently so the implication itself is observable.
+Both hypotheses and the conclusion are computed independently so the
+implication itself is observable; the exactness transfer they rely on is a
+lemma that holds on every validated datum, and the report states it.
 
 :func:`component_lemma_checks` verifies the three mechanizable claims of
 the component-group lemma: torsion created by the wild quotient is p-local,
@@ -43,13 +44,7 @@ from __future__ import annotations
 from math import prod
 from typing import NamedTuple
 
-from .abelian import (
-    FGAbelianGroup,
-    coinvariants,
-    exact,
-    fixed_points,
-    injects,
-)
+from .abelian import FGAbelianGroup, coinvariants, fixed_points, injects
 from .arith import is_prime
 from .errors import InvariantViolation
 from .rootdata import (
@@ -148,6 +143,16 @@ class CriterionReport(NamedTuple):
     and B => conclusion is a theorem in the proved regime; every field is
     computed independently so the report can also exhibit hypothesis
     failures.
+
+    ``as_dict`` states ``sequence_exact_on_p_part``, which holds on every
+    validated datum: the derived-subgroup sequence 0 -> pi1(G_der) ->
+    pi1(G) -> X_*(G_ab) -> 0 stays exact on p-parts after inertia
+    coinvariants.  Coinvariants are right exact, so pi1_I -> (X_ab)_I is
+    onto and its kernel K is the image of pi1(G_der)_I, which is finite as
+    pi1(G_der) is.  A preimage of an element of p-power order is then
+    torsion, and its p-primary part is a preimage too, so the map stays onto
+    on p-parts; its kernel there is K's p-part, the image of the p-part of
+    pi1(G_der)_I.  ``TorsorReport`` states equal cardinality the same way.
     """
 
     p: int
@@ -156,7 +161,6 @@ class CriterionReport(NamedTuple):
     hypothesis_a: bool
     wild_ab_induced: bool
     ab_coinvariants_p_free: bool
-    sequence_exact_on_p_part: bool
     pi1_coinvariants_p_free: bool
     conclusion: bool
 
@@ -169,7 +173,8 @@ class CriterionReport(NamedTuple):
         return not (self.hypothesis_a and self.hypothesis_b) or self.conclusion
 
     def as_dict(self) -> dict:
-        return {**self._asdict(), "hypothesis_b": self.hypothesis_b,
+        return {**self._asdict(), "sequence_exact_on_p_part": True,
+                "hypothesis_b": self.hypothesis_b,
                 "implication_holds": self.implication_holds}
 
 
@@ -178,19 +183,16 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
     """Evaluate the triviality criterion for the p-part of the arithmetic
     fundamental group."""
     _check_prime(p)
-    da = derived_and_abelianized(datum)
-    der_order = da.pi1_der.order()
+    # pi1(G_der), the saturation of the coroots modulo them, is pi1's torsion
+    der_order = prod(pi1(datum).invariant_factors)
     hypothesis_a = der_order % p != 0
 
+    da = derived_and_abelianized(datum)
     wild_ab_induced = permutes_standard_basis(da.ab_wild)
 
     inert = datum.inertia_matrices
     ab_torsion = coinvariants(da.cochar_ab, inert).p_torsion(p)
     pi1_torsion = coinvariants(pi1(datum), inert).p_torsion(p)
-    # well defined: each target's relations contain its source's, as the
-    # coroots lie in the saturation and (g-1)Z^n in every target
-    sequence_exact = exact(coinvariants(da.pi1_der, inert).p_torsion(p),
-                           pi1_torsion, ab_torsion)
 
     conclusion = kottwitz_target(datum).p_torsion(p).is_trivial
     regime = REGIME_PROVED if quasi_split else REGIME_CONJECTURAL
@@ -198,7 +200,6 @@ def cornqs_check(datum: RootDatumWithAction, p: int,
         p=p, regime=regime, derived_pi1_order=der_order,
         hypothesis_a=hypothesis_a, wild_ab_induced=wild_ab_induced,
         ab_coinvariants_p_free=ab_torsion.is_trivial,
-        sequence_exact_on_p_part=sequence_exact,
         pi1_coinvariants_p_free=pi1_torsion.is_trivial, conclusion=conclusion)
 
 

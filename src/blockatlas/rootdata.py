@@ -10,9 +10,10 @@ on roots is by inverse transpose.
 
 From a datum the module derives the algebraic fundamental group (cocharacter
 lattice modulo the coroot lattice), its arithmetic form (inertia
-coinvariants followed by Frobenius fixed points), and the two ends of the
-derived-subgroup sequence: the fundamental group of the derived subgroup and
-the cocharacter lattice of the abelianization.  ``pi1`` and
+coinvariants followed by Frobenius fixed points), and the cocharacter
+lattice of the abelianization, the cokernel end of the derived-subgroup
+sequence; its kernel end, the fundamental group of the derived subgroup, is
+the torsion of ``pi1``.  ``pi1`` and
 ``kottwitz_target`` return groups that :mod:`abelian` interns and caches;
 ``derived_and_abelianized`` is an ``lru_cache`` function of the immutable
 datum.  None of them re-checks what validation proved, so ``pi1`` cannot
@@ -251,16 +252,16 @@ def kottwitz_target(datum: RootDatumWithAction) -> FGAbelianGroup:
 
 
 class DerivedAbelianized(NamedTuple):
-    """Two ends of the derived-subgroup sequence, in the shared ambient.
+    """The abelianized end of the derived-subgroup sequence, in the shared
+    ambient; the derived end, the saturation of the coroot lattice modulo
+    the coroot lattice, is ``pi1(datum).torsion()``.
 
-    ``pi1_der`` is the fundamental group of the derived subgroup (saturation
-    of the coroot lattice modulo the coroot lattice); ``cochar_ab`` is the
-    cocharacter lattice of the abelianization (ambient modulo saturation).
-    ``ab_wild`` carries each wild operator, in the order of ``datum.wild``,
-    transported to coordinates on Z^r, r = ``cochar_ab.free_rank``.
+    ``cochar_ab`` is the cocharacter lattice of the abelianization (ambient
+    modulo saturation).  ``ab_wild`` carries each wild operator, in the
+    order of ``datum.wild``, transported to coordinates on Z^r, r =
+    ``cochar_ab.free_rank``.
     """
 
-    pi1_der: FGAbelianGroup
     cochar_ab: FGAbelianGroup
     ab_wild: tuple  # IntMatrix on Z^r per wild label
 
@@ -275,11 +276,10 @@ def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
     the criterion reads no other, so without one U is not computed."""
     rank = datum.rank
     saturation = pi1(datum).torsion().sub
-    pi1_der = FGAbelianGroup(rank, saturation, datum.coroot_matrix)
     cochar_ab = FGAbelianGroup(rank, IntMatrix.identity(rank), saturation)
     s = saturation.cols
     if s == 0 or not datum.wild:
-        return DerivedAbelianized(pi1_der, cochar_ab, datum.wild_matrices)
+        return DerivedAbelianized(cochar_ab, datum.wild_matrices)
     U, _S, _V = smith_normal_form(saturation)
     uinv = U.inverse_unimodular()
     ab_wild = []
@@ -287,7 +287,7 @@ def derived_and_abelianized(datum: RootDatumWithAction) -> DerivedAbelianized:
         h = (U @ mat @ uinv).entries
         ab_wild.append(IntMatrix._of(
             tuple(row[s:] for row in h[s:]), rank - s, rank - s))
-    return DerivedAbelianized(pi1_der, cochar_ab, tuple(ab_wild))
+    return DerivedAbelianized(cochar_ab, tuple(ab_wild))
 
 
 def permutes_standard_basis(operators: Sequence[IntMatrix]) -> bool:

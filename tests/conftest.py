@@ -83,6 +83,35 @@ def well_defined(source, target) -> bool:
                  or lattice_contains(target.rel, source.rel)))
 
 
+def lattice_sum(a, b):
+    """Basis of the sum of the lattices of the IntMatrices a and b."""
+    from blockatlas.abelian import lattice_basis
+    return lattice_basis(a.hstack(b))
+
+
+def lattice_meet(a, b):
+    """Basis of the intersection of the lattices of a and b: the a @ x of
+    the kernel vectors (x, y) of [a | -b]."""
+    from blockatlas.abelian import kernel_basis, lattice_basis
+    ker = kernel_basis(a.hstack(-b))
+    return lattice_basis(a @ ker._first_rows(a.cols))
+
+
+def same_lattice(a, b) -> bool:
+    from blockatlas.abelian import lattice_contains
+    return lattice_contains(a, b) and lattice_contains(b, a)
+
+
+def general_exact(a, b, c) -> bool:
+    """Is a -> b -> c -> 0 exact, for the maps the identity of the ambient
+    lattice induces: does b cover c, and is the image of a the kernel of
+    b -> c?  Read from lattice sums and meets alone."""
+    from blockatlas.abelian import lattice_contains
+    kernel = lattice_sum(lattice_meet(b.sub, c.rel), b.rel)
+    return (lattice_contains(lattice_sum(b.sub, c.rel), c.sub)
+            and same_lattice(lattice_sum(a.sub, b.rel), kernel))
+
+
 def preserves(group, g) -> bool:
     """Is the ambient operator g n x n, and does it map K and L of group =
     K/L into themselves, so that it induces an endomorphism of K/L?"""
@@ -190,6 +219,38 @@ def conjugated_permutation_datum(n: int, seed: int) -> dict:
             "galois": [{"label": "s", "matrix": conjugated(4)},
                        {"label": "F", "matrix": conjugated(2)}],
             "inertia": ["s"], "wild": ["s"], "frobenius": "F"}
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def benchmark_sums(workdir, seed):
+    """The six direct-sum data of round 0 of the benchmark's lattice_grid
+    at this seed, read from the files its generator writes."""
+    import importlib.util
+
+    from blockatlas.rootdata import load_datum
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    refs = workloads.lattice_data(str(workdir), seed, 0)
+    return [load_datum((workdir / ref).read_text(encoding="utf-8"))
+            for ref in refs if not ref.startswith("catalog:")]
+
+
+def functor_corpus(workdir) -> list:
+    """The 49 data the lattice functors' preconditions are checked on: the
+    catalog, the seeded sums at seeds 1 and 2, the benchmark's round-0 sums
+    at seeds 2 and 7 and the conjugated permutation data of ranks 2-8."""
+    from blockatlas.rootdata import catalog, datum_from_dict
+    data = [e.datum for _name, e in sorted(catalog().items())]
+    data += [d for seed in (1, 2) for _names, d in seeded_catalog_sums(seed)]
+    data += [d for seed in (2, 7) for d in benchmark_sums(workdir, seed)]
+    data += [datum_from_dict(conjugated_permutation_datum(n, 0))
+             for n in range(2, 9)]
+    return data
 
 
 def seeded_catalog_sums(seed: int, count: int = 6) -> list:

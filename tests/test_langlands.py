@@ -1,17 +1,13 @@
 """Torsor comparison, triviality criterion, and component-lemma checks."""
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import pytest
 from conftest import (
     SPLIT_GROUPS,
     clear_process_caches,
-    conjugated_permutation_datum,
+    functor_corpus,
     preserves,
-    seeded_catalog_sums,
     seeded_tori,
     torus,
     unitary,
@@ -41,10 +37,8 @@ from blockatlas.langlands import (
 from blockatlas.rootdata import (
     RootDatumWithAction,
     catalog,
-    datum_from_dict,
     derived_and_abelianized,
     kottwitz_target,
-    load_datum,
     permutes_standard_basis,
     pi1,
 )
@@ -310,7 +304,7 @@ def test_criterion_holds_across_catalog():
     for name, e in catalog().items():
         for p in PRIMES:
             report = cornqs_check(e.datum, p, quasi_split=e.quasi_split)
-            assert report.sequence_exact_on_p_part, name
+            assert report.as_dict()["sequence_exact_on_p_part"] is True
             assert report.implication_holds, (name, p)
             # the two triviality readings agree on this catalog
             assert report.conclusion == report.pi1_coinvariants_p_free, name
@@ -391,15 +385,17 @@ def test_lemma_injectivity_fails_off_the_quasi_split_axis():
 
 
 def _check_maps(datum, p):
-    """The four maps between p-parts that cornqs_check and
-    component_lemma_checks compare, built as they build them."""
+    """The four maps between p-parts that the checks rest on: the two of
+    the derived sequence whose exactness cornqs_check states, and the two
+    that component_lemma_checks compares, built as they build them."""
     inert, frob = datum.inertia_matrices, datum.frobenius_matrix
     da = derived_and_abelianized(datum)
     pi1_torsion = coinvariants(pi1(datum), inert).p_torsion(p)
     torus_part = coinvariants(FGAbelianGroup.free(datum.rank),
                               inert).p_torsion(p)
     return {
-        "left": (coinvariants(da.pi1_der, inert).p_torsion(p), pi1_torsion),
+        "left": (coinvariants(pi1(datum).torsion(), inert).p_torsion(p),
+                 pi1_torsion),
         "right": (pi1_torsion, coinvariants(da.cochar_ab, inert).p_torsion(p)),
         "plain": (torus_part, pi1_torsion),
         "fixed": (fixed_points(torus_part, frob),
@@ -468,22 +464,6 @@ def test_bijection_check_rejects_composite_p_before_lattice_work(monkeypatch):
 
 # ------------------------------------- operators the functors take on trust
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def benchmark_sums(workdir, seed):
-    """The six direct-sum data of round 0 of the benchmark's lattice_grid
-    at this seed, read from the files its generator writes."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads      # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
-    refs = workloads.lattice_data(str(workdir), seed, 0)
-    return [load_datum((workdir / ref).read_text(encoding="utf-8"))
-            for ref in refs if not ref.startswith("catalog:")]
-
-
 def induces_injection(group, g):
     """Is a + L -> g(a) + L injective on group = K/L: does every x in K
     with g(x) in L lie in L?"""
@@ -496,11 +476,7 @@ def test_every_functor_operator_acts_bijectively(monkeypatch, tmp_path):
     # coinvariants and fixed_points do not check their operators: on a
     # validated datum every operator that langlands and rootdata pass them
     # is n x n, maps K and L into themselves and is injective on K/L
-    data = [e.datum for _name, e in sorted(catalog().items())]
-    data += [d for seed in (1, 2) for _names, d in seeded_catalog_sums(seed)]
-    data += [d for seed in (2, 7) for d in benchmark_sums(tmp_path, seed)]
-    data += [datum_from_dict(conjugated_permutation_datum(n, 0))
-             for n in range(2, 9)]
+    data = functor_corpus(tmp_path)
     calls = {}
     for module in (langlands, rootdata):
         for name in ("coinvariants", "fixed_points"):

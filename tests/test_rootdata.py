@@ -4,14 +4,13 @@ import json
 import random
 
 import pytest
-from conftest import (catalog_sum, datum_to_dict, seeded_catalog_sums,
-                      well_defined)
+from conftest import (catalog_sum, datum_to_dict, general_exact,
+                      seeded_catalog_sums, well_defined)
 
 from blockatlas.abelian import (
     FGAbelianGroup,
     IntMatrix,
     coinvariants,
-    exact,
     injects,
     smith_normal_form,
 )
@@ -403,18 +402,19 @@ def ab_blocks(datum) -> dict:
 def test_derived_and_abelianized_gl2():
     datum = catalog()["gl2_split"].datum
     da = derived_and_abelianized(datum)
-    assert da.pi1_der.is_trivial
+    assert pi1(datum).torsion().is_trivial
     assert da.cochar_ab.free_rank == 1 and not da.cochar_ab.invariant_factors
     assert ab_blocks(datum)["F"] == IntMatrix.identity(1)
     assert da.ab_wild == ()
 
 
 def test_derived_and_abelianized_semisimple():
-    da = derived_and_abelianized(catalog()["pgl2_split"].datum)
-    assert da.pi1_der.describe() == "Z/2"
-    assert da.cochar_ab.free_rank == 0
-    da = derived_and_abelianized(catalog()["sl3_split"].datum)
-    assert da.pi1_der.is_trivial and da.cochar_ab.free_rank == 0
+    datum = catalog()["pgl2_split"].datum
+    assert pi1(datum).torsion().describe() == "Z/2"
+    assert derived_and_abelianized(datum).cochar_ab.free_rank == 0
+    datum = catalog()["sl3_split"].datum
+    assert pi1(datum).torsion().is_trivial
+    assert derived_and_abelianized(datum).cochar_ab.free_rank == 0
 
 
 def test_abelianized_action_descends():
@@ -432,18 +432,18 @@ def test_abelianized_action_descends():
 def test_torus_has_no_derived_part():
     datum = catalog()["split_torus_rank2"].datum
     da = derived_and_abelianized(datum)
-    assert da.pi1_der.is_trivial
+    assert pi1(datum).torsion().is_trivial
     assert da.cochar_ab.free_rank == 2
     assert ab_blocks(datum)["F"] == IntMatrix.identity(2)
 
 
 def test_derived_sequence_is_exact_and_every_operator_descends():
     # what derived_and_abelianized takes from validation instead of checking
-    # it on every datum: pi1_der embeds in pi1, pi1 maps onto cochar_ab, the
-    # image of the one is the kernel of the other, the saturation has the
-    # identity as Smith form, and each operator is block upper triangular in
-    # the basis U and acts on cochar_ab by its lower-right block; the wild
-    # operators' blocks are the ones stored
+    # it on every datum: pi1(G_der), the torsion of pi1, embeds in pi1, pi1
+    # maps onto cochar_ab, the image of the one is the kernel of the other,
+    # the saturation has the identity as Smith form, and each operator is
+    # block upper triangular in the basis U and acts on cochar_ab by its
+    # lower-right block; the wild operators' blocks are the ones stored
     data = [(name, e.datum) for name, e in sorted(catalog().items())]
     for seed in (1, 2):
         data += [("+".join(names), datum)
@@ -451,12 +451,12 @@ def test_derived_sequence_is_exact_and_every_operator_descends():
     for name, datum in data:
         da = derived_and_abelianized(datum)
         full = pi1(datum)
-        assert well_defined(da.pi1_der, full), name
+        der = full.torsion()
+        assert well_defined(der, full), name
         assert well_defined(full, da.cochar_ab), name
-        assert injects(da.pi1_der, full), name
-        assert exact(da.pi1_der, full, da.cochar_ab), name
-        assert da.cochar_ab.free_rank == \
-            datum.rank - full.torsion().sub.cols, name
+        assert injects(der, full), name
+        assert general_exact(der, full, da.cochar_ab), name
+        assert da.cochar_ab.free_rank == datum.rank - der.sub.cols, name
         blocks = ab_blocks(datum)
         assert da.ab_wild == tuple(blocks[label] for label in datum.wild), \
             name
