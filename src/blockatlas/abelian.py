@@ -1,19 +1,21 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Groups are represented as subquotients K/L of a fixed ambient lattice Z^n,
-with K and L given by integer basis matrices (columns).  All structure
-passes through a deterministic Smith normal form: pivots are chosen by
-(|value|, row, column), so every derived basis, invariant-factor list and
-report is reproducible bit for bit.  It is also the only elimination that
-yields bases and inverses: U @ M @ V = S gives the image basis as columns
-of M @ V, and a unimodular M has inverse V @ U.  Determinants use
+with K and L given by integer basis matrices (columns).  Bases, solves,
+kernels and inverses come from one elimination, the reduced column Hermite
+normal form (Cohen, GTM 138, §2.4): M @ V = [H | 0] with V unimodular.  H
+is the lattice's unique reduced basis, so equal lattices get equal bases
+and its entries stay bounded; triangular substitution on H solves, the
+tail of V spans the kernel, and a unimodular M has H = I and inverse V.
+The Smith normal form is read only for invariant factors and the change of
+basis they come with.  Pivots are chosen by least |value| in a fixed
+order, so every result is reproducible bit for bit.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
 Pure functions of immutable values are memoized with ``functools.lru_cache``:
 ``smith_normal_form`` and ``lattice_basis`` on their frozen matrices, and
 ``IntMatrix.identity`` on n, so each distinct matrix is factored once per
-process; ``kernel_basis`` and ``solve_in_lattice`` (so ``lattice_contains``)
-read the cached factorization.
+process.
 ``FGAbelianGroup`` is an immutable value built once per (n,
 lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
 ``coinvariants`` (on a tuple of operators) and ``fixed_points`` are
@@ -31,31 +33,32 @@ with an identity factor is the other factor, and the SNF of an identity is
 only zero sub- and quotient modules: ``p_torsion`` for a p that divides no
 invariant factor is L/L, ``coinvariants`` and ``fixed_points`` of a zero
 module return it, and a map from a zero module is injective.  Each result
-spans the same lattices K and L as the general path's, possibly on another
-basis, so every invariant and every report is unchanged.
+spans the same lattices K and L as the general path's, so it is the same
+interned group.
 
-``smith_normal_form`` does not reduce its transforms, and the bases read
-from U and V feed the next factorization, so on some conjugated data the
-entries grow without end; past ``MAX_SNF_BITS`` bits in its input or in U,
-S or V it raises BoundExceeded, so the datum commands fail fast there.
+An entry past ``MAX_ENTRY_BITS`` bits in the input or the results of
+either elimination raises BoundExceeded, so a datum command fails fast
+instead of computing with it.
 
 The public ``IntMatrix`` constructor validates its input: it converts every
 entry with ``int()`` and rejects ragged rows.  Matrices that this module
 computes from other matrices (products, sums, stacks, transposes, the Smith
-factors and the bases read from them) skip that re-check.
+and Hermite forms and what is read from them) skip that re-check.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from math import prod
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Optional, Sequence
 
 from .arith import is_prime
 from .errors import BoundExceeded
 
-MAX_SNF_BITS = 4096  # per entry of an SNF's input and factors; no option moves it
+# per entry of an elimination's input and results; no option moves it
+MAX_ENTRY_BITS = 4096
 
 
 class IntMatrix:
@@ -139,11 +142,17 @@ class IntMatrix:
             return other
         if other.entries == one:
             return self
-        cols = tuple(zip(*other.entries))
-        return IntMatrix._of(
-            tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                  for row in self.entries),
-            self.rows, other.cols)
+        # row i of the product sums the rows of other that the nonzero
+        # entries of row i pick, scaled; operators are mostly sparse
+        rows, out = other.entries, []
+        for row in self.entries:
+            acc = None
+            for a, b in zip(row, rows):
+                if a:
+                    b = b if a == 1 else tuple(a * x for x in b)
+                    acc = b if acc is None else tuple(map(add, acc, b))
+            out.append(acc or (0,) * other.cols)
+        return IntMatrix._of(tuple(out), self.rows, other.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -184,16 +193,16 @@ class IntMatrix:
         return sign * prev
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; requires det = ±1.  U @ M @ V = I gives V @ U."""
+        """Exact inverse; requires det = ±1.  The Hermite form of a
+        unimodular M is I, so M @ V = I gives V."""
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
-        U, S, V = smith_normal_form(self)
-        diag = _snf_diagonal(S)
-        if len(diag) < self.rows:
+        pivots, _rest = _hermite(self, True)
+        if len(pivots) < self.rows:
             raise ValueError("matrix is singular")
-        if any(d != 1 for d in diag):
+        if any(col[i] != 1 for i, col in pivots):
             raise ValueError("matrix is not unimodular")
-        return V @ U
+        return _cols_matrix([col for _i, col in pivots], self.rows, self.cols)
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -205,13 +214,13 @@ def smith_normal_form(M: IntMatrix) -> tuple:
 
     U and V are unimodular.  Pivot choice is (|value|, row, col)-minimal,
     making the whole decomposition deterministic.  An entry of M, U, S or V
-    past ``MAX_SNF_BITS`` bits raises BoundExceeded.
+    past ``MAX_ENTRY_BITS`` bits raises BoundExceeded.
     """
     r, c = M.rows, M.cols
     one = IntMatrix.identity(r)
     if M == one:
         return one, M, one
-    _check_bits(M.entries, r, c)
+    _check_bits(M.entries, "Smith", r, c)
     A = [list(row) for row in M.entries]
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
@@ -278,59 +287,118 @@ def smith_normal_form(M: IntMatrix) -> tuple:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    _check_bits(U + A + V, r, c)
+    _check_bits(U + A + V, "Smith", r, c)
     return (IntMatrix._of(tuple(map(tuple, U)), r, r),
             IntMatrix._of(tuple(map(tuple, A)), r, c),
             IntMatrix._of(tuple(map(tuple, V)), c, c))
 
 
-def _check_bits(rows, r: int, c: int) -> None:
-    limit = 1 << MAX_SNF_BITS
-    if not all(-limit < min(row) and max(row) < limit for row in rows if row):
-        raise BoundExceeded(f"Smith normal form of a {r}x{c} matrix: an "
-                            f"entry exceeds {MAX_SNF_BITS} bits")
+def _check_bits(rows, form: str, r: int, c: int) -> None:
+    largest = max(map(abs, chain.from_iterable(rows)), default=0)
+    if largest.bit_length() > MAX_ENTRY_BITS:
+        raise BoundExceeded(f"{form} normal form of a {r}x{c} matrix: an "
+                            f"entry exceeds {MAX_ENTRY_BITS} bits")
 
 
-def _snf_diagonal(S: IntMatrix) -> list:
-    return [S.entries[i][i] for i in range(min(S.rows, S.cols))
-            if S.entries[i][i] != 0]
+def _hermite(M: IntMatrix, transform: bool) -> tuple:
+    """Reduced column Hermite normal form of M by column operations.
+
+    Rows are cleared from the last up.  The columns with a nonzero entry in
+    row i trade Euclid steps, each reduced by the one of least |entry|,
+    until one is left: made positive, it is the pivot of row i, and each
+    pivot column found before it is reduced to an entry in [0, pivot) on
+    row i.  Returns (pivots, rest): the pivot columns as (row, column)
+    pairs, rows ascending, then the columns that were zeroed.  With
+    ``transform`` each column carries below its M.rows entries the
+    M.cols coordinates of the operations, so the pivots' tails are V with
+    M @ V = H and the tails of rest span the kernel of M.  An entry of M or
+    of a result past ``MAX_ENTRY_BITS`` bits raises BoundExceeded.
+    """
+    n, m = M.rows, M.cols
+    _check_bits(M.entries, "Hermite", n, m)
+    cols = [list(c) for c in M.columns()]
+    if transform:
+        for j, col in enumerate(cols):
+            col += [0] * m
+            col[n + j] = 1
+    pivots = []                      # (row, column), rows descending
+    for i in reversed(range(n)):
+        live = [col for col in cols if col[i]]
+        if not live:
+            continue
+        cols = [col for col in cols if not col[i]]
+        while len(live) > 1:
+            piv = min(live, key=lambda col: abs(col[i]))
+            p, rest = piv[i], [piv]
+            for col in live:
+                if col is not piv:
+                    q = col[i] // p      # leaves |remainder| < |p|
+                    col = [x - q * y for x, y in zip(col, piv)]
+                    (rest if col[i] else cols).append(col)
+            live = rest
+        piv = live[0]
+        if piv[i] < 0:
+            piv = [-x for x in piv]
+        p = piv[i]
+        for k, (row, col) in enumerate(pivots):
+            q = col[i] // p
+            if q:
+                pivots[k] = row, [x - q * y for x, y in zip(col, piv)]
+        pivots.append((i, piv))
+    pivots.reverse()
+    _check_bits([col for _i, col in pivots] + cols, "Hermite", n, m)
+    return pivots, cols
+
+
+def _cols_matrix(cols: list, start: int, rows: int) -> IntMatrix:
+    """The matrix whose columns are coordinates start .. start + rows of
+    ``cols``."""
+    if not cols:
+        return IntMatrix.zeros(rows, 0)
+    return IntMatrix._of(tuple(zip(*(col[start:start + rows] for col in cols))),
+                         rows, len(cols))
 
 
 @functools.lru_cache(maxsize=None)
 def lattice_basis(M: IntMatrix) -> IntMatrix:
-    """Basis (columns) of the lattice generated by the columns of M."""
-    _U, S, V = smith_normal_form(M)
-    k = len(_snf_diagonal(S))
-    return M @ IntMatrix._of(tuple(row[:k] for row in V.entries), V.rows, k)
+    """The reduced Hermite basis (columns) of the lattice generated by the
+    columns of M: column j has its last nonzero entry, positive, in row r_j,
+    r_1 < r_2 < ..., and every later column's entry in row r_j lies in
+    [0, that pivot).  Equal lattices have equal bases."""
+    pivots, _rest = _hermite(M, False)
+    return _cols_matrix([col for _i, col in pivots], 0, M.rows)
 
 
 def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
-    """X with B @ X = targets over Z, or None. B must have independent cols."""
-    U, S, V = smith_normal_form(B)
-    rhs = U @ targets
-    diag = [S.entries[i][i] for i in range(min(S.rows, S.cols))]
-    Y = [[0] * targets.cols for _ in range(B.cols)]
-    for j in range(targets.cols):
-        for i in range(B.rows):
-            d = diag[i] if i < len(diag) else 0
-            v = rhs.entries[i][j]
-            if d == 0:
-                if v != 0:
-                    return None
-            else:
-                if v % d != 0:
-                    return None
-                if i < B.cols:
-                    Y[i][j] = v // d
-    return V @ IntMatrix._of(tuple(map(tuple, Y)), B.cols, targets.cols)
+    """X with B @ X = targets over Z, or None.  Back substitution down the
+    pivot rows of B's Hermite form H = B @ V gives Y with H @ Y = targets;
+    X = V @ Y.  For a basis B the solution is unique."""
+    if B.rows != targets.rows:
+        raise ValueError(f"shape mismatch {B.rows} vs {targets.rows}")
+    n = B.rows
+    pivots, _rest = _hermite(B, True)
+    pivots.reverse()
+    out = []
+    for target in targets.columns():
+        # t - H @ y above, -V @ y below, with y growing one pivot at a time
+        t = list(target) + [0] * B.cols
+        for i, col in pivots:
+            q, r = divmod(t[i], col[i])
+            if r:
+                return None
+            if q:
+                t = [x - q * y for x, y in zip(t, col)]
+        if any(t[:n]):
+            return None
+        out.append([-x for x in t[n:]])
+    return _cols_matrix(out, 0, B.cols)
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Basis (columns) of {x : M @ x = 0}."""
-    _U, S, V = smith_normal_form(M)
-    rank = len(_snf_diagonal(S))
-    return IntMatrix._of(tuple(row[rank:] for row in V.entries),
-                         M.cols, M.cols - rank)
+    """Basis (columns) of {x : M @ x = 0}: the transforms of the columns
+    that the Hermite form zeroes."""
+    _pivots, rest = _hermite(M, True)
+    return _cols_matrix(rest, M.rows, M.cols)
 
 
 def lattice_contains(B: IntMatrix, vectors: IntMatrix) -> bool:
@@ -415,7 +483,7 @@ def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
     if coords is None:
         raise ValueError("relation lattice is not contained in the subgroup")
     _U, S, V = smith_normal_form(coords)
-    diag = _snf_diagonal(S)
+    diag = [row[i] for i, row in enumerate(S.entries[:S.cols]) if row[i]]
     group = object.__new__(FGAbelianGroup)
     # column i of coords @ V is d_i times column i of U^-1: the i-th
     # cyclic factor's generator, scaled to a relation

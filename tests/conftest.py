@@ -190,23 +190,13 @@ def catalog_sum(names):
                                frobenius="F")
 
 
-def conjugated_permutation_datum(n: int, seed: int) -> dict:
-    """The datum file of a rank-n torus whose operators are block-cycle
-    permutations conjugated by a seeded unimodular U: U is 5n row
-    operations row i += c·row j on the identity, (i, j) from
-    ``rng.sample(range(n), 2)`` and c from ``rng.randint(-3, 3)``; inertia
-    = wild = ⟨s⟩ with s = U·P₄·U⁻¹, Frobenius F = U·P₂·U⁻¹, where P_k
-    cycles each run of k consecutive coordinates and fixes the rest.  It is
-    isomorphic to the permutation datum, but the SNF transforms of its
-    lattices grow with n."""
-    rng = random.Random(seed)
-    u, u_inv = _eye(n), _eye(n)
-    for _ in range(5 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-3, 3)
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for row in u_inv:       # the inverse: column j -= c·column i
-            row[j] -= c * row[i]
+def permutation_datum(n: int, u=None, u_inv=None) -> dict:
+    """The datum file of the rank-n permutation torus: inertia = wild = ⟨s⟩
+    with s = P₄ and Frobenius F = P₂, where P_k cycles each run of k
+    consecutive coordinates and fixes the rest; conjugated by U when the
+    matrices u and u_inv = U⁻¹ are given."""
+    u = u or _eye(n)
+    u_inv = u_inv or _eye(n)
 
     def conjugated(k):
         blocks = [_permutation_block(k)] * (n // k) + [[[1]]] * (n % k)
@@ -219,6 +209,24 @@ def conjugated_permutation_datum(n: int, seed: int) -> dict:
             "galois": [{"label": "s", "matrix": conjugated(4)},
                        {"label": "F", "matrix": conjugated(2)}],
             "inertia": ["s"], "wild": ["s"], "frobenius": "F"}
+
+
+def conjugated_permutation_datum(n: int, seed: int) -> dict:
+    """``permutation_datum(n)`` conjugated by a seeded unimodular U: U is
+    5n row operations row i += c·row j on the identity, (i, j) from
+    ``rng.sample(range(n), 2)`` and c from ``rng.randint(-3, 3)``.  It is
+    isomorphic to the permutation datum, but its operators' entries, and
+    those of the bases any unreduced elimination reads from its lattices,
+    grow with n."""
+    rng = random.Random(seed)
+    u, u_inv = _eye(n), _eye(n)
+    for _ in range(5 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:       # the inverse: column j -= c·column i
+            row[j] -= c * row[i]
+    return permutation_datum(n, u, u_inv)
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -1,7 +1,7 @@
 """Mutation kill list: each entry breaks the library on purpose, and the
 tier-1 tests it names must fail.
 
-Run from the repository root (about 16 s; not collected by pytest, since
+Run from the repository root (about 18 s; not collected by pytest, since
 the name does not start with ``test_``)::
 
     python3 tests/mutations.py
@@ -79,6 +79,11 @@ MUTATIONS = [
      "                if (outer @ w @ inv).entries not in wild_closure:",
      "                if False:",
      ["tests/test_rootdata.py::test_wild_image_must_be_normal"]),
+    # without it the Hermite basis is still an echelon basis of the
+    # lattice, but no longer the unique one
+    ("Hermite form skips the off-diagonal reduction", "abelian.py",
+     "            q = col[i] // p\n", "            q = 0\n",
+     ["tests/test_abelian.py::test_equal_lattices_get_equal_bases"]),
     ("SNF pivot sign flipped", "abelian.py",
      "        if p < 0:\n            A[t] = [-x for x in A[t]]",
      "        if p > 0:\n            A[t] = [-x for x in A[t]]",

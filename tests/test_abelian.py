@@ -205,16 +205,36 @@ def test_snf_empty_shapes():
 
 
 def test_snf_rejects_entries_past_the_bit_bound():
-    # every entry of the input and of U, S and V has at most MAX_SNF_BITS
+    # every entry of the input and of U, S and V has at most MAX_ENTRY_BITS
     # bits; the input is checked before any elimination
-    limit = 2 ** abelian.MAX_SNF_BITS
+    limit = 2 ** abelian.MAX_ENTRY_BITS
     for entry in (limit - 1, 1 - limit):
         _u, s, _v = smith_normal_form(IntMatrix([[entry, 0], [0, 1]]))
         assert s == IntMatrix([[1, 0], [0, limit - 1]])
     for entries in ([[limit]], [[-limit]], [[1, 0], [0, limit]]):
         with pytest.raises(BoundExceeded, match=f"exceeds "
-                           f"{abelian.MAX_SNF_BITS} bits$"):
+                           f"{abelian.MAX_ENTRY_BITS} bits$"):
             smith_normal_form(IntMatrix(entries))
+
+
+def test_hermite_rejects_entries_past_the_bit_bound():
+    # bases, solves, kernels and inverses check their input and results
+    # against the same bound, before and after the one elimination
+    limit = 2 ** abelian.MAX_ENTRY_BITS
+    m = IntMatrix([[1, limit - 1], [0, 1]])
+    assert lattice_basis(m) == IntMatrix.identity(2)
+    assert m.inverse_unimodular() == IntMatrix([[1, 1 - limit], [0, 1]])
+    assert kernel_basis(IntMatrix([[1, 1 - limit]])) == IntMatrix(
+        [[limit - 1], [1]])
+    for entry in (limit, -limit):
+        m = IntMatrix([[1, entry], [0, 1]])
+        for call in (lambda: lattice_basis(m), lambda: kernel_basis(m),
+                     m.inverse_unimodular,
+                     lambda: solve_in_lattice(m, IntMatrix.identity(2))):
+            with pytest.raises(BoundExceeded, match="^Hermite normal form "
+                               "of a 2x2 matrix: an entry exceeds "
+                               f"{abelian.MAX_ENTRY_BITS} bits$"):
+                call()
 
 
 # ------------------------------------- internal results vs the public path
@@ -559,6 +579,38 @@ def test_lattice_basis_idempotent_and_spanning():
         # basis columns are independent: kernel is trivial
         assert kernel_basis(b).cols == 0
         assert lattice_basis(b).cols == b.cols
+
+
+def reduced_hermite(cols, n):
+    """The tests' echelon basis with each column reduced, from the right,
+    by the columns before it: its entry on an earlier pivot row lands in
+    [0, that pivot).  Pivot rows ascend; the result is unique per lattice."""
+    basis = [(i, h) for i, h in enumerate(hermite_basis(cols, n)) if h]
+    out = []
+    for i, h in basis:
+        for j, g in reversed(out):
+            q = h[j] // g[j]
+            h = [a - q * b for a, b in zip(h, g)]
+        out.append((i, h))
+    return [tuple(h) for _i, h in out]
+
+
+def test_equal_lattices_get_equal_bases():
+    # two seeded generator sets of one lattice: a unimodular change of the
+    # generators, redundant integer combinations and a shuffle; both give
+    # one basis, the reduced echelon basis of the tests' own elimination
+    rng = random.Random(109)
+    for _ in range(60):
+        n, k, extra = rng.randint(1, 5), rng.randint(2, 6), rng.randint(0, 3)
+        gens = random_matrix(rng, n, k)
+        combos = IntMatrix([[rng.randint(-3, 3) for _ in range(extra)]
+                            for _ in range(k)], rows=k, cols=extra)
+        cols = (gens @ random_unimodular(rng, k)).hstack(gens @ combos)
+        cols = cols.columns()
+        rng.shuffle(cols)
+        basis = lattice_basis(gens)
+        assert lattice_basis(IntMatrix.from_columns(cols, n)) == basis
+        assert basis.columns() == reduced_hermite(gens.columns(), n)
 
 
 def test_injects_frozen():
@@ -1208,9 +1260,8 @@ def test_identity_factors_keep_shape_errors_and_products():
 
 def test_components_grid_factors_fewer_matrices(tmp_path, capsys):
     # a work counter: from cold caches, the components grid over the
-    # catalog at p = 2, 3, 5 factors 40 distinct matrices and builds 24
-    # distinct groups (68 and 27 with every zero module and identity
-    # factor sent through the general path)
+    # catalog at p = 2, 3, 5 reduces 22 distinct matrices to Hermite bases,
+    # builds 14 distinct groups and factors 9 matrices to Smith form
     from blockatlas.cli import main
     from blockatlas.rootdata import catalog
     cfg = tmp_path / "components.cfg"
@@ -1219,17 +1270,15 @@ def test_components_grid_factors_fewer_matrices(tmp_path, capsys):
     clear_process_caches()
     assert main(["grid", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert smith_normal_form.cache_info().misses <= 40
-    assert abelian._group.cache_info().misses <= 24
+    assert lattice_basis.cache_info().misses == 22
+    assert abelian._group.cache_info().misses == 14
+    assert smith_normal_form.cache_info().misses == 9
 
 
 def test_cornqs_grid_factors_fewer_matrices(tmp_path, capsys):
     # a work counter: from cold caches, the cornqs grid over the catalog at
-    # p = 2, 3, 5 factors 34 distinct matrices and builds 24 distinct
-    # groups (50 and 24 while cornqs computed the derived sequence's
-    # exactness on p-parts, which every validated datum has; 61 and 24
-    # before that, while pi1 re-proved that each operator preserves the
-    # coroot lattice and derived_and_abelianized re-checked the sequence)
+    # p = 2, 3, 5 reduces 18 distinct matrices to Hermite bases, builds 13
+    # distinct groups and factors 8 matrices to Smith form
     from blockatlas.cli import main
     from blockatlas.rootdata import catalog
     cfg = tmp_path / "cornqs.cfg"
@@ -1238,5 +1287,6 @@ def test_cornqs_grid_factors_fewer_matrices(tmp_path, capsys):
     clear_process_caches()
     assert main(["grid", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert smith_normal_form.cache_info().misses <= 34
-    assert abelian._group.cache_info().misses <= 24
+    assert lattice_basis.cache_info().misses == 18
+    assert abelian._group.cache_info().misses == 13
+    assert smith_normal_form.cache_info().misses == 8

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (clear_process_caches, conjugated_permutation_datum,
-                      datum_to_dict)
+                      datum_to_dict, permutation_datum)
 from jsonschema import Draft202012Validator
 
 import blockatlas
@@ -592,17 +592,25 @@ def test_datum_file_rank_far_above_its_operators_fails_fast(tmp_path):
         "message": "operator 'F' is not 1000000000000x1000000000000"}
 
 
+def sign_torus(frobenius_entry: int) -> dict:
+    """The datum file of a rank-2 torus with inertia = wild = ⟨-1⟩ and
+    Frobenius [[1, e], [0, 1]]."""
+    return {"rank": 2, "coroots": [], "roots": [],
+            "galois": [{"label": "s", "matrix": [[-1, 0], [0, -1]]},
+                       {"label": "F",
+                        "matrix": [[1, frobenius_entry], [0, 1]]}],
+            "inertia": ["s"], "wild": ["s"], "frobenius": "F"}
+
+
 def test_datum_past_the_snf_bound_fails_fast(capsys, tmp_path):
-    # at rank 16, seed 1 the unreduced SNF transforms carry entries of
-    # hundreds of thousands of bits into later factorizations, and
-    # bijection and cornqs ran past 60 s; past MAX_SNF_BITS each datum
-    # command exits 2 within 5 s, in a fresh interpreter
+    # a 4100-bit Frobenius entry crosses MAX_ENTRY_BITS at the first
+    # elimination, the Hermite form that inverts Frobenius in validation:
+    # each datum command exits 2 within 5 s, in a fresh interpreter
     path = tmp_path / "datum.json"
-    path.write_text(json.dumps(conjugated_permutation_datum(16, 1)),
-                    encoding="utf-8")
+    path.write_text(json.dumps(sign_torus(2 ** 4100)), encoding="utf-8")
     error = {"code": "BoundExceeded",
-             "message": f"Smith normal form of a 16x16 matrix: an entry "
-                        f"exceeds {abelian.MAX_SNF_BITS} bits"}
+             "message": f"Hermite normal form of a 2x2 matrix: an entry "
+                        f"exceeds {abelian.MAX_ENTRY_BITS} bits"}
     for command in ("bijection", "cornqs", "components"):
         proc = subprocess.run([sys.executable, "-c", _ENTRY, command,
                                "--datum", str(path), "--p", "2"],
@@ -618,11 +626,48 @@ def test_datum_past_the_snf_bound_fails_fast(capsys, tmp_path):
     jobs = check(out)["result"]["jobs"]
     assert code == 0 and [job["status"] for job in jobs] == ["error", "ok"]
     assert jobs[0]["error"] == error
-    # at rank 8 the transforms stay far below the bound
-    path.write_text(json.dumps(conjugated_permutation_datum(8, 0)),
-                    encoding="utf-8")
+    # a 4000-bit entry stays below the bound
+    path.write_text(json.dumps(sign_torus(2 ** 4000)), encoding="utf-8")
     for command in ("bijection", "cornqs", "components"):
         assert run(capsys, command, "--datum", str(path), "--p", "2")[0] == 0
+
+
+# wild_ab_induced reads the wild operators in the basis the derived
+# sequence's change of basis gives the abelianized lattice, and
+# hypothesis_b is read from it; every other field is basis-free
+BASIS_DEPENDENT = {"datum", "wild_ab_induced", "hypothesis_b"}
+CELL_BUDGET_S = 1.0
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_conjugated_torus_matches_the_permutation_torus(capsys, tmp_path, n):
+    # the conjugated torus is isomorphic to the permutation torus, so each
+    # datum command reports the same basis-free fields at p = 2 and 3; each
+    # cell, datum loading included, finishes within CELL_BUDGET_S from
+    # cold caches (the slowest took 22 ms on a 2-vCPU host; with bases read
+    # from unreduced Smith transforms 120 of these 216 cells raised
+    # BoundExceeded, from rank 8, seed 2 on)
+    commands = ("bijection", "cornqs", "components")
+
+    def report(path, command, p):
+        code, out = run(capsys, command, "--datum", str(path), "--p", str(p))
+        assert code == 0, out
+        return {key: value for key, value in check(out)["result"].items()
+                if key not in BASIS_DEPENDENT}
+
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(permutation_datum(n)), encoding="utf-8")
+    expected = {(command, p): report(path, command, p)
+                for command in commands for p in (2, 3)}
+    for seed in range(4):
+        path.write_text(json.dumps(conjugated_permutation_datum(n, seed)),
+                        encoding="utf-8")
+        for (command, p), fields in expected.items():
+            clear_process_caches()
+            start = time.perf_counter()
+            assert report(path, command, p) == fields, (seed, command, p)
+            assert time.perf_counter() - start < CELL_BUDGET_S, (seed,
+                                                                command, p)
 
 
 def test_datum_file_key_outside_the_format_exits_2(capsys, tmp_path):
@@ -1224,12 +1269,14 @@ def test_grid_cell_invariant_violation_aborts_the_grid(capsys, tmp_path,
 
 def test_components_grid_factors_each_matrix_once(capsys, tmp_path,
                                                   monkeypatch):
-    # A work counter instead of a timer: each distinct matrix is factored
-    # once and each distinct (dim, sub, rel) group is built once; every
-    # later lookup of an equal key is a cache hit.  From cold caches this
-    # grid (18 catalog entries, p = 2, 3, 5) passes 68 distinct matrices in
-    # 180 lookups to the SNF, and builds 27 distinct groups in 168 lookups;
-    # without a working cache key every lookup would be a miss.
+    # A work counter instead of a timer: each distinct matrix is reduced or
+    # factored once and each distinct (dim, sub, rel) group is built once;
+    # every later lookup of an equal key is a cache hit.  From cold caches
+    # this grid (18 catalog entries, p = 2, 3, 5) passes 22 distinct
+    # matrices in 300 lookups to lattice_basis and builds 14 distinct groups
+    # in 147 lookups; the SNF, read only for the groups' invariant factors
+    # and the derived change of basis, factors 9 matrices in 14 lookups.
+    # Without a working cache key every lookup would be a miss.
     clear_process_caches()
     lookups = {}
 
@@ -1241,8 +1288,8 @@ def test_components_grid_factors_each_matrix_once(capsys, tmp_path,
             lookups[name][1].append(args)
             return cached(*args)
         monkeypatch.setattr(abelian, name, lookup)
-    recorded("smith_normal_form")
-    recorded("_group")
+    for name in ("smith_normal_form", "lattice_basis", "_group"):
+        recorded(name)
     data = ", ".join(f"catalog:{name}" for name in sorted(catalog()))
     cfg = write_cfg(tmp_path, f"command = components\ndata = {data}\n"
                               "primes = 2, 3, 5\n")
@@ -1253,10 +1300,10 @@ def test_components_grid_factors_each_matrix_once(capsys, tmp_path,
         info = cached.cache_info()
         assert info.hits + info.misses == len(args), (name, info)
         assert 0 < info.misses == len(set(args)), (name, info)
-    snf_info = lookups["smith_normal_form"][0].cache_info()
-    assert snf_info.hits >= snf_info.misses, snf_info
-    group_info = lookups["_group"][0].cache_info()
-    assert group_info.hits + group_info.misses >= 4 * group_info.misses
+    counts = {name: (cached.cache_info().misses, cached.cache_info().hits)
+              for name, (cached, _args) in lookups.items()}
+    assert counts == {"smith_normal_form": (9, 5),
+                      "lattice_basis": (22, 278), "_group": (14, 133)}
 
 
 # ----------------------------------------------------------------- start-up
