@@ -13,9 +13,12 @@ order, so every result is reproducible bit for bit.  Determinants use
 fraction-free Bareiss elimination, so all arithmetic stays in Z.
 
 Pure functions of immutable values are memoized with ``functools.lru_cache``:
-``smith_normal_form`` and ``lattice_basis`` on their frozen matrices, and
-``IntMatrix.identity`` on n, so each distinct matrix is factored once per
-process.
+``smith_normal_form``, the Hermite form and ``lattice_basis`` on their
+frozen matrices, and ``IntMatrix.identity`` on n, so each distinct matrix
+is factored at most once per form and process; ``lattice_basis``,
+``kernel_basis``, ``solve_in_lattice`` (so ``lattice_contains``),
+``IntMatrix.is_unimodular`` and ``IntMatrix.inverse_unimodular`` read the
+cached Hermite form.
 ``FGAbelianGroup`` is an immutable value built once per (n,
 lattice_basis(K), lattice_basis(L)); ``torsion``, ``p_torsion``,
 ``coinvariants`` (on a tuple of operators) and ``fixed_points`` are
@@ -49,9 +52,8 @@ and Hermite forms and what is read from them) skip that re-check.
 from __future__ import annotations
 
 import functools
-from itertools import chain
 from math import prod
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from .arith import is_prime
@@ -142,17 +144,11 @@ class IntMatrix:
             return other
         if other.entries == one:
             return self
-        # row i of the product sums the rows of other that the nonzero
-        # entries of row i pick, scaled; operators are mostly sparse
-        rows, out = other.entries, []
-        for row in self.entries:
-            acc = None
-            for a, b in zip(row, rows):
-                if a:
-                    b = b if a == 1 else tuple(a * x for x in b)
-                    acc = b if acc is None else tuple(map(add, acc, b))
-            out.append(acc or (0,) * other.cols)
-        return IntMatrix._of(tuple(out), self.rows, other.cols)
+        cols = tuple(zip(*other.entries))
+        return IntMatrix._of(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                  for row in self.entries),
+            self.rows, other.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -197,7 +193,7 @@ class IntMatrix:
         unimodular M is I, so M @ V = I gives V."""
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
-        pivots, _rest = _hermite(self, True)
+        pivots, _rest = _hermite(self)
         if len(pivots) < self.rows:
             raise ValueError("matrix is singular")
         if any(col[i] != 1 for i, col in pivots):
@@ -205,7 +201,12 @@ class IntMatrix:
         return _cols_matrix([col for _i, col in pivots], self.rows, self.cols)
 
     def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
+        """Square with Hermite form I, the form that inverts it."""
+        if self.rows != self.cols:
+            return False
+        pivots, _rest = _hermite(self)
+        return (len(pivots) == self.rows
+                and all(col[i] == 1 for i, col in pivots))
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,39 +295,46 @@ def smith_normal_form(M: IntMatrix) -> tuple:
 
 
 def _check_bits(rows, form: str, r: int, c: int) -> None:
-    largest = max(map(abs, chain.from_iterable(rows)), default=0)
-    if largest.bit_length() > MAX_ENTRY_BITS:
+    limit = 1 << MAX_ENTRY_BITS
+    if not all(-limit < min(row) and max(row) < limit for row in rows if row):
         raise BoundExceeded(f"{form} normal form of a {r}x{c} matrix: an "
                             f"entry exceeds {MAX_ENTRY_BITS} bits")
 
 
-def _hermite(M: IntMatrix, transform: bool) -> tuple:
+def _snf_diagonal(S: IntMatrix) -> list:
+    return [S.entries[i][i] for i in range(min(S.rows, S.cols))
+            if S.entries[i][i] != 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite(M: IntMatrix) -> tuple:
     """Reduced column Hermite normal form of M by column operations.
 
     Rows are cleared from the last up.  The columns with a nonzero entry in
     row i trade Euclid steps, each reduced by the one of least |entry|,
     until one is left: made positive, it is the pivot of row i, and each
     pivot column found before it is reduced to an entry in [0, pivot) on
-    row i.  Returns (pivots, rest): the pivot columns as (row, column)
-    pairs, rows ascending, then the columns that were zeroed.  With
-    ``transform`` each column carries below its M.rows entries the
-    M.cols coordinates of the operations, so the pivots' tails are V with
-    M @ V = H and the tails of rest span the kernel of M.  An entry of M or
-    of a result past ``MAX_ENTRY_BITS`` bits raises BoundExceeded.
+    row i.  Each column carries below its M.rows entries the M.cols
+    coordinates of the operations.  Returns (pivots, rest): the pivot
+    columns as (row, column) pairs, rows ascending, whose heads are H and
+    tails V with M @ V = H, then the zeroed columns, whose tails span the
+    kernel of M.  An entry of M or of a result past ``MAX_ENTRY_BITS`` bits
+    raises BoundExceeded.
     """
     n, m = M.rows, M.cols
     _check_bits(M.entries, "Hermite", n, m)
-    cols = [list(c) for c in M.columns()]
-    if transform:
-        for j, col in enumerate(cols):
-            col += [0] * m
-            col[n + j] = 1
+    cols = []
+    for j, col in enumerate(M.columns()):
+        cols.append(list(col) + [0] * m)
+        cols[j][n + j] = 1
     pivots = []                      # (row, column), rows descending
     for i in reversed(range(n)):
-        live = [col for col in cols if col[i]]
+        live, zero = [], []
+        for col in cols:
+            (live if col[i] else zero).append(col)
         if not live:
             continue
-        cols = [col for col in cols if not col[i]]
+        cols = zero
         while len(live) > 1:
             piv = min(live, key=lambda col: abs(col[i]))
             p, rest = piv[i], [piv]
@@ -345,9 +353,9 @@ def _hermite(M: IntMatrix, transform: bool) -> tuple:
             if q:
                 pivots[k] = row, [x - q * y for x, y in zip(col, piv)]
         pivots.append((i, piv))
-    pivots.reverse()
     _check_bits([col for _i, col in pivots] + cols, "Hermite", n, m)
-    return pivots, cols
+    return (tuple((i, tuple(col)) for i, col in reversed(pivots)),
+            tuple(map(tuple, cols)))
 
 
 def _cols_matrix(cols: list, start: int, rows: int) -> IntMatrix:
@@ -365,7 +373,7 @@ def lattice_basis(M: IntMatrix) -> IntMatrix:
     columns of M: column j has its last nonzero entry, positive, in row r_j,
     r_1 < r_2 < ..., and every later column's entry in row r_j lies in
     [0, that pivot).  Equal lattices have equal bases."""
-    pivots, _rest = _hermite(M, False)
+    pivots, _rest = _hermite(M)
     return _cols_matrix([col for _i, col in pivots], 0, M.rows)
 
 
@@ -376,13 +384,12 @@ def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
     if B.rows != targets.rows:
         raise ValueError(f"shape mismatch {B.rows} vs {targets.rows}")
     n = B.rows
-    pivots, _rest = _hermite(B, True)
-    pivots.reverse()
+    pivots, _rest = _hermite(B)
     out = []
     for target in targets.columns():
         # t - H @ y above, -V @ y below, with y growing one pivot at a time
         t = list(target) + [0] * B.cols
-        for i, col in pivots:
+        for i, col in reversed(pivots):
             q, r = divmod(t[i], col[i])
             if r:
                 return None
@@ -397,7 +404,7 @@ def solve_in_lattice(B: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis (columns) of {x : M @ x = 0}: the transforms of the columns
     that the Hermite form zeroes."""
-    _pivots, rest = _hermite(M, True)
+    _pivots, rest = _hermite(M)
     return _cols_matrix(rest, M.rows, M.cols)
 
 
@@ -483,7 +490,7 @@ def _group(ambient_dim: int, sub: IntMatrix, rel: IntMatrix) -> FGAbelianGroup:
     if coords is None:
         raise ValueError("relation lattice is not contained in the subgroup")
     _U, S, V = smith_normal_form(coords)
-    diag = [row[i] for i, row in enumerate(S.entries[:S.cols]) if row[i]]
+    diag = _snf_diagonal(S)
     group = object.__new__(FGAbelianGroup)
     # column i of coords @ V is d_i times column i of U^-1: the i-th
     # cyclic factor's generator, scaled to a relation

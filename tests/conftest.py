@@ -211,13 +211,10 @@ def permutation_datum(n: int, u=None, u_inv=None) -> dict:
             "inertia": ["s"], "wild": ["s"], "frobenius": "F"}
 
 
-def conjugated_permutation_datum(n: int, seed: int) -> dict:
-    """``permutation_datum(n)`` conjugated by a seeded unimodular U: U is
-    5n row operations row i += c·row j on the identity, (i, j) from
-    ``rng.sample(range(n), 2)`` and c from ``rng.randint(-3, 3)``.  It is
-    isomorphic to the permutation datum, but its operators' entries, and
-    those of the bases any unreduced elimination reads from its lattices,
-    grow with n."""
+def seeded_unimodular(n: int, seed: int) -> tuple:
+    """(U, U⁻¹) as lists of rows: U is 5n row operations row i += c·row j
+    on the identity, (i, j) from ``rng.sample(range(n), 2)`` and c from
+    ``rng.randint(-3, 3)``."""
     rng = random.Random(seed)
     u, u_inv = _eye(n), _eye(n)
     for _ in range(5 * n):
@@ -226,7 +223,34 @@ def conjugated_permutation_datum(n: int, seed: int) -> dict:
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
         for row in u_inv:       # the inverse: column j -= c·column i
             row[j] -= c * row[i]
-    return permutation_datum(n, u, u_inv)
+    return u, u_inv
+
+
+def conjugated_permutation_datum(n: int, seed: int) -> dict:
+    """``permutation_datum(n)`` conjugated by ``seeded_unimodular(n,
+    seed)``.  It is isomorphic to the permutation datum, but its operators'
+    entries, and those of the bases any unreduced elimination reads from
+    its lattices, grow with n."""
+    return permutation_datum(n, *seeded_unimodular(n, seed))
+
+
+def conjugated_datum(datum, seed: int):
+    """``datum`` written in the basis U e_1, ..., U e_n, U from
+    ``seeded_unimodular``: coroots v ↦ U·v, roots a ↦ U⁻ᵀ·a and operators
+    M ↦ U·M·U⁻¹.  It is isomorphic to ``datum``."""
+    from blockatlas.abelian import IntMatrix
+    from blockatlas.rootdata import RootDatumWithAction
+    u, u_inv = (IntMatrix(m) for m in seeded_unimodular(datum.rank, seed))
+
+    def moved(m, vectors):
+        return (m @ IntMatrix.from_columns(vectors, datum.rank)).columns()
+
+    return RootDatumWithAction(
+        datum.rank, coroots=moved(u, datum.coroots),
+        roots=moved(u_inv.transpose(), datum.roots),
+        galois=[(label, (u @ m @ u_inv).entries)
+                for label, m in datum.galois],
+        inertia=datum.inertia, wild=datum.wild, frobenius=datum.frobenius)
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

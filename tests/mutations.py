@@ -79,6 +79,17 @@ MUTATIONS = [
      "                if (outer @ w @ inv).entries not in wild_closure:",
      "                if False:",
      ["tests/test_rootdata.py::test_wild_image_must_be_normal"]),
+    # another basis of the abelianized lattice, equally valid, moves
+    # wild_ab_induced on some data
+    ("derived change of basis reads the saturation's rows reversed",
+     "rootdata.py",
+     "    U, _S, _V = smith_normal_form(saturation)\n",
+     "    U, _S, _V = smith_normal_form(\n"
+     "        IntMatrix._of(saturation.entries[::-1], rank, s))\n"
+     "    U = U @ IntMatrix._of(IntMatrix.identity(rank).entries[::-1],\n"
+     "                          rank, rank)\n",
+     ["tests/test_langlands.py::"
+      "test_wild_ab_induced_frozen_on_conjugated_weil_restrictions"]),
     # without it the Hermite basis is still an echelon basis of the
     # lattice, but no longer the unique one
     ("Hermite form skips the off-diagonal reduction", "abelian.py",

@@ -604,7 +604,7 @@ def sign_torus(frobenius_entry: int) -> dict:
 
 def test_datum_past_the_snf_bound_fails_fast(capsys, tmp_path):
     # a 4100-bit Frobenius entry crosses MAX_ENTRY_BITS at the first
-    # elimination, the Hermite form that inverts Frobenius in validation:
+    # elimination, the Hermite form that checks Frobenius is unimodular:
     # each datum command exits 2 within 5 s, in a fresh interpreter
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(sign_torus(2 ** 4100)), encoding="utf-8")
@@ -644,7 +644,7 @@ def test_conjugated_torus_matches_the_permutation_torus(capsys, tmp_path, n):
     # the conjugated torus is isomorphic to the permutation torus, so each
     # datum command reports the same basis-free fields at p = 2 and 3; each
     # cell, datum loading included, finishes within CELL_BUDGET_S from
-    # cold caches (the slowest took 22 ms on a 2-vCPU host; with bases read
+    # cold caches (the slowest took 14 ms on a 2-vCPU host; with bases read
     # from unreduced Smith transforms 120 of these 216 cells raised
     # BoundExceeded, from rank 8, seed 2 on)
     commands = ("bijection", "cornqs", "components")

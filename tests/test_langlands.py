@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     SPLIT_GROUPS,
     clear_process_caches,
+    conjugated_datum,
     functor_corpus,
     preserves,
     seeded_tori,
@@ -147,6 +148,33 @@ def test_weil_restrictions_of_split_groups_have_trivial_torsors():
                 assert report.dual_side.is_trivial, (name, m, p)
                 assert cornqs_check(datum, p).implication_holds, (name, m, p)
                 assert component_lemma_checks(datum, p).all_ok, (name, m, p)
+
+
+# wild_ab_induced asks whether the wild operators permute the basis of
+# cochar_ab that the Smith form of the coroot saturation picks, so
+# isomorphic data can read differently, and so can one datum under another
+# elimination (the last two read 1000000 if the Smith form takes the
+# saturation's rows in reverse order).  Frozen at p = 2 on Weil
+# restrictions (name, m, torus summands), in their own basis and then in
+# the bases of seeded_unimodular seeds 0-5, so that a change of the
+# lattice layer's bases that moves the field shows.
+WILD_AB_INDUCED_FROZEN = {
+    ("gl2_split", 2, ()): "1000000",
+    ("sl2_split", 2, (("perm", 2),)): "1000000",
+    ("gl2_split", 2, (("norm_one", 2),)): "0000000",
+    ("sl2_split", 4, ()): "1111111",        # cochar_ab = 0
+    ("sl3_split", 4, (("perm", 2),)): "1000001",
+    ("sp4_split", 4, (("perm", 2),)): "1000001",
+}
+
+
+def test_wild_ab_induced_frozen_on_conjugated_weil_restrictions():
+    for (name, m, summands), frozen in WILD_AB_INDUCED_FROZEN.items():
+        datum = weil_restriction(name, m, 2, summands)
+        bases = [datum] + [conjugated_datum(datum, seed) for seed in range(6)]
+        read = "".join(str(int(cornqs_check(d, 2).wild_ab_induced))
+                       for d in bases)
+        assert read == frozen, (name, m, summands)
 
 
 SHARED_TORI = ([("norm_one", 2)], [("norm_one", 4)], [("sign", 2)],
