@@ -26,7 +26,8 @@ a partition as a tuple; a list is unhashable and raises TypeError.
 from __future__ import annotations
 
 import functools
-from itertools import groupby
+from itertools import repeat
+from operator import add, lt, mod, sub
 
 from .errors import BoundExceeded, LengthTooShort
 
@@ -38,12 +39,11 @@ BetaSet = tuple    # strictly increasing tuple of non-negative ints
 
 def as_partition(parts) -> Partition:
     """Validate and normalize (drop trailing zeros)."""
-    lam = tuple(int(x) for x in parts)
+    lam = tuple(map(int, parts))
     while lam and lam[-1] == 0:
         lam = lam[:-1]
-    for a, b in zip(lam, lam[1:]):
-        if a < b:
-            raise ValueError(f"parts not weakly decreasing: {lam}")
+    if any(map(lt, lam, lam[1:])):
+        raise ValueError(f"parts not weakly decreasing: {lam}")
     if lam and lam[-1] < 1:
         raise ValueError(f"parts must be positive: {lam}")
     return lam
@@ -81,15 +81,14 @@ def _partitions(m: int) -> tuple:
 def to_beta_set(lam: Partition, length: int) -> BetaSet:
     if length < len(lam):
         raise LengthTooShort(f"length {length} < {len(lam)} parts")
-    padded = lam + (0,) * (length - len(lam))
-    return tuple(sorted(padded[i] + (length - 1 - i) for i in range(length)))
+    # the parts, smallest first and padded with zeros, plus 0, 1, …
+    return tuple(map(add, (0,) * (length - len(lam)) + lam[::-1],
+                     range(length)))
 
 
 def from_beta_set(beta: BetaSet) -> Partition:
     desc = sorted(beta, reverse=True)
-    m = len(desc)
-    lam = tuple(desc[i] - (m - 1 - i) for i in range(m))
-    return as_partition(lam)
+    return as_partition(tuple(map(sub, desc, range(len(desc) - 1, -1, -1))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,11 +97,13 @@ def beta_core(beta: BetaSet, d: int) -> BetaSet:
     lowest free place on its runner."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    # the i-th bead on runner r slides to r + d*i; only the runners that
-    # hold a bead are visited, so a large d costs no more than a small one
-    runners = groupby(sorted(b % d for b in beta))
-    return tuple(sorted(r + d * i for r, beads in runners
-                        for i, _ in enumerate(beads)))
+    # the k-th bead on runner r slides to r + d*k; the sorted residues list
+    # each runner's beads together, so a large d costs no more than a small
+    out, prev, k = [], -1, 0
+    for r in sorted(map(mod, beta, repeat(d))):
+        k, prev = (k + 1 if r == prev else 0), r
+        out.append(r + d * k)
+    return tuple(sorted(out))
 
 
 @functools.lru_cache(maxsize=None)

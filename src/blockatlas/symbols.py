@@ -6,11 +6,11 @@ considered up to simultaneous shift (prepend 0 to both rows, bump everything
 by one) and up to row swap.  Instances always store the shift-reduced form —
 never 0 in both rows — but keep their row order as constructed; `canonical`
 picks the distinguished representative of the swap class (larger row first,
-ties by lexicographically smaller row), so two symbols are in one class when
-their canonical forms are equal.  Each instance hashes its rows once, when
-it is built.  Enumeration builds its table from β-sets that are already
-clean and keeps nothing: the label tables of :mod:`unipotent` are cached,
-and each reads its table once.
+ties by lexicographically smaller row).  Each instance hashes its rows once.
+Rank, text and reduction are functions of the rows (:mod:`unipotent` reads
+them on row tuples), and each row's text is written once (``_joined``).
+Enumeration builds each swap class once, already canonical, and checks each
+kept symbol's rank and defect.
 
 Moves:
   * d-hook at x: x and x−d in the same row, x−d absent there; replace.
@@ -19,27 +19,20 @@ Moves:
     across.  Rank drops by d, defect moves by ±2.
 Cores are the fixed points of these moves, computed in closed form on the
 abacus (James–Kerber §2.7): a d-hook slides a bead one level down its
-d-runner within its row, and a cohook slides a bead one level down a chain
-that alternates between the rows, so a core packs every runner or chain onto
-its lowest levels.  Both closed forms start from per-row data: a hook
-core's rows are each row's β-set core, from the cache of
-``partitions.beta_core`` (``_hook_rows``); a cohook core's rows come in two
-steps (``_cohook_rows``), each row's chain runners, cached per (row, d,
-row side) in ``_runners``, added, and that runner multiset packed once,
-cached per (runners, d) in ``_packed``.  ``hook_core`` and ``cohook_core``
-cache the core per (symbol, d) and return the symbol itself when nothing
-moves; the series cores of :mod:`unipotent` read the same row data and
-have their own caches.  The move-by-move recursion lives in the test
-suite, which checks confluence on it and that the closed forms and the
-two cohook steps agree with it row for row.
+d-runner within its row, so a hook core's rows are the rows' β-set cores
+(``partitions.beta_core``); a cohook slides a bead one level down a chain
+that alternates between the rows, so a cohook core adds both rows' chain
+runners (``_runners``, per (row, d, side)) and packs them once (``_packed``,
+per (runners, d)).  ``hook_core`` and ``cohook_core`` cache the core per
+(symbol, d); the test suite checks them against move-by-move removal.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import groupby
+from operator import attrgetter
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InvariantViolation
 from .partitions import beta_core, partitions_of, to_beta_set
 
 MAX_SYMBOL_RANK = 10  # the enumeration bound; no option moves it
@@ -85,8 +78,7 @@ class Symbol:
 
     @property
     def rank(self) -> int:
-        m = len(self.row_s) + len(self.row_t)
-        return sum(self.row_s) + sum(self.row_t) - ((m - 1) ** 2) // 4
+        return _rank(self.row_s, self.row_t)
 
     @property
     def defect(self) -> int:
@@ -106,8 +98,7 @@ class Symbol:
         return self
 
     def render(self) -> str:
-        return ("({" + ",".join(map(str, self.row_s)) + "},{"
-                + ",".join(map(str, self.row_t)) + "})")
+        return _render_rows(self.row_s, self.row_t)
 
     def __str__(self) -> str:
         return self.render()
@@ -122,23 +113,37 @@ def _built(row_s: tuple, row_t: tuple) -> Symbol:
     return sym
 
 
-def _reduced(s: tuple, t: tuple) -> Symbol:
-    """A Symbol from clean rows, shift-reduced: both rows start 0, 1, …,
-    m − 1, so m shifts at once drop those entries and lower the rest by m."""
+def _rank(row_s: tuple, row_t: tuple) -> int:
+    m = len(row_s) + len(row_t)
+    return sum(row_s) + sum(row_t) - ((m - 1) ** 2) // 4
+
+
+def _render_rows(row_s: tuple, row_t: tuple) -> str:
+    return "({" + _joined(row_s) + "},{" + _joined(row_t) + "})"
+
+
+@functools.lru_cache(maxsize=None)
+def _joined(ints: tuple) -> str:
+    """A row's or a partition's comma-joined text, once per process."""
+    return ",".join(map(str, ints))
+
+
+def _reduced_rows(s: tuple, t: tuple) -> tuple:
+    """Clean rows, shift-reduced: both rows start 0, 1, …, m − 1, so m
+    shifts at once drop those entries and lower the rest by m."""
     m = 0
     for a, b in zip(s, t):
         if a != m or b != m:
             break
         m += 1
     if m:
-        s = tuple([x - m for x in s[m:]])
-        t = tuple([x - m for x in t[m:]])
-    return _built(s, t)
+        return tuple([x - m for x in s[m:]]), tuple([x - m for x in t[m:]])
+    return s, t
 
 
 def make_symbol(row_s, row_t) -> Symbol:
     """Construct with shift reduction applied."""
-    return _reduced(_clean_row(row_s), _clean_row(row_t))
+    return _built(*_reduced_rows(_clean_row(row_s), _clean_row(row_t)))
 
 
 def phi(sym: Symbol) -> Symbol:
@@ -152,12 +157,6 @@ def phi(sym: Symbol) -> Symbol:
 
 # ------------------------------------------------------------------- cores
 
-def _hook_rows(sym: Symbol, d: int) -> tuple:
-    """The d-hook core's rows: a d-hook slides a bead one level down its
-    d-runner within its row, so each row goes to its beta-set core."""
-    return beta_core(sym.row_s, d), beta_core(sym.row_t, d)
-
-
 @functools.lru_cache(maxsize=None)
 def _runners(row: tuple, d: int, side: int) -> tuple:
     """The d-cohook runner of each bead of one row, sorted with repeats, so
@@ -168,18 +167,17 @@ def _runners(row: tuple, d: int, side: int) -> tuple:
     level down into the other row."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return tuple(sorted(2 * (x % d) + (side + x // d) % 2 for x in row))
+    return tuple(sorted([2 * (x % d) + (side + x // d) % 2 for x in row]))
 
 
 @functools.lru_cache(maxsize=None)
 def _packed(runners: tuple, d: int) -> tuple:
-    """The rows of the d-cohook core with beads on these runners: every
-    runner's beads packed onto its lowest levels."""
-    rows = ([], [])
-    for runner, beads in groupby(runners):
-        r, c = divmod(runner, 2)
-        for k, _ in enumerate(beads):
-            rows[(c + k) % 2].append(r + k * d)
+    """The rows of the d-cohook core with beads on these runners: the k-th
+    bead on runner (r, c) packs down to level k, r + k·d in row c + k mod 2."""
+    rows, prev, k = ([], []), -1, 0
+    for runner in runners:
+        k, prev = (k + 1 if runner == prev else 0), runner
+        rows[(runner + k) % 2].append(runner // 2 + k * d)
     return tuple(sorted(rows[0])), tuple(sorted(rows[1]))
 
 
@@ -194,12 +192,14 @@ def _core(sym: Symbol, rows: tuple) -> Symbol:
     and keeps its object."""
     if rows == (sym.row_s, sym.row_t):
         return sym
-    return _reduced(*rows)
+    return _built(*_reduced_rows(*rows))
 
 
 @functools.lru_cache(maxsize=None)
 def hook_core(sym: Symbol, d: int) -> Symbol:
-    return _core(sym, _hook_rows(sym, d))
+    # a d-hook slides a bead one level down its d-runner within its row, so
+    # each row goes to its β-set core
+    return _core(sym, (beta_core(sym.row_s, d), beta_core(sym.row_t, d)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,10 +210,12 @@ def cohook_core(sym: Symbol, d: int) -> Symbol:
 # ------------------------------------------------------------- enumeration
 
 def _symbol_from_pair(alpha, beta, defect: int) -> Symbol:
-    # beta-set pair construction; the reduction makes it length-independent
+    """The canonical symbol of the β-set pair, α's row the longer.  At this
+    length α's or β's β-set holds no 0, so the rows are reduced; at defect
+    0 the lexicographically smaller row goes first."""
     length = max(len(beta), len(alpha) - defect)
-    return _reduced(to_beta_set(alpha, length + defect),
-                    to_beta_set(beta, length))
+    s, t = to_beta_set(alpha, length + defect), to_beta_set(beta, length)
+    return _built(t, s) if defect == 0 and t < s else _built(s, t)
 
 
 def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
@@ -226,17 +228,26 @@ def enumerate_symbols(n: int, defect_filter: frozenset | set) -> list[Symbol]:
         raise BoundExceeded(f"rank {n} exceeds the configured bound "
                             f"{MAX_SYMBOL_RANK}")
     residues = {r % 4 for r in defect_filter}
-    seen = {}
+    out: list[Symbol] = []
     defect = 0
     while defect ** 2 // 4 <= n:
         if defect % 4 in residues:
             weight = n - defect ** 2 // 4
             tables = [partitions_of(w) for w in range(weight + 1)]
-            for wa in range(weight + 1):
-                for alpha in tables[wa]:
-                    for beta in tables[weight - wa]:
-                        sym = _symbol_from_pair(alpha, beta, defect).canonical()
-                        assert sym.rank == n and sym.defect == defect
-                        seen.setdefault((sym.row_s, sym.row_t), sym)
+            found = []
+            # at defect 0, (α, β) and (β, α) give one class: each pair once
+            for wa in range(weight // 2 + 1 if defect == 0 else weight + 1):
+                betas = tables[weight - wa]
+                for i, alpha in enumerate(tables[wa]):
+                    for beta in (betas[i:] if 2 * wa == weight and defect == 0
+                                 else betas):
+                        found.append(_symbol_from_pair(alpha, beta, defect))
+            found.sort(key=attrgetter("row_s", "row_t"))
+            for sym in found:
+                if sym.rank != n or sym.defect != defect:
+                    raise InvariantViolation(
+                        f"symbol {sym} has rank {sym.rank} and defect "
+                        f"{sym.defect}, not {n} and {defect}")
+            out += found
         defect += 1
-    return sorted(seen.values(), key=lambda s: (s.defect, s.row_s, s.row_t))
+    return out

@@ -14,59 +14,42 @@ their core by a multiple of the step size (d or d/2) — validated on every
 constructed partition.
 
 ``_model`` is the one place that knows the twin rule: C_n has the labels
-and d-series of B_n, and 2A_n those of A_n at ennola_dual(d).  Every entry
-point resolves its type through it, so the label tables and series are
-built for A, B, D and 2D only, and a label carries no type: a C or 2A
-label is its model's label.  Each model type's label table is one cached
-record per process: the labels, their renders, their frozenset and whether
-a label is degenerate (``label_table`` reads it).  Each model (type, d)
-series is one cached record too: its blocks, validated before they are
-kept, and each block's member renders (``series_renders`` reads them).
-Each call gets its own list or SeriesPartition.  The enumerators that
-build a label table check their rank bounds; a build that raises is not
-cached, so it raises again on the next call.  The label table is built in
-``UnipotentLabel.sort_key`` order, checked once when it is built, so a
-series keeps each block's members in table order; a symbol family's table
-must also have the length of Lusztig's closed form, computed from
-partition counts.  Cores are cached per (payload, d): ``d_core`` per
-(λ, d), and the canonical symbol core per (symbol, d) in ``_symbol_core``.
-That core is read from per-row data: for odd d the pair of the rows' β-set
-cores (``partitions.beta_core``), for even d the packed rows of the (d/2)-
-cohook runners (``symbols._packed``).  ``_rows_core`` caches the core per
-pair of rows, so the shift reduction, the choice of row order and the
-interning run once per distinct pair; ``_core_symbol`` interns it per
-canonical rows, so equal symbol cores are one object and dict lookups on
-them stop at identity instead of calling ``Symbol.__eq__``.  A series
-groups its labels by the value of their core and renders each distinct
-core once.  Each label measures its payload once, when it is built.
-Validation looks up every label's core again, renders and measures each
-distinct core once more, checks each label's stored measure against it,
-and compares coverage with the frozenset of the model's table.  The
-1-series also feeds the defect bounds in :mod:`fusion`.
+and d-series of B_n, and 2A_n those of A_n at ennola_dual(d), so tables and
+series are built for A, B, D and 2D only and a label carries no type.  Each
+model type's label table and (type, d) series is one cached record per
+process; each call gets its own list or SeriesPartition, and a build that
+raises is not cached.  A table's labels come in the enumerators' order,
+checked against ``sort_key`` and, for symbols, Lusztig's closed-form count;
+each gets its measure directly (the rank ``enumerate_symbols`` checked, or
+the size).  Cores are keyed on row tuples, whose hash and equality run in
+C: ``d_core`` per (λ, d); ``_symbol_core`` per (symbol, d) the canonical
+rows from the rows' β-set cores (odd d) or packed (d/2)-cohook runners
+(even d), reduced and ordered once per distinct pair (``_rows_core``).  A
+series renders each distinct core once; validation looks every core up
+again, renders and measures each distinct one against its block's key and
+members, and checks coverage.  The 1-series also feeds :mod:`fusion`.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, lt, neg
 from typing import NamedTuple, Optional, Union
 
 from .arith import GroupTypeTag, PrimePower, is_good, is_prime, mult_order
 from .errors import BadPrimeHypothesis, InvariantViolation, NotSupported
-from .partitions import d_core, ennola_dual, partitions_of
-from .symbols import (
-    DEFECT_MOD4_0,
-    DEFECT_MOD4_2,
-    DEFECT_ODD,
-    Symbol,
-    _built,
-    _cohook_rows,
-    _hook_rows,
-    _reduced,
-    enumerate_symbols,
-)
+from .partitions import beta_core, d_core, ennola_dual, partitions_of
+from .symbols import (DEFECT_MOD4_0, DEFECT_MOD4_2, DEFECT_ODD, Symbol, _built,
+                      _cohook_rows, _joined, _rank, _reduced_rows,
+                      _render_rows, enumerate_symbols)
 
 PRIME_MARK = "′"         # ′
 DOUBLE_PRIME_MARK = "″"  # ″
+_SPLIT = (PRIME_MARK, DOUBLE_PRIME_MARK)  # the two labels of a degenerate symbol
+_FIRST, _TEXT = itemgetter(0), attrgetter("_text")
+_PAYLOAD, _MEASURE = attrgetter("payload"), attrgetter("measure")
 
 _SYMBOL_DEFECTS = {"B": DEFECT_ODD, "D": DEFECT_MOD4_0, "2D": DEFECT_MOD4_2}
 
@@ -89,13 +72,12 @@ class UnipotentLabel:
     __slots__ = ("payload", "marker", "measure", "_text", "_hash")
 
     def __init__(self, payload: Union[tuple, Symbol], marker: str = ""):
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "marker", marker)
         # the payload's size or rank, measured once; not a field
-        object.__setattr__(self, "measure", _measure(payload))
-        # labels live as long as the per-type cache, so each renders once
-        object.__setattr__(self, "_text", _render(payload) + marker)
-        object.__setattr__(self, "_hash", hash((payload, marker)))
+        if isinstance(payload, Symbol):
+            measure, text = payload.rank, payload.render()
+        else:
+            measure, text = sum(payload), _partition_text(payload)
+        _fill(self, payload, marker, measure, text + marker)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentLabel is immutable")
@@ -116,45 +98,47 @@ class UnipotentLabel:
         return self._text
 
     def sort_key(self):
-        if self.is_partition:
-            # enumeration order of partitions is descending lex
-            return (tuple(-x for x in self.payload), len(self.payload))
         s = self.payload
-        return (s.defect, s.row_s, s.row_t, self.marker)
+        if isinstance(s, Symbol):
+            return (s.defect, s.row_s, s.row_t, self.marker)
+        # enumeration order of partitions is descending lex
+        return (tuple(map(neg, s)), len(s))
 
     def __str__(self) -> str:
         return self.render()
 
 
+def _fill(lab: UnipotentLabel, payload, marker: str, measure: int,
+          text: str) -> UnipotentLabel:
+    """Set a label's fields: each label renders and hashes once."""
+    object.__setattr__(lab, "payload", payload)
+    object.__setattr__(lab, "marker", marker)
+    object.__setattr__(lab, "measure", measure)
+    object.__setattr__(lab, "_text", text)
+    object.__setattr__(lab, "_hash", hash((payload, marker)))
+    return lab
+
+
 @functools.lru_cache(maxsize=None)
-def _symbol_core(sym: Symbol, d: int) -> Symbol:
-    """The canonical d-hook core for odd d, (d/2)-cohook core for even d,
-    read from the row data of the closed forms: the β-set cores of both
-    rows, or the packing of both rows' cohook runners."""
+def _symbol_core(sym: Symbol, d: int) -> tuple:
+    """The canonical rows of the d-hook core for odd d, (d/2)-cohook core
+    for even d: the rows' β-set cores, or their cohook runners packed."""
     if d % 2 == 1:
-        return _rows_core(*_hook_rows(sym, d))
+        return _rows_core(beta_core(sym.row_s, d), beta_core(sym.row_t, d))
     return _rows_core(*_cohook_rows(sym, d // 2))
 
 
 @functools.lru_cache(maxsize=None)
-def _rows_core(row_s: tuple, row_t: tuple) -> Symbol:
-    """The interned canonical core of the symbol with these rows: shift
-    reduction and the choice of row order run once per distinct pair."""
-    core = _reduced(row_s, row_t).canonical()
-    return _core_symbol(core.row_s, core.row_t)
-
-
-@functools.lru_cache(maxsize=None)
-def _core_symbol(row_s: tuple, row_t: tuple) -> Symbol:
-    """The one core Symbol with these rows: keyed on the row tuples, so
-    equal cores are one object and dict lookups on cores stop at identity
-    instead of calling Symbol.__eq__."""
-    return _built(row_s, row_t)
+def _rows_core(row_s: tuple, row_t: tuple) -> tuple:
+    """The canonical rows of the core with these rows, reduced and ordered
+    as ``Symbol.canonical`` orders them, once per distinct pair."""
+    s, t = _reduced_rows(row_s, row_t)
+    return (t, s) if (len(t), s) > (len(s), t) else (s, t)
 
 
 def _core_rule(family: str, d: int) -> tuple:
     """(core function, the measure one removal drops) of a model family's
-    d-rule, resolved once per series rather than once per label."""
+    d-rule, once per series: a partition for A, canonical rows otherwise."""
     if family == "A":
         return d_core, d
     return _symbol_core, d if d % 2 == 1 else d // 2
@@ -164,18 +148,17 @@ def series_core(group_type: GroupTypeTag, label: UnipotentLabel, d: int):
     """The label's core under the type's d-rule: a partition, or the
     canonical Symbol of the core's swap class."""
     model, d = _model(group_type, d)
-    return _core_rule(model.family, d)[0](label.payload, d)
+    core = _core_rule(model.family, d)[0](label.payload, d)
+    return core if model.family == "A" else _built(*core)
 
 
-def _render(value) -> str:
-    """Text of a partition or a Symbol; the one home of the partition text."""
-    if isinstance(value, Symbol):
-        return value.render()
-    return "(" + ",".join(map(str, value)) + ")"
+def _partition_text(lam: tuple) -> str:
+    """The one home of the partition text."""
+    return "(" + _joined(lam) + ")"
 
 
-def _measure(payload) -> int:
-    return payload.rank if isinstance(payload, Symbol) else sum(payload)
+def _core_text(family: str, core) -> str:
+    return _partition_text(core) if family == "A" else _render_rows(*core)
 
 
 class SeriesPartition(NamedTuple):
@@ -193,34 +176,35 @@ class SeriesPartition(NamedTuple):
         return any(lab.marker for _, members in self.blocks for lab in members)
 
     def validate(self) -> None:
-        """Recompute every invariant; raise InvariantViolation on failure."""
-        seen = set()
-        cores: dict = {}  # core -> (text, measure), once per distinct core
+        """Recompute every invariant; raise InvariantViolation on failure.
+        Every label's core is looked up again and must render to its
+        block's key; each distinct core is rendered and measured once."""
         model, d = _model(self.group_type, self.d)
         core_of, step = _core_rule(model.family, d)
         for key, members in self.blocks:
             if not members:
                 raise InvariantViolation(f"empty block {key!r}")
-            for lab in members:
-                size = len(seen)
-                seen.add(lab)
-                if len(seen) == size:
-                    raise InvariantViolation(f"label {lab} in two blocks")
-                core = core_of(lab.payload, d)
-                known = cores.get(core)
-                if known is None:
-                    known = cores[core] = (_render(core), _measure(core))
-                if known[0] != key:
-                    raise InvariantViolation(
-                        f"label {lab} keyed {key!r} but core differs")
-                drop = lab.measure - known[1]
-                if drop < 0 or drop % step != 0:
-                    raise InvariantViolation(
-                        f"label {lab}: drop {drop} not a multiple of {step}")
+        labels = tuple(chain.from_iterable(ms for _, ms in self.blocks))
+        seen = set(labels)
+        if len(seen) != len(labels):
+            dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+            raise InvariantViolation(f"label {dup} in two blocks")
         if len({key for key, _ in self.blocks}) != len(self.blocks):
             raise InvariantViolation("two blocks share a core")
         if seen != _labels(model).members:
             raise InvariantViolation("blocks do not cover the label set")
+        keys = chain.from_iterable(repeat(key, len(ms)) for key, ms in self.blocks)
+        # (core, key, measure) -> a label: one entry per block when valid
+        facts = dict(zip(zip(map(core_of, map(_PAYLOAD, labels), repeat(d)),
+                             keys, map(_MEASURE, labels)), labels))
+        for (core, key, measure), lab in facts.items():
+            if _core_text(model.family, core) != key:
+                raise InvariantViolation(
+                    f"label {lab} keyed {key!r} but core differs")
+            drop = measure - (sum(core) if model.family == "A" else _rank(*core))
+            if drop < 0 or drop % step != 0:
+                raise InvariantViolation(
+                    f"label {lab}: drop {drop} not a multiple of {step}")
 
 
 def _symbol_label_count(family: str, n: int) -> int:
@@ -255,27 +239,29 @@ def _labels(group_type: GroupTypeTag) -> _LabelTable:
     """A model type's label table, strictly increasing in sort_key order."""
     family, n = group_type.family, group_type.rank
     if family == "A":
-        entries = [(lam, "") for lam in partitions_of(n + 1)]
+        entries = [(lam, "", sum(lam), _partition_text(lam))
+                   for lam in partitions_of(n + 1)]
     elif family in _SYMBOL_DEFECTS:
         entries = []
+        # enumerate_symbols checks that each symbol has rank n, its measure
         for sym in enumerate_symbols(n, _SYMBOL_DEFECTS[family]):
-            if family == "D" and sym.is_degenerate:
-                entries += [(sym, PRIME_MARK), (sym, DOUBLE_PRIME_MARK)]
-            else:
-                entries.append((sym, ""))
+            text = sym.render()
+            for mark in _SPLIT if sym.is_degenerate else ("",):
+                entries.append((sym, mark, n, text + mark))
     else:
         raise NotSupported(
             f"family {family} has no built-in label table; supply plugin data")
-    out = tuple(UnipotentLabel(payload, marker) for payload, marker in entries)
+    out = tuple([_fill(object.__new__(UnipotentLabel), *entry)
+                 for entry in entries])
     if family in _SYMBOL_DEFECTS:
         expected = _symbol_label_count(family, n)
         if len(out) != expected:
             raise InvariantViolation(f"{group_type} has {len(out)} labels, "
                                      f"Lusztig's count is {expected}")
-    keys = [lab.sort_key() for lab in out]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    keys = list(map(UnipotentLabel.sort_key, out))
+    if not all(map(lt, keys, keys[1:])):
         raise InvariantViolation(f"{group_type} labels are not in sort_key order")
-    return _LabelTable(out, tuple(lab.render() for lab in out),
+    return _LabelTable(out, tuple([entry[3] for entry in entries]),
                        frozenset(out), any(lab.marker for lab in out))
 
 
@@ -296,17 +282,19 @@ class _Series(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _blocks(group_type: GroupTypeTag, d: int) -> _Series:
-    """A model type's d-series."""
-    core_of = _core_rule(group_type.family, d)[0]
-    groups: dict = {}  # core value -> labels, in table (sort_key) order
-    for lab in _labels(group_type).labels:
-        groups.setdefault(core_of(lab.payload, d), []).append(lab)
+    """A model type's d-series: labels grouped by core, each distinct core
+    rendered once."""
+    family = group_type.family
+    core_of = _core_rule(family, d)[0]
+    labels = _labels(group_type).labels
+    groups = defaultdict(list)  # core -> labels, in table (sort_key) order
+    for lab, core in zip(labels, map(core_of, map(_PAYLOAD, labels), repeat(d))):
+        groups[core].append(lab)
     # sorted by core text, which is the order reports list the blocks in
-    blocks = tuple(sorted(
-        ((_render(core), tuple(members)) for core, members in groups.items()),
-        key=lambda block: block[0]))
+    blocks = tuple(sorted(((_core_text(family, core), tuple(members))
+                           for core, members in groups.items()), key=_FIRST))
     SeriesPartition(group_type, d, blocks, {}).validate()
-    return _Series(blocks, tuple(tuple(lab.render() for lab in members)
+    return _Series(blocks, tuple(tuple(map(_TEXT, members))
                                  for _key, members in blocks))
 
 

@@ -107,6 +107,13 @@ MUTATIONS = [
      "              _closure(GroupTypeTag(\"D\", group_type.rank), q, d_max,\n"
      "                       None))",
      ["tests/test_fusion.py::test_c_reports_are_b_reports_but_for_the_type"]),
+    # SeriesPartition.validate accepts every series this builds: it looks
+    # up the cores it checks in the same cache.  Defect-0 cores (D, and 2D
+    # at even d) then split each swap class in two
+    ("series core rows lose the tie-break of equal lengths", "unipotent.py",
+     "return (t, s) if (len(t), s) > (len(s), t) else (s, t)",
+     "return (t, s) if len(t) > len(s) else (s, t)",
+     ["tests/test_unipotent.py::test_block_sizes_count_e_multipartitions[D]"]),
     # SeriesPartition.validate accepts every series this builds: it reads
     # the cores it checks from the same runners
     ("cohook runner parity flipped for beads past 3·d", "symbols.py",

@@ -31,12 +31,13 @@ def test_helper_covers_every_library_cache():
             "smith_normal_form", "_group",
             "FGAbelianGroup.p_torsion", "IntMatrix.identity"} <= names
     # one record per label table and per series, and the series cores
-    assert {"_partitions", "d_core", "_symbol_core", "_labels", "_blocks",
-            "_core_symbol"} <= names
+    assert {"_partitions", "d_core", "_symbol_core", "_labels",
+            "_blocks"} <= names
     # the per-row data the series cores are read from: β-sets, each row's
-    # cohook runners, their packing, and the core of each pair of rows
+    # cohook runners, their packing, the core of each pair of rows, and
+    # each row's text
     assert {"to_beta_set", "beta_core", "_runners", "_packed",
-            "_rows_core"} <= names
+            "_rows_core", "_joined"} <= names
     # the derived sequence of a root datum; pi1 and kottwitz_target read
     # the interned groups and the coinvariants and fixed-point caches
     assert "derived_and_abelianized" in names

@@ -42,6 +42,32 @@ def oracle_closure(group_type, q, d_max, rng):
     return set(cls.values())
 
 
+@pytest.mark.parametrize("qs,families,ranks,tables,series", [
+    ("3, 5, 7", "A, 2A, B, C", "1-8", 16, 92),
+    ("3, 5, 7", "D, 2D", "2-8", 14, 65),
+    ("2, 4, 8", "A, 2A, B, C", "1-8", 16, 46),
+    ("2, 4, 8", "D, 2D", "2-8", 14, 33),
+])
+def test_fusion_grid_builds_each_table_and_series_once(
+        tmp_path, capsys, monkeypatch, qs, families, ranks, tables, series):
+    # a work counter: from cold caches, each benchmark fusion grid builds
+    # one label table per model type and validates each series it builds
+    # exactly once.  A change may lower these counts, never raise them.
+    validated = []
+    real = unipotent.SeriesPartition.validate
+    monkeypatch.setattr(unipotent.SeriesPartition, "validate",
+                        lambda part: validated.append(1) or real(part))
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text(f"command = fusion\nfamilies = {families}\n"
+                   f"ranks = {ranks}\nqs = {qs}\n")
+    clear_process_caches()
+    assert main(["grid", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert unipotent._labels.cache_info().misses == tables
+    assert unipotent._blocks.cache_info().misses == series
+    assert len(validated) == series
+
+
 def test_a2_q2_single_class_with_certificate():
     res = fusion_closure(GroupTypeTag("A", 2), PrimePower.from_q(2))
     assert res.d_max == 6

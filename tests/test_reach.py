@@ -31,6 +31,11 @@ ALLOWLIST = {
                           "and the tracer names both",
     "symbols._core": "only hook_core and cohook_core call it, and the "
                      "tracer names both",
+    "symbols.Symbol.canonical": "the swap class's representative as a "
+                                "Symbol: label tables and series order "
+                                "rows without one (unipotent._rows_core); "
+                                "the oracles of the tests read the method",
+    "symbols.Symbol.swap": "only Symbol.canonical calls it",
     "symbols.phi": "the Ennola label map: acceptance criterion 3 and the "
                    "series-through-phi test in test_unipotent.py read it",
 }

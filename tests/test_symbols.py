@@ -10,11 +10,14 @@ move-by-move cores row for row.
 
 import functools
 import itertools
+import json
 import random
 
 import pytest
-from conftest import DEFECT_ANY
+from conftest import DEFECT_ANY, clear_process_caches
 
+from blockatlas import symbols
+from blockatlas.cli import main
 from blockatlas.errors import BoundExceeded
 from blockatlas.symbols import (
     DEFECT_MOD4_0,
@@ -420,6 +423,22 @@ def test_enumerate_sorted_and_canonical():
 def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_symbols(11, DEFECT_ODD)
+
+
+def test_a_kept_symbol_of_the_wrong_rank_fails_fusion(monkeypatch, capsys):
+    # enumerate_symbols checks each kept symbol's rank and defect with an
+    # InvariantViolation, which python -O keeps: a pair construction that
+    # returns a symbol of rank 10 makes a rank-3 fusion exit 1
+    monkeypatch.setattr(symbols, "_symbol_from_pair",
+                        lambda alpha, beta, defect: Symbol((0, 1, 9), (2,)))
+    clear_process_caches()
+    assert main(["fusion", "--type", "B", "--rank", "3", "--q", "3"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "InvariantViolation"
+    assert error["message"] == ("symbol ({0,1,9},{2}) has rank 10 and "
+                                "defect 2, not 3 and 1")
+    monkeypatch.undo()
+    clear_process_caches()
 
 
 def test_symbol_tables_depend_only_on_the_residues_mod_4():

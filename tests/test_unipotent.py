@@ -19,9 +19,8 @@ from blockatlas.unipotent import (
     _blocks,
     _core_rule,
     _labels,
-    _measure,
     _model,
-    _core_symbol,
+    _rows_core,
     _symbol_core,
     d_series,
     ell_blocks,
@@ -239,13 +238,28 @@ def relative_weyl_rank(family, d):
     return 2 * d if d % 2 == 1 else d
 
 
-@pytest.mark.parametrize("family", ["A", "2A", "B", "C"])
+def core_of_key(key):
+    """The core a block key names, read from its text: a partition "(3,1)",
+    or the rows of a symbol "({0,2},{1})"."""
+    def ints(text):
+        return tuple(int(x) for x in text.split(",") if x)
+    if key.startswith("({"):
+        return tuple(map(ints, key[2:-2].split("},{")))
+    return ints(key[1:-1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_block_sizes_count_e_multipartitions(family):
-    # the generic-block count (Broué–Malle–Michel): a series whose core has
-    # weight w, i.e. sits w removals below its members, has
-    # #{e-multipartitions of w} members.  D and 2D are left out: their
-    # relative Weyl groups are G(2e, 2, w), so swap classes and degenerate
-    # symbols give other counts.
+    # the generic-block count (Broué–Malle–Michel, Astérisque 212): a series
+    # whose core has weight w, i.e. sits w removals below its members, has
+    # as many members as its relative Weyl group has irreducible
+    # characters.  That group is G(e, 1, w), with N = #{e-multipartitions
+    # of w} characters, but for a degenerate D or 2D core, where it is its
+    # index-2 subgroup G(e, 2, w): by Clifford theory the F characters of
+    # G(e, 1, w) fixed by the e/2-shift of the multipartition (those of
+    # e/2-multipartitions of w/2) split in two and the rest pair up, so it
+    # has (N + 3F)/2.  The core, its weight and its degeneracy are read
+    # from the block's key, not from the core caches.
     for rank in range(2, 9):
         tag = GroupTypeTag(family, rank)
         for d in range(1, 9):
@@ -253,15 +267,18 @@ def test_block_sizes_count_e_multipartitions(family):
             step = _core_rule(model.family, model_d)[1]
             e = relative_weyl_rank(family, d)
             for key, members in d_series(tag, d).blocks:
-                lab = members[0]
-                core = series_core(tag, lab, d)
+                lab, core = members[0], core_of_key(key)
                 if lab.is_partition:
                     drop = sum(lab.payload) - sum(core)
                 else:
-                    drop = lab.payload.rank - core.rank
+                    drop = lab.payload.rank - Symbol(*core).rank
                 assert drop % step == 0
-                assert len(members) == multipartition_count(e, drop // step), \
-                    (str(tag), d, key)
+                w = drop // step
+                count = multipartition_count(e, w)
+                if not lab.is_partition and core[0] == core[1]:
+                    fixed = multipartition_count(e // 2, w // 2) * (w % 2 == 0)
+                    count = (count + 3 * fixed) // 2
+                assert len(members) == count, (str(tag), d, key)
 
 
 def test_degenerate_labels_travel_together():
@@ -383,9 +400,9 @@ def test_series_caches_equal_uncached():
                     if not lab.is_partition:
                         assert _symbol_core(lab.payload, d) == \
                             _symbol_core.__wrapped__(lab.payload, d)
-    # the series core, read from per-row data, is the interned canonical
-    # form of the closed-form core: hook_core for odd d, cohook_core at
-    # d/2 for even d
+    # the series core, read from per-row data, is the canonical rows of the
+    # closed-form core: hook_core for odd d, cohook_core at d/2 for even d;
+    # series_core hands it out as a Symbol
     for family in ("B", "D", "2D"):
         for tag in tags(family, 8):
             for d in range(1, 2 * (tag.rank + 1) + 1):
@@ -393,31 +410,32 @@ def test_series_caches_equal_uncached():
                     sym = lab.payload
                     core = (hook_core(sym, d) if d % 2 else
                             cohook_core(sym, d // 2)).canonical()
-                    assert _symbol_core(sym, d) is \
-                        _core_symbol(core.row_s, core.row_t), (sym.render(), d)
+                    rows = (core.row_s, core.row_t)
+                    assert _symbol_core(sym, d) == rows, (sym.render(), d)
+                    assert series_core(tag, lab, d) == core
 
 
-def test_equal_symbol_cores_are_one_object(monkeypatch):
-    # dict lookups on cores stop at identity: counting Symbol.__eq__ while
-    # every symbol-family series up to rank 6 is built and validated finds
-    # no call, and each distinct core value is one object
+def test_series_key_symbol_cores_on_rows(monkeypatch):
+    # series key their cores on row tuples, whose equality runs in C:
+    # counting Symbol.__eq__ while every symbol-family series up to rank 6
+    # is built and validated finds no call, and each label's series core
+    # is the Symbol of its cached canonical rows
     clear_process_caches()
     calls = []
     real_eq = Symbol.__eq__
     monkeypatch.setattr(Symbol, "__eq__",
                         lambda a, b: calls.append(1) or real_eq(a, b))
-    cores = {}
     for family in ("B", "C", "D", "2D"):
         for tag in tags(family, 6):
             for d in range(1, 2 * tag.rank + 4):
                 d_series(tag, d)
-                for lab in label_table(tag).labels:
-                    core = _symbol_core(lab.payload, d)
-                    key = (core.row_s, core.row_t)
-                    assert cores.setdefault(key, core) is core, (tag, d)
     assert calls == []
     monkeypatch.undo()
-    assert len(cores) == _core_symbol.cache_info().currsize
+    for family in ("B", "D", "2D"):
+        for tag in tags(family, 6):
+            for lab in label_table(tag).labels:
+                core = series_core(tag, lab, 3)
+                assert (core.row_s, core.row_t) == _symbol_core(lab.payload, 3)
 
 
 def test_render_tables_follow_the_label_table_and_series():
@@ -445,7 +463,12 @@ def test_each_label_stores_its_measure():
     for family in FAMILIES:
         for tag in tags(family, 8):
             for lab in label_table(tag).labels:
-                assert lab.measure == _measure(lab.payload), (str(tag), lab)
+                measure = (sum(lab.payload) if lab.is_partition
+                           else lab.payload.rank)
+                assert lab.measure == measure, (str(tag), lab)
+                assert lab == UnipotentLabel(lab.payload, lab.marker)
+                assert lab.render() == UnipotentLabel(lab.payload,
+                                                      lab.marker).render()
 
 
 def test_one_core_per_payload_and_d(monkeypatch):
@@ -453,9 +476,10 @@ def test_one_core_per_payload_and_d(monkeypatch):
     # once built, validating a series again builds no swapped Symbol.
     clear_process_caches()
     d_series(GroupTypeTag("B", 5), 3)
-    misses = _symbol_core.cache_info().misses
+    misses = (_symbol_core.cache_info().misses, _rows_core.cache_info().misses)
     d_series(GroupTypeTag("C", 5), 3)
-    assert _symbol_core.cache_info().misses == misses
+    assert (_symbol_core.cache_info().misses,
+            _rows_core.cache_info().misses) == misses
     d_series(GroupTypeTag("A", 5), 1)
     misses = d_core.cache_info().misses
     d_series(GroupTypeTag("2A", 5), 2)          # ennola_dual(2) = 1
