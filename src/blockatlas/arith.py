@@ -27,9 +27,9 @@ else BoundExceeded) and divides each prime out of ℓ − 1 while the quotient
 is still a multiple of the order, so it never walks the divisors of ℓ − 1.
 ``admissible_d`` excludes 2 and the family's bad primes, so the six
 classical families share one witness search per (q, d) with each other and
-with ``zsygmondy``, which excludes only 2; it builds one map per (q, d_max,
-excluded primes), so the six families share one map per (q, d_max) too,
-and hands each caller its own copy.
+with ``zsygmondy``, which excludes only 2; it builds one read-only map per
+(q, d_max, excluded primes), so the six families share one map per
+(q, d_max) too, and every caller reads that map itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .errors import BoundExceeded, DividesModulus
 
@@ -343,16 +344,18 @@ def primitive_prime(q: int, d: int,
     return None
 
 
-def admissible_d(group_type: GroupTypeTag, q: PrimePower, d_max: int) -> dict[int, int]:
+def admissible_d(group_type: GroupTypeTag, q: PrimePower,
+                 d_max: int) -> Mapping[int, int]:
     """Map d -> smallest witnessing odd good prime, for 1 <= d <= d_max.
 
     A q**d_max past the power cap raises BoundExceeded before any search.
-    Each call gets its own dict."""
-    return dict(_admissible(q.q, d_max, _BAD_PRIMES[group_type.family] | {2}))
+    The map is read-only and shared by every call with the same q, d_max
+    and excluded primes."""
+    return _admissible(q.q, d_max, _BAD_PRIMES[group_type.family] | {2})
 
 
 @functools.lru_cache(maxsize=None)
-def _admissible(q: int, d_max: int, excluded: frozenset) -> dict[int, int]:
+def _admissible(q: int, d_max: int, excluded: frozenset) -> Mapping[int, int]:
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     # q >= 2, so q**d > _POWER_LIMIT for every d past this one
@@ -368,4 +371,4 @@ def _admissible(q: int, d_max: int, excluded: frozenset) -> dict[int, int]:
         ell = primitive_prime(q, d, excluded)
         if ell is not None:
             out[d] = ell
-    return out
+    return MappingProxyType(out)

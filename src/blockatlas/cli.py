@@ -44,7 +44,6 @@ import itertools
 import json
 import os
 import sys
-from functools import lru_cache
 from math import prod
 
 from . import (__version__, arith, exceptional, fusion, langlands, rootdata,
@@ -69,7 +68,7 @@ def _group_json(group) -> dict:
     return {
         "structure": group.describe(),
         "free_rank": group.free_rank,
-        "invariant_factors": list(group.invariant_factors),
+        "invariant_factors": group.invariant_factors,
         "order": group.order(),
     }
 
@@ -97,17 +96,12 @@ def _bounds_json(report) -> dict:
 
 # ------------------------------------------------------------------ inputs
 
-@lru_cache(maxsize=None)
-def _load_datum_text(text: str):
-    """One parsed and validated datum per distinct file text."""
-    return rootdata.load_datum(text)
-
-
 def _resolve_datum(ref: str):
     """(datum, quasi_split) from a catalog: name or a JSON file path.
 
-    A file is read on every call; its datum is built once per distinct text,
-    so a rewritten file is loaded again."""
+    A file is read on every call; ``rootdata.load_datum`` builds its datum
+    once per distinct text, so a rewritten file is loaded again.  A catalog
+    name is looked up in the catalog's one read-only mapping."""
     if ref.startswith("catalog:"):
         name = ref[len("catalog:"):]
         entries = rootdata.catalog()
@@ -118,7 +112,7 @@ def _resolve_datum(ref: str):
         return entry.datum, entry.quasi_split
     with open(ref, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return _load_datum_text(text), True
+    return rootdata.load_datum(text), True
 
 
 def _parse_int(token: str, lineno: int | None) -> int:
@@ -198,10 +192,10 @@ def _fusion_payload(args) -> dict:
         "type": str(res.group_type),
         "q": res.q.q,
         "d_max": res.d_max,
-        "admissible": {str(d): ell for d, ell in sorted(res.admissible.items())},
+        "admissible": {str(d): ell for d, ell in res.admissible.items()},
         "class_count": res.class_count,
         "verdict": res.verdict,
-        "classes": [list(cls) for cls in res.classes],
+        "classes": res.classes,
         "certificate": [
             {"a": ev.label_a, "b": ev.label_b, "d": ev.d, "ell": ev.ell}
             for ev in res.certificate],
@@ -216,10 +210,10 @@ def _cmd_dseries_check(args) -> dict:
                                      plugin=_plugin(args.plugin))
     return {
         "type": str(tag),
-        "D": list(join.D),
+        "D": join.D,
         "single": join.single,
         "class_count": len(join.classes),
-        "classes": [list(cls) for cls in join.classes],
+        "classes": join.classes,
     }
 
 

@@ -34,24 +34,21 @@ from .errors import NotSupported, ParseError, only_keys, parse_json
 SCHEMA_TAG = "exceptional_v1"
 
 
-def _require_str_list(value, what: str) -> list[str]:
+def _require_str_list(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{what} must be a non-empty array")
-    out = []
-    for item in value:
-        if not isinstance(item, str) or not item:
-            raise ParseError(f"{what} entries must be non-empty strings")
-        out.append(item)
-    if len(set(out)) != len(out):
+    if not all(isinstance(item, str) and item for item in value):
+        raise ParseError(f"{what} entries must be non-empty strings")
+    if len(set(value)) != len(value):
         raise ParseError(f"{what} entries must be distinct")
-    return out
+    return tuple(value)
 
 
 class ExceptionalPlugin:
     """Validated label/series tables keyed by family name."""
 
     def __init__(self, tables: dict):
-        # tables: family -> (labels, {d: [(core, members), ...]})
+        # tables: family -> (labels, {d: ((core, members), ...)}), all tuples
         self._tables = tables
 
     # -------------------------------------------------------- constructors
@@ -135,7 +132,7 @@ class ExceptionalPlugin:
                             "appears in two blocks")
                     seen_labels.add(member)
                 blocks.append((core, members))
-            series[d] = sorted(blocks)
+            series[d] = tuple(sorted(blocks))
         return labels, series
 
     # ----------------------------------------------------------- interface
@@ -145,10 +142,10 @@ class ExceptionalPlugin:
             raise NotSupported(f"no data for family {family}")
         return self._tables[family]
 
-    def labels(self, family: str) -> list[str]:
-        return list(self._family(family)[0])
+    def labels(self, family: str) -> tuple[str, ...]:
+        return self._family(family)[0]
 
-    def series_blocks(self, family: str, d: int) -> list[tuple]:
-        """[(core, [labels...]), ...] for the d-series; [] means all singletons."""
-        _labels, series = self._family(family)
-        return [(core, list(members)) for core, members in series.get(d, [])]
+    def series_blocks(self, family: str, d: int) -> tuple[tuple, ...]:
+        """((core, (labels...)), ...) for the d-series; () means all
+        singletons."""
+        return self._family(family)[1].get(d, ())

@@ -14,8 +14,8 @@ the defect bounds read the validated 1-series.
 C_n has the labels and d-series of B_n (``unipotent._model``) and the same
 bad primes, so its closure is B_n's: ``fusion_closure`` keeps one validated
 B_n result per (rank, q, d_max), the default d_max resolved first, and
-hands B_n and C_n each a copy with its own type, so a process closes the
-pair once.
+hands B_n and C_n that result under their own type, with the one read-only
+admissible map it holds, so a process closes the pair once.
 Certificates are replayed event by event; the witness of each distinct
 (d, ℓ) is checked once.  Processing order is fixed — d ascending, blocks by
 key, members in label order — so certificates are byte-reproducible.  A
@@ -27,7 +27,7 @@ a refutation.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .arith import GroupTypeTag, PrimePower, admissible_d, is_good, mult_order
 from .errors import InvariantViolation, NotSupported
@@ -76,7 +76,7 @@ class FusionResult(NamedTuple):
     group_type: GroupTypeTag
     q: PrimePower
     d_max: int
-    admissible: dict          # d -> witnessing ell
+    admissible: Mapping       # d -> witnessing ell, read-only
     classes: tuple            # tuple of tuples of label renders
     certificate: tuple        # MergeEvents in processing order
     verdict: str              # "single_class" | "inconclusive"
@@ -165,8 +165,7 @@ def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
                    d_max: Optional[int] = None, plugin=None) -> FusionResult:
     """Union-find closure of the d-series over all admissible d ≤ d_max.
 
-    B_n and C_n read one cached B_n result; each call gets its own
-    admissible dict."""
+    B_n and C_n read one cached B_n result."""
     if d_max is None:
         d_max = 2 * (group_type.rank + 1)
     if d_max < 1:
@@ -174,8 +173,7 @@ def fusion_closure(group_type: GroupTypeTag, q: PrimePower,
     if group_type.family not in ("B", "C"):
         return _closure(group_type, q, d_max, plugin)
     result = _b_closure(group_type.rank, q, d_max)
-    return result._replace(group_type=group_type,
-                           admissible=dict(result.admissible))
+    return result._replace(group_type=group_type)
 
 
 @lru_cache(maxsize=None)

@@ -85,7 +85,7 @@ def dual_side_torsor(datum: RootDatumWithAction, p: int) -> FGAbelianGroup:
 def _group_dict(group: FGAbelianGroup) -> dict:
     return {
         "structure": group.describe(),
-        "invariant_factors": list(group.invariant_factors),
+        "invariant_factors": group.invariant_factors,
         "order": group.order(),
     }
 

@@ -15,7 +15,8 @@ d-hook closed form: ``d_core`` reads it, and so do the d-hook cores of
 
 Each size's partition table, each β-set and each core is computed once
 per process: ``partitions_of`` checks the size bound ``MAX_PARTITION_SIZE``
-on every call and returns a fresh list copied from the size's table;
+and returns the size's table, one tuple that every caller shares (a call
+that raises is not cached, so the check runs on every such call);
 ``to_beta_set`` caches each (λ, length), so a label table reads each β-set
 once and the symbols built from one β-set share its row tuple;
 ``beta_core`` caches each (β-set, d), so a symbol row shared by many
@@ -49,19 +50,15 @@ def as_partition(parts) -> Partition:
     return lam
 
 
-def partitions_of(m: int) -> list[Partition]:
-    """All partitions of m, largest-part-first lexicographic order."""
+@functools.lru_cache(maxsize=None)
+def partitions_of(m: int) -> tuple[Partition, ...]:
+    """All partitions of m, largest-part-first lexicographic order, as one
+    shared tuple built once per size."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > MAX_PARTITION_SIZE:
         raise BoundExceeded(f"partitions of {m} exceed the configured bound "
                             f"{MAX_PARTITION_SIZE}")
-    return list(_partitions(m))
-
-
-@functools.lru_cache(maxsize=None)
-def _partitions(m: int) -> tuple:
-    """The partitions of m as one shared tuple, built once per size."""
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:

@@ -24,13 +24,15 @@ labels once, and the order of the tame quotient of the inertia image
 that validation makes.
 
 ``catalog()`` returns a fixed library of small worked examples used by the
-tests and the command-line tools.
+tests and the command-line tools, one read-only name → entry mapping per
+process.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .abelian import (
     FGAbelianGroup,
@@ -330,17 +332,13 @@ _A2_COROOTS = ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1))
 _A2_ROOTS = ((2, -1), (-1, 2), (1, 1), (-2, 1), (1, -2), (-1, -1))
 
 
-def catalog() -> dict:
+@functools.lru_cache(maxsize=None)
+def catalog() -> Mapping[str, CatalogEntry]:
     """Named example data; keys are stable identifiers used by the CLI.
 
-    Each call returns a new dict over the same frozen entries, which are
-    built and validated on the first call only."""
-    return {entry.name: entry for entry in _catalog_entries()}
-
-
-@functools.lru_cache(maxsize=None)
-def _catalog_entries() -> tuple:
-    return (
+    Every call returns one read-only mapping over the same frozen entries,
+    which are built and validated on the first call only."""
+    return MappingProxyType({entry.name: entry for entry in (
         CatalogEntry("split_torus_rank1", _split(1)),
         CatalogEntry("split_torus_rank2", _split(2)),
         CatalogEntry(
@@ -399,7 +397,7 @@ def _catalog_entries() -> tuple:
             "gl2_inner_twist",
             _split(2, coroots=((1, -1), (-1, 1)), roots=((1, -1), (-1, 1))),
             quasi_split=False),
-    )
+    )})
 
 
 # ------------------------------------------------------------------- JSON
@@ -460,6 +458,9 @@ def datum_from_dict(obj) -> RootDatumWithAction:
         raise ParseError(f"malformed datum: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
 def load_datum(text: str) -> RootDatumWithAction:
-    """Parse a JSON datum; malformed JSON reports line and column."""
+    """Parse a JSON datum; malformed JSON reports line and column.  One
+    parsed and validated datum per distinct text; a text that raises is
+    not cached."""
     return datum_from_dict(parse_json(text))

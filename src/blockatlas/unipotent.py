@@ -17,17 +17,19 @@ constructed partition.
 and d-series of B_n, and 2A_n those of A_n at ennola_dual(d), so tables and
 series are built for A, B, D and 2D only and a label carries no type.  Each
 model type's label table and (type, d) series is one cached record per
-process; each call gets its own list or SeriesPartition, and a build that
-raises is not cached.  A table's labels come in the enumerators' order,
-checked against ``sort_key`` and, for symbols, Lusztig's closed-form count;
-each gets its measure directly (the rank ``enumerate_symbols`` checked, or
-the size).  Cores are keyed on row tuples, whose hash and equality run in
-C: ``d_core`` per (λ, d); ``_symbol_core`` per (symbol, d) the canonical
-rows from the rows' β-set cores (odd d) or packed (d/2)-cohook runners
-(even d), reduced and ordered once per distinct pair (``_rows_core``).  A
-series renders each distinct core once; validation looks every core up
-again, renders and measures each distinct one against its block's key and
-members, and checks coverage.  The 1-series also feeds :mod:`fusion`.
+process, and a build that raises is not cached: ``enumerate_labels``
+returns the table's own tuple of labels, and each ``d_series`` call builds
+its own SeriesPartition over the record's blocks.  A table's labels come in
+the enumerators' order, checked against ``sort_key`` and, for symbols,
+Lusztig's closed-form count; each gets its measure directly (the rank
+``enumerate_symbols`` checked, or the size).  Cores are keyed on row
+tuples, whose hash and equality run in C: ``d_core`` per (λ, d);
+``_symbol_core`` per (symbol, d) the canonical rows from the rows' β-set
+cores (odd d) or packed (d/2)-cohook runners (even d), reduced and ordered
+once per distinct pair (``_rows_core``).  A series renders each distinct
+core once; validation looks every core up again, renders and measures each
+distinct one against its block's key and members, and checks coverage.
+The 1-series also feeds :mod:`fusion`.
 """
 
 from __future__ import annotations
@@ -270,9 +272,10 @@ def label_table(group_type: GroupTypeTag) -> _LabelTable:
     return _labels(_model(group_type)[0])
 
 
-def enumerate_labels(group_type: GroupTypeTag) -> list[UnipotentLabel]:
-    """Complete, duplicate-free, deterministically ordered label list."""
-    return list(label_table(group_type).labels)
+def enumerate_labels(group_type: GroupTypeTag) -> tuple[UnipotentLabel, ...]:
+    """Complete, duplicate-free, deterministically ordered labels: the
+    table's own tuple."""
+    return label_table(group_type).labels
 
 
 class _Series(NamedTuple):

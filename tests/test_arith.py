@@ -555,16 +555,18 @@ def test_classical_families_share_one_witness_search_per_d():
     assert maps.hits == calls - maps.misses, maps
 
 
-def test_admissible_maps_are_equal_but_independent():
+def test_admissible_maps_are_one_read_only_map():
     # the six classical families exclude the same primes, so they read one
-    # map; each caller gets its own dict, which it may change freely
+    # map; no caller can change it for the others
     q = PrimePower.from_q(4)
     maps = [admissible_d(GroupTypeTag(family, 3), q, 8)
             for family in CLASSICAL_FAMILIES]
     expected = {1: 3, 2: 5, 3: 7, 4: 17, 5: 11, 6: 13, 7: 43, 8: 257}
     assert maps == [expected] * 6
-    assert len({id(m) for m in maps}) == 6
+    assert len({id(m) for m in maps}) == 1
     for family, mine in zip(CLASSICAL_FAMILIES, maps):
-        mine[1] = 99
-        del mine[2]
+        with pytest.raises(TypeError):
+            mine[1] = 99
+        with pytest.raises(TypeError):
+            del mine[2]
         assert admissible_d(GroupTypeTag(family, 3), q, 8) == expected

@@ -35,11 +35,18 @@ def plugin():
 
 def test_accessors():
     pl = plugin()
-    assert pl.labels("G2") == ["a", "b", "c", "d", "e"]
-    assert pl.series_blocks("G2", 3) == [("x", ["a", "b"]), ("y", ["c", "d"])]
-    assert pl.series_blocks("G2", 4) == [("z", ["b", "c", "e"])]
+    assert pl.labels("G2") == ("a", "b", "c", "d", "e")
+    assert pl.series_blocks("G2", 3) == (("x", ("a", "b")), ("y", ("c", "d")))
+    assert pl.series_blocks("G2", 4) == (("z", ("b", "c", "e")),)
     # absent d: everything is a singleton, rendered as no blocks
-    assert pl.series_blocks("G2", 7) == []
+    assert pl.series_blocks("G2", 7) == ()
+    # the stored tuples themselves: one object per call, none mutable
+    assert pl.labels("G2") is pl.labels("G2")
+    assert pl.series_blocks("G2", 3) is pl.series_blocks("G2", 3)
+    with pytest.raises(AttributeError):
+        pl.labels("G2").append("f")
+    with pytest.raises(TypeError):
+        pl.series_blocks("G2", 3)[0][1][0] = "e"
 
 
 def test_unknown_family():
@@ -53,11 +60,11 @@ def test_unknown_family():
 def test_loads_and_load_roundtrip(tmp_path):
     text = json.dumps(VALID)
     pl = ExceptionalPlugin.loads(text)
-    assert pl.labels("G2") == ["a", "b", "c", "d", "e"]
+    assert pl.labels("G2") == ("a", "b", "c", "d", "e")
     path = tmp_path / "exc.json"
     path.write_text(text, encoding="utf-8")
     assert ExceptionalPlugin.load(path).series_blocks("G2", 4) == \
-        [("z", ["b", "c", "e"])]
+        (("z", ("b", "c", "e")),)
 
 
 def test_json_error_carries_location():

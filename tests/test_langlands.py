@@ -260,7 +260,7 @@ def test_torsor_report_dict():
     report = bijection_check(entry("norm_one_ramified").datum, 2)
     data = report.as_dict()
     assert data["group_side"] == {
-        "structure": "Z/2", "invariant_factors": [2], "order": 2}
+        "structure": "Z/2", "invariant_factors": (2,), "order": 2}
     assert data["equal_cardinality"] is True
     assert data["regime"] == REGIME_PROVED
 

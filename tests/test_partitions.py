@@ -12,7 +12,6 @@ import pytest
 
 from blockatlas.errors import BoundExceeded, LengthTooShort
 from blockatlas.partitions import (
-    _partitions,
     as_partition,
     beta_core,
     d_core,
@@ -101,9 +100,9 @@ def oracle_counted_abacus_core(lam, d):
 # ----------------------------------------------------------- enumeration
 
 def test_partitions_frozen():
-    assert partitions_of(0) == [()]
-    assert partitions_of(1) == [(1,)]
-    assert partitions_of(3) == [(3,), (2, 1), (1, 1, 1)]
+    assert partitions_of(0) == ((),)
+    assert partitions_of(1) == ((1,),)
+    assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
     assert len(partitions_of(5)) == 7
 
 
@@ -111,7 +110,7 @@ def test_partitions_order_and_uniqueness():
     for m in range(9):
         ps = partitions_of(m)
         assert len(set(ps)) == len(ps)
-        assert ps == sorted(ps, reverse=True)
+        assert list(ps) == sorted(ps, reverse=True)
         assert all(sum(p) == m for p in ps)
 
 
@@ -121,8 +120,12 @@ def test_partition_counts_match_pentagonal_recurrence():
 
 
 def test_partitions_bound():
-    with pytest.raises(BoundExceeded):
-        partitions_of(31)
+    # a call that raises is not cached, so the checks run on every repeat
+    for _ in range(3):
+        with pytest.raises(BoundExceeded):
+            partitions_of(31)
+        with pytest.raises(ValueError, match="^m must be >= 0$"):
+            partitions_of(-1)
 
 
 def test_partitions_bound_env_override(monkeypatch):
@@ -282,8 +285,8 @@ def test_ennola_involution():
 
 def test_cached_tables_and_cores_equal_uncached():
     for m in range(15):
-        assert _partitions(m) == _partitions.__wrapped__(m)
-        assert partitions_of(m) == list(_partitions.__wrapped__(m))
+        assert partitions_of(m) == partitions_of.__wrapped__(m)
+        assert partitions_of(m) is partitions_of(m)
     for m in range(11):
         for lam in partitions_of(m):
             for d in range(1, 13):
@@ -296,10 +299,14 @@ def test_cached_tables_and_cores_equal_uncached():
 
 
 def test_mutating_a_returned_table_leaves_the_cache_intact():
+    # every call hands out the one cached tuple, which refuses mutation
     ps = partitions_of(5)
-    ps.clear()
-    ps.append((9,))
-    assert partitions_of(5) == list(_partitions.__wrapped__(5))
+    assert partitions_of(5) is ps
+    with pytest.raises(AttributeError):
+        ps.clear()
+    with pytest.raises(TypeError):
+        ps[0] = (9,)
+    assert partitions_of(5) == partitions_of.__wrapped__(5)
     assert len(partitions_of(5)) == 7
 
 

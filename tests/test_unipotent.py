@@ -11,7 +11,7 @@ from blockatlas.errors import (
     InvariantViolation,
     NotSupported,
 )
-from blockatlas.partitions import d_core, ennola_dual
+from blockatlas.partitions import ennola_dual
 from blockatlas.symbols import Symbol, cohook_core, hook_core, phi
 from blockatlas.unipotent import (
     SeriesPartition,
@@ -20,7 +20,6 @@ from blockatlas.unipotent import (
     _core_rule,
     _labels,
     _model,
-    _rows_core,
     _symbol_core,
     d_series,
     ell_blocks,
@@ -137,12 +136,15 @@ def test_enumerate_bound():
 
 def test_cached_labels_and_series_respect_rank_bound(monkeypatch, capsys):
     b8 = GroupTypeTag("B", 8)
+    # every call hands out the table's one tuple, which refuses mutation
     labels = enumerate_labels(b8)
-    expected = list(labels)
-    labels.clear()
-    labels.append(UnipotentLabel(expected[0].payload, "′"))
-    assert labels[0].measure == 8
-    assert enumerate_labels(b8) == expected
+    assert enumerate_labels(b8) is labels
+    with pytest.raises(AttributeError):
+        labels.clear()
+    with pytest.raises(TypeError):
+        labels[0] = UnipotentLabel(labels[0].payload, "′")
+    assert UnipotentLabel(labels[0].payload, "′").measure == 8
+    assert enumerate_labels(b8) == _labels.__wrapped__(b8).labels
     part = d_series(b8, 3)
     part.context["tampered"] = True
     assert d_series(b8, 3).context == {"kind": "d_series", "d": 3}
@@ -472,18 +474,20 @@ def test_each_label_stores_its_measure():
 
 
 def test_one_core_per_payload_and_d(monkeypatch):
-    # B and C share their symbols' cores, A and 2A their partitions' cores;
-    # once built, validating a series again builds no swapped Symbol.
-    clear_process_caches()
-    d_series(GroupTypeTag("B", 5), 3)
-    misses = (_symbol_core.cache_info().misses, _rows_core.cache_info().misses)
-    d_series(GroupTypeTag("C", 5), 3)
-    assert (_symbol_core.cache_info().misses,
-            _rows_core.cache_info().misses) == misses
-    d_series(GroupTypeTag("A", 5), 1)
-    misses = d_core.cache_info().misses
-    d_series(GroupTypeTag("2A", 5), 2)          # ennola_dual(2) = 1
-    assert d_core.cache_info().misses == misses
+    # C reads B's label table and series record at the same d, 2A reads A's
+    # at ennola_dual(d): the twin builds no record of its own, so it cannot
+    # build a core either; once built, validating a series again builds no
+    # swapped Symbol.
+    def record_misses():
+        return _labels.cache_info().misses, _blocks.cache_info().misses
+
+    # (model, its d, twin, the twin's d): ennola_dual(2) = 1
+    for model, d, twin, twin_d in (("B", 3, "C", 3), ("A", 1, "2A", 2)):
+        clear_process_caches()
+        built = d_series(GroupTypeTag(model, 5), d)
+        misses = record_misses()
+        assert d_series(GroupTypeTag(twin, 5), twin_d).blocks is built.blocks
+        assert record_misses() == misses, twin
     series = [d_series(tag, d) for family in FAMILIES
               for tag in tags(family, 6) for d in range(1, 9)]
     swaps, ranks = [], []
@@ -530,4 +534,4 @@ def test_ell_blocks_hypotheses():
 
 def test_label_sorting_stable():
     labs = enumerate_labels(B2)
-    assert labs == sorted(labs, key=UnipotentLabel.sort_key)
+    assert list(labs) == sorted(labs, key=UnipotentLabel.sort_key)
