@@ -8,23 +8,26 @@ order d at q.  Such primes witness that the d-series refine into actual
 Primitive primes are located by factoring the cyclotomic value Φ_d(q),
 which carries exactly the primes of order d (plus possibly the largest
 prime factor of d, filtered out because it divides d).  Factoring is one
-trial-division loop, ``prime_factors``: 2, 3, then the pairs 6k ± 1 up to
-the square root of what is left.  ``primitive_prime`` runs it to the end
-on Φ_d(q), ``mult_order`` on ℓ − 1 below a bound.  Powers beyond 63 bits
-are rejected rather than silently promoted, which keeps the search at desk
-scale.  ``is_prime`` is a deterministic Miller–Rabin test, exact below
-3.3·10²⁴ and BoundExceeded above, and ``PrimePower.from_q`` tries the 13
-smallest primes, then exact integer roots whose base is prime, so neither
-divides up to √q.
+trial-division loop, ``prime_factors``: 2, 3, 5, then a mod-30 wheel, the
+eight integers prime to 30 in each block of 30, up to the square root of
+what is left.  ``primitive_prime`` runs it to the end on Φ_d(q),
+``mult_order`` on ℓ − 1 below a bound.  Powers beyond 63 bits are rejected
+rather than silently promoted, which keeps the search at desk scale.
+``is_prime`` is a deterministic Miller–Rabin test, exact below 3.3·10²⁴
+and BoundExceeded above, and ``PrimePower.from_q`` tries the 13 smallest
+primes, then exact integer roots whose base is prime, so neither divides
+up to √q.
 
 ``primitive_prime`` is memoized on the question it answers: (q, d, the
 frozenset of primes the witness may not be), ``_cyclotomic_value`` on
 (q, d), and ``mult_order`` on (q, ℓ), so a fusion certificate replays its
 merge events with one order computation per distinct pair.  ``mult_order``
-factors ℓ − 1 (the loop's candidates below 1000, then Miller–Rabin on each
-value it yields and Pollard–Brent on composite ones, at most 2²² steps,
-else BoundExceeded) and divides each prime out of ℓ − 1 while the quotient
-is still a multiple of the order, so it never walks the divisors of ℓ − 1.
+factors ℓ − 1 (the loop's candidates below 1000, then Miller–Rabin on the
+last value it yields when that is at least 10⁶, the only case in which it
+may be composite, and Pollard–Brent on composite parts, at most 2²² steps,
+else BoundExceeded) and divides
+each prime out of ℓ − 1 while the quotient is still a multiple of the
+order, so it never walks the divisors of ℓ − 1.
 ``admissible_d`` excludes 2 and the family's bad primes, so the six
 classical families share one witness search per (q, d) with each other and
 with ``zsygmondy``, which excludes only 2; it builds one read-only map per
@@ -200,28 +203,33 @@ def is_prime(n: int) -> bool:
 
 def prime_factors(n: int, bound: Optional[int] = None) -> Iterator[int]:
     """Distinct prime factors of n >= 1 in increasing order: trial division
-    by 2, 3 and the pairs 6k - 1, 6k + 1 up to the square root of what is
-    left, which comes last when it exceeds 1.  With ``bound`` only
-    candidates below it are tried, so that last value may be composite."""
+    by 2, 3, 5, then on a mod-30 wheel by the eight candidates prime to 30
+    in each block of 30 from 7 (c, c + 4, c + 6, c + 10, c + 12, c + 16,
+    c + 22, c + 24) up to the square root of what is left, which comes last
+    when it exceeds 1.  With ``bound`` only candidates below it are tried,
+    so that last value may be composite."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     cap = n if bound is None else bound - 1  # the largest candidate
-    pair, c = (2, 3), 5
+    block, c = (2, 3, 5), 7
     while True:
-        for f in pair:
+        for f in block:
             if f <= cap and n % f == 0:
                 yield f
                 n //= f
                 while n % f == 0:
                     n //= f
-        # scan pair by pair up to the square root: a c + 2 past it divides
-        # n only when it is n, and one past cap is skipped above
+        # scan block by block up to the square root: a candidate past it
+        # divides n only when it is n, and one past cap is skipped above
         limit = min(math.isqrt(n), cap)
-        while c <= limit and n % c and n % (c + 2):
-            c += 6
+        while (c <= limit and n % c and n % (c + 4) and n % (c + 6)
+               and n % (c + 10) and n % (c + 12) and n % (c + 16)
+               and n % (c + 22) and n % (c + 24)):
+            c += 30
         if c > limit:
             break
-        pair, c = (c, c + 2), c + 6
+        block = (c, c + 4, c + 6, c + 10, c + 12, c + 16, c + 22, c + 24)
+        c += 30
     if n > 1:
         yield n
 
@@ -277,10 +285,16 @@ def _pollard_brent(n: int, budget: int) -> tuple:
 
 def _prime_divisors(n: int) -> set:
     """The distinct primes of n >= 1: trial division below _TRIAL_LIMIT,
-    then is_prime on each value it yields and Pollard–Brent splits of
-    composite ones, at most _RHO_LIMIT steps in all."""
-    primes = set()
-    parts, budget = list(prime_factors(n, _TRIAL_LIMIT)), _RHO_LIMIT
+    then is_prime on a last value of at least _TRIAL_LIMIT**2 and
+    Pollard–Brent splits of a composite one, at most _RHO_LIMIT steps in
+    all."""
+    # the loop divides out every prime below _TRIAL_LIMIT, so a composite
+    # value it yields has two factors at or above it: only a value of at
+    # least _TRIAL_LIMIT**2, which can only be the last one, needs the test
+    primes = set(prime_factors(n, _TRIAL_LIMIT))
+    parts = [m for m in primes if m >= _TRIAL_LIMIT ** 2]
+    primes.difference_update(parts)
+    budget = _RHO_LIMIT
     while parts:
         m = parts.pop()
         if is_prime(m):

@@ -37,9 +37,9 @@ MUTATIONS = [
      "if False:",
      ["tests/test_fusion.py::"
       "test_validate_rejects_a_witness_that_fails_hypotheses"]),
-    ("trial division skips the 6k + 1 candidates", "arith.py",
-     "while c <= limit and n % c and n % (c + 2):",
-     "while c <= limit and n % c:",
+    ("trial division skips the 30k + 11 candidates", "arith.py",
+     "while (c <= limit and n % c and n % (c + 4) and n % (c + 6)",
+     "while (c <= limit and n % c and n % (c + 6)",
      ["tests/test_arith.py::test_prime_factors_match_the_old_trial_division",
       "tests/test_manifest.py::"
       "test_manifest_cold_warm_and_under_another_hash_seed"]),

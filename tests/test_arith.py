@@ -177,6 +177,23 @@ def two_prime_products(rng, digits):
     return [prime(a) * prime(b) for a in digits for b in digits if a <= b]
 
 
+def wheel_residue_products(rng):
+    """Seeded p·q with p and q primes, p < q, the smaller factor p of 3 to
+    5 digits in each of the eight residue classes prime to 30, so that a
+    wheel which skips one class misses p."""
+    out = []
+    for r in (1, 7, 11, 13, 17, 19, 23, 29):
+        for digits in (3, 4, 5):
+            p = rng.randrange(10 ** (digits - 1), 10 ** digits) // 30 * 30 + r
+            while not is_prime(p):
+                p += 30
+            q = rng.randrange(p + 1, 10 ** 7)
+            while not is_prime(q):
+                q += 1
+            out.append(p * q)
+    return out
+
+
 # (lowest q, highest q, largest d) of perfbench's witness_grid rectangles
 WITNESS_RECTANGLES = ((2, 16, 14), (17, 64, 9), (65, 256, 7),
                       (257, 2048, 5), (2049, 4096, 4))
@@ -194,6 +211,7 @@ def test_prime_factors_match_the_old_trial_division():
     ns += [p ** k for p in (2, 3, 5, 7, 11, 13, 101, 9973, 1000003)
            for k in range(1, 7) if p ** k < 2 ** 63]
     ns += [c * c for c in (25, 35, 49, 77, 91, 1001, 9973 * 9967)]
+    ns += wheel_residue_products(rng)
     for lo, hi, d_max in WITNESS_RECTANGLES:
         qs = [q for q in range(lo, hi + 1)
               if len(list(oracle_prime_factors(q))) == 1]
@@ -204,22 +222,69 @@ def test_prime_factors_match_the_old_trial_division():
 
 
 def test_bounded_prime_factors_match_the_old_trial_division():
-    # the primes below the bound, then the cofactor; bounds at both members
-    # of a pair 6k - 1, 6k + 1 and between them, and the trial limit
+    # the primes below the bound, then the cofactor; bounds at 2, 3, 5, at
+    # each candidate of the wheel's first block and the next block's first
+    # two, between candidates, at 30k ± 1 on both sides of the trial limit,
+    # and the trial limit
     rng = random.Random(1038)
     ns = list(range(1, 3001)) + two_prime_products(rng, (2, 3, 4))
     ns += [rng.randrange(1, 10 ** 9) for _ in range(300)]
-    for bound in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 29, 30, 31, 32, 97,
-                  arith._TRIAL_LIMIT):
+    k = arith._TRIAL_LIMIT // 30
+    for bound in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 17, 19, 23, 29, 30,
+                  31, 32, 37, 41, 97, 30 * k - 1, 30 * k + 1,
+                  30 * (k + 1) - 1, 30 * (k + 1) + 1, arith._TRIAL_LIMIT):
         for n in ns:
             assert list(prime_factors(n, bound)) == list(
                 oracle_prime_factors(n, bound)), (n, bound)
 
 
+class CountingInt(int):
+    """An int that counts the ``%`` operations taken on it."""
+    mods = 0
+
+    def __mod__(self, other):
+        CountingInt.mods += 1
+        return int.__mod__(self, other)
+
+
+def test_prime_factors_work_on_fixed_primes():
+    # a prime is never divided, so every % of the loop is taken on the
+    # counting int: 2, 3, 5, then eight per block of 30 from 7 while the
+    # block starts at or below the square root and below the bound
+    for n, bound, mods in ((oracle_cyclotomic(7, 13), None, 33_891),
+                           (1_000_003, None, 275),
+                           (1_000_003, arith._TRIAL_LIMIT, 275),
+                           (1_000_003, 100, 3 + 8 * 4),
+                           (7, None, 3)):
+        CountingInt.mods = 0
+        assert list(prime_factors(CountingInt(n), bound)) == [n]
+        assert CountingInt.mods == mods, (n, bound)
+
+
+def test_prime_divisors_test_only_a_large_last_value(monkeypatch):
+    # every value of the bounded loop below _TRIAL_LIMIT**2 goes straight
+    # into the set; only a last value at or above it, and the parts a
+    # Pollard–Brent split makes of a composite one, go through is_prime
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    assert arith._TRIAL_LIMIT ** 2 == 10 ** 6
+    for n, tested in ((1, []), (2 * 3 * 5 * 7 * 997, []), (2 * 1009, []),
+                      (2 * 999_983, []), (6 * 1_000_003, [1_000_003]),
+                      (2 ** 4 * 1009 * 1013, [1009 * 1013, 1013, 1009])):
+        calls.clear()
+        assert arith._prime_divisors(n) == set(oracle_prime_factors(n)), n
+        assert sorted(calls) == sorted(tested), n
+
+
 def test_prime_divisors_match_the_old_trial_division():
-    # every value the bounded loop yields goes through is_prime, and a
-    # composite cofactor of two primes above the trial limit through
-    # Pollard–Brent
+    # a last value of the bounded loop of at least _TRIAL_LIMIT**2 goes
+    # through is_prime, and a composite cofactor of two primes above the
+    # trial limit through Pollard–Brent
     rng = random.Random(2038)
     ns = list(range(1, 5001)) + two_prime_products(rng, (3, 4, 5, 6))
     ns += [2 ** 4 * 3 * 997 * n for n in two_prime_products(rng, (4, 5))]
